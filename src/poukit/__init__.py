@@ -11,6 +11,7 @@ from .errors import (
     NotTransitive,
     PoukitError,
     RowNotSimplex,
+    SelfCheckFailed,
     TailTooLarge,
 )
 from .nerve import (

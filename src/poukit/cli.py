@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import generators, jsonio, scalars
-from .errors import InputError, PoukitError
+from .errors import InputError, PoukitError, SelfCheckFailed
 from .nerve import canonical_map_check, cover_simplex_mapping, nerve_from_cover
 from .pou import mather_compose, pou_from_metric_cover, subordination_check
 from .selection import conv_fiber_open, conv_membership, epsilon_selection
@@ -170,12 +170,29 @@ def cmd_canonical_check(args, report, mode):
     return report
 
 
-def cmd_select_eps(args, report, mode):
-    obj = _load_json(args.input)
-    target = jsonio.load_convex_target(obj["target"], mode)
-    eps = scalars.parse_scalar(obj["epsilon"], "float")
+def _load_selection_input(obj):
+    """Target, epsilon and anchors of one epsilon-selection problem, all in
+    float mode, with every anchor in the target's ambient dimension."""
+    if not isinstance(obj, dict):
+        raise InputError("a selection problem must be a JSON object")
+    missing = [k for k in ("target", "epsilon", "anchors") if k not in obj]
+    if missing:
+        raise InputError(f"selection problem lacks {missing}")
+    target = jsonio.load_convex_target(obj["target"], "float")
+    eps = float(scalars.parse_scalar(obj["epsilon"], "float"))
     anchors = jsonio.load_anchors(obj["anchors"], "float")
-    values, certs = epsilon_selection(target, float(eps), anchors)
+    for a in anchors:
+        if len(a) != target.ambient_dim:
+            raise InputError(
+                f"anchor {list(a)!r} has {len(a)} coordinates, "
+                f"ambient_dim is {target.ambient_dim!r}"
+            )
+    return target, eps, anchors
+
+
+def cmd_select_eps(args, report, mode):
+    target, eps, anchors = _load_selection_input(_load_json(args.input))
+    values, certs = epsilon_selection(target, eps, anchors)
     all_ok = all(c.distance_bound < eps for c in certs.values())
     report.check("epsilon-bound", all_ok)
     report.payload["selection"] = {
@@ -233,7 +250,7 @@ def cmd_verify_all(args, report, mode):
             closed = closure_cover(omega)  # internally cross-checks both formulas
             agrees = graph_closure(omega) == closed
             report.check(f"cover[{i}]:closure-formulas", agrees)
-        except AssertionError as exc:
+        except SelfCheckFailed as exc:
             report.check(f"cover[{i}]:closure-formulas", False, str(exc))
 
     for i, obj in enumerate(bundle.get("metric_covers", [])):
@@ -254,9 +271,7 @@ def cmd_verify_all(args, report, mode):
         report.check(f"metric_cover[{i}]:carrier-shrinks", shrink)
 
     for i, obj in enumerate(bundle.get("targets", [])):
-        target = jsonio.load_convex_target(obj["target"], "float")
-        eps = float(scalars.parse_scalar(obj["epsilon"], "float"))
-        anchors = jsonio.load_anchors(obj["anchors"], "float")
+        target, eps, anchors = _load_selection_input(obj)
         try:
             _, certs = epsilon_selection(target, eps, anchors)
             report.check(

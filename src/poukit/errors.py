@@ -5,6 +5,11 @@ class PoukitError(Exception):
     """Base class for all library errors."""
 
 
+class SelfCheckFailed(PoukitError):
+    """A construction's internal cross-check failed: two formulas that must
+    agree did not, or a certificate it guarantees does not hold."""
+
+
 class InputError(PoukitError):
     """Malformed or inconsistent input data (bad JSON, unknown point, ...)."""
 

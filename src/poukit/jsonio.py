@@ -167,8 +167,13 @@ def dump_complex(cx):
 
 
 def load_convex_target(obj, mode=EXACT):
+    given = obj.get("sets") if isinstance(obj, dict) else None
+    if not isinstance(given, dict) or "ambient_dim" not in obj:
+        raise InputError("a convex target needs ambient_dim and a sets object")
     sets = {}
-    for x, spec in obj["sets"].items():
+    for x, spec in given.items():
+        if not isinstance(spec, dict):
+            raise InputError(f"convex set at {x!r} is not a JSON object")
         spec = dict(spec)
         for field in ("p", "a", "b", "lo", "hi"):
             if field in spec:

@@ -10,7 +10,13 @@ ground the rows come from closed-form bump constructions and no continuity
 check applies.
 """
 
-from .errors import DiscontinuousAt, InputError, NotACover, RowNotSimplex
+from .errors import (
+    DiscontinuousAt,
+    InputError,
+    NotACover,
+    RowNotSimplex,
+    SelfCheckFailed,
+)
 from .scalars import EXACT, FLOAT
 from .sparse import (
     SparseVec,
@@ -189,7 +195,7 @@ def mather_compose(pou):
         for a in sorted(pou.index_set, key=repr):
             closed_star = pou.ground.closure(set(gamma.open_star(a)))
             if not closed_star <= set(pou.open_star(a)):
-                raise AssertionError(
+                raise SelfCheckFailed(
                     f"closed star of {a!r} escapes the input star after shrinking"
                 )
     return gamma, LocalFinitenessCertificate(per_point)

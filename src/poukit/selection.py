@@ -6,22 +6,24 @@ point iff its carrier is contained in that member set (the indices form a
 basis, so barycentric coordinates are unique).
 
 For coordinate ambient spaces, convex targets are points, segments, axis
-boxes, or V-polytopes with exact distance oracles (projection-based).  The
-epsilon-selection pipeline turns a distance oracle plus a finite anchor set
-into a certified approximate selection: bump weights over the anchors,
-locally-finite shrinking, then a barycentric sum of the anchors.
+boxes, or V-polytopes with distance oracles in plain floats.  Points, segments
+and boxes project in closed form; a polytope runs Wolfe's min-norm-point
+method, a few small active-set steps instead of one projection per vertex
+subset.  The epsilon-selection pipeline turns a distance oracle plus a finite
+anchor set into a certified approximate selection: bump weights over the
+anchors, locally-finite shrinking, then a barycentric sum of the anchors.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import CoverGap, InputError, NonPositiveEpsilon
+from .errors import CoverGap, InputError, NonPositiveEpsilon, SelfCheckFailed
 from .pou import PartitionOfUnity, mather_compose
 from .sparse import SparseVec
 from .spaces import FiniteSpace
+
+# Wolfe's optimality gap, relative to the largest squared vertex norm
+_WOLFE_TOL = 1e-12
 
 
 def conv_membership(omega, x, p):
@@ -87,19 +89,22 @@ def barycentric_selection(gamma, anchors):
     return values, certs
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def dist_to_point(q, p):
     return math.dist([float(c) for c in q], [float(c) for c in p])
 
 
 def dist_to_segment(q, a, b):
-    q = np.asarray(q, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    denom = float(d @ d)
-    t = 0.0 if denom == 0 else float((q - a) @ d) / denom
+    q = [float(c) for c in q]
+    a = [float(c) for c in a]
+    d = [float(c) - ac for c, ac in zip(b, a)]
+    denom = _dot(d, d)
+    t = 0.0 if denom == 0 else _dot([qc - ac for qc, ac in zip(q, a)], d) / denom
     t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(q - (a + t * d)))
+    return math.dist(q, [ac + t * dc for ac, dc in zip(a, d)])
 
 
 def dist_to_box(q, lo, hi):
@@ -110,43 +115,122 @@ def dist_to_box(q, lo, hi):
     return math.hypot(*gaps)
 
 
+def _solve(a, b):
+    """Solve ``a x = b`` by Gaussian elimination with partial pivoting, in
+    place; None when a pivot vanishes."""
+    n = len(b)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= f * a[col][c]
+            b[r] -= f * b[col]
+    x = [0.0] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (b[r] - _dot(a[r][r + 1:], x[r + 1:])) / a[r][r]
+    return x
+
+
+def _affine_min_norm(pts):
+    """Weights (summing to one) of the min-norm point of the affine hull of
+    ``pts``: the KKT system [[G, 1], [1, 0]] (w, mu) = (0, 1) with G the Gram
+    matrix.  None when the points are affinely dependent."""
+    k = len(pts)
+    kkt = [[_dot(p, r) for r in pts] + [1.0] for p in pts]
+    kkt.append([1.0] * k + [0.0])
+    sol = _solve(kkt, [0.0] * k + [1.0])
+    return None if sol is None else sol[:k]
+
+
 def dist_to_polytope(q, vertices):
-    """Distance to the convex hull of a small vertex list via exhaustive
-    face projection: project onto the affine hull of every vertex subset and
-    keep the nearest projection with nonnegative barycentric coordinates."""
-    q = np.asarray(q, dtype=float)
-    verts = [np.asarray(v, dtype=float) for v in vertices]
-    best = min(float(np.linalg.norm(q - v)) for v in verts)
-    for k in range(2, len(verts) + 1):
-        for subset in itertools.combinations(range(len(verts)), k):
-            vmat = np.stack([verts[i] for i in subset], axis=1)
-            # KKT system for min |V w - q|^2 subject to sum w = 1
-            g = vmat.T @ vmat
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = 2 * g
-            kkt[:k, k] = 1
-            kkt[k, :k] = 1
-            rhs = np.concatenate([2 * vmat.T @ q, [1.0]])
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            w = sol[:k]
-            if np.all(w >= -1e-12) and abs(float(np.sum(w)) - 1.0) <= 1e-9:
-                best = min(best, float(np.linalg.norm(vmat @ w - q)))
-    return best
+    """Distance from ``q`` to the convex hull of ``vertices`` by Wolfe's
+    min-norm-point method (Math. Programming 11, 1976).
+
+    The vertices are translated by -q and a corral of affinely independent
+    vertices with barycentric weights is kept, starting from the nearest
+    vertex.  Each major step adds the vertex most opposed to the current point
+    x; minor steps move x toward the affine min-norm point of the corral and
+    drop vertices whose weights reach zero.  It stops when
+    x.x - min_j x.p_j <= tol * max|p|^2, when x stops shrinking, or when the
+    corral turns affinely dependent in floats.  x is always a convex
+    combination of vertices, so the result never underestimates the distance
+    beyond rounding.
+    """
+    pts = [[float(c) - float(qc) for c, qc in zip(v, q)] for v in vertices]
+    sq = [_dot(p, p) for p in pts]
+    start = min(range(len(pts)), key=sq.__getitem__)
+    corral, weights = [start], [1.0]
+    x, xx = pts[start], sq[start]
+    tol = _WOLFE_TOL * max(sq)
+    while True:
+        j = min(range(len(pts)), key=lambda i: _dot(x, pts[i]))
+        if xx - _dot(x, pts[j]) <= tol or j in corral:
+            break
+        cand, cw = corral + [j], weights + [0.0]
+        while True:
+            alpha = _affine_min_norm([pts[i] for i in cand])
+            if alpha is None:
+                break
+            if min(alpha) > 0:
+                cw = alpha
+                break
+            # walk from cw toward alpha until the first weight reaches zero
+            theta, out = min(
+                (w / (w - a) if w > a else 0.0, k)
+                for k, (w, a) in enumerate(zip(cw, alpha))
+                if a <= 0
+            )
+            cw = [w + theta * (a - w) for w, a in zip(cw, alpha)]
+            keep = [k for k, w in enumerate(cw) if k != out and w > 0]
+            cand, cw = [cand[k] for k in keep], [cw[k] for k in keep]
+        if alpha is None:
+            break
+        y = [sum(w * pts[i][d] for w, i in zip(cw, cand)) for d in range(len(x))]
+        yy = _dot(y, y)
+        if yy >= xx:
+            break
+        corral, weights, x, xx = cand, cw, y, yy
+    return math.hypot(*x)
 
 
 class ConvexTarget:
-    """Per-point convex subsets of a coordinate ambient space with exact
-    distance oracles.  ``sets`` maps ground point -> spec dict with ``kind``
-    in {point, segment, box, polytope}."""
+    """Per-point convex subsets of a coordinate ambient space with distance
+    oracles.  ``sets`` maps ground point -> spec dict with ``kind`` in
+    {point, segment, box, polytope} and the coordinate fields ``KINDS`` names
+    for it; every point must have ``ambient_dim`` coordinates."""
 
-    KINDS = ("point", "segment", "box", "polytope")
+    KINDS = {
+        "point": ("p",),
+        "segment": ("a", "b"),
+        "box": ("lo", "hi"),
+        "polytope": ("vertices",),
+    }
 
     __slots__ = ("ambient_dim", "sets")
 
     def __init__(self, ambient_dim, sets):
         for x, spec in sets.items():
-            if spec.get("kind") not in self.KINDS:
+            kind = spec.get("kind")
+            fields = self.KINDS.get(kind)
+            if fields is None:
                 raise InputError(f"unknown convex set kind at {x!r}: {spec!r}")
+            missing = [f for f in fields if f not in spec]
+            if missing:
+                raise InputError(f"{kind} at {x!r} lacks {missing}")
+            points = spec["vertices"] if kind == "polytope" else [spec[f] for f in fields]
+            if not points:
+                raise InputError(f"polytope at {x!r} has no vertices")
+            for p in points:
+                if len(p) != ambient_dim:
+                    raise InputError(
+                        f"point {p!r} of the set at {x!r} has {len(p)} "
+                        f"coordinates, ambient_dim is {ambient_dim!r}"
+                    )
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "sets", dict(sets))
 
@@ -203,7 +287,7 @@ def epsilon_selection(target, eps, anchors):
             x, v, d, certs[x].active_anchors
         )
         if not d < eps:
-            raise AssertionError(
+            raise SelfCheckFailed(
                 f"certificate violated at {x!r}: distance {d} >= eps {eps}"
             )
     return values, out_certs

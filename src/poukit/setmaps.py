@@ -14,7 +14,7 @@ with a concrete witness when negative.
 
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, SelfCheckFailed
 from .spaces import FiniteSpace, product_space
 
 
@@ -181,7 +181,8 @@ def closure_cover(omega):
 
     Computed fiberwise and re-derived pointwise from the defining
     neighborhood-image intersection; the two must agree (this agreement is
-    the content of the closed-cover identity, and is asserted here).
+    the content of the closed-cover identity, and a disagreement raises
+    SelfCheckFailed).
     """
     x = omega.domain
     closed_values = {
@@ -198,7 +199,7 @@ def closure_cover(omega):
             if p in u:
                 acc &= omega.image(u)
         if frozenset(acc) != closed_values[p]:
-            raise AssertionError(
+            raise SelfCheckFailed(
                 f"closure-cover formulas disagree at {p!r}: {acc} vs {closed_values[p]}"
             )
     return SetValuedMap(x, omega.codomain, closed_values)

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from poukit import ConvexTarget, SetValuedMap
+from poukit.cli import main
+
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
@@ -105,3 +108,121 @@ class TestContract:
         # a map failing totally_lsc still classifies with exit 0
         proc = run_cli("map-classify", str(DATA / "sierpinski_identity_map.json"))
         assert proc.returncode == 0
+
+    def test_cli_imports_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import poukit.cli, sys; assert 'numpy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+def selection_problem():
+    return {
+        "target": {
+            "ambient_dim": 2,
+            "sets": {
+                "x": {"kind": "segment", "a": ["0", "0"], "b": ["1", "0"]},
+                "y": {"kind": "polytope", "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
+                "z": {"kind": "box", "lo": ["0", "0"], "hi": ["1", "1"]},
+                "w": {"kind": "point", "p": ["1/2", "1/2"]},
+            },
+        },
+        "epsilon": "0.3",
+        "anchors": [["0", "0"], ["1/2", "0"], ["1", "0"], ["1/2", "1/2"]],
+    }
+
+
+def run_main(tmp_path, capsys, command, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code = main([command, str(path)])
+    return code, capsys.readouterr()
+
+
+def _sets(obj):
+    return obj["target"]["sets"]
+
+
+MALFORMED_SELECTIONS = {
+    "empty-polytope": lambda obj: _sets(obj)["y"].update(vertices=[]),
+    "short-point": lambda obj: _sets(obj)["w"].update(p=["1"]),
+    "long-endpoint": lambda obj: _sets(obj)["x"].update(b=["1", "0", "0"]),
+    "long-box-corner": lambda obj: _sets(obj)["z"].update(hi=["1", "1", "1"]),
+    "short-vertex": lambda obj: _sets(obj)["y"]["vertices"].append(["1"]),
+    "long-anchor": lambda obj: obj["anchors"].append(["0", "0", "0"]),
+    "missing-p": lambda obj: _sets(obj)["w"].pop("p"),
+    "missing-a": lambda obj: _sets(obj)["x"].pop("a"),
+    "missing-b": lambda obj: _sets(obj)["x"].pop("b"),
+    "missing-lo": lambda obj: _sets(obj)["z"].pop("lo"),
+    "missing-hi": lambda obj: _sets(obj)["z"].pop("hi"),
+    "missing-vertices": lambda obj: _sets(obj)["y"].pop("vertices"),
+    "missing-target": lambda obj: obj.pop("target"),
+    "missing-epsilon": lambda obj: obj.pop("epsilon"),
+    "missing-anchors": lambda obj: obj.pop("anchors"),
+}
+
+
+class TestSelectionInput:
+    def test_well_formed_problem_passes(self, tmp_path, capsys):
+        code, out = run_main(tmp_path, capsys, "select-eps", selection_problem())
+        assert code == 0 and json.loads(out.out)["overall"] == "pass"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SELECTIONS))
+    @pytest.mark.parametrize("command", ["select-eps", "verify-all"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, command, case):
+        obj = selection_problem()
+        MALFORMED_SELECTIONS[case](obj)
+        if command == "verify-all":
+            obj = {"targets": [obj]}
+        code, out = run_main(tmp_path, capsys, command, obj)
+        assert code == 2
+        assert "error" in json.loads(out.err)
+
+
+class TestSelfChecks:
+    def break_certificate(self, monkeypatch):
+        anchors = {(0.0, 0.0), (1.0, 0.0)}
+
+        def distance(self, x, q):
+            return 0.0 if tuple(q) in anchors else 1.0
+
+        monkeypatch.setattr(ConvexTarget, "distance", distance)
+        return {
+            "target": {
+                "ambient_dim": 2,
+                "sets": {"x": {"kind": "segment", "a": ["0", "0"], "b": ["1", "0"]}},
+            },
+            "epsilon": "0.3",
+            "anchors": [["0", "0"], ["1", "0"]],
+        }
+
+    def test_violated_certificate_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        bundle = {"targets": [self.break_certificate(monkeypatch)]}
+        code, out = run_main(tmp_path, capsys, "verify-all", bundle)
+        assert code == 1
+        (check,) = json.loads(out.out)["checks"]
+        assert check["name"] == "target[0]:epsilon-bound"
+        assert check["status"] == "fail"
+        assert "certificate violated" in check["witness"]
+
+    def test_violated_certificate_exits_1_with_json_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        problem = self.break_certificate(monkeypatch)
+        code, out = run_main(tmp_path, capsys, "select-eps", problem)
+        assert code == 1
+        assert "certificate violated" in json.loads(out.err)["error"]
+
+    def test_disagreeing_closure_formulas_are_a_failed_check(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        bundle = json.loads((DATA / "example_bundle.json").read_text())
+        monkeypatch.setattr(SetValuedMap, "image", lambda self, u: frozenset())
+        code, out = run_main(tmp_path, capsys, "verify-all", {"covers": bundle["covers"]})
+        assert code == 1
+        check = json.loads(out.out)["checks"][0]
+        assert check["name"] == "cover[0]:closure-formulas"
+        assert check["status"] == "fail"
+        assert "disagree" in check["witness"]

@@ -14,7 +14,7 @@ from poukit import (
     subordination_check,
     validate_pou,
 )
-from poukit.errors import RowNotSimplex
+from poukit.errors import RowNotSimplex, SelfCheckFailed
 from poukit.sparse import SparseVec, dirac, uniform
 
 
@@ -128,6 +128,13 @@ class TestMatherCompose:
         gamma, cert = mather_compose(pou)
         for p in s.points:
             assert cert.index_bound(p) == {"0"}
+
+    def test_escaping_star_raises_self_check(self, monkeypatch):
+        g = FiniteSpace.discrete({"x", "y"})
+        pou = validate_pou(g, {"a", "b"}, {"x": dirac("a"), "y": dirac("b")})
+        monkeypatch.setattr(FiniteSpace, "closure", lambda self, s: frozenset(self.points))
+        with pytest.raises(SelfCheckFailed):
+            mather_compose(pou)
 
     def test_carrier_containment_random(self):
         import random

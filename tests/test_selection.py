@@ -1,11 +1,15 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poukit import (
     ConvexTarget,
     CoverGap,
     FiniteSpace,
+    InputError,
     NonPositiveEpsilon,
     barycentric_selection,
     conv_fiber_open,
@@ -15,7 +19,12 @@ from poukit import (
     validate_pou,
 )
 from poukit.generators import make_rng, random_open_cover, random_simplex_point
-from poukit.selection import dist_to_box, dist_to_polytope, dist_to_segment
+from poukit.selection import (
+    dist_to_box,
+    dist_to_point,
+    dist_to_polytope,
+    dist_to_segment,
+)
 from poukit.sparse import SparseVec, dirac, uniform
 
 
@@ -121,6 +130,124 @@ class TestDistanceOracles:
         assert dist_to_polytope((0.25, 0.25), [(0, 0), (1, 0), (0, 1)]) == pytest.approx(
             0, abs=1e-9
         )
+
+
+def _exact_affine_weights(pts):
+    """Barycentric weights of the min-norm point of the affine hull of
+    ``pts``, solving the KKT system [[G, 1], [1, 0]] (w, mu) = (0, 1) over
+    the rationals; None when the points are affinely dependent."""
+    k = len(pts)
+    rows = [[sum(a * b for a, b in zip(p, r)) for r in pts] + [F(1), F(0)] for p in pts]
+    rows.append([F(1)] * k + [F(0), F(1)])
+    n = k + 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(k)]
+
+
+def exact_sq_dist_to_polytope(q, vertices):
+    """Independent oracle by exhaustive face projection, in exact rationals.
+
+    The nearest point of the hull is the projection of q onto the affine hull
+    of some affinely independent vertex subset, with nonnegative barycentric
+    weights.  Subsets larger than dim + 1 are affinely dependent, so every
+    subset of distinct vertices up to that size is tried and the nearest such
+    projection kept."""
+    dim = len(q)
+    pts = sorted({tuple(F(c) - F(qc) for c, qc in zip(v, q)) for v in vertices})
+    best = None
+    for k in range(1, min(len(pts), dim + 1) + 1):
+        for subset in itertools.combinations(pts, k):
+            w = _exact_affine_weights(subset)
+            if w is None or min(w) < 0:
+                continue
+            x = [sum(wi * p[d] for wi, p in zip(w, subset)) for d in range(dim)]
+            sq = sum(c * c for c in x)
+            best = sq if best is None else min(best, sq)
+    return best
+
+
+def assert_matches_oracle(q, vertices, tol=1e-9):
+    d = dist_to_polytope(q, vertices)
+    assert d == pytest.approx(math.sqrt(exact_sq_dist_to_polytope(q, vertices)), abs=tol)
+    return d
+
+
+quarter = st.integers(-8, 8).map(lambda n: F(n, 4))
+
+
+@st.composite
+def polytope_queries(draw):
+    point = st.tuples(*[quarter] * draw(st.integers(1, 3)))
+    return draw(point), draw(st.lists(point, min_size=1, max_size=9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polytope_queries())
+def test_polytope_distance_matches_exact_oracle(case):
+    q, vertices = case
+    assert_matches_oracle(q, vertices)
+
+
+class TestPolytopeDegenerate:
+    def test_duplicate_vertices(self):
+        verts = [(0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (0, 1)]
+        assert assert_matches_oracle((1, 1), verts) == pytest.approx(0.5**0.5)
+
+    def test_collinear_2d(self):
+        verts = [(0, 0), (1, 1), (2, 2), (3, 3)]
+        assert assert_matches_oracle((3, 0), verts) == pytest.approx(4.5**0.5)
+        assert assert_matches_oracle((5, 5), verts) == pytest.approx(8**0.5)
+
+    def test_collinear_3d(self):
+        verts = [(0, 0, 0), (2, 2, 2), (1, 1, 1)]
+        assert assert_matches_oracle((0, 0, 3), verts) == pytest.approx(6**0.5)
+
+    def test_coplanar_3d(self):
+        verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (F(1, 2), F(1, 2), 0)]
+        assert assert_matches_oracle((F(1, 2), F(1, 4), 2), verts) == pytest.approx(2)
+        assert assert_matches_oracle((2, F(1, 2), 1), verts) == pytest.approx(2**0.5)
+
+    def test_query_at_vertex(self):
+        verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert dist_to_polytope((0, 1, 0), verts) == 0
+
+    def test_query_strictly_inside(self):
+        verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+        q = (F(1, 4), F(1, 4), F(1, 4))
+        assert assert_matches_oracle(q, verts, tol=1e-12) == pytest.approx(0, abs=1e-12)
+
+    def test_single_vertex_is_point_distance(self):
+        for q, v in [((3, 4), (0, 0)), ((0.1, 0.2, 0.3), (1.5, -2, 7)), ((1,), (1,))]:
+            assert dist_to_polytope(q, [v]) == dist_to_point(q, v)
+
+
+class TestConvexTargetValidation:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "polytope", "vertices": []},
+            {"kind": "point", "p": (0, 0, 0)},
+            {"kind": "segment", "a": (0, 0), "b": (1,)},
+            {"kind": "box", "lo": (0, 0), "hi": (1, 1, 1)},
+            {"kind": "polytope", "vertices": [(0, 0), (1, 0, 0)]},
+            {"kind": "point"},
+            {"kind": "segment", "a": (0, 0)},
+            {"kind": "box", "hi": (1, 1)},
+            {"kind": "polytope"},
+            {"kind": "ball", "c": (0, 0)},
+        ],
+    )
+    def test_rejected(self, spec):
+        with pytest.raises(InputError):
+            ConvexTarget(2, {"x": spec})
 
 
 def grid(step=0.25, lo=0.0, hi=1.0, jlo=-0.25, jhi=0.25):
