@@ -40,6 +40,7 @@ from .selection import (
 from .setmaps import (
     PropertyReport,
     SetValuedMap,
+    ball_cover,
     classify,
     closure_cover,
     graph_closure,

@@ -17,9 +17,8 @@ from .errors import InputError, PoukitError, SelfCheckFailed
 from .nerve import canonical_map_check, cover_simplex_mapping, nerve_from_cover
 from .pou import mather_compose, pou_from_metric_cover, subordination_check
 from .selection import conv_fiber_open, conv_membership, epsilon_selection
-from .setmaps import classify, closure_cover, graph_closure
+from .setmaps import ball_cover, classify, closure_cover, graph_closure
 from .sparse import mather_eta, mather_lambda, mather_support_bound, norms
-from .spaces import FiniteSpace, MetricSampleSpace
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,14 +52,11 @@ class Report:
                 "name": name,
                 "status": "pass" if ok else "fail",
                 "witness": witness,
-                "timing": None,
             }
         )
 
     def skipped(self, name, reason):
-        self.checks.append(
-            {"name": name, "status": "skipped", "witness": reason, "timing": None}
-        )
+        self.checks.append({"name": name, "status": "skipped", "witness": reason})
 
     @property
     def failed(self):
@@ -162,11 +158,13 @@ def cmd_canonical_check(args, report, mode):
     cover = _load_cover_input(obj["cover"], mode)
     if isinstance(cover, tuple):
         pou = pou_from_metric_cover(cover[0], cover[1], mode=mode)
+        cover = ball_cover(*cover)
     else:
         pou = jsonio.load_pou(obj["pou"], mode)
-    cx_report = canonical_map_check(pou, cover, max_dimension=args.max_dim)
+    cx_report = canonical_map_check(pou, cover)
     report.check("canonical", cx_report.canonical, cx_report.to_dict())
-    report.payload["nerve"] = jsonio.dump_complex(cx_report.nerve)
+    nerve = nerve_from_cover(cover, max_dimension=args.max_dim)
+    report.payload["nerve"] = jsonio.dump_complex(nerve)
     return report
 
 
@@ -257,12 +255,10 @@ def cmd_verify_all(args, report, mode):
         space = jsonio.load_metric_space(obj["space"], mode)
         balls = {a: jsonio.load_ball(b, mode) for a, b in obj["balls"].items()}
         pou = pou_from_metric_cover(space, balls, mode=mode)
-        sub = subordination_check(
-            pou,
-            _ball_cover_as_map(space, balls),
-        )
+        cover = ball_cover(space, balls)
+        sub = subordination_check(pou, cover)
         report.check(f"metric_cover[{i}]:index-subordinated", sub["index_subordinated"])
-        can = canonical_map_check(pou, (space, balls), max_dimension=args.max_dim)
+        can = canonical_map_check(pou, cover)
         report.check(f"metric_cover[{i}]:canonical", can.canonical)
         gamma, _ = mather_compose(pou)
         shrink = all(
@@ -278,22 +274,10 @@ def cmd_verify_all(args, report, mode):
                 f"target[{i}]:epsilon-bound",
                 all(c.distance_bound < eps for c in certs.values()),
             )
-        except PoukitError as exc:
+        except SelfCheckFailed as exc:
             report.check(f"target[{i}]:epsilon-bound", False, str(exc))
 
     return report
-
-
-def _ball_cover_as_map(space, balls):
-    from .setmaps import indexed_cover
-
-    values = {
-        x: {a for a, b in balls.items() if space.ball_membership(b, x)}
-        for x in space.samples
-    }
-    # indexed covers need a finite-space domain; use the discrete sample space
-    domain = FiniteSpace.discrete(space.samples)
-    return indexed_cover(domain, set(balls), values)
 
 
 def _kuratowski_ok(space, rng):

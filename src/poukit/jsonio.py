@@ -114,12 +114,6 @@ def dump_set_valued_map(phi):
     }
 
 
-def _ground_key(ground, x):
-    if isinstance(ground, MetricSampleSpace):
-        return str(ground.samples.index(x))
-    return str(x)
-
-
 def _ground_point(ground, key):
     if isinstance(ground, MetricSampleSpace):
         return ground.samples[int(key)]
@@ -139,16 +133,17 @@ def load_pou(obj, mode=EXACT):
 
 
 def dump_pou(pou):
-    ground = (
-        dump_metric_space(pou.ground)
-        if isinstance(pou.ground, MetricSampleSpace)
-        else dump_finite_space(pou.ground)
-    )
+    if isinstance(pou.ground, MetricSampleSpace):
+        ground = dump_metric_space(pou.ground)
+        key = {x: str(i) for i, x in enumerate(pou.ground.samples)}
+    else:
+        ground = dump_finite_space(pou.ground)
+        key = {x: str(x) for x in pou.ground.points}
     return {
         "ground": ground,
         "indices": sorted(pou.index_set, key=repr),
         "rows": {
-            _ground_key(pou.ground, x): {
+            key[x]: {
                 str(a): format_scalar(pou.rows[x][a]) for a in pou.rows[x]
             }
             for x in pou.ground_points()

@@ -1,15 +1,16 @@
 """Simplicial complexes, nerves of covers, and canonical maps.
 
 Nerve nonemptiness is decided by witness points: a simplex enters the nerve
-iff some witness lies in every member of it.  On a finite space with all
-points as witnesses this is the exact nerve; on a metric sample ground it is
-a conservative sub-nerve, and emitted complexes carry ``witnessed=True`` to
-record that.
+iff some witness lies in every member of it, so the distinct
+inclusion-maximal member sets of the witnesses (the facets) determine the
+nerve.  On a finite space with all points as witnesses this is the exact
+nerve; on a metric sample ground it is a conservative sub-nerve, and emitted
+complexes carry ``witnessed=True`` to record that.  ``max_dimension`` bounds
+only the complexes built for dumps; canonical verdicts are never truncated.
 """
 
 from .errors import InputError
-from .setmaps import SetValuedMap
-from .spaces import MetricSampleSpace
+from .setmaps import SetValuedMap, ball_cover
 
 MAX_DIMENSION = 8
 
@@ -64,6 +65,15 @@ class SimplicialComplex:
         return car in self.simplices
 
 
+def _facets(index_sets):
+    """The distinct inclusion-maximal sets among ``index_sets``."""
+    facets = []
+    for s in sorted(set(index_sets), key=len, reverse=True):
+        if not any(s <= f for f in facets):
+            facets.append(s)
+    return facets
+
+
 def _downward_closed(index_sets, max_dimension):
     """All nonempty subsets (up to max_dimension + 1 vertices) of the given
     index sets."""
@@ -80,30 +90,20 @@ def _downward_closed(index_sets, max_dimension):
 
 
 def nerve_from_cover(cover, witnesses=None, max_dimension=MAX_DIMENSION):
-    """Nerve of an indexed cover (finite-space fibers) or of a ball family
-    over a metric sample space.
+    """Nerve of an indexed cover up to ``max_dimension``, enumerated from
+    the facets of the witnesses (by default every ground point).
 
     ``cover`` is either a SetValuedMap with discrete codomain, or a pair
-    ``(space, balls)`` with ``balls`` a map index -> Ball.
+    ``(space, balls)`` with ``balls`` a map index -> Ball, which
+    :func:`poukit.setmaps.ball_cover` converts.
     """
-    if isinstance(cover, SetValuedMap):
-        ground = sorted(cover.domain.points, key=repr)
-        if witnesses is None:
-            witnesses = ground
-        index_sets = [frozenset(cover.values[w]) for w in witnesses]
-        vertices = {a for s in index_sets for a in s}
-    else:
-        space, balls = cover
-        if not isinstance(space, MetricSampleSpace):
-            raise InputError("expected (MetricSampleSpace, balls)")
-        if witnesses is None:
-            witnesses = list(space.samples)
-        index_sets = [
-            frozenset(a for a, b in balls.items() if space.ball_membership(b, w))
-            for w in witnesses
-        ]
-        vertices = {a for s in index_sets for a in s}
-    simplices = _downward_closed(index_sets, max_dimension)
+    if not isinstance(cover, SetValuedMap):
+        cover = ball_cover(*cover)
+    if witnesses is None:
+        witnesses = cover.domain.points
+    facets = _facets(cover.values[w] for w in witnesses)
+    vertices = {a for f in facets for a in f}
+    simplices = _downward_closed(facets, max_dimension)
     return SimplicialComplex(vertices, simplices, witnessed=True)
 
 
@@ -111,10 +111,9 @@ class CanonicalReport:
     """Outcome of checking a partition of unity against a cover: realization
     membership of every row and the star condition coz(xi_U) inside U."""
 
-    __slots__ = ("nerve", "membership_violations", "star_violations")
+    __slots__ = ("membership_violations", "star_violations")
 
-    def __init__(self, nerve, membership_violations, star_violations):
-        object.__setattr__(self, "nerve", nerve)
+    def __init__(self, membership_violations, star_violations):
         object.__setattr__(self, "membership_violations", list(membership_violations))
         object.__setattr__(self, "star_violations", list(star_violations))
 
@@ -133,40 +132,28 @@ class CanonicalReport:
         }
 
 
-def _cover_contains(cover, index, point):
-    """Does cover member ``index`` contain the ground point?"""
-    if isinstance(cover, SetValuedMap):
-        return index in cover.values[point]
-    space, balls = cover
-    return space.ball_membership(balls[index], point)
+def canonical_map_check(pou, cover):
+    """Check that a partition of unity is a canonical map for the cover,
+    given as for :func:`nerve_from_cover`.
 
-
-def _cover_points(cover):
-    if isinstance(cover, SetValuedMap):
-        return sorted(cover.domain.points, key=repr)
-    return list(cover[0].samples)
-
-
-def canonical_map_check(pou, cover, max_dimension=MAX_DIMENSION):
-    """Check that a partition of unity is a canonical map for the cover."""
-    if isinstance(cover, SetValuedMap):
-        indices = frozenset(cover.codomain.points)
-    else:
-        indices = frozenset(cover[1])
-    if indices != pou.index_set:
+    A row lies in the realization of the nerve iff its carrier is inside
+    some facet.  No complex is built, so the verdict is never truncated.
+    """
+    if not isinstance(cover, SetValuedMap):
+        cover = ball_cover(*cover)
+    if cover.codomain.points != pou.index_set:
         raise InputError("cover and partition use different index sets")
-    nerve = nerve_from_cover(cover, max_dimension=max_dimension)
+    if cover.domain.points != frozenset(pou.ground_points()):
+        raise InputError("cover and partition use different ground points")
+    facets = _facets(cover.values.values())
     membership_violations = []
     star_violations = []
-    for x in _cover_points(cover):
-        row = pou.rows[x]
-        car = row.carrier()
-        if not (car <= nerve.vertices and car in nerve.simplices):
+    for x in pou.ground_points():
+        car = pou.carrier_at(x)
+        if not any(car <= f for f in facets):
             membership_violations.append(x)
-        for a in car:
-            if not _cover_contains(cover, a, x):
-                star_violations.append((a, x))
-    return CanonicalReport(nerve, membership_violations, star_violations)
+        star_violations += [(a, x) for a in car if a not in cover.values[x]]
+    return CanonicalReport(membership_violations, star_violations)
 
 
 class CoverSimplexMapping:

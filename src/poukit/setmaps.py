@@ -15,7 +15,7 @@ with a concrete witness when negative.
 from dataclasses import dataclass, field
 
 from .errors import InputError, SelfCheckFailed
-from .spaces import FiniteSpace, product_space
+from .spaces import FiniteSpace, MetricSampleSpace, product_space
 
 
 class SetValuedMap:
@@ -84,6 +84,23 @@ class SetValuedMap:
 def indexed_cover(domain, index_set, values):
     """A cover of the domain indexed by a discrete set."""
     return SetValuedMap(domain, FiniteSpace.discrete(index_set), values)
+
+
+def ball_cover(space, balls):
+    """The ball family ``balls`` (index -> Ball) over a metric sample space
+    as an indexed cover of the discrete space on its samples.
+
+    This is where the checkers decide ball membership, once per (sample,
+    ball) pair: the nerve and the canonical-map check read the returned
+    cover.  A sample outside every ball has an empty value and is rejected.
+    """
+    if not isinstance(space, MetricSampleSpace):
+        raise InputError("expected (MetricSampleSpace, balls)")
+    values = {
+        x: {a for a, b in balls.items() if space.ball_membership(b, x)}
+        for x in space.samples
+    }
+    return indexed_cover(FiniteSpace.discrete(space.samples), set(balls), values)
 
 
 @dataclass

@@ -174,6 +174,9 @@ class MetricSampleSpace:
             dim = len(samples[0])
         if any(len(p) != dim for p in samples):
             raise InputError("inconsistent sample dimension")
+        if len(set(samples)) != len(samples):
+            dup = next(p for i, p in enumerate(samples) if p in samples[:i])
+            raise InputError(f"duplicate sample {dup!r}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "_table", distance_table)

@@ -138,7 +138,7 @@ def test_criterion_5_canonical_maps():
     for _ in range(100):
         space, balls = _random_ball_cover(rng)
         pou = pou_from_metric_cover(space, balls)
-        rep = canonical_map_check(pou, (space, balls), max_dimension=9)
+        rep = canonical_map_check(pou, (space, balls))
         assert rep.canonical
     report("5 canonical bump maps (100 random ball covers)")
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from poukit import ConvexTarget, SetValuedMap
+from poukit import ConvexTarget, MetricSampleSpace, SetValuedMap
 from poukit.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -109,6 +109,13 @@ class TestContract:
         proc = run_cli("map-classify", str(DATA / "sierpinski_identity_map.json"))
         assert proc.returncode == 0
 
+    def test_duplicate_samples_exit_2(self, tmp_path, capsys):
+        cover = json.loads((DATA / "line_ball_cover.json").read_text())
+        cover["space"]["samples"].append(["1/2"])
+        code, out = run_main(tmp_path, capsys, "pou-build", cover)
+        assert code == 2
+        assert "duplicate sample" in json.loads(out.err)["error"]
+
     def test_cli_imports_no_numpy(self):
         proc = subprocess.run(
             [sys.executable, "-c", "import poukit.cli, sys; assert 'numpy' not in sys.modules"],
@@ -161,6 +168,8 @@ MALFORMED_SELECTIONS = {
     "missing-target": lambda obj: obj.pop("target"),
     "missing-epsilon": lambda obj: obj.pop("epsilon"),
     "missing-anchors": lambda obj: obj.pop("anchors"),
+    "zero-epsilon": lambda obj: obj.update(epsilon="0"),
+    "cover-gap": lambda obj: obj.update(anchors=[["10", "10"]]),
 }
 
 
@@ -226,3 +235,43 @@ class TestSelfChecks:
         assert check["name"] == "cover[0]:closure-formulas"
         assert check["status"] == "fail"
         assert "disagree" in check["witness"]
+
+
+def ten_ball_cover():
+    """Ten balls share the sample 0, one more than --max-dim 8 dumps."""
+    return {
+        "space": {"dim": 1, "samples": [["0"], ["1/2"]]},
+        "balls": {
+            f"U{i}": {"center": [f"{i}/100"], "radius": "1/2"} for i in range(10)
+        },
+    }
+
+
+class TestMetricCover:
+    def test_verify_all_passes(self, tmp_path, capsys):
+        bundle = {"metric_covers": [ten_ball_cover()]}
+        code, out = run_main(tmp_path, capsys, "verify-all", bundle)
+        assert code == 0
+        assert json.loads(out.out)["overall"] == "pass"
+
+    def test_canonical_check_passes_with_a_truncated_payload(self, tmp_path, capsys):
+        code, out = run_main(tmp_path, capsys, "canonical-check", {"cover": ten_ball_cover()})
+        assert code == 0
+        rep = json.loads(out.out)
+        assert rep["checks"][0]["status"] == "pass"
+        assert max(map(len, rep["payload"]["nerve"]["simplices"])) == 9
+
+    def test_ball_membership_budget(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        decide = MetricSampleSpace.ball_membership
+
+        def counted(self, ball, x):
+            calls.append(x)
+            return decide(self, ball, x)
+
+        monkeypatch.setattr(MetricSampleSpace, "ball_membership", counted)
+        cover = json.loads((DATA / "line_ball_cover.json").read_text())
+        code, _ = run_main(tmp_path, capsys, "verify-all", {"metric_covers": [cover]})
+        assert code == 0
+        n, k = len(cover["space"]["samples"]), len(cover["balls"])
+        assert 0 < len(calls) <= 2 * n * k

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +8,7 @@ from poukit import (
     FiniteSpace,
     MetricSampleSpace,
     SimplicialComplex,
+    ball_cover,
     canonical_map_check,
     cover_simplex_mapping,
     indexed_cover,
@@ -28,6 +30,23 @@ def line_cover():
         "2": Ball((F(2),), F(3, 5)),
     }
     return m, balls
+
+
+def ten_ball_cover():
+    """Ten balls share the sample 0; nine of them also contain 1/2."""
+    m = MetricSampleSpace([(F(0),), (F(1, 2),)])
+    balls = {f"U{i}": Ball((F(i, 100),), F(1, 2)) for i in range(10)}
+    return m, balls
+
+
+def brute_force_nerve(cover, max_dimension):
+    """Every face of every witness's member set, up to max_dimension."""
+    simplices = set()
+    for x in cover.domain.points:
+        members = sorted(cover.values[x])
+        for r in range(1, min(len(members), max_dimension + 1) + 1):
+            simplices.update(map(frozenset, combinations(members, r)))
+    return simplices
 
 
 class TestComplexInvariants:
@@ -69,6 +88,38 @@ class TestNerveFromCover:
         small = nerve_from_cover((m, balls), witnesses=[(F(0),), (F(2),)])
         full = nerve_from_cover((m, balls))
         assert small.simplices <= full.simplices
+
+    def test_matches_brute_force_on_random_covers(self):
+        rng = make_rng(23)
+        for _ in range(100):
+            cover = random_cover(rng)
+            d = rng.randint(0, 6)
+            cx = nerve_from_cover(cover, max_dimension=d)
+            assert cx.simplices == brute_force_nerve(cover, d)
+            assert cx.vertices == {a for s in cover.values.values() for a in s}
+
+    def test_matches_brute_force_on_coincident_balls(self):
+        m = MetricSampleSpace([(F(i, 10),) for i in range(11)])
+        same = Ball((F(3, 10),), F(1, 4))
+        balls = {f"C{i}": same for i in range(5)}
+        balls.update(L=Ball((F(0),), F(1, 2)), R=Ball((F(1),), F(3, 5)))
+        cover = ball_cover(m, balls)
+        for d in range(7):
+            cx = nerve_from_cover((m, balls), max_dimension=d)
+            assert cx.simplices == brute_force_nerve(cover, d)
+        assert nerve_from_cover((m, balls), max_dimension=2).dimension() == 2
+        assert nerve_from_cover((m, balls)).dimension() == 5
+
+    def test_ball_pair_is_converted_by_ball_cover(self):
+        m, balls = line_cover()
+        assert nerve_from_cover((m, balls)) == nerve_from_cover(ball_cover(m, balls))
+        m, balls = ten_ball_cover()
+        assert nerve_from_cover((m, balls)) == nerve_from_cover(ball_cover(m, balls))
+
+    def test_ball_cover_rejects_an_uncovered_sample(self):
+        m = MetricSampleSpace([(F(0),), (F(2),)])
+        with pytest.raises(InputError):
+            ball_cover(m, {"U": Ball((F(0),), F(1))})
 
     def test_downward_closed_random(self):
         rng = make_rng(17)
@@ -122,6 +173,20 @@ class TestCanonicalMapCheck:
         pou = pou_from_metric_cover(m, balls)
         rep = canonical_map_check(pou, (m, balls))
         assert rep.canonical
+
+    def test_verdict_is_not_truncated(self):
+        m, balls = ten_ball_cover()
+        pou = pou_from_metric_cover(m, balls)
+        assert len(pou.carrier_at((F(0),))) == 10
+        assert canonical_map_check(pou, (m, balls)).canonical
+        assert nerve_from_cover((m, balls)).dimension() == 8
+
+    def test_different_ground_points_rejected(self):
+        m, balls = line_cover()
+        pou = pou_from_metric_cover(m, balls)
+        other = MetricSampleSpace(m.samples[:-1])
+        with pytest.raises(InputError):
+            canonical_map_check(pou, ball_cover(other, balls))
 
     def test_canonical_implies_index_subordinated(self):
         m, balls = line_cover()

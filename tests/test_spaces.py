@@ -167,6 +167,10 @@ class TestMetricGround:
         with pytest.raises(InputError):
             MetricSampleSpace(pts, distance_table=bad)
 
+    def test_duplicate_samples_rejected(self):
+        with pytest.raises(InputError, match="duplicate sample"):
+            MetricSampleSpace([(F(0),), (F(0),), (F(1),)])
+
     def test_nonpositive_radius(self):
         with pytest.raises(InputError):
             Ball((0,), 0)
