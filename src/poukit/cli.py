@@ -171,14 +171,12 @@ def cmd_canonical_check(args, report, mode):
 def _load_selection_input(obj):
     """Target, epsilon and anchors of one epsilon-selection problem, all in
     float mode, with every anchor in the target's ambient dimension."""
-    if not isinstance(obj, dict):
-        raise InputError("a selection problem must be a JSON object")
-    missing = [k for k in ("target", "epsilon", "anchors") if k not in obj]
-    if missing:
-        raise InputError(f"selection problem lacks {missing}")
-    target = jsonio.load_convex_target(obj["target"], "float")
-    eps = float(scalars.parse_scalar(obj["epsilon"], "float"))
-    anchors = jsonio.load_anchors(obj["anchors"], "float")
+    target, eps, anchors = jsonio.require_fields(
+        obj, "a selection problem", "target", "epsilon", "anchors"
+    )
+    target = jsonio.load_convex_target(target, "float")
+    eps = float(scalars.parse_scalar(eps, "float"))
+    anchors = jsonio.load_anchors(anchors, "float")
     for a in anchors:
         if len(a) != target.ambient_dim:
             raise InputError(
@@ -221,6 +219,7 @@ def _verify_unit_vector(report, name, y):
 
 def cmd_verify_all(args, report, mode):
     bundle = _load_json(args.input)
+    jsonio.require_fields(bundle, "a verify-all bundle")
     rng = generators.make_rng(args.seed)
 
     for i, obj in enumerate(bundle.get("spaces", [])):
@@ -239,8 +238,11 @@ def cmd_verify_all(args, report, mode):
             not rep.totally_lsc or rep.lsc
         )
         collapse = rep.lower_locally_constant == rep.totally_lsc
-        report.check(f"map[{i}]:diagram", diagram)
-        report.check(f"map[{i}]:llc-collapse", collapse)
+        witnesses = rep.to_dict()["witnesses"]
+        report.check(f"map[{i}]:diagram", diagram, None if diagram else witnesses)
+        report.check(
+            f"map[{i}]:llc-collapse", collapse, None if collapse else witnesses
+        )
 
     for i, obj in enumerate(bundle.get("covers", [])):
         omega = jsonio.load_set_valued_map(obj, mode)
@@ -315,7 +317,7 @@ def build_parser():
     parser.add_argument("input", help="JSON input file")
     parser.add_argument("--mode", choices=["exact", "float"], default="exact")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol-sum", type=float, default=scalars.TOL_SUM)
+    parser.add_argument("--tol-sum", type=float, default=scalars.DEFAULT_TOL_SUM)
     parser.add_argument("--out", default=None, help="write the report here")
     parser.add_argument("--max-dim", type=int, default=8)
     return parser

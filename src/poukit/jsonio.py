@@ -37,9 +37,37 @@ def dump_sparse_vec(v):
     return {"entries": {str(k): format_scalar(val) for k, val in sorted(v.entries.items())}}
 
 
+def require_fields(obj, what, *keys):
+    """``obj[k]`` for each key; InputError if ``obj`` is not a JSON object
+    or lacks a key."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise InputError(f"{what} lacks {missing}")
+    return [obj[k] for k in keys]
+
+
+def _point_set(items, what):
+    try:
+        return set(items)
+    except TypeError as exc:
+        raise InputError(f"{what} is not a list of points: {exc}") from exc
+
+
+def _point_sets(obj, what):
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object")
+    return {p: _point_set(v, f"{what}[{p!r}]") for p, v in obj.items()}
+
+
 def load_finite_space(obj):
-    points = obj["points"]
-    min_open = {p: set(v) for p, v in obj["min_open"].items()}
+    points, min_open = require_fields(obj, "a finite space", "points", "min_open")
+    points = _point_set(points, "points")
+    min_open = _point_sets(min_open, "min_open")
+    missing = points - min_open.keys()
+    if missing:
+        raise InputError(f"no min_open for {sorted(missing, key=repr)}")
     return FiniteSpace(points, min_open)
 
 
@@ -86,16 +114,18 @@ def load_ground(obj, mode=EXACT):
 
 
 def load_set_valued_map(obj, mode=EXACT):
-    domain = load_finite_space(obj["domain"])
-    codomain = obj["codomain"]
+    domain, codomain, values = require_fields(
+        obj, "a set-valued map", "domain", "codomain", "values"
+    )
+    domain = load_finite_space(domain)
+    values = _point_sets(values, "values")
     if codomain == "discrete" or isinstance(codomain, list):
-        indices = set(codomain) if isinstance(codomain, list) else set()
-        for vals in obj["values"].values():
-            indices |= set(vals)
+        indices = set() if codomain == "discrete" else _point_set(codomain, "codomain")
+        for vals in values.values():
+            indices |= vals
         codomain = FiniteSpace.discrete(indices)
     else:
         codomain = load_finite_space(codomain)
-    values = {p: set(v) for p, v in obj["values"].items()}
     return SetValuedMap(domain, codomain, values)
 
 

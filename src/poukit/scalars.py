@@ -11,7 +11,8 @@ from fractions import Fraction
 EXACT = "exact"
 FLOAT = "float"
 
-TOL_SUM = 1e-9
+DEFAULT_TOL_SUM = 1e-9
+TOL_SUM = DEFAULT_TOL_SUM  # set per run by the command line
 
 
 def parse_scalar(text, mode=EXACT):

@@ -16,7 +16,8 @@ points with carriers contained in the original carrier.
 from fractions import Fraction
 
 from .errors import TailTooLarge
-from .scalars import EXACT, FLOAT, TOL_SUM
+from . import scalars
+from .scalars import EXACT, FLOAT
 
 
 class SparseVec:
@@ -104,7 +105,7 @@ def is_unit_simplex_point(v, mode=EXACT):
         return False
     total = v.norm1()
     if mode == FLOAT or isinstance(total, float):
-        return abs(total - 1) <= TOL_SUM
+        return abs(total - 1) <= scalars.TOL_SUM
     return total == 1
 
 
@@ -147,7 +148,7 @@ class ExtendedUnitVec:
             raise ValueError("need 0 <= tail_sup <= tail_mass")
         total = explicit.norm1() + tail_mass
         if mode == FLOAT or isinstance(total, float):
-            if abs(total - 1) > TOL_SUM:
+            if abs(total - 1) > scalars.TOL_SUM:
                 raise ValueError(f"total mass {total} != 1")
         elif total != 1:
             raise ValueError(f"total mass {total} != 1")

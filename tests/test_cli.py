@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from poukit import ConvexTarget, MetricSampleSpace, SetValuedMap
+from poukit import ConvexTarget, MetricSampleSpace, PropertyReport, SetValuedMap, scalars
 from poukit.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -141,10 +141,10 @@ def selection_problem():
     }
 
 
-def run_main(tmp_path, capsys, command, obj):
+def run_main(tmp_path, capsys, command, obj, *flags):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    code = main([command, str(path)])
+    code = main([command, str(path), *flags])
     return code, capsys.readouterr()
 
 
@@ -188,6 +188,87 @@ class TestSelectionInput:
         code, out = run_main(tmp_path, capsys, command, obj)
         assert code == 2
         assert "error" in json.loads(out.err)
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+MALFORMED_SPACES = {
+    "not-an-object": lambda s: [s],
+    "missing-points": lambda s: _without(s, "points"),
+    "missing-min_open": lambda s: _without(s, "min_open"),
+    "min_open-not-an-object": lambda s: {**s, "min_open": [["a"]]},
+    "unhashable-point": lambda s: {**s, "points": [["a"], "b"]},
+    "unhashable-neighbour": lambda s: {**s, "min_open": {**s["min_open"], "b": [["b"]]}},
+    "point-without-min_open": lambda s: {**s, "points": [*s["points"], "c"]},
+}
+
+MALFORMED_MAPS = {
+    "not-an-object": lambda m: [m],
+    "bundle": lambda m: json.loads((DATA / "example_bundle.json").read_text()),
+    "missing-domain": lambda m: _without(m, "domain"),
+    "missing-codomain": lambda m: _without(m, "codomain"),
+    "missing-values": lambda m: _without(m, "values"),
+    "values-not-an-object": lambda m: {**m, "values": [["a"]]},
+    "unhashable-value": lambda m: {**m, "values": {"a": [["a"]], "b": ["b"]}},
+    "unhashable-index": lambda m: {**m, "codomain": [["a"]]},
+    **{
+        f"domain-{case}": lambda m, f=f: {**m, "domain": f(m["domain"])}
+        for case, f in MALFORMED_SPACES.items()
+    },
+    **{
+        f"codomain-{case}": lambda m, f=f: {**m, "codomain": f(m["codomain"])}
+        for case, f in MALFORMED_SPACES.items()
+    },
+}
+
+
+class TestFiniteInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPACES))
+    @pytest.mark.parametrize("command", ["space-validate", "verify-all"])
+    def test_malformed_space_exits_2(self, tmp_path, capsys, command, case):
+        obj = MALFORMED_SPACES[case](json.loads((DATA / "sierpinski_space.json").read_text()))
+        if command == "verify-all":
+            obj = {"spaces": [obj]}
+        code, out = run_main(tmp_path, capsys, command, obj)
+        assert code == 2
+        assert "error" in json.loads(out.err)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MAPS))
+    @pytest.mark.parametrize("command", ["map-classify", "verify-all"])
+    def test_malformed_map_exits_2(self, tmp_path, capsys, command, case):
+        obj = MALFORMED_MAPS[case](
+            json.loads((DATA / "sierpinski_identity_map.json").read_text())
+        )
+        if command == "verify-all":
+            obj = {"maps": [obj]}
+        code, out = run_main(tmp_path, capsys, command, obj)
+        assert code == 2
+        assert "error" in json.loads(out.err)
+
+    def test_bundle_not_an_object_exits_2(self, tmp_path, capsys):
+        code, out = run_main(tmp_path, capsys, "verify-all", [{"maps": []}])
+        assert code == 2
+        assert "error" in json.loads(out.err)
+
+
+class TestTolSum:
+    POU = {
+        "ground": {"points": ["x"], "min_open": {"x": ["x"]}},
+        "indices": ["u", "v"],
+        "rows": {"x": {"u": "0.5", "v": "0.4999"}},
+    }
+
+    def test_flag_sets_the_float_row_tolerance_of_its_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(scalars, "TOL_SUM", scalars.TOL_SUM)  # main sets it
+        codes = [
+            run_main(tmp_path, capsys, "pou-verify", self.POU, "--mode", "float", *flags)[0]
+            for flags in ([], ["--tol-sum", "0.01"], [])
+        ]
+        assert codes == [2, 0, 2]
 
 
 class TestSelfChecks:
@@ -235,6 +316,32 @@ class TestSelfChecks:
         assert check["name"] == "cover[0]:closure-formulas"
         assert check["status"] == "fail"
         assert "disagree" in check["witness"]
+
+    def test_inconsistent_classification_is_a_failed_check_with_witnesses(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def inconsistent(phi):
+            return PropertyReport(
+                totally_lsc=False,
+                witnesses={"totally_lsc": ("fiber not open", "a")},
+            )
+
+        monkeypatch.setattr("poukit.cli.classify", inconsistent)
+        bundle = {"maps": [json.loads((DATA / "sierpinski_identity_map.json").read_text())]}
+        code, out = run_main(tmp_path, capsys, "verify-all", bundle)
+        assert code == 1
+        diagram, collapse = json.loads(out.out)["checks"]
+        assert [diagram["name"], collapse["name"]] == ["map[0]:diagram", "map[0]:llc-collapse"]
+        for check in (diagram, collapse):
+            assert check["status"] == "fail"
+            assert check["witness"] == {"totally_lsc": "('fiber not open', 'a')"}
+
+    def test_passing_map_checks_have_no_witness(self, tmp_path, capsys):
+        bundle = json.loads((DATA / "example_bundle.json").read_text())
+        code, out = run_main(tmp_path, capsys, "verify-all", {"maps": bundle["maps"]})
+        assert code == 0
+        checks = json.loads(out.out)["checks"]
+        assert checks and all(c["witness"] is None for c in checks)
 
 
 def ten_ball_cover():

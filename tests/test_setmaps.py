@@ -5,11 +5,19 @@ from poukit import (
     SetValuedMap,
     classify,
     closure_cover,
+    finite_interval_model,
     graph_closure,
     indexed_cover,
+    product_space,
 )
+from poukit import setmaps, spaces
 from poukit.errors import InputError
-from poukit.generators import make_rng, random_cover, random_set_valued_map
+from poukit.generators import (
+    make_rng,
+    random_cover,
+    random_set_valued_map,
+    random_space,
+)
 
 
 def sierpinski_identity():
@@ -66,6 +74,106 @@ class TestHierarchy:
         for _ in range(50):
             rep = classify(random_set_valued_map(rng))
             assert rep.usco == rep.usc
+
+
+def llc_oracle(phi):
+    """First K, over all subsets of the codomain in binary-counting order of
+    the repr-sorted points, whose set {x : K <= values(x)} is not open; None
+    when every such set is open."""
+    subsets = [frozenset()]
+    for q in sorted(phi.codomain.points, key=repr):
+        subsets += [k | {q} for k in subsets]
+    for k in subsets:
+        holds = {p for p in phi.domain.points if k <= phi.values[p]}
+        if not phi.domain.is_open(holds):
+            return k
+    return None
+
+
+def open_graph_oracle(phi):
+    """First graph point, in repr order, whose minimal open in the product
+    space leaves the graph; None when the graph is open."""
+    prod = product_space(phi.domain, phi.codomain)
+    graph = {(p, q) for p in phi.domain.points for q in phi.values[p]}
+    for pq in sorted(graph, key=repr):
+        if not prod.min_open[pq] <= graph:
+            return pq
+    return None
+
+
+def totally_lsc_map(rng, codomain, max_points=6):
+    """Random map into ``codomain`` whose every fiber is a union of minimal
+    opens of a random domain."""
+    domain = random_space(rng, max_points)
+    pts = sorted(domain.points)
+    cod = sorted(codomain.points, key=repr)
+    fibers = {
+        q: set().union(*(domain.min_open[p] for p in pts if rng.random() < 0.4))
+        for q in cod
+    }
+    for p in pts:
+        if not any(p in f for f in fibers.values()):
+            fibers[rng.choice(cod)] |= domain.min_open[p]
+    values = {p: {q for q in cod if p in fibers[q]} for p in pts}
+    return SetValuedMap(domain, codomain, values)
+
+
+def assert_agrees_with_oracles(phi):
+    rep = classify(phi)
+    k = llc_oracle(phi)
+    assert rep.lower_locally_constant == (k is None)
+    assert rep.witnesses.get("lower_locally_constant") == (
+        None if k is None else ("set not open for", k)
+    )
+    pq = open_graph_oracle(phi)
+    assert rep.open_graph == (pq is None)
+    assert rep.witnesses.get("open_graph") == (
+        None if pq is None else ("no open box inside the graph at", pq)
+    )
+    return rep
+
+
+class TestOracles:
+    def test_random_maps(self):
+        rng = make_rng(53)
+        for _ in range(200):
+            assert_agrees_with_oracles(random_set_valued_map(rng, max_points=7))
+
+    def test_totally_lsc_maps(self):
+        rng = make_rng(59)
+        for _ in range(200):
+            phi = totally_lsc_map(rng, random_space(rng, 7))
+            rep = assert_agrees_with_oracles(phi)
+            assert rep.totally_lsc and rep.lower_locally_constant
+
+    def test_discrete_delta_into_sierpinski(self):
+        d = FiniteSpace.discrete({"a", "b"})
+        s = FiniteSpace.sierpinski()
+        rep = assert_agrees_with_oracles(SetValuedMap(d, s, {p: {p} for p in d.points}))
+        assert rep.witnesses["open_graph"] == ("no open box inside the graph at", ("a", "a"))
+
+
+class TestScaling:
+    def test_openness_tests_linear_in_codomain(self, monkeypatch):
+        calls = []
+        is_open = FiniteSpace.is_open
+
+        def counted(self, s):
+            calls.append(s)
+            return is_open(self, s)
+
+        def no_product(*args):
+            raise AssertionError("classify built a product space")
+
+        codomain = finite_interval_model(8)
+        assert len(codomain.points) == 17
+        phi = totally_lsc_map(make_rng(61), codomain)
+        monkeypatch.setattr(FiniteSpace, "is_open", counted)
+        monkeypatch.setattr(spaces, "product_space", no_product)
+        monkeypatch.setattr(setmaps, "product_space", no_product, raising=False)
+        rep = classify(phi)
+        assert rep.totally_lsc and rep.lower_locally_constant
+        assert 0 < len(calls) <= 3 * len(codomain.points)
 
 
 class TestClosureCover:
