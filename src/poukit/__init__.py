@@ -7,6 +7,7 @@ from .errors import (
     InputError,
     NonPositiveEpsilon,
     NotACover,
+    NotAUnitVector,
     NotReflexive,
     NotTransitive,
     PoukitError,

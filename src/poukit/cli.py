@@ -105,9 +105,7 @@ def cmd_map_classify(args, report, mode):
 
 
 def cmd_pou_build(args, report, mode):
-    obj = _load_json(args.input)
-    space = jsonio.load_metric_space(obj["space"], mode)
-    balls = {a: jsonio.load_ball(b, mode) for a, b in obj["balls"].items()}
+    space, balls = jsonio.load_metric_cover(_load_json(args.input), mode)
     pou = pou_from_metric_cover(space, balls, mode=mode)
     report.check("pou-built", True)
     report.payload["pou"] = jsonio.dump_pou(pou)
@@ -138,10 +136,8 @@ def cmd_mather(args, report, mode):
 
 
 def _load_cover_input(obj, mode):
-    if "balls" in obj:
-        space = jsonio.load_metric_space(obj["space"], mode)
-        balls = {a: jsonio.load_ball(b, mode) for a, b in obj["balls"].items()}
-        return (space, balls)
+    if isinstance(obj, dict) and "balls" in obj:
+        return jsonio.load_metric_cover(obj, mode)
     return jsonio.load_set_valued_map(obj, mode)
 
 
@@ -155,12 +151,14 @@ def cmd_nerve_build(args, report, mode):
 
 def cmd_canonical_check(args, report, mode):
     obj = _load_json(args.input)
-    cover = _load_cover_input(obj["cover"], mode)
+    (cover,) = jsonio.require_fields(obj, "a canonical-check input", "cover")
+    cover = _load_cover_input(cover, mode)
     if isinstance(cover, tuple):
         pou = pou_from_metric_cover(cover[0], cover[1], mode=mode)
         cover = ball_cover(*cover)
     else:
-        pou = jsonio.load_pou(obj["pou"], mode)
+        (pou,) = jsonio.require_fields(obj, "a canonical-check input", "pou")
+        pou = jsonio.load_pou(pou, mode)
     cx_report = canonical_map_check(pou, cover)
     report.check("canonical", cx_report.canonical, cx_report.to_dict())
     nerve = nerve_from_cover(cover, max_dimension=args.max_dim)
@@ -254,19 +252,36 @@ def cmd_verify_all(args, report, mode):
             report.check(f"cover[{i}]:closure-formulas", False, str(exc))
 
     for i, obj in enumerate(bundle.get("metric_covers", [])):
-        space = jsonio.load_metric_space(obj["space"], mode)
-        balls = {a: jsonio.load_ball(b, mode) for a, b in obj["balls"].items()}
+        space, balls = jsonio.load_metric_cover(obj, mode)
         pou = pou_from_metric_cover(space, balls, mode=mode)
         cover = ball_cover(space, balls)
         sub = subordination_check(pou, cover)
-        report.check(f"metric_cover[{i}]:index-subordinated", sub["index_subordinated"])
-        can = canonical_map_check(pou, cover)
-        report.check(f"metric_cover[{i}]:canonical", can.canonical)
-        gamma, _ = mather_compose(pou)
-        shrink = all(
-            gamma.carrier_at(x) <= pou.carrier_at(x) for x in pou.ground_points()
+        ok = sub["index_subordinated"]
+        report.check(
+            f"metric_cover[{i}]:index-subordinated",
+            ok,
+            None if ok else _sample_witness(space, sub["witness"]),
         )
-        report.check(f"metric_cover[{i}]:carrier-shrinks", shrink)
+        can = canonical_map_check(pou, cover)
+        report.check(
+            f"metric_cover[{i}]:canonical",
+            can.canonical,
+            None if can.canonical else can.to_dict(),
+        )
+        gamma, _ = mather_compose(pou)
+        escape = next(
+            (
+                x
+                for x in pou.ground_points()
+                if not gamma.carrier_at(x) <= pou.carrier_at(x)
+            ),
+            None,
+        )
+        report.check(
+            f"metric_cover[{i}]:carrier-shrinks",
+            escape is None,
+            None if escape is None else _sample_witness(space, ("carrier escapes", escape)),
+        )
 
     for i, obj in enumerate(bundle.get("targets", [])):
         target, eps, anchors = _load_selection_input(obj)
@@ -280,6 +295,13 @@ def cmd_verify_all(args, report, mode):
             report.check(f"target[{i}]:epsilon-bound", False, str(exc))
 
     return report
+
+
+def _sample_witness(space, witness):
+    """A ``(kind, sample)`` witness with the sample written as its position,
+    the key ``jsonio`` uses for metric ground points."""
+    kind, x = witness
+    return [kind, str(space.samples.index(x))]
 
 
 def _kuratowski_ok(space, rng):

@@ -14,6 +14,12 @@ class InputError(PoukitError):
     """Malformed or inconsistent input data (bad JSON, unknown point, ...)."""
 
 
+class NotAUnitVector(InputError, ValueError):
+    """A vector given as a unit vector is not one: an entry is not positive,
+    a tail bound is out of range, or the mass is not one.  It is also a
+    ValueError, so callers that catch ValueError keep working."""
+
+
 class TailTooLarge(PoukitError):
     """The tail certificate of an extended unit vector is too weak for the
     locally-finite transform: tail_sup >= sup_norm / 2, so survival of an

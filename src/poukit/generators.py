@@ -1,7 +1,9 @@
 """Seeded random instance generators for property checks.
 
 Everything draws from a caller-supplied ``random.Random`` so runs are
-reproducible from a single seed; reports record that seed.
+reproducible from a single seed; reports record that seed.  Draws run over
+points in ``repr`` order, never in set order, which follows the per-process
+string hash.
 """
 
 import random
@@ -55,7 +57,8 @@ def random_set_valued_map(rng, domain=None, codomain=None, max_points=6):
         codomain = random_space(rng, max_points)
     cod = sorted(codomain.points, key=repr)
     values = {
-        p: set(rng.sample(cod, rng.randint(1, len(cod)))) for p in domain.points
+        p: set(rng.sample(cod, rng.randint(1, len(cod))))
+        for p in sorted(domain.points, key=repr)
     }
     return SetValuedMap(domain, codomain, values)
 
@@ -67,7 +70,8 @@ def random_cover(rng, domain=None, max_indices=6, max_points=8):
     k = rng.randint(1, max_indices)
     indices = [f"U{i}" for i in range(k)]
     values = {
-        p: set(rng.sample(indices, rng.randint(1, k))) for p in domain.points
+        p: set(rng.sample(indices, rng.randint(1, k)))
+        for p in sorted(domain.points, key=repr)
     }
     return indexed_cover(domain, indices, values)
 

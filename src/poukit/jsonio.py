@@ -16,7 +16,10 @@ from .sparse import ExtendedUnitVec, SparseVec
 
 
 def load_sparse_vec(obj, mode=EXACT):
-    entries = {k: parse_scalar(v, mode) for k, v in obj.get("entries", {}).items()}
+    require_fields(obj, "a unit vector")
+    entries = obj.get("entries", {})
+    require_fields(entries, "entries")
+    entries = {k: parse_scalar(v, mode) for k, v in entries.items()}
     if "tail_mass" in obj or "tail_sup" in obj:
         return ExtendedUnitVec(
             entries,
@@ -46,6 +49,20 @@ def require_fields(obj, what, *keys):
     if missing:
         raise InputError(f"{what} lacks {missing}")
     return [obj[k] for k in keys]
+
+
+def _scalars(obj, what, mode):
+    """A JSON list of scalars as a tuple."""
+    if not isinstance(obj, list):
+        raise InputError(f"{what} must be a list of scalars")
+    return tuple(parse_scalar(c, mode) for c in obj)
+
+
+def _points(obj, what, mode):
+    """A JSON list of coordinate lists as a list of tuples."""
+    if not isinstance(obj, list):
+        raise InputError(f"{what} must be a list of coordinate lists")
+    return [_scalars(p, f"each of {what}", mode) for p in obj]
 
 
 def _point_set(items, what):
@@ -82,8 +99,8 @@ def dump_finite_space(space):
 
 
 def load_metric_space(obj, mode=EXACT):
-    samples = [tuple(parse_scalar(c, mode) for c in row) for row in obj["samples"]]
-    return MetricSampleSpace(samples, dim=obj.get("dim"))
+    (samples,) = require_fields(obj, "a metric sample space", "samples")
+    return MetricSampleSpace(_points(samples, "samples", mode), dim=obj.get("dim"))
 
 
 def dump_metric_space(space):
@@ -94,10 +111,17 @@ def dump_metric_space(space):
 
 
 def load_ball(obj, mode=EXACT):
-    return Ball(
-        [parse_scalar(c, mode) for c in obj["center"]],
-        parse_scalar(obj["radius"], mode),
-    )
+    center, radius = require_fields(obj, "a ball", "center", "radius")
+    return Ball(_scalars(center, "a ball centre", mode), parse_scalar(radius, mode))
+
+
+def load_metric_cover(obj, mode=EXACT):
+    """``(space, balls)`` of a ball cover ``{"space": ..., "balls": {index:
+    ball}}``."""
+    space, balls = require_fields(obj, "a metric cover", "space", "balls")
+    space = load_metric_space(space, mode)
+    require_fields(balls, "balls")
+    return space, {a: load_ball(b, mode) for a, b in balls.items()}
 
 
 def dump_ball(ball):
@@ -108,7 +132,7 @@ def dump_ball(ball):
 
 
 def load_ground(obj, mode=EXACT):
-    if "min_open" in obj:
+    if isinstance(obj, dict) and "min_open" in obj:
         return load_finite_space(obj)
     return load_metric_space(obj, mode)
 
@@ -146,6 +170,8 @@ def dump_set_valued_map(phi):
 
 def _ground_point(ground, key):
     if isinstance(ground, MetricSampleSpace):
+        if not (key.isdecimal() and int(key) < len(ground.samples)):
+            raise InputError(f"no sample at position {key!r}")
         return ground.samples[int(key)]
     if key not in ground.points:
         raise InputError(f"unknown ground point {key!r}")
@@ -153,11 +179,15 @@ def _ground_point(ground, key):
 
 
 def load_pou(obj, mode=EXACT):
-    ground = load_ground(obj["ground"], mode)
-    indices = set(obj["indices"])
+    ground, indices, rows = require_fields(
+        obj, "a partition of unity", "ground", "indices", "rows"
+    )
+    ground = load_ground(ground, mode)
+    indices = _point_set(indices, "indices")
+    require_fields(rows, "rows")
     rows = {
         _ground_point(ground, k): load_sparse_vec({"entries": row}, mode)
-        for k, row in obj["rows"].items()
+        for k, row in rows.items()
     }
     return validate_pou(ground, indices, rows, mode=mode)
 
@@ -202,14 +232,12 @@ def load_convex_target(obj, mode=EXACT):
         spec = dict(spec)
         for field in ("p", "a", "b", "lo", "hi"):
             if field in spec:
-                spec[field] = tuple(parse_scalar(c, mode) for c in spec[field])
+                spec[field] = _scalars(spec[field], f"{field} at {x!r}", mode)
         if "vertices" in spec:
-            spec["vertices"] = [
-                tuple(parse_scalar(c, mode) for c in v) for v in spec["vertices"]
-            ]
+            spec["vertices"] = _points(spec["vertices"], f"vertices at {x!r}", mode)
         sets[x] = spec
     return ConvexTarget(obj["ambient_dim"], sets)
 
 
 def load_anchors(obj, mode=EXACT):
-    return [tuple(parse_scalar(c, mode) for c in a) for a in obj]
+    return _points(obj, "anchors", mode)

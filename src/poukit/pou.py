@@ -20,6 +20,7 @@ from .errors import (
 from .scalars import EXACT, FLOAT
 from .sparse import (
     SparseVec,
+    _as_extended,
     is_unit_simplex_point,
     mather_eta,
     mather_support_bound,
@@ -125,22 +126,26 @@ def subordination_check(pou, omega):
     subordination (closure of each star inside the fiber).
 
     On a metric ground the closure of a star is approximated by the star's
-    sample set itself; the report flags this as approximate.
+    sample set itself; the report flags this as approximate.  There
+    ``star(a) <= fiber(a)`` for every index a says the same as
+    ``carrier(x) <= values(x)`` for every point x, so strong subordination
+    is index subordination and the per-index loop is skipped.
     """
     if frozenset(omega.codomain.points) != pou.index_set:
         raise InputError("index sets differ")
+    metric = isinstance(pou.ground, MetricSampleSpace)
     result = {"index_subordinated": True, "strongly_subordinated": True,
-              "approximate_closure": isinstance(pou.ground, MetricSampleSpace),
-              "witness": None}
+              "approximate_closure": metric, "witness": None}
     for x in pou.ground_points():
         if not pou.carrier_at(x) <= omega.values[x]:
             result["index_subordinated"] = False
             result["witness"] = ("carrier", x)
             break
+    if metric:
+        result["strongly_subordinated"] = result["index_subordinated"]
+        return result
     for a in sorted(pou.index_set, key=repr):
-        star = set(pou.open_star(a))
-        if isinstance(pou.ground, FiniteSpace):
-            star = pou.ground.closure(star)
+        star = pou.ground.closure(set(pou.open_star(a)))
         if not star <= omega.fiber(a):
             result["strongly_subordinated"] = False
             if result["witness"] is None:
@@ -177,21 +182,23 @@ def mather_compose(pou):
     strong carrier containment cl(star of the output) inside the star of the
     input is checked exactly.  On a metric ground the l1 stability radius of
     each row is converted to a metric radius through a conservative
-    Lipschitz constant for the bump family.
+    Lipschitz constant for the bump family.  Each row is checked to be a unit
+    simplex point once; the checked row feeds both the transform and the
+    support bound.
     """
-    gamma_rows = {x: mather_eta(pou.rows[x], pou.mode) for x in pou.ground_points()}
-    per_point = {}
-    if isinstance(pou.ground, FiniteSpace):
-        for x in pou.ground_points():
-            bound, _ = mather_support_bound(pou.rows[x], pou.mode)
+    finite = isinstance(pou.ground, FiniteSpace)
+    lip = pou.l1_lipschitz or 2 * len(pou.index_set)
+    gamma_rows, per_point = {}, {}
+    for x in pou.ground_points():
+        y = _as_extended(pou.rows[x], pou.mode)  # validated once for both
+        gamma_rows[x] = mather_eta(y, pou.mode)
+        bound, radius = mather_support_bound(y, pou.mode)
+        if finite:
             per_point[x] = (("min_open", frozenset(pou.ground.min_open[x])), bound)
-    else:
-        lip = pou.l1_lipschitz or 2 * len(pou.index_set)
-        for x in pou.ground_points():
-            bound, radius = mather_support_bound(pou.rows[x], pou.mode)
+        else:
             per_point[x] = (("metric_radius", float(radius) / lip), bound)
     gamma = PartitionOfUnity(pou.ground, pou.index_set, gamma_rows, pou.mode)
-    if isinstance(pou.ground, FiniteSpace):
+    if finite:
         for a in sorted(pou.index_set, key=repr):
             closed_star = pou.ground.closure(set(gamma.open_star(a)))
             if not closed_star <= set(pou.open_star(a)):

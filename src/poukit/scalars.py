@@ -6,7 +6,10 @@ constructions whose values involve square roots; simplex-membership checks
 then use a small additive tolerance ``TOL_SUM``.
 """
 
+import math
 from fractions import Fraction
+
+from .errors import InputError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -16,17 +19,24 @@ TOL_SUM = DEFAULT_TOL_SUM  # set per run by the command line
 
 
 def parse_scalar(text, mode=EXACT):
-    """Parse ``"p/q"`` or a decimal string/number into the active mode."""
-    if isinstance(text, (int, Fraction)):
-        value = Fraction(text)
-    elif isinstance(text, float):
-        value = Fraction(text) if mode == EXACT else text
-    elif isinstance(text, str):
-        value = Fraction(text)  # Fraction accepts both "3/4" and "0.75"
-    else:
-        raise TypeError(f"cannot parse scalar from {text!r}")
-    if mode == FLOAT:
-        return float(value)
+    """Parse ``"p/q"`` or a decimal string/number into the active mode.
+
+    Raises InputError for anything that is not a finite rational or decimal,
+    such as ``"abc"``, ``"1/0"``, a list or a JSON ``NaN``.
+    """
+    if not isinstance(text, (int, float, str, Fraction)):
+        raise InputError(f"cannot parse scalar from {text!r}")
+    try:
+        if isinstance(text, float) and mode == FLOAT:
+            value = text
+        else:
+            value = Fraction(text)  # Fraction accepts both "3/4" and "0.75"
+        if mode == FLOAT:
+            value = float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"cannot parse scalar from {text!r}: {exc}") from exc
+    if mode == FLOAT and not math.isfinite(value):
+        raise InputError(f"scalar {text!r} is not finite")
     return value
 
 

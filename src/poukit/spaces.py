@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import InputError, NotReflexive, NotTransitive
 
 TOL_METRIC = 1e-9
+_RATIONAL = (int, Fraction)
 
 
 class FiniteSpace:
@@ -212,8 +213,36 @@ class MetricSampleSpace:
         return math.sqrt(float(self.dist_sq(p, q)))
 
     def ball_membership(self, ball, x):
-        """Exact when coordinates and radius are rational."""
-        return self.dist_sq(x, ball.center) < ball.radius**2
+        """Whether d(x, centre) < radius; a point on the sphere is outside.
+
+        With rational (``int`` or ``Fraction``) coordinates and radius and no
+        distance table, the sign of r^2 - d^2 is decided on plain integers:
+        each coordinate difference is cross-multiplied over its two
+        denominators, the squares are summed over their common denominator,
+        and the sum is compared with r^2 by cross-multiplication, so no
+        ``Fraction`` is built.  Float coordinates and distance tables compare
+        ``dist_sq`` with r^2.
+        """
+        center, r = ball.center, ball.radius
+        if len(center) != self.dim:
+            raise InputError(
+                f"ball centre {[str(c) for c in center]} has {len(center)} coordinates, "
+                f"the sample space has dimension {self.dim!r}"
+            )
+        if self._table is not None or not isinstance(r, _RATIONAL):
+            return self.dist_sq(x, center) < r**2
+        num, den = 0, 1  # running sum of squared differences, num / den
+        for p, q in zip(x, center):
+            if not (isinstance(p, _RATIONAL) and isinstance(q, _RATIONAL)):
+                return self.dist_sq(x, center) < r**2
+            pd, qd = p.denominator, q.denominator
+            diff = p.numerator * qd - q.numerator * pd
+            sq_den = pd * qd
+            sq_den *= sq_den
+            num = num * sq_den + diff * diff * den
+            den *= sq_den
+        rd = r.denominator
+        return num * rd * rd < r.numerator**2 * den
 
     def dist_to_ball_complement(self, ball, x):
         """max(radius - d(x, center), 0); the bump value of the ball at x."""

@@ -15,7 +15,7 @@ points with carriers contained in the original carrier.
 
 from fractions import Fraction
 
-from .errors import TailTooLarge
+from .errors import NotAUnitVector, TailTooLarge
 from . import scalars
 from .scalars import EXACT, FLOAT
 
@@ -111,7 +111,7 @@ def is_unit_simplex_point(v, mode=EXACT):
 
 def as_unit_simplex_point(v, mode=EXACT):
     if not is_unit_simplex_point(v, mode):
-        raise ValueError(f"not a unit simplex point: {v!r}")
+        raise NotAUnitVector(f"not a unit simplex point: {v!r}")
     return v
 
 
@@ -143,15 +143,15 @@ class ExtendedUnitVec:
     def __init__(self, explicit, tail_mass=0, tail_sup=0, mode=EXACT):
         explicit = SparseVec(explicit)
         if any(x <= 0 for x in explicit.entries.values()):
-            raise ValueError("explicit part must be strictly positive")
+            raise NotAUnitVector("explicit part must be strictly positive")
         if tail_mass < 0 or tail_sup < 0 or tail_sup > tail_mass:
-            raise ValueError("need 0 <= tail_sup <= tail_mass")
+            raise NotAUnitVector("need 0 <= tail_sup <= tail_mass")
         total = explicit.norm1() + tail_mass
         if mode == FLOAT or isinstance(total, float):
             if abs(total - 1) > scalars.TOL_SUM:
-                raise ValueError(f"total mass {total} != 1")
+                raise NotAUnitVector(f"total mass {total} != 1")
         elif total != 1:
-            raise ValueError(f"total mass {total} != 1")
+            raise NotAUnitVector(f"total mass {total} != 1")
         object.__setattr__(self, "explicit", explicit)
         object.__setattr__(self, "tail_mass", tail_mass)
         object.__setattr__(self, "tail_sup", tail_sup)

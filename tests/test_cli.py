@@ -5,8 +5,17 @@ import sys
 
 import pytest
 
-from poukit import ConvexTarget, MetricSampleSpace, PropertyReport, SetValuedMap, scalars
-from poukit.cli import main
+from poukit import (
+    ConvexTarget,
+    MetricSampleSpace,
+    PartitionOfUnity,
+    PropertyReport,
+    SetValuedMap,
+    scalars,
+)
+from poukit.cli import COMMANDS, main
+from poukit.nerve import CanonicalReport
+from poukit.sparse import uniform
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -170,6 +179,13 @@ MALFORMED_SELECTIONS = {
     "missing-anchors": lambda obj: obj.pop("anchors"),
     "zero-epsilon": lambda obj: obj.update(epsilon="0"),
     "cover-gap": lambda obj: obj.update(anchors=[["10", "10"]]),
+    "epsilon-abc": lambda obj: obj.update(epsilon="abc"),
+    "epsilon-1/0": lambda obj: obj.update(epsilon="1/0"),
+    "anchor-abc": lambda obj: obj["anchors"].append(["abc", "0"]),
+    "vertex-1/0": lambda obj: _sets(obj)["y"]["vertices"].append(["1/0", "0"]),
+    "vertices-not-a-list": lambda obj: _sets(obj)["y"].update(vertices=3),
+    "anchors-not-a-list": lambda obj: obj.update(anchors=3),
+    "point-not-a-list": lambda obj: _sets(obj)["w"].update(p="1"),
 }
 
 
@@ -382,3 +398,160 @@ class TestMetricCover:
         assert code == 0
         n, k = len(cover["space"]["samples"]), len(cover["balls"])
         assert 0 < len(calls) <= 2 * n * k
+
+
+def line_cover():
+    return json.loads((DATA / "line_ball_cover.json").read_text())
+
+
+def _ball(obj):
+    return obj["balls"]["U0"]
+
+
+def _with_u0(cover, **fields):
+    """The cover with ball U0 changed; a field set to None is dropped."""
+    ball = {k: v for k, v in {**_ball(cover), **fields}.items() if v is not None}
+    return {**cover, "balls": {**cover["balls"], "U0": ball}}
+
+
+MALFORMED_COVERS = {
+    "not-an-object": lambda c: [c],
+    "missing-space": lambda c: _without(c, "space"),
+    "missing-balls": lambda c: _without(c, "balls"),
+    "balls-not-an-object": lambda c: {**c, "balls": list(c["balls"].values())},
+    "space-not-an-object": lambda c: {**c, "space": [["0"]]},
+    "missing-samples": lambda c: {**c, "space": {"dim": 1}},
+    "samples-not-a-list": lambda c: {**c, "space": {"dim": 1, "samples": 3}},
+    "sample-not-a-list": lambda c: {**c, "space": {"dim": 1, "samples": ["0", "1"]}},
+    "sample-abc": lambda c: {**c, "space": {"dim": 1, "samples": [["abc"], ["1"]]}},
+    "missing-center": lambda c: _with_u0(c, center=None),
+    "missing-radius": lambda c: _with_u0(c, radius=None),
+    "center-not-a-list": lambda c: _with_u0(c, center="0"),
+    "center-too-long": lambda c: _with_u0(c, center=["0", "1"]),
+    "center-too-short": lambda c: _with_u0(c, center=[]),
+    "radius-1/0": lambda c: _with_u0(c, radius="1/0"),
+    "radius-abc": lambda c: _with_u0(c, radius="abc"),
+    "radius-list": lambda c: _with_u0(c, radius=["1"]),
+    "radius-nan": lambda c: _with_u0(c, radius=float("nan")),
+}
+
+METRIC_COVER_COMMANDS = {
+    "pou-build": lambda c: c,
+    "nerve-build": lambda c: c,
+    "canonical-check": lambda c: {"cover": c},
+    "verify-all": lambda c: {"metric_covers": [c]},
+}
+
+_POU = {
+    "ground": {"dim": 1, "samples": [["0"], ["1"]]},
+    "indices": ["U0", "U1"],
+    "rows": {"0": {"U0": "1"}, "1": {"U0": "1/2", "U1": "1/2"}},
+}
+
+MALFORMED_POUS = {
+    "missing-ground": lambda p: _without(p, "ground"),
+    "missing-indices": lambda p: _without(p, "indices"),
+    "missing-rows": lambda p: _without(p, "rows"),
+    "ground-not-an-object": lambda p: {**p, "ground": 3},
+    "unhashable-index": lambda p: {**p, "indices": [["U0"], "U1"]},
+    "rows-not-an-object": lambda p: {**p, "rows": [{"U0": "1"}]},
+    "row-not-an-object": lambda p: {**p, "rows": {**p["rows"], "0": ["U0"]}},
+    "unknown-sample": lambda p: {**p, "rows": {**p["rows"], "2": {"U0": "1"}}},
+    "sample-key-not-a-position": lambda p: {**p, "rows": {**p["rows"], "x": {"U0": "1"}}},
+    "entry-1/0": lambda p: {**p, "rows": {**p["rows"], "0": {"U0": "1/0"}}},
+    "entry-abc": lambda p: {**p, "rows": {**p["rows"], "0": {"U0": "abc"}}},
+}
+
+MALFORMED_VECTORS = {
+    "not-an-object": lambda v: [v],
+    "entries-not-an-object": lambda v: {"entries": [["a", "1"]]},
+    "entry-1/0": lambda v: {"entries": {"a": "1/0"}},
+    "entry-abc": lambda v: {"entries": {"a": "abc"}},
+    "tail-abc": lambda v: {**v, "tail_mass": "abc"},
+    "mass-below-one": lambda v: {"entries": {"a": "1/2"}},
+    "mass-above-one-with-tail": lambda v: {**v, "tail_mass": "1/4", "tail_sup": "1/8"},
+    "tail-sup-above-tail-mass": lambda v: {"entries": {"a": "1/2"}, "tail_mass": "1/2", "tail_sup": "1"},
+    "negative-entry": lambda v: {"entries": {"a": "3/2", "b": "-1/2"}},
+}
+
+
+class TestMetricInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_COVERS))
+    @pytest.mark.parametrize("command", sorted(METRIC_COVER_COMMANDS))
+    def test_malformed_cover_exits_2(self, tmp_path, capsys, command, case):
+        obj = METRIC_COVER_COMMANDS[command](MALFORMED_COVERS[case](line_cover()))
+        code, out = run_main(tmp_path, capsys, command, obj)
+        assert code == 2
+        assert "error" in json.loads(out.err)
+
+    @pytest.mark.parametrize("command", sorted(METRIC_COVER_COMMANDS))
+    def test_centre_dimension_mismatch_exits_2(self, tmp_path, capsys, command):
+        cover = line_cover()
+        _ball(cover)["center"] = ["0", "1"]
+        code, out = run_main(tmp_path, capsys, command, METRIC_COVER_COMMANDS[command](cover))
+        assert code == 2
+        assert "has 2 coordinates" in json.loads(out.err)["error"]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_POUS))
+    def test_malformed_pou_exits_2(self, tmp_path, capsys, case):
+        assert run_main(tmp_path, capsys, "pou-verify", _POU)[0] == 0
+        code, out = run_main(tmp_path, capsys, "pou-verify", MALFORMED_POUS[case](_POU))
+        assert code == 2
+        assert "error" in json.loads(out.err)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VECTORS))
+    @pytest.mark.parametrize("command", ["mather", "verify-all"])
+    def test_malformed_unit_vector_exits_2(self, tmp_path, capsys, command, case):
+        obj = MALFORMED_VECTORS[case](json.loads((DATA / "unit_vector.json").read_text()))
+        if command == "verify-all":
+            obj = {"unit_vectors": [obj]}
+        code, out = run_main(tmp_path, capsys, command, obj)
+        assert code == 2
+        assert "error" in json.loads(out.err)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_top_level_list_exits_2(self, tmp_path, capsys, command):
+        code, out = run_main(tmp_path, capsys, command, [line_cover()])
+        assert code == 2
+        assert "error" in json.loads(out.err)
+
+
+class TestMetricCoverWitnesses:
+    def run(self, tmp_path, capsys):
+        code, out = run_main(tmp_path, capsys, "verify-all", {"metric_covers": [line_cover()]})
+        return code, {c["name"].split(":")[1]: c for c in json.loads(out.out)["checks"]}
+
+    def test_passing_checks_have_no_witness(self, tmp_path, capsys):
+        code, checks = self.run(tmp_path, capsys)
+        assert code == 0
+        assert len(checks) == 3
+        assert all(c["status"] == "pass" and c["witness"] is None for c in checks.values())
+
+    def test_failed_checks_carry_witnesses(self, tmp_path, capsys, monkeypatch):
+        def unsubordinated(pou, omega):
+            x = pou.ground_points()[1]
+            return {"index_subordinated": False, "strongly_subordinated": False,
+                    "approximate_closure": True, "witness": ("carrier", x)}
+
+        def not_canonical(pou, cover):
+            x = pou.ground_points()[2]
+            return CanonicalReport([x], [("U0", x)])
+
+        def growing(pou):
+            x = pou.ground_points()[0]
+            rows = {**pou.rows, x: uniform(sorted(pou.index_set))}
+            return PartitionOfUnity(pou.ground, pou.index_set, rows, pou.mode), None
+
+        monkeypatch.setattr("poukit.cli.subordination_check", unsubordinated)
+        monkeypatch.setattr("poukit.cli.canonical_map_check", not_canonical)
+        monkeypatch.setattr("poukit.cli.mather_compose", growing)
+        code, checks = self.run(tmp_path, capsys)
+        assert code == 1
+        assert all(c["status"] == "fail" for c in checks.values())
+        assert checks["index-subordinated"]["witness"] == ["carrier", "1"]
+        assert checks["canonical"]["witness"] == {
+            "canonical": False,
+            "membership_violations": ["(Fraction(1, 1),)"],
+            "star_violations": ["('U0', (Fraction(1, 1),))"],
+        }
+        assert checks["carrier-shrinks"]["witness"] == ["carrier escapes", "0"]

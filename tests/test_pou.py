@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +9,15 @@ from poukit import (
     FiniteSpace,
     MetricSampleSpace,
     NotACover,
+    PartitionOfUnity,
+    ball_cover,
     indexed_cover,
     mather_compose,
     pou_from_metric_cover,
     subordination_check,
     validate_pou,
 )
+from poukit import sparse
 from poukit.errors import RowNotSimplex, SelfCheckFailed
 from poukit.sparse import SparseVec, dirac, uniform
 
@@ -107,7 +111,86 @@ class TestSubordination:
         assert res["index_subordinated"] and res["strongly_subordinated"]
 
 
+def star_fiber_subordination(pou, omega):
+    """Index and strong subordination by the per-index loop: every star (its
+    sample set, on a metric ground) inside the fiber of its index."""
+    result = {"index_subordinated": True, "strongly_subordinated": True,
+              "approximate_closure": True, "witness": None}
+    for x in pou.ground_points():
+        if not pou.carrier_at(x) <= omega.values[x]:
+            result["index_subordinated"] = False
+            result["witness"] = ("carrier", x)
+            break
+    for a in sorted(pou.index_set, key=repr):
+        if not set(pou.open_star(a)) <= omega.fiber(a):
+            result["strongly_subordinated"] = False
+            if result["witness"] is None:
+                result["witness"] = ("support", a)
+            break
+    return result
+
+
+def random_ball_cover(rng):
+    """Rational balls in dimension 1 or 2 and the samples they cover."""
+    dim = rng.randint(1, 2)
+
+    def point():
+        return tuple(F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(dim))
+
+    balls = {f"U{j}": Ball(point(), F(rng.randint(1, 40), rng.randint(1, 4)))
+             for j in range(rng.randint(1, 6))}
+    n, samples = rng.randint(1, 12), set()
+    while len(samples) < n:
+        x = point()
+        if any(
+            sum((p - c) ** 2 for p, c in zip(x, b.center)) < b.radius**2
+            for b in balls.values()
+        ):
+            samples.add(x)
+    return MetricSampleSpace(sorted(samples)), balls
+
+
+class TestMetricSubordination:
+    def test_strong_equals_index_subordination(self):
+        rng = random.Random(41)
+        failing = 0
+        for _ in range(300):
+            space, balls = random_ball_cover(rng)
+            pou = pou_from_metric_cover(space, balls)
+            exact = ball_cover(space, balls)
+            idx = sorted(balls)
+            shrunk = {
+                x: set(vals) if rng.random() < 0.7 else {rng.choice(idx)}
+                for x, vals in exact.values.items()
+            }
+            for omega in (exact, indexed_cover(exact.domain, idx, shrunk)):
+                res = subordination_check(pou, omega)
+                assert res == star_fiber_subordination(pou, omega)
+                assert res["strongly_subordinated"] == res["index_subordinated"]
+                failing += not res["index_subordinated"]
+        assert failing > 50
+
+
 class TestMatherCompose:
+    def test_each_row_is_validated_once(self, monkeypatch):
+        calls = []
+        validate = sparse.as_unit_simplex_point
+
+        def counted(v, mode="exact"):
+            calls.append(v)
+            return validate(v, mode)
+
+        monkeypatch.setattr(sparse, "as_unit_simplex_point", counted)
+        pou = pou_from_metric_cover(line_space(), line_balls())
+        mather_compose(pou)
+        assert len(calls) == len(pou.rows)
+
+    def test_unvalidated_bad_row_still_rejected(self):
+        g = FiniteSpace.discrete({"x"})
+        pou = PartitionOfUnity(g, {"a"}, {"x": SparseVec({"a": F(1, 2)})})
+        with pytest.raises(ValueError, match="not a unit simplex point"):
+            mather_compose(pou)
+
     def test_symmetric_row_fixed(self):
         pou = pou_from_metric_cover(line_space(), line_balls())
         gamma, _ = mather_compose(pou)
@@ -137,8 +220,6 @@ class TestMatherCompose:
             mather_compose(pou)
 
     def test_carrier_containment_random(self):
-        import random
-
         rng = random.Random(5)
         g = FiniteSpace.discrete(range(4))
         idx = list("abcdef")

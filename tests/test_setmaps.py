@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from poukit import (
@@ -233,3 +238,26 @@ class TestImage:
 
     def test_whole_domain(self):
         assert self.om.image({"a", "b"}) == {"0", "1"}
+
+
+DRAWS = """
+from poukit.generators import make_rng, random_cover, random_set_valued_map
+rng = make_rng(7)
+for draw in (random_set_valued_map, random_cover) * 40:
+    phi = draw(rng)
+    print(sorted((p, sorted(v)) for p, v in phi.values.items()))
+"""
+
+
+class TestGenerators:
+    def test_seeded_draws_do_not_depend_on_the_string_hash(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+            proc = subprocess.run(
+                [sys.executable, "-c", DRAWS], env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poukit import (
     Ball,
@@ -174,3 +175,106 @@ class TestMetricGround:
     def test_nonpositive_radius(self):
         with pytest.raises(InputError):
             Ball((0,), 0)
+
+    def test_centre_of_the_wrong_dimension_rejected(self):
+        with pytest.raises(InputError, match="coordinates"):
+            self.m.ball_membership(Ball((F(0), F(1)), F(1)), (F(0),))
+
+
+# rationals with mixed small denominators, negative ones included; some are ints
+RATIONALS = st.one_of(
+    st.integers(-6, 6),
+    st.builds(F, st.integers(-60, 60), st.integers(1, 12)),
+)
+RADII = st.builds(F, st.integers(1, 60), st.integers(1, 12))
+
+
+def rational_unit(dim, a, b):
+    """A rational point on the unit sphere of the given dimension, by inverse
+    stereographic projection of (a, b)."""
+    a, b = F(a), F(b)
+    if dim == 1:
+        return (F(1 if a >= 0 else -1),)
+    if dim == 2:
+        return (2 * a / (a * a + 1), (a * a - 1) / (a * a + 1))
+    s = a * a + b * b + 1
+    return (2 * a / s, 2 * b / s, (a * a + b * b - 1) / s)
+
+
+@st.composite
+def ball_and_point(draw):
+    """A centre, a radius and a point that is random, exactly on the sphere,
+    or a tiny step inside or outside it."""
+    dim = draw(st.integers(1, 3))
+    centre = tuple(draw(RATIONALS) for _ in range(dim))
+    r = draw(RADII)
+    how = draw(st.sampled_from(["random", "sphere", "inside", "outside"]))
+    if how == "random":
+        return centre, r, tuple(draw(RATIONALS) for _ in range(dim))
+    u = rational_unit(dim, draw(RATIONALS), draw(RATIONALS))
+    step = {"sphere": 0, "inside": -1, "outside": 1}[how] * F(1, 10**9)
+    return centre, r, tuple(c + (r + step) * e for c, e in zip(centre, u))
+
+
+def oracle_inside(x, centre, r):
+    return sum((F(a) - F(b)) ** 2 for a, b in zip(x, centre)) < F(r) ** 2
+
+
+class TestBallMembershipKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(ball_and_point())
+    def test_exact_equals_the_fraction_oracle(self, case):
+        centre, r, x = case
+        space = MetricSampleSpace([x], dim=len(x))
+        assert space.ball_membership(Ball(centre, r), x) == oracle_inside(x, centre, r)
+
+    def test_sphere_is_outside(self):
+        for dim in (1, 2, 3):
+            centre = tuple(F(-1, 3) for _ in range(dim))
+            u = rational_unit(dim, F(2, 3), F(-5))
+            x = tuple(c + F(5, 7) * e for c, e in zip(centre, u))
+            space = MetricSampleSpace([x])
+            assert not space.ball_membership(Ball(centre, F(5, 7)), x)
+            assert space.ball_membership(Ball(centre, F(5, 7) + F(1, 10**12)), x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ball_and_point())
+    def test_float_mode_compares_float_squares(self, case):
+        centre, r, x = case
+        centre, r, x = tuple(map(float, centre)), float(r), tuple(map(float, x))
+        space = MetricSampleSpace([x])
+        expected = sum((a - b) ** 2 for a, b in zip(x, centre)) < r**2
+        assert space.ball_membership(Ball(centre, r), x) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(RATIONALS, RATIONALS, RADII)
+    def test_distance_table(self, c, x, r):
+        # the table doubles the Euclidean metric, so it must decide, not the coordinates
+        samples = [(F(c),)] if c == x else [(F(c),), (F(x),)]
+        table = {(p, q): 2 * abs(p[0] - q[0]) for p in samples for q in samples}
+        space = MetricSampleSpace(samples, distance_table=table)
+        inside = space.ball_membership(Ball((F(c),), r), (F(x),))
+        assert inside == oracle_inside((2 * x,), (2 * c,), r)
+
+    def test_exact_mode_calls_no_dist_sq(self, monkeypatch):
+        calls = []
+        dist_sq = MetricSampleSpace.dist_sq
+
+        def counted(self, p, q):
+            calls.append(p)
+            return dist_sq(self, p, q)
+
+        monkeypatch.setattr(MetricSampleSpace, "dist_sq", counted)
+        samples = [(F(i, 7), F(-i, 5)) for i in range(6)]
+        balls = {f"U{j}": Ball((F(j, 3), F(-j, 4)), F(2, 3)) for j in range(4)}
+        exact = MetricSampleSpace(samples)
+        for x in samples:
+            for b in balls.values():
+                exact.ball_membership(b, x)
+        assert calls == []
+        floats = [tuple(map(float, x)) for x in samples]
+        inexact = MetricSampleSpace(floats)
+        for x in floats:
+            for b in balls.values():
+                inexact.ball_membership(Ball(tuple(map(float, b.center)), float(b.radius)), x)
+        assert len(calls) == len(samples) * len(balls)
