@@ -14,9 +14,9 @@ import sys
 
 from . import generators, jsonio, scalars
 from .errors import InputError, PoukitError, SelfCheckFailed
-from .nerve import canonical_map_check, cover_simplex_mapping, nerve_from_cover
+from .nerve import canonical_map_check, nerve_from_cover
 from .pou import mather_compose, pou_from_metric_cover, subordination_check
-from .selection import conv_fiber_open, conv_membership, epsilon_selection
+from .selection import epsilon_selection
 from .setmaps import ball_cover, classify, closure_cover, graph_closure
 from .sparse import mather_eta, mather_lambda, mather_support_bound, norms
 
@@ -71,7 +71,7 @@ class Report:
             "overall": "fail" if self.failed else "pass",
             "payload": self.payload,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return jsonio.report_text(doc) + "\n"
 
 
 def _emit(report, out):
@@ -220,16 +220,16 @@ def cmd_verify_all(args, report, mode):
     jsonio.require_fields(bundle, "a verify-all bundle")
     rng = generators.make_rng(args.seed)
 
-    for i, obj in enumerate(bundle.get("spaces", [])):
+    for i, obj in _section(bundle, "spaces"):
         space = jsonio.load_finite_space(obj)
         ok = _kuratowski_ok(space, rng)
         report.check(f"space[{i}]:kuratowski", ok)
 
-    for i, obj in enumerate(bundle.get("unit_vectors", [])):
+    for i, obj in _section(bundle, "unit_vectors"):
         y = jsonio.load_sparse_vec(obj, mode)
         _verify_unit_vector(report, f"unit_vector[{i}]", y)
 
-    for i, obj in enumerate(bundle.get("maps", [])):
+    for i, obj in _section(bundle, "maps"):
         phi = jsonio.load_set_valued_map(obj, mode)
         rep = classify(phi)
         diagram = (not rep.open_graph or rep.totally_lsc) and (
@@ -242,7 +242,7 @@ def cmd_verify_all(args, report, mode):
             f"map[{i}]:llc-collapse", collapse, None if collapse else witnesses
         )
 
-    for i, obj in enumerate(bundle.get("covers", [])):
+    for i, obj in _section(bundle, "covers"):
         omega = jsonio.load_set_valued_map(obj, mode)
         try:
             closed = closure_cover(omega)  # internally cross-checks both formulas
@@ -251,7 +251,7 @@ def cmd_verify_all(args, report, mode):
         except SelfCheckFailed as exc:
             report.check(f"cover[{i}]:closure-formulas", False, str(exc))
 
-    for i, obj in enumerate(bundle.get("metric_covers", [])):
+    for i, obj in _section(bundle, "metric_covers"):
         space, balls = jsonio.load_metric_cover(obj, mode)
         pou = pou_from_metric_cover(space, balls, mode=mode)
         cover = ball_cover(space, balls)
@@ -283,7 +283,7 @@ def cmd_verify_all(args, report, mode):
             None if escape is None else _sample_witness(space, ("carrier escapes", escape)),
         )
 
-    for i, obj in enumerate(bundle.get("targets", [])):
+    for i, obj in _section(bundle, "targets"):
         target, eps, anchors = _load_selection_input(obj)
         try:
             _, certs = epsilon_selection(target, eps, anchors)
@@ -295,6 +295,14 @@ def cmd_verify_all(args, report, mode):
             report.check(f"target[{i}]:epsilon-bound", False, str(exc))
 
     return report
+
+
+def _section(bundle, name):
+    """``(i, item)`` over the list ``bundle[name]``, empty when absent."""
+    items = bundle.get(name, [])
+    if not isinstance(items, list):
+        raise InputError(f"verify-all section {name!r} must be a list")
+    return enumerate(items)
 
 
 def _sample_witness(space, witness):

@@ -6,6 +6,8 @@ points of a metric sample space are addressed by their sample position
 ("0", "1", ...) wherever JSON needs a string key.
 """
 
+import json
+
 from .errors import InputError
 from .pou import PartitionOfUnity, validate_pou
 from .scalars import EXACT, format_scalar, parse_scalar
@@ -66,6 +68,8 @@ def _points(obj, what, mode):
 
 
 def _point_set(items, what):
+    if isinstance(items, str):
+        raise InputError(f"{what} must be a list of points, not the string {items!r}")
     try:
         return set(items)
     except TypeError as exc:
@@ -212,11 +216,12 @@ def dump_pou(pou):
 
 
 def dump_complex(cx):
+    """Each simplex lists its vertices in ``repr`` order; simplices come by
+    size, then in list order.  Sorting each size on its own gives the order
+    of one sort of all simplices by ``(size, list)``."""
     return {
         "vertices": sorted(cx.vertices, key=repr),
-        "simplices": sorted(
-            (sorted(s, key=repr) for s in cx.simplices), key=lambda s: (len(s), s)
-        ),
+        "simplices": [list(s) for level in cx.faces_by_size() for s in sorted(level)],
         "witnessed": cx.witnessed,
     }
 
@@ -241,3 +246,41 @@ def load_convex_target(obj, mode=EXACT):
 
 def load_anchors(obj, mode=EXACT):
     return _points(obj, "anchors", mode)
+
+
+_quote = json.encoder.encode_basestring_ascii  # TypeError on anything but a str
+
+
+def report_text(doc):
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for a
+    document whose object keys are strings.
+
+    ``indent`` makes ``json.dumps`` use its pure-Python encoder.  Here each
+    string goes through the C string encoder, and a list of strings, the
+    bulk of a nerve dump, is written with one ``join``; other scalars are
+    written by ``json.dumps`` itself.
+    """
+    return _text(doc, "\n")
+
+
+def _text(obj, nl):
+    """The text of ``obj``; ``nl`` is the line break and indentation of the
+    line it starts on."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        try:
+            items = list(map(_quote, obj))
+        except TypeError:
+            items = [_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = [_quote(k) + ": " + _text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(obj)

@@ -5,9 +5,17 @@ iff some witness lies in every member of it, so the distinct
 inclusion-maximal member sets of the witnesses (the facets) determine the
 nerve.  On a finite space with all points as witnesses this is the exact
 nerve; on a metric sample ground it is a conservative sub-nerve, and emitted
-complexes carry ``witnessed=True`` to record that.  ``max_dimension`` bounds
-only the complexes built for dumps; canonical verdicts are never truncated.
+complexes carry ``witnessed=True`` to record that.
+
+A nerve is held as its facets and a dimension bound, as in the simplex tree
+of Boissonnat and Maria (Algorithmica, 2014): membership of a simplex is a
+subset test against the facets, and the full face set is enumerated only
+when a caller reads ``simplices`` or a dump lists the faces.
+``max_dimension`` bounds only the complexes built for dumps; canonical
+verdicts are never truncated.
 """
+
+from itertools import combinations
 
 from .errors import InputError
 from .setmaps import SetValuedMap, ball_cover
@@ -16,32 +24,66 @@ MAX_DIMENSION = 8
 
 
 class SimplicialComplex:
-    """Downward-closed family of nonempty finite vertex sets."""
+    """Downward-closed family of nonempty finite vertex sets.
 
-    __slots__ = ("vertices", "simplices", "witnessed")
+    It is held as ``facets``, inclusion-maximal vertex sets, and
+    ``max_dimension``: a simplex is a member iff it is nonempty, lies inside
+    some facet and has at most ``max_dimension + 1`` vertices.  The
+    constructor takes the simplices themselves and checks that they form a
+    complex on ``vertices``; :func:`nerve_from_cover` builds its complexes
+    from facets, closed by construction.  ``simplices``, the frozenset of
+    all members, is built on first access.
+    """
+
+    __slots__ = ("vertices", "facets", "max_dimension", "witnessed", "_simplices")
 
     def __init__(self, vertices, simplices, witnessed=False):
         simplices = frozenset(frozenset(s) for s in simplices)
         vertices = frozenset(vertices)
+        faces = set()  # codimension-1 faces; in a closed family, the non-facets
         for s in simplices:
             if not s:
                 raise InputError("empty simplex")
             if not s <= vertices:
                 raise InputError(f"simplex {sorted(s, key=repr)} has foreign vertices")
             for v in s:
-                if s - {v} and (s - {v}) not in simplices:
+                face = s - {v}
+                if face and face not in simplices:
                     raise InputError(
                         f"not downward closed: face of {sorted(s, key=repr)} missing"
                     )
+                faces.add(face)
         used = frozenset(v for s in simplices for v in s)
         if used != vertices:
             raise InputError(f"isolated vertices {sorted(vertices - used, key=repr)}")
+        top = max(map(len, simplices), default=0) - 1
+        self._fill(vertices, simplices - faces, top, witnessed, simplices)
+
+    @classmethod
+    def _from_facets(cls, facets, max_dimension, witnessed):
+        """The complex of all faces of ``facets`` with at most
+        ``max_dimension + 1`` vertices; nothing to check."""
+        cx = object.__new__(cls)
+        cx._fill(frozenset().union(*facets), facets, max_dimension, witnessed, None)
+        return cx
+
+    def _fill(self, vertices, facets, max_dimension, witnessed, simplices):
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "simplices", simplices)
+        object.__setattr__(self, "facets", tuple(facets))
+        object.__setattr__(self, "max_dimension", max_dimension)
         object.__setattr__(self, "witnessed", witnessed)
+        object.__setattr__(self, "_simplices", simplices)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
+
+    @property
+    def simplices(self):
+        if self._simplices is None:
+            object.__setattr__(self, "_simplices", frozenset(
+                frozenset(s) for level in self.faces_by_size() for s in level
+            ))
+        return self._simplices
 
     def __eq__(self, other):
         return (
@@ -51,10 +93,20 @@ class SimplicialComplex:
         )
 
     def __contains__(self, simplex):
-        return frozenset(simplex) in self.simplices
+        s = frozenset(simplex)
+        return 0 < len(s) <= self.max_dimension + 1 and any(s <= f for f in self.facets)
 
     def dimension(self):
-        return max((len(s) - 1 for s in self.simplices), default=-1)
+        return min(self.max_dimension, max(map(len, self.facets), default=0) - 1)
+
+    def faces_by_size(self):
+        """The simplices with 1, 2, ... vertices, one set per size, each
+        simplex a tuple of its vertices sorted by ``repr``."""
+        ordered = [sorted(f, key=repr) for f in self.facets]
+        return [
+            {s for f in ordered for s in combinations(f, k)}
+            for k in range(1, self.dimension() + 2)
+        ]
 
     def realization_membership(self, p):
         """A simplex vector lies in the geometric realization iff its carrier
@@ -62,7 +114,7 @@ class SimplicialComplex:
         car = p.carrier()
         if not car <= self.vertices:
             raise InputError(f"foreign vertices {sorted(car - self.vertices, key=repr)}")
-        return car in self.simplices
+        return car in self
 
 
 def _facets(index_sets):
@@ -74,37 +126,24 @@ def _facets(index_sets):
     return facets
 
 
-def _downward_closed(index_sets, max_dimension):
-    """All nonempty subsets (up to max_dimension + 1 vertices) of the given
-    index sets."""
-    simplices = set()
-    for top in index_sets:
-        top = sorted(top, key=repr)
-        frontier = [frozenset()]
-        for v in top:
-            frontier += [
-                s | {v} for s in frontier if len(s) <= max_dimension
-            ]
-        simplices.update(s for s in frontier if s)
-    return simplices
-
-
 def nerve_from_cover(cover, witnesses=None, max_dimension=MAX_DIMENSION):
-    """Nerve of an indexed cover up to ``max_dimension``, enumerated from
-    the facets of the witnesses (by default every ground point).
+    """Nerve of an indexed cover up to ``max_dimension``, held as the facets
+    of the witnesses (by default every ground point).
 
     ``cover`` is either a SetValuedMap with discrete codomain, or a pair
     ``(space, balls)`` with ``balls`` a map index -> Ball, which
-    :func:`poukit.setmaps.ball_cover` converts.
+    :func:`poukit.setmaps.ball_cover` converts.  A negative
+    ``max_dimension`` would leave the vertices without simplices and is an
+    InputError.
     """
+    if max_dimension < 0:
+        raise InputError(f"max_dimension must be at least 0, got {max_dimension}")
     if not isinstance(cover, SetValuedMap):
         cover = ball_cover(*cover)
     if witnesses is None:
         witnesses = cover.domain.points
     facets = _facets(cover.values[w] for w in witnesses)
-    vertices = {a for f in facets for a in f}
-    simplices = _downward_closed(facets, max_dimension)
-    return SimplicialComplex(vertices, simplices, witnessed=True)
+    return SimplicialComplex._from_facets(facets, max_dimension, witnessed=True)
 
 
 class CanonicalReport:

@@ -22,9 +22,9 @@ def parse_scalar(text, mode=EXACT):
     """Parse ``"p/q"`` or a decimal string/number into the active mode.
 
     Raises InputError for anything that is not a finite rational or decimal,
-    such as ``"abc"``, ``"1/0"``, a list or a JSON ``NaN``.
+    such as ``"abc"``, ``"1/0"``, a list, a boolean or a JSON ``NaN``.
     """
-    if not isinstance(text, (int, float, str, Fraction)):
+    if isinstance(text, bool) or not isinstance(text, (int, float, str, Fraction)):
         raise InputError(f"cannot parse scalar from {text!r}")
     try:
         if isinstance(text, float) and mode == FLOAT:

@@ -216,7 +216,7 @@ class ConvexTarget:
     def __init__(self, ambient_dim, sets):
         for x, spec in sets.items():
             kind = spec.get("kind")
-            fields = self.KINDS.get(kind)
+            fields = self.KINDS.get(kind) if isinstance(kind, str) else None
             if fields is None:
                 raise InputError(f"unknown convex set kind at {x!r}: {spec!r}")
             missing = [f for f in fields if f not in spec]

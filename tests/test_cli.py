@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from poukit import (
     ConvexTarget,
@@ -14,6 +15,7 @@ from poukit import (
     scalars,
 )
 from poukit.cli import COMMANDS, main
+from poukit.jsonio import report_text
 from poukit.nerve import CanonicalReport
 from poukit.sparse import uniform
 
@@ -555,3 +557,71 @@ class TestMetricCoverWitnesses:
             "star_violations": ["('U0', (Fraction(1, 1),))"],
         }
         assert checks["carrier-shrinks"]["witness"] == ["carrier escapes", "0"]
+
+
+def _space(**fields):
+    return {**json.loads((DATA / "sierpinski_space.json").read_text()), **fields}
+
+
+def _map_values(**values):
+    m = json.loads((DATA / "sierpinski_identity_map.json").read_text())
+    return {**m, "values": {**m["values"], **values}}
+
+
+def _kind(kind):
+    obj = selection_problem()
+    _sets(obj)["x"]["kind"] = kind
+    return obj
+
+
+VERIFY_ALL_SECTIONS = ["spaces", "unit_vectors", "maps", "covers", "metric_covers", "targets"]
+
+# (command, input, flags, a fragment of the error message)
+HOSTILE_INPUTS = {
+    "nerve-build-max-dim-negative": (
+        "nerve-build", line_cover(), ["--max-dim=-1"], "max_dimension"),
+    "canonical-check-max-dim-negative": (
+        "canonical-check", {"cover": line_cover()}, ["--max-dim=-1"], "max_dimension"),
+    **{
+        f"section-{name}-{bad!r}": ("verify-all", {name: bad}, [], f"section {name!r}")
+        for name in VERIFY_ALL_SECTIONS
+        for bad in (3, "ab")
+    },
+    "points-a-string": ("space-validate", _space(points="ab"), [], "not the string"),
+    "min_open-a-string": (
+        "space-validate", _space(min_open={"a": "ab", "b": ["b"]}), [], "not the string"),
+    "map-values-a-string": ("map-classify", _map_values(a="a"), [], "not the string"),
+    "pou-indices-a-string": ("pou-verify", {**_POU, "indices": "U0"}, [], "not the string"),
+    "radius-true": ("pou-build", _with_u0(line_cover(), radius=True), [], "True"),
+    "sample-false": (
+        "nerve-build", {**line_cover(), "space": {"dim": 1, "samples": [[False]]}}, [], "False"),
+    "convex-kind-a-list": ("select-eps", _kind(["segment"]), [], "unknown convex set kind"),
+}
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+    def test_exits_2_with_the_reason(self, tmp_path, capsys, case):
+        command, obj, flags, reason = HOSTILE_INPUTS[case]
+        code, out = run_main(tmp_path, capsys, command, obj, *flags)
+        assert code == 2
+        assert reason in json.loads(out.err)["error"]
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_report_docs = st.recursive(
+    _json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(st.text(), max_size=4)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+class TestReportText:
+    @given(_report_docs)
+    def test_equals_json_dumps_with_sorted_keys_and_indent_2(self, doc):
+        assert report_text(doc) == json.dumps(doc, sort_keys=True, indent=2)

@@ -19,6 +19,7 @@ from poukit import (
 )
 from poukit.errors import InputError
 from poukit.generators import make_rng, random_cover, random_open_cover
+from poukit.jsonio import dump_complex
 from poukit.sparse import SparseVec, dirac
 
 
@@ -47,6 +48,33 @@ def brute_force_nerve(cover, max_dimension):
         for r in range(1, min(len(members), max_dimension + 1) + 1):
             simplices.update(map(frozenset, combinations(members, r)))
     return simplices
+
+
+def global_sort_dump(cover, max_dimension):
+    """``dump_complex`` of the brute-force nerve, written as one list of all
+    faces under a single global sort by (size, repr-sorted list)."""
+    return {
+        "vertices": sorted({a for s in cover.values.values() for a in s}, key=repr),
+        "simplices": sorted(
+            (sorted(s, key=repr) for s in brute_force_nerve(cover, max_dimension)),
+            key=lambda s: (len(s), s),
+        ),
+        "witnessed": True,
+    }
+
+
+# repr order and string order differ on the quoted names
+INDEX_NAMES = ["U0", "U1", "U10", "U2", "a'", 'b"', "A", "\u00e9", "z\\", "0"]
+
+
+def random_named_cover(rng):
+    domain = FiniteSpace.discrete({f"x{i}" for i in range(rng.randint(1, 8))})
+    names = rng.sample(INDEX_NAMES, rng.randint(1, len(INDEX_NAMES)))
+    values = {
+        x: set(rng.sample(names, rng.randint(1, len(names))))
+        for x in sorted(domain.points)
+    }
+    return indexed_cover(domain, {a for v in values.values() for a in v}, values)
 
 
 class TestComplexInvariants:
@@ -120,6 +148,28 @@ class TestNerveFromCover:
         m = MetricSampleSpace([(F(0),), (F(2),)])
         with pytest.raises(InputError):
             ball_cover(m, {"U": Ball((F(0),), F(1))})
+
+    @pytest.mark.parametrize("max_dimension", [0, 1, 2, 8, len(INDEX_NAMES)])
+    def test_dump_matches_global_sort(self, max_dimension):
+        rng = make_rng(29 + max_dimension)
+        for _ in range(60):
+            cover = random_named_cover(rng)
+            cx = nerve_from_cover(cover, max_dimension=max_dimension)
+            assert dump_complex(cx) == global_sort_dump(cover, max_dimension)
+            handed_in = SimplicialComplex(cx.vertices, cx.simplices, witnessed=True)
+            assert dump_complex(handed_in) == dump_complex(cx)
+
+    def test_membership_is_decided_on_facets(self):
+        """One witness in 40 members: the nerve has 2^40 - 1 simplices, so
+        membership and dimension must not enumerate them."""
+        members = {f"U{i}" for i in range(40)}
+        cover = indexed_cover(FiniteSpace.discrete({"x"}), members, {"x": members})
+        cx = nerve_from_cover(cover, max_dimension=40)
+        assert cx.dimension() == 39
+        assert members in cx and {"U0", "U7"} in cx
+        assert set() not in cx and {"U0", "V"} not in cx
+        assert cx.realization_membership(SparseVec({a: F(1, 40) for a in members}))
+        assert members not in nerve_from_cover(cover, max_dimension=38)
 
     def test_downward_closed_random(self):
         rng = make_rng(17)
