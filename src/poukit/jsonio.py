@@ -68,8 +68,10 @@ def _points(obj, what, mode):
 
 
 def _point_set(items, what):
-    if isinstance(items, str):
-        raise InputError(f"{what} must be a list of points, not the string {items!r}")
+    """A JSON list of points as a set; a string or an object is not one."""
+    if not isinstance(items, list):
+        given = "the string " if isinstance(items, str) else ""
+        raise InputError(f"{what} must be a list of points, not {given}{items!r}")
     try:
         return set(items)
     except TypeError as exc:

@@ -18,7 +18,7 @@ verdicts are never truncated.
 from itertools import combinations
 
 from .errors import InputError
-from .setmaps import SetValuedMap, ball_cover
+from .setmaps import SetValuedMap, ball_cover, carrier_fiber
 
 MAX_DIMENSION = 8
 
@@ -227,13 +227,7 @@ class CoverSimplexMapping:
         return car <= self.cover.values[x]
 
     def fiber(self, p):
-        car = p.carrier()
-        if not car:
-            raise InputError("point with empty carrier")
-        out = frozenset(self.cover.domain.points)
-        for a in car:
-            out &= self.cover.fiber(a)
-        return out
+        return carrier_fiber(self.cover, p)
 
     def fiber_is_open(self, p):
         return self.cover.domain.is_open(self.fiber(p))

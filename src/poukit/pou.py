@@ -45,9 +45,7 @@ class PartitionOfUnity:
         raise AttributeError("PartitionOfUnity is immutable")
 
     def ground_points(self):
-        if isinstance(self.ground, MetricSampleSpace):
-            return list(self.ground.samples)
-        return sorted(self.ground.points, key=repr)
+        return _ground_points(self.ground)
 
     def row(self, x):
         return self.rows[x]
@@ -65,16 +63,20 @@ class PartitionOfUnity:
         return self.rows[x].carrier()
 
 
+def _ground_points(ground):
+    """Samples in list order, or the points of a finite space by ``repr``."""
+    if isinstance(ground, MetricSampleSpace):
+        return list(ground.samples)
+    if isinstance(ground, FiniteSpace):
+        return sorted(ground.points, key=repr)
+    raise InputError("ground must be a FiniteSpace or MetricSampleSpace")
+
+
 def validate_pou(ground, index_set, rows, mode=EXACT):
     """Check rows are unit-simplex points over the index set and, on an
     Alexandrov ground, that rows are constant along minimal opens."""
     index_set = frozenset(index_set)
-    if isinstance(ground, MetricSampleSpace):
-        points = list(ground.samples)
-    elif isinstance(ground, FiniteSpace):
-        points = sorted(ground.points, key=repr)
-    else:
-        raise InputError("ground must be a FiniteSpace or MetricSampleSpace")
+    points = _ground_points(ground)
     for x in points:
         if x not in rows:
             raise InputError(f"no row at ground point {x!r}")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .errors import CoverGap, InputError, NonPositiveEpsilon, SelfCheckFailed
 from .pou import PartitionOfUnity, mather_compose
+from .setmaps import carrier_fiber
 from .sparse import SparseVec
 from .spaces import FiniteSpace
 
@@ -35,12 +36,7 @@ def conv_membership(omega, x, p):
 def conv_fiber_open(omega, p):
     """Fiber of ``p`` under the hull cover (intersection of the fibers named
     by its carrier) together with its openness verdict."""
-    car = p.carrier()
-    if not car:
-        raise InputError("simplex vector with empty carrier")
-    fiber = frozenset(omega.domain.points)
-    for a in car:
-        fiber &= omega.fiber(a)
+    fiber = carrier_fiber(omega, p)
     is_open = omega.domain.is_open(fiber)
     witness = None
     if not is_open:
@@ -202,7 +198,8 @@ class ConvexTarget:
     """Per-point convex subsets of a coordinate ambient space with distance
     oracles.  ``sets`` maps ground point -> spec dict with ``kind`` in
     {point, segment, box, polytope} and the coordinate fields ``KINDS`` names
-    for it; every point must have ``ambient_dim`` coordinates."""
+    for it; ``ambient_dim`` is an ``int`` (not a ``bool``), and every point
+    must have that many coordinates."""
 
     KINDS = {
         "point": ("p",),
@@ -214,6 +211,8 @@ class ConvexTarget:
     __slots__ = ("ambient_dim", "sets")
 
     def __init__(self, ambient_dim, sets):
+        if isinstance(ambient_dim, bool) or not isinstance(ambient_dim, int):
+            raise InputError(f"ambient_dim must be an integer, got {ambient_dim!r}")
         for x, spec in sets.items():
             kind = spec.get("kind")
             fields = self.KINDS.get(kind) if isinstance(kind, str) else None

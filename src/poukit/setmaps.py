@@ -189,17 +189,15 @@ def classify(phi):
 def closure_cover(omega):
     """Cover whose fibers are the closures of the original fibers.
 
-    Computed fiberwise and re-derived pointwise from the defining
-    neighborhood-image intersection; the two must agree (this agreement is
-    the content of the closed-cover identity, and a disagreement raises
-    SelfCheckFailed).
+    Each fiber is closed once; the values are then re-derived pointwise from
+    the defining neighborhood-image intersection.  On an indexed cover (a
+    discrete codomain) the two must agree: that is the closed-cover
+    identity, and a disagreement raises SelfCheckFailed.
     """
     x = omega.domain
+    closed_fibers = {a: x.closure(omega.fiber(a)) for a in omega.codomain.points}
     closed_values = {
-        p: frozenset(
-            a for a in omega.codomain.points if p in x.closure(omega.fiber(a))
-        )
-        for p in x.points
+        p: frozenset(a for a, cl in closed_fibers.items() if p in cl) for p in x.points
     }
     # pointwise: intersection of images of open neighborhoods of p
     for p in x.points:
@@ -213,6 +211,15 @@ def closure_cover(omega):
                 f"closure-cover formulas disagree at {p!r}: {acc} vs {closed_values[p]}"
             )
     return SetValuedMap(x, omega.codomain, closed_values)
+
+
+def carrier_fiber(omega, p):
+    """``{x : carrier(p) <= omega(x)}``, the intersection of the fibers over
+    the carrier of the simplex vector ``p``, which must be nonempty."""
+    car = p.carrier()
+    if not car:
+        raise InputError("simplex vector with empty carrier")
+    return frozenset(x for x in omega.domain.points if car <= omega.values[x])
 
 
 def graph_closure(phi):

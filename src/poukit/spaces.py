@@ -83,14 +83,6 @@ class FiniteSpace:
         s = self._check_subset(s)
         return frozenset(x for x in s if self.min_open[x] <= s)
 
-    def open_sets(self):
-        """All open sets (unions of minimal opens).  Exponential; meant for
-        desk-scale spaces only."""
-        opens = {frozenset()}
-        for p in sorted(self.points, key=repr):
-            opens |= {u | self.min_open[p] for u in opens}
-        return opens
-
     @classmethod
     def discrete(cls, points):
         return cls(points, {p: {p} for p in points})

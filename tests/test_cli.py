@@ -1,21 +1,26 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from poukit import (
     ConvexTarget,
+    FiniteSpace,
     MetricSampleSpace,
     PartitionOfUnity,
     PropertyReport,
     SetValuedMap,
+    SparseVec,
+    finite_interval_model,
     scalars,
 )
 from poukit.cli import COMMANDS, main
-from poukit.jsonio import report_text
+from poukit.jsonio import dump_finite_space, load_set_valued_map, report_text
 from poukit.nerve import CanonicalReport
 from poukit.sparse import uniform
 
@@ -130,6 +135,19 @@ class TestContract:
     def test_cli_imports_no_numpy(self):
         proc = subprocess.run(
             [sys.executable, "-c", "import poukit.cli, sys; assert 'numpy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_imports_no_generators(self):
+        # every verify-all check is exact; nothing in the CLI draws at random
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import poukit.cli, sys; assert 'poukit.generators' not in sys.modules",
+            ],
             capture_output=True,
             text=True,
         )
@@ -574,6 +592,16 @@ def _kind(kind):
     return obj
 
 
+def _ambient_dim(dim):
+    """A one-point target whose coordinates number ``dim``; ``True == 1``."""
+    p = ["0"] * int(dim)
+    return {
+        "target": {"ambient_dim": dim, "sets": {"x": {"kind": "point", "p": p}}},
+        "epsilon": "1",
+        "anchors": [p],
+    }
+
+
 VERIFY_ALL_SECTIONS = ["spaces", "unit_vectors", "maps", "covers", "metric_covers", "targets"]
 
 # (command, input, flags, a fragment of the error message)
@@ -596,6 +624,20 @@ HOSTILE_INPUTS = {
     "sample-false": (
         "nerve-build", {**line_cover(), "space": {"dim": 1, "samples": [[False]]}}, [], "False"),
     "convex-kind-a-list": ("select-eps", _kind(["segment"]), [], "unknown convex set kind"),
+    "min_open-an-object": (
+        "space-validate",
+        _space(min_open={"a": {"a": 1, "b": 2}, "b": ["b"]}),
+        [],
+        "must be a list of points",
+    ),
+    "ambient-dim-true": ("select-eps", _ambient_dim(True), [], "ambient_dim"),
+    "ambient-dim-a-float": ("select-eps", _ambient_dim(2.0), [], "ambient_dim"),
+    "cover-codomain-not-discrete": (
+        "verify-all",
+        {"covers": [json.loads((DATA / "sierpinski_identity_map.json").read_text())]},
+        [],
+        "not discrete",
+    ),
 }
 
 
@@ -606,6 +648,118 @@ class TestHostileInput:
         code, out = run_main(tmp_path, capsys, command, obj, *flags)
         assert code == 2
         assert reason in json.loads(out.err)["error"]
+
+
+def _count_closures(monkeypatch):
+    calls = []
+    close = FiniteSpace.closure
+
+    def counted(self, s):
+        calls.append(s)
+        return close(self, s)
+
+    monkeypatch.setattr(FiniteSpace, "closure", counted)
+    return calls
+
+
+_NEXT = {"a": "b", "b": "c", "c": "c"}
+
+
+def _bundle_sections(*names):
+    bundle = json.loads((DATA / "example_bundle.json").read_text())
+    return {name: bundle[name] for name in names}
+
+
+class TestExactFiniteChecks:
+    """The spaces and covers sections decide every verdict exactly, once."""
+
+    def test_kuratowski_closes_at_most_twice_per_point(self, tmp_path, capsys, monkeypatch):
+        space = finite_interval_model(8)
+        calls = _count_closures(monkeypatch)
+        code, out = run_main(
+            tmp_path, capsys, "verify-all", {"spaces": [dump_finite_space(space)]}
+        )
+        assert code == 0
+        assert json.loads(out.out)["checks"][0]["status"] == "pass"
+        assert 0 < len(calls) <= 2 * len(space.points)
+
+    def test_closure_formulas_close_each_fiber_once(self, tmp_path, capsys, monkeypatch):
+        bundle = _bundle_sections("covers")
+        indices = sum(len(load_set_valued_map(c).codomain.points) for c in bundle["covers"])
+        calls = _count_closures(monkeypatch)
+        code, out = run_main(tmp_path, capsys, "verify-all", bundle)
+        assert code == 0
+        assert 0 < len(calls) <= indices
+
+    @pytest.mark.parametrize(
+        "closure, witness",
+        [
+            (lambda self, s: frozenset(), "'a'"),
+            # cl{a} = {a, b} but cl{a, b} = {a, b, c}
+            (lambda self, s: frozenset(s) | {_NEXT[x] for x in s}, "'a'"),
+            (lambda self, s: frozenset(s) - {"b"}, "'b'"),
+        ],
+        ids=["not-extensive", "not-idempotent", "not-extensive-at-b"],
+    )
+    def test_broken_closure_fails_with_the_first_point(
+        self, tmp_path, capsys, monkeypatch, closure, witness
+    ):
+        monkeypatch.setattr(FiniteSpace, "closure", closure)
+        space = {"points": ["a", "b", "c"], "min_open": {p: [p] for p in "abc"}}
+        code, out = run_main(tmp_path, capsys, "verify-all", {"spaces": [space]})
+        assert code == 1
+        (check,) = json.loads(out.out)["checks"]
+        assert check == {"name": "space[0]:kuratowski", "status": "fail", "witness": witness}
+
+
+def _float_simplex_points(n, seed):
+    rng = random.Random(seed)
+    points = []
+    for _ in range(n):
+        w = [rng.random() for _ in range(rng.randint(1, 6))]
+        points.append({"entries": {f"i{j}": x / sum(w) for j, x in enumerate(w)}})
+    return points
+
+
+class TestMatherInvariants:
+    def test_example_bundle_passes_in_float_mode(self, tmp_path, capsys):
+        bundle = json.loads((DATA / "example_bundle.json").read_text())
+        code, out = run_main(tmp_path, capsys, "verify-all", bundle, "--mode", "float")
+        assert code == 0
+        assert json.loads(out.out)["overall"] == "pass"
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [{"entries": {"a": "0.3", "b": "0.3", "c": "0.4"}}],
+            _float_simplex_points(500, seed=3),
+        ],
+        ids=["decimal", "random-floats"],
+    )
+    def test_float_unit_vectors_pass(self, tmp_path, capsys, vectors):
+        bundle = {"unit_vectors": vectors}
+        code, out = run_main(tmp_path, capsys, "verify-all", bundle, "--mode", "float")
+        assert code == 0
+        checks = json.loads(out.out)["checks"]
+        assert len(checks) == len(vectors)
+        assert all(c["status"] == "pass" and c["witness"] is None for c in checks)
+
+    def test_failed_check_names_each_broken_invariant(self, tmp_path, capsys, monkeypatch):
+        # y = (a 3/5, b 3/10, c 1/10); the fake eta has mass 5/4, the foreign
+        # index z, and 4 indices at sup 3/5
+        fake = SparseVec({"a": F(1, 4), "b": F(1, 4), "c": F(1, 4), "z": F(1, 2)})
+        monkeypatch.setattr("poukit.cli.mather_eta", lambda y, mode: fake)
+        bundle = _bundle_sections("unit_vectors")
+        code, out = run_main(tmp_path, capsys, "verify-all", bundle)
+        assert code == 1
+        check = json.loads(out.out)["checks"][0]
+        assert check["name"] == "unit_vector[0]:mather-invariants"
+        assert check["status"] == "fail"
+        assert check["witness"] == {
+            "eta_l1": "5/4",
+            "eta_carrier_outside": ["'z'"],
+            "carrier_size_times_sup": "12/5",
+        }
 
 
 _json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()

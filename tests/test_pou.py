@@ -18,7 +18,7 @@ from poukit import (
     validate_pou,
 )
 from poukit import sparse
-from poukit.errors import RowNotSimplex, SelfCheckFailed
+from poukit.errors import InputError, RowNotSimplex, SelfCheckFailed
 from poukit.sparse import SparseVec, dirac, uniform
 
 
@@ -53,6 +53,13 @@ class TestValidate:
         g = FiniteSpace.discrete({"x"})
         with pytest.raises(RowNotSimplex):
             validate_pou(g, {"a"}, {"x": SparseVec({"a": F(1, 2)})})
+
+    def test_unknown_ground_rejected_by_validation_and_by_ground_points(self):
+        rows = {"x": dirac("a")}
+        with pytest.raises(InputError, match="ground must be"):
+            validate_pou({"x"}, {"a"}, rows)
+        with pytest.raises(InputError, match="ground must be"):
+            PartitionOfUnity({"x"}, {"a"}, rows).ground_points()
 
 
 class TestBumpConstruction:

@@ -14,6 +14,7 @@ from poukit import (
     barycentric_selection,
     conv_fiber_open,
     conv_membership,
+    cover_simplex_mapping,
     epsilon_selection,
     indexed_cover,
     validate_pou,
@@ -59,6 +60,13 @@ class TestConvFiberOpen:
         om = indexed_cover(s, {"U", "V"}, {"a": {"U"}, "b": {"V"}})
         is_open, fiber, witness = conv_fiber_open(om, dirac("U"))
         assert not is_open and fiber == {"a"} and witness == "a"
+
+    def test_empty_carrier_rejected_by_both_hull_fibers(self):
+        om = random_open_cover(make_rng(5))
+        with pytest.raises(InputError, match="empty carrier"):
+            conv_fiber_open(om, SparseVec())
+        with pytest.raises(InputError, match="empty carrier"):
+            cover_simplex_mapping(om).fiber(SparseVec())
 
     def test_dirac_fiber_is_cover_fiber(self):
         s = FiniteSpace.sierpinski()
