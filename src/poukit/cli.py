@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import jsonio, scalars
-from .errors import InputError, PoukitError, SelfCheckFailed
+from .errors import InputError, PoukitError, SelfCheckFailed, TailTooLarge
 from .nerve import canonical_map_check, nerve_from_cover
 from .pou import mather_compose, pou_from_metric_cover, subordination_check
 from .selection import epsilon_selection
@@ -33,7 +33,7 @@ def _digest(path):
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=str)  # decimals stay exact
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -125,7 +125,7 @@ def cmd_mather(args, report, mode):
     eta = mather_eta(y, mode)
     bound, radius = mather_support_bound(y, mode)
     l1, _ = norms(eta)
-    report.check("eta-on-simplex", scalars.is_one(l1, mode))
+    report.check("eta-on-simplex", mode.is_one(l1))
     report.payload["lambda"] = jsonio.dump_sparse_vec(lam)
     report.payload["eta"] = jsonio.dump_sparse_vec(eta)
     report.payload["support_bound"] = {
@@ -172,9 +172,9 @@ def _load_selection_input(obj):
     target, eps, anchors = jsonio.require_fields(
         obj, "a selection problem", "target", "epsilon", "anchors"
     )
-    target = jsonio.load_convex_target(target, "float")
-    eps = float(scalars.parse_scalar(eps, "float"))
-    anchors = jsonio.load_anchors(anchors, "float")
+    target = jsonio.load_convex_target(target, scalars.FLOAT)
+    eps = scalars.FLOAT.parse(eps)
+    anchors = jsonio.load_anchors(anchors, scalars.FLOAT)
     for a in anchors:
         if len(a) != target.ambient_dim:
             raise InputError(
@@ -186,7 +186,7 @@ def _load_selection_input(obj):
 
 def cmd_select_eps(args, report, mode):
     target, eps, anchors = _load_selection_input(_load_json(args.input))
-    values, certs = epsilon_selection(target, eps, anchors)
+    values, certs = epsilon_selection(target, eps, anchors, mode)
     all_ok = all(c.distance_bound < eps for c in certs.values())
     report.check("epsilon-bound", all_ok)
     report.payload["selection"] = {
@@ -201,21 +201,27 @@ def cmd_select_eps(args, report, mode):
 
 
 def _verify_unit_vector(report, name, y, mode):
-    """The transform's invariants: eta has l1 mass one (within ``TOL_SUM`` in
-    float mode), its carrier stays inside that of ``y``, and it has at most
-    ``2 / sup`` indices.  A failed check names each broken invariant with
-    its value."""
+    """The transform's invariants: eta has l1 mass one (``mode.is_one``), its
+    carrier stays inside that of ``y``, and it has at most ``2 / sup``
+    indices.  A failed check names each broken invariant with its value; a
+    tail certificate too weak for the transform fails with ``tail_sup`` and
+    ``sup/2``."""
     y = _as_extended(y, mode)
-    eta = mather_eta(y, mode)
-    l1, car = eta.norm1(), eta.carrier()
-    size_times_sup = len(car) * y.sup_norm()
-    broken = {}
-    if not scalars.is_one(l1, mode):
-        broken["eta_l1"] = scalars.format_scalar(l1)
-    if not car <= y.explicit.carrier():
-        broken["eta_carrier_outside"] = sorted(map(repr, car - y.explicit.carrier()))
-    if size_times_sup > 2:
-        broken["carrier_size_times_sup"] = scalars.format_scalar(size_times_sup)
+    fmt = scalars.format_scalar
+    try:
+        eta = mather_eta(y, mode)
+    except TailTooLarge:
+        broken = {"tail_sup": fmt(y.tail_sup), "sup/2": fmt(y.sup_norm() / 2)}
+    else:
+        l1, car = eta.norm1(), eta.carrier()
+        size_times_sup = len(car) * y.sup_norm()
+        broken = {}
+        if not mode.is_one(l1):
+            broken["eta_l1"] = fmt(l1)
+        if not car <= y.explicit.carrier():
+            broken["eta_carrier_outside"] = sorted(map(repr, car - y.explicit.carrier()))
+        if size_times_sup > 2:
+            broken["carrier_size_times_sup"] = fmt(size_times_sup)
     report.check(f"{name}:mather-invariants", not broken, broken or None)
 
 
@@ -289,7 +295,7 @@ def cmd_verify_all(args, report, mode):
     for i, obj in _section(bundle, "targets"):
         target, eps, anchors = _load_selection_input(obj)
         try:
-            _, certs = epsilon_selection(target, eps, anchors)
+            _, certs = epsilon_selection(target, eps, anchors, mode)
             report.check(
                 f"target[{i}]:epsilon-bound",
                 all(c.distance_bound < eps for c in certs.values()),
@@ -348,7 +354,7 @@ def build_parser():
     parser.add_argument("input", help="JSON input file")
     parser.add_argument("--mode", choices=["exact", "float"], default="exact")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol-sum", type=float, default=scalars.DEFAULT_TOL_SUM)
+    parser.add_argument("--tol-sum", type=float, default=scalars.EXACT.tol)
     parser.add_argument("--out", default=None, help="write the report here")
     parser.add_argument("--max-dim", type=int, default=8)
     return parser
@@ -356,24 +362,20 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    scalars.TOL_SUM = args.tol_sum
     config = {
         "mode": args.mode,
         "seed": args.seed,
         "tol_sum": args.tol_sum,
         "max_dim": args.max_dim,
     }
+    mode = scalars.Mode(exact=args.mode == "exact", tol=args.tol_sum)
     report = Report(args.command, config, [args.input])
     try:
-        report = COMMANDS[args.command](args, report, args.mode)
-    except InputError as exc:
-        json.dump({"error": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_PARSE_ERROR
+        report = COMMANDS[args.command](args, report, mode)
     except PoukitError as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return EXIT_CHECK_FAILED
+        return EXIT_PARSE_ERROR if isinstance(exc, InputError) else EXIT_CHECK_FAILED
     return _emit(report, args.out)
 
 

@@ -1,16 +1,17 @@
 """JSON encodings for every value the command line reads or writes.
 
 Scalars travel as strings: either decimals ("0.25") or rationals ("1/4").
-In exact mode they parse to Fractions, in float mode to floats.  Ground
-points of a metric sample space are addressed by their sample position
-("0", "1", ...) wherever JSON needs a string key.
+A JSON number with a fraction or an exponent is read as its text, so exact
+mode reads 0.3 as 3/10.  In exact mode scalars parse to Fractions, in float
+mode to floats.  Ground points of a metric sample space are addressed by
+their sample position ("0", "1", ...) wherever JSON needs a string key.
 """
 
 import json
 
 from .errors import InputError
-from .pou import PartitionOfUnity, validate_pou
-from .scalars import EXACT, format_scalar, parse_scalar
+from .pou import validate_pou
+from .scalars import EXACT, format_scalar
 from .selection import ConvexTarget
 from .setmaps import SetValuedMap
 from .spaces import Ball, FiniteSpace, MetricSampleSpace
@@ -21,12 +22,12 @@ def load_sparse_vec(obj, mode=EXACT):
     require_fields(obj, "a unit vector")
     entries = obj.get("entries", {})
     require_fields(entries, "entries")
-    entries = {k: parse_scalar(v, mode) for k, v in entries.items()}
+    entries = {k: mode.parse(v) for k, v in entries.items()}
     if "tail_mass" in obj or "tail_sup" in obj:
         return ExtendedUnitVec(
             entries,
-            parse_scalar(obj.get("tail_mass", 0), mode),
-            parse_scalar(obj.get("tail_sup", 0), mode),
+            mode.parse(obj.get("tail_mass", 0)),
+            mode.parse(obj.get("tail_sup", 0)),
             mode=mode,
         )
     return SparseVec(entries)
@@ -57,7 +58,7 @@ def _scalars(obj, what, mode):
     """A JSON list of scalars as a tuple."""
     if not isinstance(obj, list):
         raise InputError(f"{what} must be a list of scalars")
-    return tuple(parse_scalar(c, mode) for c in obj)
+    return tuple(mode.parse(c) for c in obj)
 
 
 def _points(obj, what, mode):
@@ -118,7 +119,7 @@ def dump_metric_space(space):
 
 def load_ball(obj, mode=EXACT):
     center, radius = require_fields(obj, "a ball", "center", "radius")
-    return Ball(_scalars(center, "a ball centre", mode), parse_scalar(radius, mode))
+    return Ball(_scalars(center, "a ball centre", mode), mode.parse(radius))
 
 
 def load_metric_cover(obj, mode=EXACT):
@@ -128,13 +129,6 @@ def load_metric_cover(obj, mode=EXACT):
     space = load_metric_space(space, mode)
     require_fields(balls, "balls")
     return space, {a: load_ball(b, mode) for a, b in balls.items()}
-
-
-def dump_ball(ball):
-    return {
-        "center": [format_scalar(c) for c in ball.center],
-        "radius": format_scalar(ball.radius),
-    }
 
 
 def load_ground(obj, mode=EXACT):
@@ -157,21 +151,6 @@ def load_set_valued_map(obj, mode=EXACT):
     else:
         codomain = load_finite_space(codomain)
     return SetValuedMap(domain, codomain, values)
-
-
-def dump_set_valued_map(phi):
-    return {
-        "domain": dump_finite_space(phi.domain),
-        "codomain": (
-            sorted(phi.codomain.points, key=repr)
-            if phi.is_discrete_codomain()
-            else dump_finite_space(phi.codomain)
-        ),
-        "values": {
-            str(p): sorted(phi.values[p], key=repr)
-            for p in sorted(phi.domain.points, key=repr)
-        },
-    }
 
 
 def _ground_point(ground, key):
@@ -223,9 +202,18 @@ def dump_complex(cx):
     of one sort of all simplices by ``(size, list)``."""
     return {
         "vertices": sorted(cx.vertices, key=repr),
-        "simplices": [list(s) for level in cx.faces_by_size() for s in sorted(level)],
+        "simplices": [list(s) for level in cx.faces_by_size() for s in _sorted_faces(level)],
         "witnessed": cx.witnessed,
     }
+
+
+def _sorted_faces(level):
+    """The faces in list order; by the ``repr`` of their vertices when index
+    names of different types cannot be compared."""
+    try:
+        return sorted(level)
+    except TypeError:
+        return sorted(level, key=lambda s: [repr(v) for v in s])
 
 
 def load_convex_target(obj, mode=EXACT):

@@ -17,7 +17,7 @@ from .errors import (
     RowNotSimplex,
     SelfCheckFailed,
 )
-from .scalars import EXACT, FLOAT
+from .scalars import EXACT, format_scalar
 from .sparse import (
     SparseVec,
     _as_extended,
@@ -119,7 +119,10 @@ def pou_from_metric_cover(space, balls, mode=EXACT):
     checked = validate_pou(space, set(balls), rows, mode=mode)
     # l1 Lipschitz bound for the normalized family: each bump is 1-Lipschitz
     # in the ground metric, and the total is at least min_total on samples.
-    lip = 2 * len(balls) / float(min_total)
+    try:
+        lip = 2 * len(balls) / float(min_total)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"bump total {format_scalar(min_total)} is out of float range") from exc
     return PartitionOfUnity(space, checked.index_set, checked.rows, mode, lip)
 
 

@@ -1,43 +1,44 @@
-"""Scalar arithmetic in two modes: exact rationals and binary floats.
+"""Scalar arithmetic in one of two modes: exact rationals or binary floats.
 
-Exact mode (the default everywhere verification matters) uses
-``fractions.Fraction`` and never rounds.  Float mode exists for metric-ground
-constructions whose values involve square roots; simplex-membership checks
-then use a small additive tolerance ``TOL_SUM``.
+A ``Mode`` is the arithmetic context of a run, and its ``parse`` is the only
+place the choice is made.  Past parsing a value's own type says which
+arithmetic it is in: exact-mode bumps in dimension >= 2 are floats (square
+roots), so unit-mass tests and normalizations dispatch on the type.
 """
 
-import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 
-EXACT = "exact"
-FLOAT = "float"
 
-DEFAULT_TOL_SUM = 1e-9
-TOL_SUM = DEFAULT_TOL_SUM  # set per run by the command line
+@dataclass(frozen=True)
+class Mode:
+    """A run's arithmetic: exact or float, and ``is_one``'s float tolerance."""
+    exact: bool
+    tol: float = 1e-9
 
-
-def parse_scalar(text, mode=EXACT):
-    """Parse ``"p/q"`` or a decimal string/number into the active mode.
-
-    Raises InputError for anything that is not a finite rational or decimal,
-    such as ``"abc"``, ``"1/0"``, a list, a boolean or a JSON ``NaN``.
-    """
-    if isinstance(text, bool) or not isinstance(text, (int, float, str, Fraction)):
-        raise InputError(f"cannot parse scalar from {text!r}")
-    try:
-        if isinstance(text, float) and mode == FLOAT:
-            value = text
-        else:
+    def parse(self, text):
+        """Parse ``"p/q"``, a decimal string or a number into this mode.
+        InputError for anything else, such as ``"abc"``, ``"1/0"``, a list, a
+        boolean, ``NaN`` or, in float mode, a value beyond the float range."""
+        if isinstance(text, bool) or not isinstance(text, (int, float, str, Fraction)):
+            raise InputError(f"cannot parse scalar from {text!r}")
+        try:
             value = Fraction(text)  # Fraction accepts both "3/4" and "0.75"
-        if mode == FLOAT:
-            value = float(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"cannot parse scalar from {text!r}: {exc}") from exc
-    if mode == FLOAT and not math.isfinite(value):
-        raise InputError(f"scalar {text!r} is not finite")
-    return value
+            return value if self.exact else float(value)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise InputError(f"cannot parse scalar from {text!r}: {exc}") from exc
+
+    def is_one(self, value):
+        """The unit-mass test: a float within ``tol`` of 1, else exactly 1."""
+        if isinstance(value, float):
+            return abs(value - 1) <= self.tol
+        return value == 1
+
+
+EXACT = Mode(exact=True)
+FLOAT = Mode(exact=False)
 
 
 def format_scalar(value):
@@ -47,9 +48,3 @@ def format_scalar(value):
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     return repr(float(value))
-
-
-def is_one(value, mode=EXACT):
-    if mode == FLOAT or isinstance(value, float):
-        return abs(value - 1) <= TOL_SUM
-    return value == 1

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .errors import CoverGap, InputError, NonPositiveEpsilon, SelfCheckFailed
 from .pou import PartitionOfUnity, mather_compose
+from .scalars import FLOAT
 from .setmaps import carrier_fiber
 from .sparse import SparseVec
 from .spaces import FiniteSpace
@@ -251,14 +252,15 @@ class ConvexTarget:
         return dist_to_polytope(q, spec["vertices"])
 
 
-def epsilon_selection(target, eps, anchors):
+def epsilon_selection(target, eps, anchors, mode=FLOAT):
     """Certified approximate selection for a convex target.
 
     Anchor weights are bumps of the distance oracle, max(eps - d(a, set), 0),
     normalized into a partition row, shrunk with the locally-finite transform,
     and summed barycentrically.  Every active anchor is strictly eps-close to
     the target set and the value is a convex combination of active anchors,
-    so its distance to the (convex) set stays below eps.
+    so its distance to the (convex) set stays below eps.  Rows are unit
+    simplex points as ``mode.is_one`` decides it.
     """
     if eps <= 0:
         raise NonPositiveEpsilon(eps)
@@ -276,7 +278,7 @@ def epsilon_selection(target, eps, anchors):
             raise CoverGap(x)
         total = sum(weights.values())
         rows[x] = SparseVec((aid, g / total) for aid, g in weights.items())
-    pou = PartitionOfUnity(ground, set(anchor_ids), rows, mode="float")
+    pou = PartitionOfUnity(ground, set(anchor_ids), rows, mode)
     gamma, _cert = mather_compose(pou)
     values, certs = barycentric_selection(gamma, anchor_ids)
     out_certs = {}

@@ -165,6 +165,8 @@ class MetricSampleSpace:
             raise InputError("need at least one sample")
         if dim is None:
             dim = len(samples[0])
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise InputError(f"dim must be an integer, got {dim!r}")
         if any(len(p) != dim for p in samples):
             raise InputError("inconsistent sample dimension")
         if len(set(samples)) != len(samples):
@@ -213,7 +215,8 @@ class MetricSampleSpace:
         denominators, the squares are summed over their common denominator,
         and the sum is compared with r^2 by cross-multiplication, so no
         ``Fraction`` is built.  Float coordinates and distance tables compare
-        ``dist_sq`` with r^2.
+        ``dist_sq`` with r^2; a square beyond the float range is an
+        InputError.
         """
         center, r = ball.center, ball.radius
         if len(center) != self.dim:
@@ -221,23 +224,37 @@ class MetricSampleSpace:
                 f"ball centre {[str(c) for c in center]} has {len(center)} coordinates, "
                 f"the sample space has dimension {self.dim!r}"
             )
-        if self._table is not None or not isinstance(r, _RATIONAL):
+        if self._table is None and isinstance(r, _RATIONAL):
+            num, den = 0, 1  # running sum of squared differences, num / den
+            for p, q in zip(x, center):
+                if not (isinstance(p, _RATIONAL) and isinstance(q, _RATIONAL)):
+                    break
+                pd, qd = p.denominator, q.denominator
+                diff = p.numerator * qd - q.numerator * pd
+                sq_den = pd * qd
+                sq_den *= sq_den
+                num = num * sq_den + diff * diff * den
+                den *= sq_den
+            else:
+                rd = r.denominator
+                return num * rd * rd < r.numerator**2 * den
+        try:
             return self.dist_sq(x, center) < r**2
-        num, den = 0, 1  # running sum of squared differences, num / den
-        for p, q in zip(x, center):
-            if not (isinstance(p, _RATIONAL) and isinstance(q, _RATIONAL)):
-                return self.dist_sq(x, center) < r**2
-            pd, qd = p.denominator, q.denominator
-            diff = p.numerator * qd - q.numerator * pd
-            sq_den = pd * qd
-            sq_den *= sq_den
-            num = num * sq_den + diff * diff * den
-            den *= sq_den
-        rd = r.denominator
-        return num * rd * rd < r.numerator**2 * den
+        except OverflowError as exc:
+            raise InputError(
+                f"squared distance from {[str(c) for c in x]} to a ball of radius {r} "
+                "is out of float range"
+            ) from exc
 
     def dist_to_ball_complement(self, ball, x):
-        """max(radius - d(x, center), 0); the bump value of the ball at x."""
-        gap = ball.radius - self.dist(x, ball.center)
+        """max(radius - d(x, center), 0); the bump value of the ball at x.
+        InputError when the distance or the radius leaves the float range."""
+        try:
+            gap = ball.radius - self.dist(x, ball.center)
+        except OverflowError as exc:
+            raise InputError(
+                f"bump of a ball of radius {ball.radius} at {[str(c) for c in x]} "
+                "is out of float range"
+            ) from exc
         zero = Fraction(0) if isinstance(gap, Fraction) else 0.0
         return gap if gap > 0 else zero

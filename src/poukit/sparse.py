@@ -16,8 +16,7 @@ points with carriers contained in the original carrier.
 from fractions import Fraction
 
 from .errors import NotAUnitVector, TailTooLarge
-from . import scalars
-from .scalars import EXACT, FLOAT
+from .scalars import EXACT
 
 
 class SparseVec:
@@ -97,16 +96,11 @@ def dirac(index):
 
 
 def is_unit_simplex_point(v, mode=EXACT):
-    """All entries strictly positive and l1 mass one (within TOL_SUM when
-    floating)."""
-    if not v.entries:
+    """All entries strictly positive and l1 mass one, as ``mode.is_one``
+    decides it."""
+    if not v.entries or any(x <= 0 for x in v.entries.values()):
         return False
-    if any(x <= 0 for x in v.entries.values()):
-        return False
-    total = v.norm1()
-    if mode == FLOAT or isinstance(total, float):
-        return abs(total - 1) <= scalars.TOL_SUM
-    return total == 1
+    return mode.is_one(v.norm1())
 
 
 def as_unit_simplex_point(v, mode=EXACT):
@@ -147,10 +141,7 @@ class ExtendedUnitVec:
         if tail_mass < 0 or tail_sup < 0 or tail_sup > tail_mass:
             raise NotAUnitVector("need 0 <= tail_sup <= tail_mass")
         total = explicit.norm1() + tail_mass
-        if mode == FLOAT or isinstance(total, float):
-            if abs(total - 1) > scalars.TOL_SUM:
-                raise NotAUnitVector(f"total mass {total} != 1")
-        elif total != 1:
+        if not mode.is_one(total):
             raise NotAUnitVector(f"total mass {total} != 1")
         object.__setattr__(self, "explicit", explicit)
         object.__setattr__(self, "tail_mass", tail_mass)

@@ -17,7 +17,6 @@ from poukit import (
     SetValuedMap,
     SparseVec,
     finite_interval_model,
-    scalars,
 )
 from poukit.cli import COMMANDS, main
 from poukit.jsonio import dump_finite_space, load_set_valued_map, report_text
@@ -299,9 +298,22 @@ class TestTolSum:
     def test_flag_sets_the_float_row_tolerance_of_its_run(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(scalars, "TOL_SUM", scalars.TOL_SUM)  # main sets it
         codes = [
             run_main(tmp_path, capsys, "pou-verify", self.POU, "--mode", "float", *flags)[0]
+            for flags in ([], ["--tol-sum", "0.01"], [])
+        ]
+        assert codes == [2, 0, 2]
+
+    VECTOR = {"entries": {"a": "0.5", "b": "0.4999"}}
+
+    @pytest.mark.parametrize(
+        "command, obj", [("mather", VECTOR), ("verify-all", {"unit_vectors": [VECTOR]})]
+    )
+    def test_flag_sets_the_float_mass_tolerance_of_its_run(
+        self, tmp_path, capsys, command, obj
+    ):
+        codes = [
+            run_main(tmp_path, capsys, command, obj, "--mode", "float", *flags)[0]
             for flags in ([], ["--tol-sum", "0.01"], [])
         ]
         assert codes == [2, 0, 2]
@@ -602,6 +614,11 @@ def _ambient_dim(dim):
     }
 
 
+def _cover(samples, centre, radius):
+    """A one-ball cover ``U`` of the samples."""
+    return {"space": {"samples": samples}, "balls": {"U": {"center": centre, "radius": radius}}}
+
+
 VERIFY_ALL_SECTIONS = ["spaces", "unit_vectors", "maps", "covers", "metric_covers", "targets"]
 
 # (command, input, flags, a fragment of the error message)
@@ -638,6 +655,18 @@ HOSTILE_INPUTS = {
         [],
         "not discrete",
     ),
+    "float-squares-overflow": (
+        "pou-build", _cover([[0], [1e200]], [0], 1e300), ["--mode", "float"], "float range"),
+    "exact-distance-overflow": (
+        "pou-build", _cover([["0", "0"], ["1e200", "0"]], ["0", "0"], "1e300"), [], "float range"),
+    "exact-radius-overflow": (
+        "pou-build", _cover([["0", "0"], ["1", "0"]], ["0", "0"], "1e400"), [], "float range"),
+    "bump-total-overflow": (
+        "canonical-check", {"cover": _cover([["0"], ["1"]], ["0"], str(10**400))}, [], "float range"),
+    "dim-a-float": ("nerve-build", {**line_cover(), "space": {"dim": 1.0, "samples": [["0"]]}},
+                    [], "dim must be an integer"),
+    "dim-true": ("nerve-build", {**line_cover(), "space": {"dim": True, "samples": [["0"]]}},
+                 [], "dim must be an integer"),
 }
 
 
@@ -773,6 +802,57 @@ _report_docs = st.recursive(
     ),
     max_leaves=40,
 )
+
+
+class TestInputEdges:
+    MIXED = {
+        "domain": {"points": ["a", "b"], "min_open": {"a": ["a"], "b": ["b"]}},
+        "codomain": "discrete",
+        "values": {"a": ["0"], "b": [5, "1"]},
+    }
+
+    def test_mixed_index_names_dump_by_repr(self, tmp_path, capsys):
+        code, out = run_main(tmp_path, capsys, "nerve-build", self.MIXED)
+        assert code == 0
+        simplices = json.loads(out.out)["payload"]["complex"]["simplices"]
+        assert simplices == [["0"], ["1"], [5], ["1", 5]]
+
+    def test_mixed_index_names_canonical_check(self, tmp_path, capsys):
+        pou = {
+            "ground": self.MIXED["domain"],
+            "indices": ["0", "1", 5],
+            "rows": {"a": {"0": "1"}, "b": {"1": "1"}},
+        }
+        code, out = run_main(tmp_path, capsys, "canonical-check", {"cover": self.MIXED, "pou": pou})
+        assert code == 0
+        assert json.loads(out.out)["payload"]["nerve"]["simplices"] == [["0"], ["1"], [5], ["1", 5]]
+
+    def test_decimal_literals_are_exact(self, tmp_path, capsys):
+        vector = {"entries": {"a": 0.3, "b": 0.7}}
+        for flags, half in (([], "7/20"), (["--mode", "float"], "0.35")):
+            code, out = run_main(tmp_path, capsys, "mather", vector, *flags)
+            assert code == 0
+            assert json.loads(out.out)["payload"]["lambda"]["entries"] == {"b": half}
+
+    TAIL = {"entries": {"a": "1/2"}, "tail_mass": "1/2", "tail_sup": "1/2"}
+
+    def test_weak_tail_fails_its_check_and_keeps_the_report(self, tmp_path, capsys):
+        bundle = {"unit_vectors": [self.TAIL], **_bundle_sections("spaces")}
+        code, out = run_main(tmp_path, capsys, "verify-all", bundle)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out.out)["checks"]}
+        assert checks["space[0]:kuratowski"]["status"] == "pass"
+        assert checks["unit_vector[0]:mather-invariants"]["status"] == "fail"
+        assert checks["unit_vector[0]:mather-invariants"]["witness"] == {
+            "tail_sup": "1/2",
+            "sup/2": "1/4",
+        }
+
+    def test_weak_tail_is_a_json_error_for_mather(self, tmp_path, capsys):
+        code, out = run_main(tmp_path, capsys, "mather", self.TAIL)
+        assert code == 1
+        assert out.out == ""
+        assert "tail_sup=1/2" in json.loads(out.err)["error"]
 
 
 class TestReportText:

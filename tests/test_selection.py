@@ -11,6 +11,7 @@ from poukit import (
     FiniteSpace,
     InputError,
     NonPositiveEpsilon,
+    NotAUnitVector,
     barycentric_selection,
     conv_fiber_open,
     conv_membership,
@@ -20,6 +21,7 @@ from poukit import (
     validate_pou,
 )
 from poukit.generators import make_rng, random_open_cover, random_simplex_point
+from poukit.scalars import FLOAT, Mode
 from poukit.selection import (
     dist_to_box,
     dist_to_point,
@@ -293,6 +295,15 @@ class TestEpsilonSelection:
     def test_nonpositive_epsilon(self):
         with pytest.raises(NonPositiveEpsilon):
             epsilon_selection(self.segment_target(), 0, [(0, 0)])
+
+    def test_rows_are_checked_with_the_tolerance_of_the_mode(self):
+        # the float rows 9/24, 8/24, 7/24 sum to 1 - 2**-53, not to 1
+        target = ConvexTarget(1, {"x": {"kind": "point", "p": (0.0,)}})
+        anchors = [(0.1,), (0.2,), (0.3,)]
+        _, certs = epsilon_selection(target, 1.0, anchors, FLOAT)
+        assert certs["x"].distance_bound < 1.0
+        with pytest.raises(NotAUnitVector, match="not a unit simplex point"):
+            epsilon_selection(target, 1.0, anchors, Mode(exact=False, tol=0.0))
 
     def test_certified_bound_halves_under_refinement(self):
         target = self.segment_target()
