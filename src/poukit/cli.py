@@ -34,7 +34,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh, parse_float=str)  # decimals stay exact
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, a 5000-digit integer
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -372,10 +372,14 @@ def main(argv=None):
     report = Report(args.command, config, [args.input])
     try:
         report = COMMANDS[args.command](args, report, mode)
+    except InputError as exc:
+        json.dump({"error": str(exc)}, sys.stderr)
+        sys.stderr.write("\n")
+        return EXIT_PARSE_ERROR
     except PoukitError as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return EXIT_PARSE_ERROR if isinstance(exc, InputError) else EXIT_CHECK_FAILED
+        return EXIT_CHECK_FAILED
     return _emit(report, args.out)
 
 

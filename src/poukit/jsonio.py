@@ -197,23 +197,16 @@ def dump_pou(pou):
 
 
 def dump_complex(cx):
-    """Each simplex lists its vertices in ``repr`` order; simplices come by
-    size, then in list order.  Sorting each size on its own gives the order
-    of one sort of all simplices by ``(size, list)``."""
+    """Simplices, each in ``repr`` order, come by size, then in list order of
+    ``(type is not str, type name, name)``: total on JSON names, and plain
+    list order (the fast path) when all are strings."""
+    by = None if all(type(v) is str for v in cx.vertices) else (
+        lambda s: [(type(v) is not str, type(v).__name__, v) for v in s])
     return {
         "vertices": sorted(cx.vertices, key=repr),
-        "simplices": [list(s) for level in cx.faces_by_size() for s in _sorted_faces(level)],
+        "simplices": [list(s) for level in cx.faces_by_size() for s in sorted(level, key=by)],
         "witnessed": cx.witnessed,
     }
-
-
-def _sorted_faces(level):
-    """The faces in list order; by the ``repr`` of their vertices when index
-    names of different types cannot be compared."""
-    try:
-        return sorted(level)
-    except TypeError:
-        return sorted(level, key=lambda s: [repr(v) for v in s])
 
 
 def load_convex_target(obj, mode=EXACT):

@@ -6,10 +6,13 @@ arithmetic it is in: exact-mode bumps in dimension >= 2 are floats (square
 roots), so unit-mass tests and normalizations dispatch on the type.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")  # "1e999999999" would be 10**999999999
 
 
 @dataclass(frozen=True)
@@ -21,10 +24,12 @@ class Mode:
     def parse(self, text):
         """Parse ``"p/q"``, a decimal string or a number into this mode.
         InputError for anything else, such as ``"abc"``, ``"1/0"``, a list, a
-        boolean, ``NaN`` or, in float mode, a value beyond the float range."""
+        boolean, ``NaN``, ``"1e1001"`` or, in float mode, ``"1e400"``."""
         if isinstance(text, bool) or not isinstance(text, (int, float, str, Fraction)):
             raise InputError(f"cannot parse scalar from {text!r}")
         try:
+            if isinstance(text, str) and (e := _EXPONENT.search(text)) and abs(int(e[1])) > 1000:
+                raise ValueError("decimal exponent beyond 1000")
             value = Fraction(text)  # Fraction accepts both "3/4" and "0.75"
             return value if self.exact else float(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -169,9 +169,13 @@ def selection_problem():
     }
 
 
+class RawJSON(str):
+    """JSON text that ``run_main`` writes to the input file as is."""
+
+
 def run_main(tmp_path, capsys, command, obj, *flags):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, RawJSON) else json.dumps(obj))
     code = main([command, str(path), *flags])
     return code, capsys.readouterr()
 
@@ -667,6 +671,14 @@ HOSTILE_INPUTS = {
                     [], "dim must be an integer"),
     "dim-true": ("nerve-build", {**line_cover(), "space": {"dim": True, "samples": [["0"]]}},
                  [], "dim must be an integer"),
+    **{
+        f"exponent-literal-{literal}-{mode}": (
+            "mather", RawJSON('{"entries": {"a": %s}}' % literal), ["--mode", mode], "exponent")
+        for literal in ("1e999999999", "1e-999999999")
+        for mode in ("exact", "float")
+    },
+    "integer-literal-5000-digits": (
+        "mather", RawJSON('{"entries": {"a": 1%s}}' % ("0" * 5000)), [], "cannot read"),
 }
 
 
@@ -811,7 +823,7 @@ class TestInputEdges:
         "values": {"a": ["0"], "b": [5, "1"]},
     }
 
-    def test_mixed_index_names_dump_by_repr(self, tmp_path, capsys):
+    def test_mixed_index_names_dump_strings_first(self, tmp_path, capsys):
         code, out = run_main(tmp_path, capsys, "nerve-build", self.MIXED)
         assert code == 0
         simplices = json.loads(out.out)["payload"]["complex"]["simplices"]

@@ -4,8 +4,9 @@ Each example mutates one ``data/`` file a few times (deleted keys, type
 swaps, strings for lists, huge, tiny and non-finite numbers, float
 literals) and runs every command on it in both modes, in process.  An
 exception escaping ``main`` or an exit code other than 0, 1 or 2 fails.
-Exponents stop near 1e400: a literal such as ``1e999999999`` makes
-``Fraction`` build a billion-digit integer, which is out of scope here.
+Exponents stop near 1e400, so that a tree without ``Mode.parse``'s exponent
+bound fails here rather than hangs; ``test_cli``'s hostile-input table holds
+the ``1e999999999`` literals.
 """
 
 import contextlib
