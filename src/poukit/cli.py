@@ -25,24 +25,22 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 
 
-def _digest(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load_json(path):
+def _load(path):
+    """The SHA-256 digest and the JSON document of the file at ``path``,
+    read once."""
     try:
-        with open(path) as fh:
-            return json.load(fh, parse_float=str)  # decimals stay exact
-    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, a 5000-digit integer
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return hashlib.sha256(raw).hexdigest(), json.loads(raw.decode(), parse_float=str)
+    except (OSError, ValueError) as exc:  # no file, bad JSON, bad UTF-8, a 5000-digit integer
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 class Report:
-    def __init__(self, command, config, input_paths):
+    def __init__(self, command, config, inputs):
         self.command = command
         self.config = config
-        self.inputs = {p: _digest(p) for p in input_paths}
+        self.inputs = inputs
         self.checks = []
         self.payload = {}
 
@@ -77,23 +75,24 @@ class Report:
 def _emit(report, out):
     text = report.to_json()
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_CHECK_FAILED if report.failed else EXIT_OK
 
 
-def cmd_space_validate(args, report, mode):
-    obj = _load_json(args.input)
-    space = jsonio.load_finite_space(obj)
+def cmd_space_validate(doc, args, report, mode):
+    space = jsonio.load_finite_space(doc)
     report.check("space-valid", True)
     report.payload["space"] = jsonio.dump_finite_space(space)
-    return report
 
 
-def cmd_map_classify(args, report, mode):
-    phi = jsonio.load_set_valued_map(_load_json(args.input), mode)
+def cmd_map_classify(doc, args, report, mode):
+    phi = jsonio.load_set_valued_map(doc)
     rep = classify(phi)
     report.payload["classification"] = rep.to_dict()
     # classification itself never fails; only consistency of the hierarchy does
@@ -101,26 +100,23 @@ def cmd_map_classify(args, report, mode):
         "hierarchy-consistent",
         (not rep.open_graph or rep.totally_lsc) and (not rep.totally_lsc or rep.lsc),
     )
-    return report
 
 
-def cmd_pou_build(args, report, mode):
-    space, balls = jsonio.load_metric_cover(_load_json(args.input), mode)
+def cmd_pou_build(doc, args, report, mode):
+    space, balls = jsonio.load_metric_cover(doc, mode)
     pou = pou_from_metric_cover(space, balls, mode=mode)
     report.check("pou-built", True)
     report.payload["pou"] = jsonio.dump_pou(pou)
-    return report
 
 
-def cmd_pou_verify(args, report, mode):
-    pou = jsonio.load_pou(_load_json(args.input), mode)
+def cmd_pou_verify(doc, args, report, mode):
+    pou = jsonio.load_pou(doc, mode)
     report.check("pou-valid", True)
     report.payload["indices"] = sorted(pou.index_set, key=repr)
-    return report
 
 
-def cmd_mather(args, report, mode):
-    y = jsonio.load_sparse_vec(_load_json(args.input), mode)
+def cmd_mather(doc, args, report, mode):
+    y = jsonio.load_sparse_vec(doc, mode)
     lam = mather_lambda(y, mode)
     eta = mather_eta(y, mode)
     bound, radius = mather_support_bound(y, mode)
@@ -132,38 +128,34 @@ def cmd_mather(args, report, mode):
         "indices": sorted(bound, key=repr),
         "radius": scalars.format_scalar(radius),
     }
-    return report
 
 
 def _load_cover_input(obj, mode):
     if isinstance(obj, dict) and "balls" in obj:
         return jsonio.load_metric_cover(obj, mode)
-    return jsonio.load_set_valued_map(obj, mode)
+    return jsonio.load_set_valued_map(obj)
 
 
-def cmd_nerve_build(args, report, mode):
-    cover = _load_cover_input(_load_json(args.input), mode)
+def cmd_nerve_build(doc, args, report, mode):
+    cover = _load_cover_input(doc, mode)
     cx = nerve_from_cover(cover, max_dimension=args.max_dim)
     report.check("nerve-built", True)
     report.payload["complex"] = jsonio.dump_complex(cx)
-    return report
 
 
-def cmd_canonical_check(args, report, mode):
-    obj = _load_json(args.input)
-    (cover,) = jsonio.require_fields(obj, "a canonical-check input", "cover")
+def cmd_canonical_check(doc, args, report, mode):
+    (cover,) = jsonio.require_fields(doc, "a canonical-check input", "cover")
     cover = _load_cover_input(cover, mode)
     if isinstance(cover, tuple):
         pou = pou_from_metric_cover(cover[0], cover[1], mode=mode)
         cover = ball_cover(*cover)
     else:
-        (pou,) = jsonio.require_fields(obj, "a canonical-check input", "pou")
+        (pou,) = jsonio.require_fields(doc, "a canonical-check input", "pou")
         pou = jsonio.load_pou(pou, mode)
     cx_report = canonical_map_check(pou, cover)
     report.check("canonical", cx_report.canonical, cx_report.to_dict())
     nerve = nerve_from_cover(cover, max_dimension=args.max_dim)
     report.payload["nerve"] = jsonio.dump_complex(nerve)
-    return report
 
 
 def _load_selection_input(obj):
@@ -174,7 +166,7 @@ def _load_selection_input(obj):
     )
     target = jsonio.load_convex_target(target, scalars.FLOAT)
     eps = scalars.FLOAT.parse(eps)
-    anchors = jsonio.load_anchors(anchors, scalars.FLOAT)
+    anchors = jsonio._points(anchors, "anchors", scalars.FLOAT)
     for a in anchors:
         if len(a) != target.ambient_dim:
             raise InputError(
@@ -184,11 +176,10 @@ def _load_selection_input(obj):
     return target, eps, anchors
 
 
-def cmd_select_eps(args, report, mode):
-    target, eps, anchors = _load_selection_input(_load_json(args.input))
+def cmd_select_eps(doc, args, report, mode):
+    target, eps, anchors = _load_selection_input(doc)
     values, certs = epsilon_selection(target, eps, anchors, mode)
-    all_ok = all(c.distance_bound < eps for c in certs.values())
-    report.check("epsilon-bound", all_ok)
+    report.check("epsilon-bound", True)  # a violated certificate raises
     report.payload["selection"] = {
         str(x): {
             "value": [repr(float(c)) for c in v],
@@ -197,7 +188,6 @@ def cmd_select_eps(args, report, mode):
         }
         for x, v in values.items()
     }
-    return report
 
 
 def _verify_unit_vector(report, name, y, mode):
@@ -225,9 +215,8 @@ def _verify_unit_vector(report, name, y, mode):
     report.check(f"{name}:mather-invariants", not broken, broken or None)
 
 
-def cmd_verify_all(args, report, mode):
-    bundle = _load_json(args.input)
-    jsonio.require_fields(bundle, "a verify-all bundle")
+def cmd_verify_all(doc, args, report, mode):
+    bundle = jsonio.expect(doc, "a verify-all bundle")
 
     for i, obj in _section(bundle, "spaces"):
         bad = _kuratowski_witness(jsonio.load_finite_space(obj))
@@ -238,7 +227,7 @@ def cmd_verify_all(args, report, mode):
         _verify_unit_vector(report, f"unit_vector[{i}]", y, mode)
 
     for i, obj in _section(bundle, "maps"):
-        phi = jsonio.load_set_valued_map(obj, mode)
+        phi = jsonio.load_set_valued_map(obj)
         rep = classify(phi)
         diagram = (not rep.open_graph or rep.totally_lsc) and (
             not rep.totally_lsc or rep.lsc
@@ -251,7 +240,7 @@ def cmd_verify_all(args, report, mode):
         )
 
     for i, obj in _section(bundle, "covers"):
-        omega = jsonio.load_set_valued_map(obj, mode)
+        omega = jsonio.load_set_valued_map(obj)
         if not omega.is_discrete_codomain():
             raise InputError(f"covers[{i}] has a codomain that is not discrete")
         try:
@@ -295,23 +284,24 @@ def cmd_verify_all(args, report, mode):
     for i, obj in _section(bundle, "targets"):
         target, eps, anchors = _load_selection_input(obj)
         try:
-            _, certs = epsilon_selection(target, eps, anchors, mode)
-            report.check(
-                f"target[{i}]:epsilon-bound",
-                all(c.distance_bound < eps for c in certs.values()),
-            )
+            epsilon_selection(target, eps, anchors, mode)
+            report.check(f"target[{i}]:epsilon-bound", True)
         except SelfCheckFailed as exc:
-            report.check(f"target[{i}]:epsilon-bound", False, str(exc))
-
-    return report
+            report.check(f"target[{i}]:epsilon-bound", False, _violation(exc, eps))
 
 
 def _section(bundle, name):
     """``(i, item)`` over the list ``bundle[name]``, empty when absent."""
-    items = bundle.get(name, [])
-    if not isinstance(items, list):
-        raise InputError(f"verify-all section {name!r} must be a list")
-    return enumerate(items)
+    return enumerate(jsonio.expect(bundle.get(name, []), f"verify-all section {name!r}", name))
+
+
+def _violation(exc, eps):
+    """A violated selection certificate as ``["certificate violated", point,
+    distance, epsilon, active anchors]``; any other self-check as its text."""
+    c = exc.certificate
+    return str(exc) if c is None else [
+        "certificate violated", str(c.point), repr(float(c.distance_bound)),
+        repr(float(eps)), list(c.active_anchors)]
 
 
 def _sample_witness(space, witness):
@@ -369,9 +359,11 @@ def main(argv=None):
         "max_dim": args.max_dim,
     }
     mode = scalars.Mode(exact=args.mode == "exact", tol=args.tol_sum)
-    report = Report(args.command, config, [args.input])
     try:
-        report = COMMANDS[args.command](args, report, mode)
+        digest, doc = _load(args.input)
+        report = Report(args.command, config, {args.input: digest})
+        COMMANDS[args.command](doc, args, report, mode)
+        return _emit(report, args.out)
     except InputError as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
@@ -380,7 +372,6 @@ def main(argv=None):
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_CHECK_FAILED
-    return _emit(report, args.out)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,12 @@ class PoukitError(Exception):
 
 class SelfCheckFailed(PoukitError):
     """A construction's internal cross-check failed: two formulas that must
-    agree did not, or a certificate it guarantees does not hold."""
+    agree did not, or a certificate it guarantees does not hold; then
+    ``certificate`` is that certificate."""
+
+    def __init__(self, message, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate
 
 
 class InputError(PoukitError):

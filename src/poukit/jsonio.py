@@ -8,6 +8,7 @@ their sample position ("0", "1", ...) wherever JSON needs a string key.
 """
 
 import json
+import reprlib
 
 from .errors import InputError
 from .pou import validate_pou
@@ -19,9 +20,7 @@ from .sparse import ExtendedUnitVec, SparseVec
 
 
 def load_sparse_vec(obj, mode=EXACT):
-    require_fields(obj, "a unit vector")
-    entries = obj.get("entries", {})
-    require_fields(entries, "entries")
+    entries = expect(expect(obj, "a unit vector").get("entries", {}), "entries")
     entries = {k: mode.parse(v) for k, v in entries.items()}
     if "tail_mass" in obj or "tail_sup" in obj:
         return ExtendedUnitVec(
@@ -43,12 +42,21 @@ def dump_sparse_vec(v):
     return {"entries": {str(k): format_scalar(val) for k, val in sorted(v.entries.items())}}
 
 
+def expect(obj, what, items=None):
+    """``obj`` if it is a JSON object or, when ``items`` names what a list
+    holds, a list.  Otherwise an InputError that names ``what``, the
+    expected shape and the value, and calls a string a string."""
+    shape, noun = (dict, "a JSON object") if items is None else (list, f"a list of {items}")
+    if isinstance(obj, shape):
+        return obj
+    given = "the string " if isinstance(obj, str) else ""
+    raise InputError(f"{what} must be {noun}, not {given}{reprlib.repr(obj)}")
+
+
 def require_fields(obj, what, *keys):
     """``obj[k]`` for each key; InputError if ``obj`` is not a JSON object
     or lacks a key."""
-    if not isinstance(obj, dict):
-        raise InputError(f"{what} must be a JSON object")
-    missing = [k for k in keys if k not in obj]
+    missing = [k for k in keys if k not in expect(obj, what)]
     if missing:
         raise InputError(f"{what} lacks {missing}")
     return [obj[k] for k in keys]
@@ -56,33 +64,24 @@ def require_fields(obj, what, *keys):
 
 def _scalars(obj, what, mode):
     """A JSON list of scalars as a tuple."""
-    if not isinstance(obj, list):
-        raise InputError(f"{what} must be a list of scalars")
-    return tuple(mode.parse(c) for c in obj)
+    return tuple(mode.parse(c) for c in expect(obj, what, "scalars"))
 
 
 def _points(obj, what, mode):
     """A JSON list of coordinate lists as a list of tuples."""
-    if not isinstance(obj, list):
-        raise InputError(f"{what} must be a list of coordinate lists")
-    return [_scalars(p, f"each of {what}", mode) for p in obj]
+    return [_scalars(p, f"each of {what}", mode) for p in expect(obj, what, "coordinate lists")]
 
 
 def _point_set(items, what):
     """A JSON list of points as a set; a string or an object is not one."""
-    if not isinstance(items, list):
-        given = "the string " if isinstance(items, str) else ""
-        raise InputError(f"{what} must be a list of points, not {given}{items!r}")
     try:
-        return set(items)
+        return set(expect(items, what, "points"))
     except TypeError as exc:
         raise InputError(f"{what} is not a list of points: {exc}") from exc
 
 
 def _point_sets(obj, what):
-    if not isinstance(obj, dict):
-        raise InputError(f"{what} must be a JSON object")
-    return {p: _point_set(v, f"{what}[{p!r}]") for p, v in obj.items()}
+    return {p: _point_set(v, f"{what}[{p!r}]") for p, v in expect(obj, what).items()}
 
 
 def load_finite_space(obj):
@@ -127,8 +126,7 @@ def load_metric_cover(obj, mode=EXACT):
     ball}}``."""
     space, balls = require_fields(obj, "a metric cover", "space", "balls")
     space = load_metric_space(space, mode)
-    require_fields(balls, "balls")
-    return space, {a: load_ball(b, mode) for a, b in balls.items()}
+    return space, {a: load_ball(b, mode) for a, b in expect(balls, "balls").items()}
 
 
 def load_ground(obj, mode=EXACT):
@@ -137,7 +135,7 @@ def load_ground(obj, mode=EXACT):
     return load_metric_space(obj, mode)
 
 
-def load_set_valued_map(obj, mode=EXACT):
+def load_set_valued_map(obj):
     domain, codomain, values = require_fields(
         obj, "a set-valued map", "domain", "codomain", "values"
     )
@@ -169,10 +167,9 @@ def load_pou(obj, mode=EXACT):
     )
     ground = load_ground(ground, mode)
     indices = _point_set(indices, "indices")
-    require_fields(rows, "rows")
     rows = {
         _ground_point(ground, k): load_sparse_vec({"entries": row}, mode)
-        for k, row in rows.items()
+        for k, row in expect(rows, "rows").items()
     }
     return validate_pou(ground, indices, rows, mode=mode)
 
@@ -210,25 +207,17 @@ def dump_complex(cx):
 
 
 def load_convex_target(obj, mode=EXACT):
-    given = obj.get("sets") if isinstance(obj, dict) else None
-    if not isinstance(given, dict) or "ambient_dim" not in obj:
-        raise InputError("a convex target needs ambient_dim and a sets object")
+    ambient_dim, given = require_fields(obj, "a convex target", "ambient_dim", "sets")
     sets = {}
-    for x, spec in given.items():
-        if not isinstance(spec, dict):
-            raise InputError(f"convex set at {x!r} is not a JSON object")
-        spec = dict(spec)
+    for x, spec in expect(given, "sets").items():
+        spec = dict(expect(spec, f"convex set at {x!r}"))
         for field in ("p", "a", "b", "lo", "hi"):
             if field in spec:
                 spec[field] = _scalars(spec[field], f"{field} at {x!r}", mode)
         if "vertices" in spec:
             spec["vertices"] = _points(spec["vertices"], f"vertices at {x!r}", mode)
         sets[x] = spec
-    return ConvexTarget(obj["ambient_dim"], sets)
-
-
-def load_anchors(obj, mode=EXACT):
-    return _points(obj, "anchors", mode)
+    return ConvexTarget(ambient_dim, sets)
 
 
 _quote = json.encoder.encode_basestring_ascii  # TypeError on anything but a str

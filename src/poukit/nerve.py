@@ -17,12 +17,14 @@ verdicts are never truncated.
 
 from itertools import combinations
 
+from ._immutable import immutable
 from .errors import InputError
 from .setmaps import SetValuedMap, ball_cover, carrier_fiber
 
 MAX_DIMENSION = 8
 
 
+@immutable(init=False, eq=False)
 class SimplicialComplex:
     """Downward-closed family of nonempty finite vertex sets.
 
@@ -32,10 +34,15 @@ class SimplicialComplex:
     constructor takes the simplices themselves and checks that they form a
     complex on ``vertices``; :func:`nerve_from_cover` builds its complexes
     from facets, closed by construction.  ``simplices``, the frozenset of
-    all members, is built on first access.
+    all members, is built on first access.  Complexes with the same vertices
+    and simplices are equal; a complex is no dict key.
     """
 
-    __slots__ = ("vertices", "facets", "max_dimension", "witnessed", "_simplices")
+    vertices: frozenset
+    facets: tuple
+    max_dimension: int
+    witnessed: bool
+    _simplices: frozenset
 
     def __init__(self, vertices, simplices, witnessed=False):
         simplices = frozenset(frozenset(s) for s in simplices)
@@ -73,9 +80,6 @@ class SimplicialComplex:
         object.__setattr__(self, "max_dimension", max_dimension)
         object.__setattr__(self, "witnessed", witnessed)
         object.__setattr__(self, "_simplices", simplices)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
 
     @property
     def simplices(self):
@@ -146,18 +150,17 @@ def nerve_from_cover(cover, witnesses=None, max_dimension=MAX_DIMENSION):
     return SimplicialComplex._from_facets(facets, max_dimension, witnessed=True)
 
 
+@immutable(eq=False)
 class CanonicalReport:
     """Outcome of checking a partition of unity against a cover: realization
     membership of every row and the star condition coz(xi_U) inside U."""
 
-    __slots__ = ("membership_violations", "star_violations")
+    membership_violations: list
+    star_violations: list
 
-    def __init__(self, membership_violations, star_violations):
-        object.__setattr__(self, "membership_violations", list(membership_violations))
-        object.__setattr__(self, "star_violations", list(star_violations))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CanonicalReport is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "membership_violations", list(self.membership_violations))
+        object.__setattr__(self, "star_violations", list(self.star_violations))
 
     @property
     def canonical(self):
@@ -195,6 +198,7 @@ def canonical_map_check(pou, cover):
     return CanonicalReport(membership_violations, star_violations)
 
 
+@immutable(eq=False)
 class CoverSimplexMapping:
     """Queryable mapping sending each point to the realized subcomplex spanned
     by the cover members containing it.
@@ -204,18 +208,14 @@ class CoverSimplexMapping:
     of the members named by its carrier, an open set when the cover is open.
     """
 
-    __slots__ = ("cover",)
+    cover: SetValuedMap
 
-    def __init__(self, cover):
-        if not isinstance(cover, SetValuedMap):
+    def __post_init__(self):
+        if not isinstance(self.cover, SetValuedMap):
             raise InputError("expected an indexed cover over a finite space")
-        for a in cover.codomain.points:
-            if not cover.domain.is_open(cover.fiber(a)):
+        for a in self.cover.codomain.points:
+            if not self.cover.domain.is_open(self.cover.fiber(a)):
                 raise InputError(f"cover member {a!r} is not open")
-        object.__setattr__(self, "cover", cover)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("mapping is immutable")
 
     def members_at(self, x):
         return self.cover.values[x]

@@ -10,6 +10,7 @@ ground the rows come from closed-form bump constructions and no continuity
 check applies.
 """
 
+from ._immutable import immutable
 from .errors import (
     DiscontinuousAt,
     InputError,
@@ -17,32 +18,25 @@ from .errors import (
     RowNotSimplex,
     SelfCheckFailed,
 )
-from .scalars import EXACT, format_scalar
-from .sparse import (
-    SparseVec,
-    _as_extended,
-    is_unit_simplex_point,
-    mather_eta,
-    mather_support_bound,
-)
+from .scalars import EXACT, Mode, format_scalar
+from .sparse import SparseVec, is_unit_simplex_point, mather_eta, mather_support_bound
 from .spaces import FiniteSpace, MetricSampleSpace
 
 
+@immutable(eq=False)
 class PartitionOfUnity:
     """Rowwise partition of unity over a finite ground.  Use
     :func:`validate_pou` to build one with all invariants checked."""
 
-    __slots__ = ("ground", "index_set", "rows", "mode", "l1_lipschitz")
+    ground: object
+    index_set: frozenset
+    rows: dict
+    mode: Mode = EXACT
+    l1_lipschitz: float | None = None
 
-    def __init__(self, ground, index_set, rows, mode=EXACT, l1_lipschitz=None):
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "index_set", frozenset(index_set))
-        object.__setattr__(self, "rows", dict(rows))
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "l1_lipschitz", l1_lipschitz)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartitionOfUnity is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "index_set", frozenset(self.index_set))
+        object.__setattr__(self, "rows", dict(self.rows))
 
     def ground_points(self):
         return _ground_points(self.ground)
@@ -159,55 +153,47 @@ def subordination_check(pou, omega):
     return result
 
 
+@immutable(eq=False)
 class LocalFinitenessCertificate:
-    """Per-point neighborhood plus a finite index bound: every point of the
-    certified neighborhood has its carrier inside the bound."""
+    """Local finiteness of the shrunk partition of ``pou``, derived on
+    demand: every point of ``neighborhood(x)`` has its shrunk carrier inside
+    ``index_bound(x)``, the carrier of ``pou`` at x.
 
-    __slots__ = ("per_point",)
+    On an Alexandrov ground the neighborhood is the minimal open of x (rows
+    are constant there).  On a metric ground it is the l1 stability radius
+    of ``mather_support_bound`` at x over a conservative Lipschitz constant
+    for the bump family, as a metric radius.
+    """
 
-    def __init__(self, per_point):
-        object.__setattr__(self, "per_point", dict(per_point))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("certificate is immutable")
+    pou: PartitionOfUnity
 
     def neighborhood(self, x):
-        return self.per_point[x][0]
+        pou = self.pou
+        if isinstance(pou.ground, FiniteSpace):
+            return ("min_open", frozenset(pou.ground.min_open[x]))
+        _, radius = mather_support_bound(pou.rows[x], pou.mode)
+        return ("metric_radius", float(radius) / (pou.l1_lipschitz or 2 * len(pou.index_set)))
 
     def index_bound(self, x):
-        return self.per_point[x][1]
+        return self.pou.carrier_at(x)
 
 
 def mather_compose(pou):
-    """Apply the shrinking transform rowwise and emit a local-finiteness
-    certificate.
+    """Apply the shrinking transform rowwise, with the certificate of its
+    local finiteness.
 
-    On an Alexandrov ground the certificate neighborhood is the minimal open
-    of each point (rows are constant there), with the row carrier as bound;
-    strong carrier containment cl(star of the output) inside the star of the
-    input is checked exactly.  On a metric ground the l1 stability radius of
-    each row is converted to a metric radius through a conservative
-    Lipschitz constant for the bump family.  Each row is checked to be a unit
-    simplex point once; the checked row feeds both the transform and the
-    support bound.
+    Each row is checked to be a unit simplex point as it is shrunk.  On an
+    Alexandrov ground strong carrier containment, cl(star of the output)
+    inside the star of the input, is checked exactly.  The certificate
+    computes nothing until it is read.
     """
-    finite = isinstance(pou.ground, FiniteSpace)
-    lip = pou.l1_lipschitz or 2 * len(pou.index_set)
-    gamma_rows, per_point = {}, {}
-    for x in pou.ground_points():
-        y = _as_extended(pou.rows[x], pou.mode)  # validated once for both
-        gamma_rows[x] = mather_eta(y, pou.mode)
-        bound, radius = mather_support_bound(y, pou.mode)
-        if finite:
-            per_point[x] = (("min_open", frozenset(pou.ground.min_open[x])), bound)
-        else:
-            per_point[x] = (("metric_radius", float(radius) / lip), bound)
+    gamma_rows = {x: mather_eta(pou.rows[x], pou.mode) for x in pou.ground_points()}
     gamma = PartitionOfUnity(pou.ground, pou.index_set, gamma_rows, pou.mode)
-    if finite:
+    if isinstance(pou.ground, FiniteSpace):
         for a in sorted(pou.index_set, key=repr):
             closed_star = pou.ground.closure(set(gamma.open_star(a)))
             if not closed_star <= set(pou.open_star(a)):
                 raise SelfCheckFailed(
                     f"closed star of {a!r} escapes the input star after shrinking"
                 )
-    return gamma, LocalFinitenessCertificate(per_point)
+    return gamma, LocalFinitenessCertificate(pou)

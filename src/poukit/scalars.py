@@ -7,15 +7,15 @@ roots), so unit-mass tests and normalizations dispatch on the type.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._immutable import immutable
 from .errors import InputError
 
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")  # "1e999999999" would be 10**999999999
 
 
-@dataclass(frozen=True)
+@immutable
 class Mode:
     """A run's arithmetic: exact or float, and ``is_one``'s float tolerance."""
     exact: bool

@@ -15,8 +15,8 @@ anchors, locally-finite shrinking, then a barycentric sum of the anchors.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._immutable import immutable
 from .errors import CoverGap, InputError, NonPositiveEpsilon, SelfCheckFailed
 from .pou import PartitionOfUnity, mather_compose
 from .scalars import FLOAT
@@ -46,7 +46,7 @@ def conv_fiber_open(omega, p):
     return is_open, fiber, witness
 
 
-@dataclass(frozen=True)
+@immutable
 class SelectionCertificate:
     point: object
     value: tuple
@@ -195,6 +195,7 @@ def dist_to_polytope(q, vertices):
     return math.hypot(*x)
 
 
+@immutable(eq=False)
 class ConvexTarget:
     """Per-point convex subsets of a coordinate ambient space with distance
     oracles.  ``sets`` maps ground point -> spec dict with ``kind`` in
@@ -209,12 +210,13 @@ class ConvexTarget:
         "polytope": ("vertices",),
     }
 
-    __slots__ = ("ambient_dim", "sets")
+    ambient_dim: int
+    sets: dict
 
-    def __init__(self, ambient_dim, sets):
-        if isinstance(ambient_dim, bool) or not isinstance(ambient_dim, int):
-            raise InputError(f"ambient_dim must be an integer, got {ambient_dim!r}")
-        for x, spec in sets.items():
+    def __post_init__(self):
+        if isinstance(self.ambient_dim, bool) or not isinstance(self.ambient_dim, int):
+            raise InputError(f"ambient_dim must be an integer, got {self.ambient_dim!r}")
+        for x, spec in self.sets.items():
             kind = spec.get("kind")
             fields = self.KINDS.get(kind) if isinstance(kind, str) else None
             if fields is None:
@@ -226,16 +228,12 @@ class ConvexTarget:
             if not points:
                 raise InputError(f"polytope at {x!r} has no vertices")
             for p in points:
-                if len(p) != ambient_dim:
+                if len(p) != self.ambient_dim:
                     raise InputError(
                         f"point {p!r} of the set at {x!r} has {len(p)} "
-                        f"coordinates, ambient_dim is {ambient_dim!r}"
+                        f"coordinates, ambient_dim is {self.ambient_dim!r}"
                     )
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "sets", dict(sets))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvexTarget is immutable")
+        object.__setattr__(self, "sets", dict(self.sets))
 
     def ground_points(self):
         return list(self.sets)
@@ -259,7 +257,8 @@ def epsilon_selection(target, eps, anchors, mode=FLOAT):
     normalized into a partition row, shrunk with the locally-finite transform,
     and summed barycentrically.  Every active anchor is strictly eps-close to
     the target set and the value is a convex combination of active anchors,
-    so its distance to the (convex) set stays below eps.  Rows are unit
+    so its distance to the (convex) set stays below eps; a certificate that
+    says otherwise raises SelfCheckFailed carrying it.  Rows are unit
     simplex points as ``mode.is_one`` decides it.
     """
     if eps <= 0:
@@ -281,14 +280,13 @@ def epsilon_selection(target, eps, anchors, mode=FLOAT):
     pou = PartitionOfUnity(ground, set(anchor_ids), rows, mode)
     gamma, _cert = mather_compose(pou)
     values, certs = barycentric_selection(gamma, anchor_ids)
-    out_certs = {}
     for x, v in values.items():
-        d = target.distance(x, v)
-        out_certs[x] = SelectionCertificate(
-            x, v, d, certs[x].active_anchors
+        cert = certs[x] = SelectionCertificate(
+            x, v, target.distance(x, v), certs[x].active_anchors
         )
-        if not d < eps:
+        if not cert.distance_bound < eps:
             raise SelfCheckFailed(
-                f"certificate violated at {x!r}: distance {d} >= eps {eps}"
+                f"certificate violated at {x!r}: distance {cert.distance_bound} >= eps {eps}",
+                cert,
             )
-    return values, out_certs
+    return values, certs

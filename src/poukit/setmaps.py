@@ -17,15 +17,20 @@ open, so lower local constancy is total lower semicontinuity here.
 
 from dataclasses import dataclass, field
 
+from ._immutable import immutable
 from .errors import InputError, SelfCheckFailed
 from .spaces import FiniteSpace, MetricSampleSpace
 
 
+@immutable(init=False)
 class SetValuedMap:
     """Nonempty-valued map from a finite space to a finite space or to a
-    discrete index set."""
+    discrete index set.  It compares by value and is no dict key."""
 
-    __slots__ = ("domain", "codomain", "values")
+    domain: FiniteSpace
+    codomain: FiniteSpace
+    values: dict
+    __hash__ = None
 
     def __init__(self, domain, codomain, values):
         if not isinstance(domain, FiniteSpace):
@@ -46,19 +51,8 @@ class SetValuedMap:
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "values", vals)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SetValuedMap is immutable")
-
     def __call__(self, x):
         return self.values[x]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SetValuedMap)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.values == other.values
-        )
 
     def fiber(self, y):
         """Preimage of a single codomain element."""

@@ -13,29 +13,24 @@ for ball covers and bump constructions.
 import math
 from fractions import Fraction
 
+from ._immutable import immutable
 from .errors import InputError, NotReflexive, NotTransitive
 
 TOL_METRIC = 1e-9
 _RATIONAL = (int, Fraction)
 
 
+@immutable
 class FiniteSpace:
     """Validated finite Alexandrov space.  Use :func:`validate_space` or the
     named constructors; direct construction skips no checks."""
 
-    __slots__ = ("points", "min_open")
+    points: frozenset
+    min_open: dict
 
-    def __init__(self, points, min_open):
-        pts = frozenset(points)
-        mo = {p: frozenset(min_open[p]) for p in pts}
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "min_open", mo)
-        self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteSpace is immutable")
-
-    def _validate(self):
+    def __post_init__(self):
+        object.__setattr__(self, "points", frozenset(self.points))
+        object.__setattr__(self, "min_open", {p: frozenset(self.min_open[p]) for p in self.points})
         for p, nbhd in self.min_open.items():
             if not nbhd <= self.points:
                 raise InputError(f"min_open({p!r}) leaves the point set")
@@ -46,13 +41,6 @@ class FiniteSpace:
                 for z in self.min_open[y]:
                     if z not in self.min_open[x]:
                         raise NotTransitive(x, y, z)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteSpace)
-            and self.points == other.points
-            and self.min_open == other.min_open
-        )
 
     def __hash__(self):
         return hash((self.points, frozenset(self.min_open.items())))
@@ -133,22 +121,21 @@ def product_space(x, y):
     return FiniteSpace(points, min_open)
 
 
+@immutable(eq=False)
 class Ball:
-    __slots__ = ("center", "radius")
+    center: tuple
+    radius: object
 
-    def __init__(self, center, radius):
-        if radius <= 0:
-            raise InputError(f"ball radius must be positive, got {radius}")
-        object.__setattr__(self, "center", tuple(center))
-        object.__setattr__(self, "radius", radius)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ball is immutable")
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise InputError(f"ball radius must be positive, got {self.radius}")
+        object.__setattr__(self, "center", tuple(self.center))
 
     def __repr__(self):
         return f"Ball({self.center}, {self.radius})"
 
 
+@immutable(init=False, eq=False)
 class MetricSampleSpace:
     """Finite list of sample points with a metric.
 
@@ -157,7 +144,9 @@ class MetricSampleSpace:
     distances themselves are irrational.
     """
 
-    __slots__ = ("dim", "samples", "_table")
+    dim: int
+    samples: list
+    _table: dict
 
     def __init__(self, samples, dim=None, distance_table=None):
         samples = [tuple(p) for p in samples]
@@ -176,9 +165,6 @@ class MetricSampleSpace:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "_table", distance_table)
         self._check_metric()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MetricSampleSpace is immutable")
 
     def _check_metric(self):
         if self._table is None:

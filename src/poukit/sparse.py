@@ -15,14 +15,16 @@ points with carriers contained in the original carrier.
 
 from fractions import Fraction
 
+from ._immutable import immutable
 from .errors import NotAUnitVector, TailTooLarge
 from .scalars import EXACT
 
 
+@immutable(init=False)
 class SparseVec:
     """Immutable finitely supported vector: index -> nonzero scalar."""
 
-    __slots__ = ("entries",)
+    entries: dict
 
     def __init__(self, entries=()):
         if isinstance(entries, SparseVec):
@@ -38,9 +40,6 @@ class SparseVec:
                         del data[k]
         object.__setattr__(self, "entries", data)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseVec is immutable")
-
     def __getitem__(self, key):
         return self.entries.get(key, 0)
 
@@ -49,9 +48,6 @@ class SparseVec:
 
     def __len__(self):
         return len(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, SparseVec) and self.entries == other.entries
 
     def __hash__(self):
         return hash(frozenset(self.entries.items()))
@@ -127,12 +123,15 @@ def convex_combination(weights, points):
     return SparseVec(acc)
 
 
+@immutable(init=False, eq=False)
 class ExtendedUnitVec:
     """Unit-mass vector given by an explicit positive finite part plus a tail
     certificate: the unlisted coordinates carry total mass ``tail_mass`` and
     each is at most ``tail_sup``."""
 
-    __slots__ = ("explicit", "tail_mass", "tail_sup")
+    explicit: SparseVec
+    tail_mass: object
+    tail_sup: object
 
     def __init__(self, explicit, tail_mass=0, tail_sup=0, mode=EXACT):
         explicit = SparseVec(explicit)
@@ -146,9 +145,6 @@ class ExtendedUnitVec:
         object.__setattr__(self, "explicit", explicit)
         object.__setattr__(self, "tail_mass", tail_mass)
         object.__setattr__(self, "tail_sup", tail_sup)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtendedUnitVec is immutable")
 
     def __repr__(self):
         return (

@@ -357,6 +357,14 @@ class TestSelfChecks:
         assert code == 1
         assert "certificate violated" in json.loads(out.err)["error"]
 
+    def test_violated_certificate_witness_names_point_distance_and_anchors(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        bundle = {"targets": [self.break_certificate(monkeypatch)]}
+        _, out = run_main(tmp_path, capsys, "verify-all", bundle)
+        (check,) = json.loads(out.out)["checks"]
+        assert check["witness"] == ["certificate violated", "x", "1.0", "0.3", ["a0", "a1"]]
+
     def test_disagreeing_closure_formulas_are_a_failed_check(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -871,3 +879,42 @@ class TestReportText:
     @given(_report_docs)
     def test_equals_json_dumps_with_sorted_keys_and_indent_2(self, doc):
         assert report_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+class TestFiles:
+    """A file that cannot be read or written is an input error, exit 2."""
+
+    def run(self, capsys, *argv):
+        code = main(list(argv))
+        out = capsys.readouterr()
+        return code, out.out, json.loads(out.err)["error"]
+
+    def test_missing_input(self, tmp_path, capsys):
+        code, out, error = self.run(capsys, "mather", str(tmp_path / "absent.json"))
+        assert (code, out) == (2, "")
+        assert "cannot read" in error and "absent.json" in error
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        code, out, error = self.run(capsys, "verify-all", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert "cannot read" in error
+
+    def test_out_into_a_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "absent" / "report.json"
+        code, out, error = self.run(
+            capsys, "mather", str(DATA / "unit_vector.json"), "--out", str(target))
+        assert (code, out) == (2, "")
+        assert "cannot write" in error and not target.parent.exists()
+
+    def test_input_is_read_once(self, monkeypatch):
+        opened = []
+        real_open = open
+
+        def counted(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counted)
+        path = str(DATA / "example_bundle.json")
+        assert main(["verify-all", path]) == 0
+        assert opened.count(path) == 1

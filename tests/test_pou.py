@@ -219,6 +219,23 @@ class TestMatherCompose:
         for p in s.points:
             assert cert.index_bound(p) == {"0"}
 
+    def test_certificate_is_computed_only_when_read(self, monkeypatch):
+        calls = []
+        bound = sparse.mather_support_bound
+
+        def counted(y, mode):
+            calls.append(y)
+            return bound(y, mode)
+
+        monkeypatch.setattr("poukit.pou.mather_support_bound", counted)
+        m = MetricSampleSpace([(F(i, 10),) for i in range(11)])
+        balls = {"L": Ball((F(0),), F(7, 10)), "R": Ball((F(1),), F(7, 10))}
+        _, cert = mather_compose(pou_from_metric_cover(m, balls))
+        assert calls == []
+        kind, radius = cert.neighborhood(m.samples[3])
+        assert kind == "metric_radius" and radius > 0
+        assert len(calls) == 1
+
     def test_escaping_star_raises_self_check(self, monkeypatch):
         g = FiniteSpace.discrete({"x", "y"})
         pou = validate_pou(g, {"a", "b"}, {"x": dirac("a"), "y": dirac("b")})

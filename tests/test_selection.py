@@ -12,6 +12,7 @@ from poukit import (
     InputError,
     NonPositiveEpsilon,
     NotAUnitVector,
+    SelfCheckFailed,
     barycentric_selection,
     conv_fiber_open,
     conv_membership,
@@ -304,6 +305,17 @@ class TestEpsilonSelection:
         assert certs["x"].distance_bound < 1.0
         with pytest.raises(NotAUnitVector, match="not a unit simplex point"):
             epsilon_selection(target, 1.0, anchors, Mode(exact=False, tol=0.0))
+
+    def test_violated_certificate_travels_with_the_error(self, monkeypatch):
+        anchors = [(0.0, 1.0), (1.0, 1.0)]
+        monkeypatch.setattr(
+            ConvexTarget, "distance", lambda self, x, q: 0.0 if tuple(q) in anchors else 1.0)
+        target = ConvexTarget(2, {"x": {"kind": "point", "p": (0, 0)}})
+        with pytest.raises(SelfCheckFailed, match="certificate violated") as info:
+            epsilon_selection(target, 0.5, anchors)
+        cert = info.value.certificate
+        assert (cert.point, cert.distance_bound) == ("x", 1.0)
+        assert cert.active_anchors == ("a0", "a1")
 
     def test_certified_bound_halves_under_refinement(self):
         target = self.segment_target()
