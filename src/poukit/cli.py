@@ -15,9 +15,9 @@ import sys
 from . import jsonio, scalars
 from .errors import InputError, PoukitError, SelfCheckFailed, TailTooLarge
 from .nerve import canonical_map_check, nerve_from_cover
-from .pou import mather_compose, pou_from_metric_cover, subordination_check
+from .pou import mather_compose, pou_from_incidence, pou_from_metric_cover, subordination_check
 from .selection import epsilon_selection
-from .setmaps import ball_cover, classify, closure_cover
+from .setmaps import classify, closure_cover, incidence_cover
 from .sparse import _as_extended, mather_eta, mather_lambda, mather_support_bound, norms
 
 EXIT_OK = 0
@@ -147,8 +147,8 @@ def cmd_canonical_check(doc, args, report, mode):
     (cover,) = jsonio.require_fields(doc, "a canonical-check input", "cover")
     cover = _load_cover_input(cover, mode)
     if isinstance(cover, tuple):
-        pou = pou_from_metric_cover(cover[0], cover[1], mode=mode)
-        cover = ball_cover(*cover)
+        incidence = cover[0].incidence(cover[1])  # one decision per pair for both
+        pou, cover = pou_from_incidence(incidence, mode), incidence_cover(incidence)
     else:
         (pou,) = jsonio.require_fields(doc, "a canonical-check input", "pou")
         pou = jsonio.load_pou(pou, mode)
@@ -251,8 +251,8 @@ def cmd_verify_all(doc, args, report, mode):
 
     for i, obj in _section(bundle, "metric_covers"):
         space, balls = jsonio.load_metric_cover(obj, mode)
-        pou = pou_from_metric_cover(space, balls, mode=mode)
-        cover = ball_cover(space, balls)
+        incidence = space.incidence(balls)
+        pou, cover = pou_from_incidence(incidence, mode), incidence_cover(incidence)
         sub = subordination_check(pou, cover)
         ok = sub["index_subordinated"]
         report.check(

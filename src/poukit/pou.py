@@ -97,13 +97,16 @@ def pou_from_metric_cover(space, balls, mode=EXACT):
     """
     if not isinstance(space, MetricSampleSpace):
         raise InputError("bump construction needs a MetricSampleSpace ground")
+    return pou_from_incidence(space.incidence(balls), mode)
+
+
+def pou_from_incidence(incidence, mode=EXACT):
+    """:func:`pou_from_metric_cover` from ``space.incidence(balls)``."""
+    space, balls = incidence.space, incidence.balls
     rows = {}
     min_total = None
-    for x in space.samples:
-        bumps = {}
-        for a, ball in balls.items():
-            if space.ball_membership(ball, x):
-                bumps[a] = space.dist_to_ball_complement(ball, x)
+    for i, x in enumerate(space.samples):
+        bumps = incidence.bumps(i)
         if not bumps:
             raise NotACover(x)
         total = sum(bumps.values())

@@ -98,8 +98,10 @@ def dist_to_segment(q, a, b):
     q = [float(c) for c in q]
     a = [float(c) for c in a]
     d = [float(c) - ac for c, ac in zip(b, a)]
-    denom = _dot(d, d)
-    t = 0.0 if denom == 0 else _dot([qc - ac for qc, ac in zip(q, a)], d) / denom
+    denom, along = _dot(d, d), _dot([qc - ac for qc, ac in zip(q, a)], d)
+    if not (math.isfinite(denom) and math.isfinite(along)):
+        raise OverflowError("segment projection out of float range")
+    t = 0.0 if denom == 0 else along / denom
     t = min(1.0, max(0.0, t))
     return math.dist(q, [ac + t * dc for ac, dc in zip(a, d)])
 
@@ -160,6 +162,8 @@ def dist_to_polytope(q, vertices):
     """
     pts = [[float(c) - float(qc) for c, qc in zip(v, q)] for v in vertices]
     sq = [_dot(p, p) for p in pts]
+    if not math.isfinite(max(sq)):  # it bounds every dot product below
+        raise OverflowError("squared vertex distance out of float range")
     start = min(range(len(pts)), key=sq.__getitem__)
     corral, weights = [start], [1.0]
     x, xx = pts[start], sq[start]
@@ -239,15 +243,19 @@ class ConvexTarget:
         return list(self.sets)
 
     def distance(self, x, q):
+        """d(q, set at x); InputError when it leaves the float range."""
         spec = self.sets[x]
         kind = spec["kind"]
-        if kind == "point":
-            return dist_to_point(q, spec["p"])
-        if kind == "segment":
-            return dist_to_segment(q, spec["a"], spec["b"])
-        if kind == "box":
-            return dist_to_box(q, spec["lo"], spec["hi"])
-        return dist_to_polytope(q, spec["vertices"])
+        try:
+            if kind == "point":
+                return dist_to_point(q, spec["p"])
+            if kind == "segment":
+                return dist_to_segment(q, spec["a"], spec["b"])
+            if kind == "box":
+                return dist_to_box(q, spec["lo"], spec["hi"])
+            return dist_to_polytope(q, spec["vertices"])
+        except OverflowError as exc:
+            raise InputError(f"distance to the {kind} at {x!r} is out of float range") from exc
 
 
 def epsilon_selection(target, eps, anchors, mode=FLOAT):

@@ -93,11 +93,14 @@ def ball_cover(space, balls):
     """
     if not isinstance(space, MetricSampleSpace):
         raise InputError("expected (MetricSampleSpace, balls)")
-    values = {
-        x: {a for a, b in balls.items() if space.ball_membership(b, x)}
-        for x in space.samples
-    }
-    return indexed_cover(FiniteSpace.discrete(space.samples), set(balls), values)
+    return incidence_cover(space.incidence(balls))
+
+
+def incidence_cover(incidence):
+    """:func:`ball_cover` from ``space.incidence(balls)``."""
+    samples = incidence.space.samples
+    values = {x: row.keys() for x, row in zip(samples, incidence.rows)}
+    return indexed_cover(FiniteSpace.discrete(samples), set(incidence.balls), values)
 
 
 @dataclass

@@ -7,7 +7,8 @@ exact set computations.
 
 A metric sample space is a finite list of coordinate points with the
 Euclidean metric (or an explicit distance table); it is the desk-scale ground
-for ball covers and bump constructions.
+for ball covers and bump constructions.  Its ``incidence`` decides which
+balls contain each sample, once per pair; covers and bumps all read it.
 """
 
 import math
@@ -73,7 +74,12 @@ class FiniteSpace:
 
     @classmethod
     def discrete(cls, points):
-        return cls(points, {p: {p} for p in points})
+        """Every point open: nothing to check."""
+        min_open = {p: frozenset((p,)) for p in points}
+        space = object.__new__(cls)
+        object.__setattr__(space, "points", frozenset(min_open))  # reuses the dict's hashes
+        object.__setattr__(space, "min_open", min_open)
+        return space
 
     @classmethod
     def indiscrete(cls, points):
@@ -137,12 +143,9 @@ class Ball:
 
 @immutable(init=False, eq=False)
 class MetricSampleSpace:
-    """Finite list of sample points with a metric.
-
-    With rational coordinates, ball membership (d < r) is decided exactly by
-    comparing squared quantities, so cover combinatorics stay exact even when
-    distances themselves are irrational.
-    """
+    """Finite list of sample points with a metric.  With rational
+    coordinates ball membership (d < r) is decided exactly, on integers, so
+    cover combinatorics stay exact even when distances are irrational."""
 
     dim: int
     samples: list
@@ -192,55 +195,100 @@ class MetricSampleSpace:
             return abs(p[0] - q[0])  # exact on rational coordinates
         return math.sqrt(float(self.dist_sq(p, q)))
 
-    def ball_membership(self, ball, x):
-        """Whether d(x, centre) < radius; a point on the sphere is outside.
+    def incidence(self, balls):
+        """The balls of the cover ``balls`` (index -> Ball) that contain each
+        sample, as a :class:`BallIncidence`: each pair decided once."""
+        scaled = [(a, b, self._scaled_ball(b)) for a, b in balls.items()]
+        rows = []
+        for x in self.samples:
+            sx = _scaled(x)
+            row = {}
+            for a, b, sb in scaled:
+                inside, s, scale = self._measure(x, sx, b, sb)
+                if inside:
+                    row[a] = s, scale
+            rows.append(row)
+        return BallIncidence(self, dict(balls), tuple(rows))
 
-        With rational (``int`` or ``Fraction``) coordinates and radius and no
-        distance table, the sign of r^2 - d^2 is decided on plain integers:
-        each coordinate difference is cross-multiplied over its two
-        denominators, the squares are summed over their common denominator,
-        and the sum is compared with r^2 by cross-multiplication, so no
-        ``Fraction`` is built.  Float coordinates and distance tables compare
-        ``dist_sq`` with r^2; a square beyond the float range is an
-        InputError.
-        """
-        center, r = ball.center, ball.radius
-        if len(center) != self.dim:
+    def _scaled_ball(self, ball):
+        if len(ball.center) != self.dim:
             raise InputError(
-                f"ball centre {[str(c) for c in center]} has {len(center)} coordinates, "
-                f"the sample space has dimension {self.dim!r}"
+                f"ball centre {[str(c) for c in ball.center]} has {len(ball.center)} "
+                f"coordinates, the sample space has dimension {self.dim!r}"
             )
-        if self._table is None and isinstance(r, _RATIONAL):
-            num, den = 0, 1  # running sum of squared differences, num / den
-            for p, q in zip(x, center):
-                if not (isinstance(p, _RATIONAL) and isinstance(q, _RATIONAL)):
-                    break
-                pd, qd = p.denominator, q.denominator
-                diff = p.numerator * qd - q.numerator * pd
-                sq_den = pd * qd
-                sq_den *= sq_den
-                num = num * sq_den + diff * diff * den
-                den *= sq_den
-            else:
-                rd = r.denominator
-                return num * rd * rd < r.numerator**2 * den
+        return _scaled(ball.center + (ball.radius,))
+
+    def _measure(self, x, sx, ball, sb):
+        """``(d(x, centre) < radius, s, scale)``.  On a rational pair without
+        a distance table, x = X / D_x and the centre and radius C / D_b and
+        R / D_b, so d**2 = s / scale**2 with s = sum((X D_b - C D_x)**2) and
+        scale = D_x D_b, and x is inside iff s < (R D_x)**2, all on integers.
+        Other pairs compare ``dist_sq`` with r**2 and carry ``None`` twice."""
+        if sx is not None and sb is not None and self._table is None:
+            (xs, dx), (bs, db) = sx, sb
+            s = 0
+            for p, c in zip(xs, bs):  # bs ends with R, past the last coordinate
+                d = p * db - c * dx
+                s += d * d
+            r = bs[-1] * dx
+            return s < r * r, s, dx * db
         try:
-            return self.dist_sq(x, center) < r**2
+            return self.dist_sq(x, ball.center) < ball.radius**2, None, None
         except OverflowError as exc:
             raise InputError(
-                f"squared distance from {[str(c) for c in x]} to a ball of radius {r} "
-                "is out of float range"
+                f"squared distance from {[str(c) for c in x]} to a ball of radius "
+                f"{ball.radius} is out of float range"
             ) from exc
 
-    def dist_to_ball_complement(self, ball, x):
-        """max(radius - d(x, center), 0); the bump value of the ball at x.
-        InputError when the distance or the radius leaves the float range."""
+    def _bump(self, ball, x, s, scale):
+        """max(radius - d(x, centre), 0) from ``_measure``'s s and scale; an
+        int/int division rounds like ``float(Fraction)``.  InputError when the
+        distance or the radius leaves the float range."""
+        r = ball.radius
         try:
-            gap = ball.radius - self.dist(x, ball.center)
+            if scale is None:
+                gap = r - self.dist(x, ball.center)
+            elif self.dim == 1:
+                gap = Fraction(r.numerator * (scale // r.denominator) - math.isqrt(s), scale)
+            else:
+                gap = r - math.sqrt(s / (scale * scale))
         except OverflowError as exc:
             raise InputError(
-                f"bump of a ball of radius {ball.radius} at {[str(c) for c in x]} "
-                "is out of float range"
+                f"bump of a ball of radius {r} at {[str(c) for c in x]} is out of float range"
             ) from exc
         zero = Fraction(0) if isinstance(gap, Fraction) else 0.0
         return gap if gap > 0 else zero
+
+    def ball_membership(self, ball, x):
+        """Whether d(x, centre) < radius, decided as by :meth:`incidence`."""
+        return self._measure(x, _scaled(x), ball, self._scaled_ball(ball))[0]
+
+    def dist_to_ball_complement(self, ball, x):
+        """max(radius - d(x, center), 0), the bump of the ball at x."""
+        _, s, scale = self._measure(x, _scaled(x), ball, self._scaled_ball(ball))
+        return self._bump(ball, x, s, scale)
+
+
+def _scaled(values):
+    """``(nums, d)`` with ``values[i] == nums[i] / d`` and d the lcm of the
+    denominators, or None unless every value is an int or a Fraction."""
+    if not all(isinstance(v, _RATIONAL) for v in values):
+        return None
+    d = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
+
+
+@immutable(eq=False)
+class BallIncidence:
+    """``rows[i]`` maps each ball containing ``space.samples[i]``, in
+    ``balls`` order, to ``(s, scale)``: the squared distance to its centre is
+    s / scale**2 on integers for a rational pair, else ``(None, None)``."""
+
+    space: MetricSampleSpace
+    balls: dict
+    rows: tuple
+
+    def bumps(self, i):
+        """``{index: max(radius - d(x, centre), 0)}`` over the members at x_i."""
+        x, balls, bump = self.space.samples[i], self.balls, self.space._bump
+        return {a: bump(balls[a], x, s, scale) for a, (s, scale) in self.rows[i].items()}

@@ -158,13 +158,18 @@ class ExtendedUnitVec:
 
     @classmethod
     def from_simplex_point(cls, p, mode=EXACT):
-        return cls(p, 0, 0, mode=mode)
+        """``p`` with an empty tail, checked once by ``as_unit_simplex_point``."""
+        y = object.__new__(cls)
+        object.__setattr__(y, "explicit", as_unit_simplex_point(p, mode))
+        object.__setattr__(y, "tail_mass", 0)
+        object.__setattr__(y, "tail_sup", 0)
+        return y
 
 
 def _as_extended(y, mode=EXACT):
     if isinstance(y, ExtendedUnitVec):
         return y
-    return ExtendedUnitVec.from_simplex_point(as_unit_simplex_point(y, mode), mode=mode)
+    return ExtendedUnitVec.from_simplex_point(y, mode)
 
 
 def _half_sup(y):

@@ -428,20 +428,27 @@ class TestMetricCover:
         assert rep["checks"][0]["status"] == "pass"
         assert max(map(len, rep["payload"]["nerve"]["simplices"])) == 9
 
-    def test_ball_membership_budget(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        decide = MetricSampleSpace.ball_membership
+    def test_one_incidence_per_metric_cover(self, tmp_path, capsys, monkeypatch):
+        built, decided = [], []
+        incidence = MetricSampleSpace.incidence
 
-        def counted(self, ball, x):
-            calls.append(x)
-            return decide(self, ball, x)
+        def counted(self, balls):
+            built.append(balls)
+            return incidence(self, balls)
 
-        monkeypatch.setattr(MetricSampleSpace, "ball_membership", counted)
+        monkeypatch.setattr(MetricSampleSpace, "incidence", counted)
+        monkeypatch.setattr(
+            MetricSampleSpace, "ball_membership", lambda self, ball, x: decided.append(x))
         cover = json.loads((DATA / "line_ball_cover.json").read_text())
-        code, _ = run_main(tmp_path, capsys, "verify-all", {"metric_covers": [cover]})
-        assert code == 0
-        n, k = len(cover["space"]["samples"]), len(cover["balls"])
-        assert 0 < len(calls) <= 2 * n * k
+        for command, doc, covers in [
+            ("verify-all", {"metric_covers": [cover, cover]}, 2),
+            ("canonical-check", {"cover": cover}, 1),
+        ]:
+            built.clear()
+            code, _ = run_main(tmp_path, capsys, command, doc)
+            assert code == 0
+            assert len(built) == covers
+            assert decided == []
 
 
 def line_cover():
@@ -631,6 +638,11 @@ def _cover(samples, centre, radius):
     return {"space": {"samples": samples}, "balls": {"U": {"center": centre, "radius": radius}}}
 
 
+def _target(anchor, **spec):
+    """A one-set 2-d target ``x`` with epsilon 1 and one anchor."""
+    return {"target": {"ambient_dim": 2, "sets": {"x": spec}}, "epsilon": "1", "anchors": [anchor]}
+
+
 VERIFY_ALL_SECTIONS = ["spaces", "unit_vectors", "maps", "covers", "metric_covers", "targets"]
 
 # (command, input, flags, a fragment of the error message)
@@ -675,6 +687,19 @@ HOSTILE_INPUTS = {
         "pou-build", _cover([["0", "0"], ["1", "0"]], ["0", "0"], "1e400"), [], "float range"),
     "bump-total-overflow": (
         "canonical-check", {"cover": _cover([["0"], ["1"]], ["0"], str(10**400))}, [], "float range"),
+    # the anchor lies on or inside the set; an overflowing projection said it was far
+    "polytope-overflow": (
+        "select-eps",
+        _target(["0", "0"], kind="polytope", vertices=[["1e200", "0"], ["0", "1e200"], ["-1e200", "-1e200"]]),
+        [],
+        "float range",
+    ),
+    "segment-overflow": (
+        "select-eps",
+        _target(["0", "1e-300"], kind="segment", a=["1e200", "0"], b=["-1e200", "0"]),
+        [],
+        "float range",
+    ),
     "dim-a-float": ("nerve-build", {**line_cover(), "space": {"dim": 1.0, "samples": [["0"]]}},
                     [], "dim must be an integer"),
     "dim-true": ("nerve-build", {**line_cover(), "space": {"dim": True, "samples": [["0"]]}},

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -278,3 +279,93 @@ class TestBallMembershipKernel:
             for b in balls.values():
                 inexact.ball_membership(Ball(tuple(map(float, b.center)), float(b.radius)), x)
         assert len(calls) == len(samples) * len(balls)
+
+
+# coprime denominators near 10**12 and 2**61, where one lcm over a whole
+# cover would grow with the number of balls
+HUGE_DENOMINATORS = st.sampled_from([10**12 + 39, 10**12 + 61, 2**61 - 1])
+HUGE = st.builds(F, st.integers(-(10**30), 10**30), HUGE_DENOMINATORS)
+VALUES = st.one_of(RATIONALS, HUGE)
+RADII_ANY = st.one_of(RADII, st.builds(F, st.integers(1, 10**30), HUGE_DENOMINATORS))
+
+
+@st.composite
+def rational_cover(draw):
+    """1-4 balls in dimension 1-3 and samples that are random, on a sphere,
+    or 1/10**12 inside or outside it; ints, small and huge denominators."""
+    dim = draw(st.integers(1, 3))
+    balls = {
+        f"U{j}": Ball(tuple(draw(VALUES) for _ in range(dim)), draw(RADII_ANY))
+        for j in range(draw(st.integers(1, 4)))
+    }
+    samples = []
+    for _ in range(draw(st.integers(1, 6))):
+        b = draw(st.sampled_from(list(balls.values())))
+        how = draw(st.sampled_from(["random", "sphere", "inside", "outside"]))
+        if how == "random":
+            samples.append(tuple(draw(VALUES) for _ in range(dim)))
+            continue
+        u = rational_unit(dim, draw(RATIONALS), draw(RATIONALS))
+        r = b.radius + {"sphere": 0, "inside": -1, "outside": 1}[how] * F(1, 10**12)
+        samples.append(tuple(c + r * e for c, e in zip(b.center, u)))
+    return MetricSampleSpace(list(dict.fromkeys(samples)), dim=dim), balls
+
+
+def oracle_bump(x, ball):
+    """max(radius - d(x, centre), 0) through Fraction, as the bump was
+    computed before the integer incidence."""
+    if len(x) == 1:
+        gap = F(ball.radius) - abs(F(x[0]) - F(ball.center[0]))
+    else:
+        d_sq = sum((F(a) - F(b)) ** 2 for a, b in zip(x, ball.center))
+        gap = float(ball.radius) - math.sqrt(float(d_sq))
+    return max(gap, 0)
+
+
+def assert_incidence(space, balls, inside, bump):
+    """The incidence, ``ball_membership`` and ``dist_to_ball_complement``
+    agree with the oracles ``inside(x, ball)`` and ``bump(x, ball)``."""
+    incidence = space.incidence(balls)
+    for i, x in enumerate(space.samples):
+        members = [a for a, b in balls.items() if inside(x, b)]
+        assert list(incidence.rows[i]) == members
+        assert incidence.bumps(i) == {a: bump(x, balls[a]) for a in members}
+        for b in balls.values():
+            assert space.ball_membership(b, x) == inside(x, b)
+            assert space.dist_to_ball_complement(b, x) == bump(x, b)
+
+
+class TestIncidence:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(rational_cover())
+    def test_exact_equals_the_fraction_oracle(self, cover):
+        space, balls = cover
+        assert_incidence(
+            space, balls, lambda x, b: oracle_inside(x, b.center, b.radius), oracle_bump)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(rational_cover())
+    def test_float_covers_compare_float_squares(self, cover):
+        space, balls = cover
+        samples = dict.fromkeys(tuple(map(float, x)) for x in space.samples)
+        space = MetricSampleSpace(list(samples), dim=space.dim)
+        balls = {a: Ball(tuple(map(float, b.center)), float(b.radius)) for a, b in balls.items()}
+
+        def bump(x, b):
+            d = abs(x[0] - b.center[0]) if space.dim == 1 else math.sqrt(space.dist_sq(x, b.center))
+            return max(b.radius - d, 0)
+
+        assert_incidence(space, balls, lambda x, b: space.dist_sq(x, b.center) < b.radius**2, bump)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(RATIONALS, min_size=1, max_size=6, unique=True), st.data())
+    def test_distance_table_decides(self, xs, data):
+        # the table doubles the Euclidean metric, so it must decide, not the coordinates
+        samples = [(F(x),) for x in xs]
+        table = {(p, q): 2 * abs(p[0] - q[0]) for p in samples for q in samples}
+        space = MetricSampleSpace(samples, distance_table=table)
+        balls = {f"U{j}": Ball(data.draw(st.sampled_from(samples)), data.draw(RADII)) for j in range(3)}
+        assert_incidence(
+            space, balls,
+            lambda x, b: table[x, b.center] < b.radius,
+            lambda x, b: max(b.radius - table[x, b.center], 0))
