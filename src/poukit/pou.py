@@ -90,10 +90,10 @@ def validate_pou(ground, index_set, rows, mode=EXACT):
 def pou_from_metric_cover(space, balls, mode=EXACT):
     """Normalized bump partition subordinated to a ball cover.
 
-    Bump of ball a at x is max(radius_a - d(x, center_a), 0).  Positivity is
-    decided by the exact squared comparison d^2 < r^2 when coordinates are
-    rational, so carriers and stars are exact in either mode even though the
-    bump values involve square roots.
+    Bump of ball a at x is max(radius_a - d(x, center_a), 0), over the
+    members ``space.incidence(balls)`` decided by the exact comparison
+    d^2 < r^2 when coordinates are rational, so carriers and stars are exact
+    in either mode even though the bump values involve square roots.
     """
     if not isinstance(space, MetricSampleSpace):
         raise InputError("bump construction needs a MetricSampleSpace ground")

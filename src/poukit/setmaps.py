@@ -87,9 +87,9 @@ def ball_cover(space, balls):
     """The ball family ``balls`` (index -> Ball) over a metric sample space
     as an indexed cover of the discrete space on its samples.
 
-    This is where the checkers decide ball membership, once per (sample,
-    ball) pair: the nerve and the canonical-map check read the returned
-    cover.  A sample outside every ball has an empty value and is rejected.
+    Ball membership is decided once per (sample, ball) pair, by
+    ``space.incidence``: the nerve and the canonical-map check read the
+    returned cover.  A sample outside every ball is rejected.
     """
     if not isinstance(space, MetricSampleSpace):
         raise InputError("expected (MetricSampleSpace, balls)")
