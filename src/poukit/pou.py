@@ -10,6 +10,9 @@ ground the rows come from closed-form bump constructions and no continuity
 check applies.
 """
 
+import types
+from dataclasses import field
+
 from ._immutable import immutable
 from .errors import (
     DiscontinuousAt,
@@ -19,24 +22,27 @@ from .errors import (
     SelfCheckFailed,
 )
 from .scalars import EXACT, Mode, format_scalar
-from .sparse import SparseVec, is_unit_simplex_point, mather_eta, mather_support_bound
+from .sparse import (ExtendedUnitVec, SparseVec, _normalized, is_unit_simplex_point,
+                     mather_eta, mather_support_bound)
 from .spaces import FiniteSpace, MetricSampleSpace
 
 
 @immutable(eq=False)
 class PartitionOfUnity:
     """Rowwise partition of unity over a finite ground.  Use
-    :func:`validate_pou` to build one with all invariants checked."""
+    :func:`validate_pou` to build one with all invariants checked; only it
+    sets ``_rows_checked``.  ``rows`` is a read-only view of a copy."""
 
     ground: object
     index_set: frozenset
     rows: dict
     mode: Mode = EXACT
     l1_lipschitz: float | None = None
+    _rows_checked: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "index_set", frozenset(self.index_set))
-        object.__setattr__(self, "rows", dict(self.rows))
+        object.__setattr__(self, "rows", types.MappingProxyType(dict(self.rows)))
 
     def ground_points(self):
         return _ground_points(self.ground)
@@ -84,7 +90,9 @@ def validate_pou(ground, index_set, rows, mode=EXACT):
             for y in sorted(ground.min_open[x], key=repr):
                 if rows[y] != rows[x]:
                     raise DiscontinuousAt(x, y)
-    return PartitionOfUnity(ground, index_set, rows, mode)
+    pou = PartitionOfUnity(ground, index_set, rows, mode)
+    object.__setattr__(pou, "_rows_checked", True)
+    return pou
 
 
 def pou_from_metric_cover(space, balls, mode=EXACT):
@@ -103,16 +111,14 @@ def pou_from_metric_cover(space, balls, mode=EXACT):
 def pou_from_incidence(incidence, mode=EXACT):
     """:func:`pou_from_metric_cover` from ``space.incidence(balls)``."""
     space, balls = incidence.space, incidence.balls
-    rows = {}
-    min_total = None
+    rows, totals = {}, []
     for i, x in enumerate(space.samples):
         bumps = incidence.bumps(i)
         if not bumps:
             raise NotACover(x)
-        total = sum(bumps.values())
-        if min_total is None or total < min_total:
-            min_total = total
-        rows[x] = SparseVec((a, g / total) for a, g in bumps.items())
+        rows[x], total = _normalized(bumps)
+        totals.append(total)
+    min_total = min(totals)
     checked = validate_pou(space, set(balls), rows, mode=mode)
     # l1 Lipschitz bound for the normalized family: each bump is 1-Lipschitz
     # in the ground metric, and the total is at least min_total on samples.
@@ -120,7 +126,8 @@ def pou_from_incidence(incidence, mode=EXACT):
         lip = 2 * len(balls) / float(min_total)
     except (OverflowError, ZeroDivisionError) as exc:
         raise InputError(f"bump total {format_scalar(min_total)} is out of float range") from exc
-    return PartitionOfUnity(space, checked.index_set, checked.rows, mode, lip)
+    object.__setattr__(checked, "l1_lipschitz", lip)  # keeps the checked flag
+    return checked
 
 
 def subordination_check(pou, omega):
@@ -185,12 +192,14 @@ def mather_compose(pou):
     """Apply the shrinking transform rowwise, with the certificate of its
     local finiteness.
 
-    Each row is checked to be a unit simplex point as it is shrunk.  On an
+    Each row is checked to be a unit simplex point as it is shrunk, unless
+    ``pou`` comes from :func:`validate_pou`, which checked every row.  On an
     Alexandrov ground strong carrier containment, cl(star of the output)
     inside the star of the input, is checked exactly.  The certificate
     computes nothing until it is read.
     """
-    gamma_rows = {x: mather_eta(pou.rows[x], pou.mode) for x in pou.ground_points()}
+    wrap = ExtendedUnitVec._of_checked if pou._rows_checked else (lambda row: row)
+    gamma_rows = {x: mather_eta(wrap(pou.rows[x]), pou.mode) for x in pou.ground_points()}
     gamma = PartitionOfUnity(pou.ground, pou.index_set, gamma_rows, pou.mode)
     if isinstance(pou.ground, FiniteSpace):
         for a in sorted(pou.index_set, key=repr):

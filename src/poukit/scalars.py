@@ -6,6 +6,9 @@ arithmetic it is in: exact-mode bumps in dimension >= 2 are floats (square
 roots), so unit-mass tests and normalizations dispatch on the type.
 """
 
+import functools
+import math
+import operator
 import re
 from fractions import Fraction
 
@@ -53,3 +56,17 @@ def format_scalar(value):
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     return repr(float(value))
+
+
+def _fold_sum(values):
+    """``sum(values)`` left to right from 0, as Python 3.11 computes it: from
+    3.12 ``sum`` compensates float rounding, and reports would differ."""
+    return functools.reduce(operator.add, values, 0)
+
+
+def _over_lcm(values, kinds):
+    """``(nums, d)`` with ``values[i] == nums[i] / d`` and d the lcm of the
+    denominators, or None unless every value is an instance of ``kinds``."""
+    if all(isinstance(v, kinds) for v in values):
+        d = math.lcm(*(v.denominator for v in values))
+        return tuple(v.numerator * (d // v.denominator) for v in values), d

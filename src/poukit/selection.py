@@ -15,13 +15,14 @@ anchors, locally-finite shrinking, then a barycentric sum of the anchors.
 """
 
 import math
+import operator
 
 from ._immutable import immutable
 from .errors import CoverGap, InputError, NonPositiveEpsilon, SelfCheckFailed
 from .pou import PartitionOfUnity, mather_compose
-from .scalars import FLOAT
+from .scalars import FLOAT, _fold_sum
 from .setmaps import carrier_fiber
-from .sparse import SparseVec
+from .sparse import _normalized
 from .spaces import FiniteSpace
 
 # Wolfe's optimality gap, relative to the largest squared vertex norm
@@ -87,7 +88,7 @@ def barycentric_selection(gamma, anchors):
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return _fold_sum(map(operator.mul, u, v))
 
 
 def dist_to_point(q, p):
@@ -191,7 +192,7 @@ def dist_to_polytope(q, vertices):
             cand, cw = [cand[k] for k in keep], [cw[k] for k in keep]
         if alpha is None:
             break
-        y = [sum(w * pts[i][d] for w, i in zip(cw, cand)) for d in range(len(x))]
+        y = [_dot(cw, [pts[i][d] for i in cand]) for d in range(len(x))]
         yy = _dot(y, y)
         if yy >= xx:
             break
@@ -283,8 +284,7 @@ def epsilon_selection(target, eps, anchors, mode=FLOAT):
                 weights[aid] = gap
         if not weights:
             raise CoverGap(x)
-        total = sum(weights.values())
-        rows[x] = SparseVec((aid, g / total) for aid, g in weights.items())
+        rows[x], _ = _normalized(weights)
     pou = PartitionOfUnity(ground, set(anchor_ids), rows, mode)
     gamma, _cert = mather_compose(pou)
     values, certs = barycentric_selection(gamma, anchor_ids)

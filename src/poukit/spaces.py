@@ -9,6 +9,7 @@ A metric sample space is a finite list of coordinate points with the
 Euclidean metric (or an explicit distance table); it is the desk-scale ground
 for ball covers and bump constructions.  Its ``incidence`` decides which
 balls contain each sample, once per pair; covers and bumps all read it.
+Each sample is hashed once, and equals and hashes like its plain tuple.
 """
 
 import math
@@ -16,9 +17,22 @@ from fractions import Fraction
 
 from ._immutable import immutable
 from .errors import InputError, NotReflexive, NotTransitive
+from .scalars import _fold_sum, _over_lcm
 
 TOL_METRIC = 1e-9
 _RATIONAL = (int, Fraction)
+
+
+class _Sample(tuple):
+    """A tuple that hashes once: a tuple hashes its Fractions on every lookup."""
+
+    def __new__(cls, coords):
+        self = tuple.__new__(cls, coords)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
 
 
 @immutable
@@ -152,7 +166,7 @@ class MetricSampleSpace:
     _table: dict
 
     def __init__(self, samples, dim=None, distance_table=None):
-        samples = [tuple(p) for p in samples]
+        samples = [_Sample(p) for p in samples]
         if not samples:
             raise InputError("need at least one sample")
         if dim is None:
@@ -186,7 +200,7 @@ class MetricSampleSpace:
         if self._table is not None:
             d = self._table[(tuple(p), tuple(q))]
             return d * d
-        return sum((a - b) ** 2 for a, b in zip(p, q))
+        return _fold_sum((a - b) ** 2 for a, b in zip(p, q))
 
     def dist(self, p, q):
         if self._table is not None:
@@ -201,7 +215,7 @@ class MetricSampleSpace:
         scaled = [(a, b, self._scaled_ball(b)) for a, b in balls.items()]
         rows = []
         for x in self.samples:
-            sx = _scaled(x)
+            sx = _over_lcm(x, _RATIONAL)
             row = {}
             for a, b, sb in scaled:
                 inside, s, scale = self._measure(x, sx, b, sb)
@@ -216,7 +230,7 @@ class MetricSampleSpace:
                 f"ball centre {[str(c) for c in ball.center]} has {len(ball.center)} "
                 f"coordinates, the sample space has dimension {self.dim!r}"
             )
-        return _scaled(ball.center + (ball.radius,))
+        return _over_lcm(ball.center + (ball.radius,), _RATIONAL)
 
     def _measure(self, x, sx, ball, sb):
         """``(d(x, centre) < radius, s, scale)``.  On a rational pair without
@@ -261,21 +275,12 @@ class MetricSampleSpace:
 
     def ball_membership(self, ball, x):
         """Whether d(x, centre) < radius, decided as by :meth:`incidence`."""
-        return self._measure(x, _scaled(x), ball, self._scaled_ball(ball))[0]
+        return self._measure(x, _over_lcm(x, _RATIONAL), ball, self._scaled_ball(ball))[0]
 
     def dist_to_ball_complement(self, ball, x):
         """max(radius - d(x, center), 0), the bump of the ball at x."""
-        _, s, scale = self._measure(x, _scaled(x), ball, self._scaled_ball(ball))
+        _, s, scale = self._measure(x, _over_lcm(x, _RATIONAL), ball, self._scaled_ball(ball))
         return self._bump(ball, x, s, scale)
-
-
-def _scaled(values):
-    """``(nums, d)`` with ``values[i] == nums[i] / d`` and d the lcm of the
-    denominators, or None unless every value is an int or a Fraction."""
-    if not all(isinstance(v, _RATIONAL) for v in values):
-        return None
-    d = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
 @immutable(eq=False)

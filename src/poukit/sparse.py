@@ -11,13 +11,17 @@ per-coordinate cap), never by data.
 The shrinking transform drops every coordinate that does not exceed half the
 sup-norm and renormalizes; it maps unit vectors to finitely supported simplex
 points with carriers contained in the original carrier.
+
+Vectors of ``Fraction`` entries are summed, normalized and shrunk on integers
+over the lcm of their denominators.  Rows checked by ``validate_pou`` are not
+checked again when they are shrunk.
 """
 
 from fractions import Fraction
 
 from ._immutable import immutable
 from .errors import NotAUnitVector, TailTooLarge
-from .scalars import EXACT
+from .scalars import EXACT, _fold_sum, _over_lcm
 
 
 @immutable(init=False)
@@ -29,9 +33,9 @@ class SparseVec:
     def __init__(self, entries=()):
         if isinstance(entries, SparseVec):
             data = dict(entries.entries)
+        elif isinstance(entries, dict):
+            data = {k: v for k, v in entries.items() if v != 0}
         else:
-            if isinstance(entries, dict):
-                entries = entries.items()
             data = {}
             for k, v in entries:
                 if v != 0:
@@ -61,7 +65,10 @@ class SparseVec:
         return frozenset(self.entries)
 
     def norm1(self):
-        return sum((abs(v) for v in self.entries.values()), 0)
+        over = self.entries and _over_lcm(self.entries.values(), Fraction)  # empty: int 0
+        if over:
+            return Fraction(sum(map(abs, over[0])), over[1])
+        return _fold_sum(map(abs, self.entries.values()))
 
     def sup_norm(self):
         return max((abs(v) for v in self.entries.values()), default=0)
@@ -159,8 +166,13 @@ class ExtendedUnitVec:
     @classmethod
     def from_simplex_point(cls, p, mode=EXACT):
         """``p`` with an empty tail, checked once by ``as_unit_simplex_point``."""
+        return cls._of_checked(as_unit_simplex_point(p, mode))
+
+    @classmethod
+    def _of_checked(cls, p):
+        """``p``, already known to be a unit simplex point, with an empty tail."""
         y = object.__new__(cls)
-        object.__setattr__(y, "explicit", as_unit_simplex_point(p, mode))
+        object.__setattr__(y, "explicit", p)
         object.__setattr__(y, "tail_mass", 0)
         object.__setattr__(y, "tail_sup", 0)
         return y
@@ -197,10 +209,32 @@ def mather_lambda(y, mode=EXACT):
 
 
 def mather_eta(y, mode=EXACT):
-    """l1-normalized shrinking transform; lands in the finite unit simplex."""
-    lam = mather_lambda(y, mode)
-    total = lam.norm1()
-    return lam.scale(1 / total if isinstance(total, float) else Fraction(1) / total)
+    """l1-normalized shrinking transform; lands in the finite unit simplex.
+    With ``Fraction`` entries n_a / d over their lcm d and M = max n, the clip
+    is (2 n_a - M) / 2d, so eta(a) = (2 n_a - M) / sum(2 n - M) over 2 n > M."""
+    y = _as_extended(y, mode)
+    over = y.explicit.entries and _over_lcm(y.explicit.entries.values(), Fraction)
+    if not over:
+        lam = mather_lambda(y, mode)
+        total = lam.norm1()
+        return lam.scale(1 / total if isinstance(total, float) else Fraction(1) / total)
+    if y.tail_sup:  # a zero tail_sup is below the positive half sup
+        _half_sup(y)
+    top = max(over[0])
+    kept = {a: 2 * n - top for a, n in zip(y.explicit.entries, over[0]) if 2 * n > top}
+    total = sum(kept.values())
+    return SparseVec({a: Fraction(n, total) for a, n in kept.items()})
+
+
+def _normalized(weights):
+    """``(weights / total, total)`` for a nonempty dict of positive weights;
+    ``Fraction`` weights n_a / d over one denominator give n_a / sum(n)."""
+    over = _over_lcm(weights.values(), Fraction)
+    if not over:
+        total = _fold_sum(weights.values())
+        return SparseVec({a: g / total for a, g in weights.items()}), total
+    n = sum(over[0])
+    return SparseVec({a: Fraction(g, n) for a, g in zip(weights, over[0])}), Fraction(n, over[1])
 
 
 def mather_support_bound(y, mode=EXACT):

@@ -450,6 +450,31 @@ class TestMetricCover:
             assert len(built) == covers
             assert decided == []
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_sample_coordinate_is_hashed_once(self, tmp_path, capsys, monkeypatch, dim):
+        """Samples key rows and cover values; a Fraction coordinate is hashed
+        when its sample is built, never again."""
+        rng = random.Random(dim)
+        samples = {tuple(F(rng.randrange(-40, 41), 40) for _ in range(dim)) for _ in range(30)}
+        grid = [(F(i, 2),) for i in range(-2, 3)]
+        centers = grid if dim == 1 else [p + q for p in grid for q in grid]
+        cover = {
+            "space": {"dim": dim, "samples": [[str(c) for c in p] for p in samples]},
+            "balls": {f"U{i}": {"center": [str(c) for c in p], "radius": "2/5"}
+                      for i, p in enumerate(centers)},
+        }
+        calls = []
+        fraction_hash = F.__hash__
+
+        def counted(self):
+            calls.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(F, "__hash__", counted)
+        code, out = run_main(tmp_path, capsys, "verify-all", {"metric_covers": [cover]})
+        assert code == 0, out.err
+        assert 0 < len(calls) <= len(samples) * dim
+
 
 def line_cover():
     return json.loads((DATA / "line_ball_cover.json").read_text())

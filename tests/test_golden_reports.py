@@ -7,6 +7,10 @@ path (reports embed it).  ``golden_reports.json`` pins the SHA-256 of
 that alters a report on purpose rewrites the file and names the change::
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+With ``--check`` the script compares the digests instead of rewriting them,
+names each run that differs and exits 1 if any does.  It does not import
+pytest, so any supported Python can run it.
 """
 
 import contextlib
@@ -15,8 +19,7 @@ import io
 import json
 import os
 import pathlib
-
-import pytest
+import sys
 
 from poukit.cli import COMMANDS, main
 
@@ -40,12 +43,17 @@ def digest(command, path, mode):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def pytest_generate_tests(metafunc):
+    """One ``test_report_bytes`` per run, named by the run."""
+    if "run" in metafunc.fixturenames:
+        metafunc.parametrize("run", RUNS, ids=" ".join)
+
+
 def test_every_run_is_pinned():
     assert len(RUNS) == 144
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(" ".join(r) for r in RUNS)
 
 
-@pytest.mark.parametrize("run", RUNS, ids=" ".join)
 def test_report_bytes(run, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert digest(*run) == json.loads(GOLDEN.read_text())[" ".join(run)]
@@ -54,4 +62,12 @@ def test_report_bytes(run, monkeypatch):
 if __name__ == "__main__":
     os.chdir(ROOT)
     golden = {" ".join(run): digest(*run) for run in RUNS}
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    if "--check" not in sys.argv[1:]:
+        GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        sys.exit(0)
+    pinned = json.loads(GOLDEN.read_text())
+    differ = sorted(r for r in golden.keys() | pinned.keys() if golden.get(r) != pinned.get(r))
+    for run in differ:
+        print(f"differs: {run}")
+    print(f"{len(golden) - len(differ)} of {len(golden)} runs match")
+    sys.exit(1 if differ else 0)

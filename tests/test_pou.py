@@ -1,7 +1,11 @@
+import dataclasses
+import functools
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poukit import (
     Ball,
@@ -9,6 +13,7 @@ from poukit import (
     FiniteSpace,
     MetricSampleSpace,
     NotACover,
+    NotAUnitVector,
     PartitionOfUnity,
     ball_cover,
     indexed_cover,
@@ -17,6 +22,7 @@ from poukit import (
     subordination_check,
     validate_pou,
 )
+from poukit import pou as pou_module
 from poukit import sparse
 from poukit.errors import InputError, RowNotSimplex, SelfCheckFailed
 from poukit.sparse import SparseVec, dirac, uniform
@@ -180,23 +186,42 @@ class TestMetricSubordination:
 
 class TestMatherCompose:
     def test_each_row_is_validated_once(self, monkeypatch):
+        """``validate_pou`` checks each row's mass, and ``mather_compose``
+        does not check it again."""
         calls = []
-        validate = sparse.as_unit_simplex_point
+        check = sparse.is_unit_simplex_point
 
         def counted(v, mode):
             calls.append(v)
-            return validate(v, mode)
+            return check(v, mode)
 
-        monkeypatch.setattr(sparse, "as_unit_simplex_point", counted)
+        monkeypatch.setattr(sparse, "is_unit_simplex_point", counted)
+        monkeypatch.setattr(pou_module, "is_unit_simplex_point", counted)
         pou = pou_from_metric_cover(line_space(), line_balls())
         mather_compose(pou)
-        assert len(calls) == len(pou.rows)
+        assert len(calls) == len(pou.rows) == 3
 
     def test_unvalidated_bad_row_still_rejected(self):
         g = FiniteSpace.discrete({"x"})
         pou = PartitionOfUnity(g, {"a"}, {"x": SparseVec({"a": F(1, 2)})})
-        with pytest.raises(ValueError, match="not a unit simplex point"):
+        with pytest.raises(NotAUnitVector, match="not a unit simplex point"):
             mather_compose(pou)
+
+    def test_replaced_rows_are_checked_again(self):
+        pou = validate_pou(FiniteSpace.discrete({"x"}), {"a"}, {"x": dirac("a")})
+        bad = dataclasses.replace(pou, rows={"x": SparseVec({"a": F(1, 2)})})
+        with pytest.raises(NotAUnitVector):
+            mather_compose(bad)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(pou, _rows_checked=True)
+
+    def test_rows_are_read_only(self):
+        pou = pou_from_metric_cover(line_space(), line_balls())
+        with pytest.raises(TypeError):
+            pou.rows[(F(1, 2),)] = SparseVec({"U0": F(1, 2)})
+        assert pou.rows == dict(pou.rows)
+        gamma, _ = mather_compose(pou)
+        assert gamma.rows[(F(1, 2),)] == SparseVec({"U0": F(1, 2), "U1": F(1, 2)})
 
     def test_symmetric_row_fixed(self):
         pou = pou_from_metric_cover(line_space(), line_balls())
@@ -292,3 +317,53 @@ class TestOpenStar:
         pou = validate_pou(g, {"a", "b"}, {p: dirac("a") for p in g.points})
         assert set(pou.open_star("a")) == set(g.points)
         assert pou.open_star("b") == []
+
+
+COORDS = st.one_of(
+    st.integers(-6, 6),
+    st.builds(F, st.integers(-60, 60), st.integers(1, 12)),
+    st.builds(F, st.integers(-(10**20), 10**20), st.sampled_from([2**61 - 1, 2**61 + 1])),
+)
+
+
+@st.composite
+def covered_samples(draw):
+    """1-4 balls in dimension 1 or 2 and up to 6 samples, each inside one."""
+    dim = draw(st.integers(1, 2))
+    balls = {
+        f"U{j}": Ball(tuple(draw(COORDS) for _ in range(dim)), F(draw(st.integers(1, 40)), 8))
+        for j in range(draw(st.integers(1, 4)))
+    }
+    samples = {}
+    for _ in range(draw(st.integers(1, 6))):
+        b = draw(st.sampled_from(list(balls.values())))
+        t = [F(draw(st.integers(-99, 99)), 100 * dim) for _ in range(dim)]
+        samples[tuple(c + b.radius * u for c, u in zip(b.center, t))] = None
+    return MetricSampleSpace(list(samples)), balls
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(covered_samples())
+def test_rows_and_shrunk_rows_equal_the_fraction_formulas(cover):
+    """Rows are bumps over their left-to-right sum; shrunk rows are the
+    clip at half the sup over its sum.  Exact rows stay Fractions."""
+    space, balls = cover
+    pou = pou_from_metric_cover(space, balls)
+    gamma, _ = mather_compose(pou)
+    incidence = space.incidence(balls)
+    totals = []
+    for i, x in enumerate(space.samples):
+        bumps = incidence.bumps(i)
+        total = functools.reduce(operator.add, bumps.values(), 0)
+        totals.append(total)
+        row = {a: g / total for a, g in bumps.items()}
+        half = max(row.values()) / 2
+        lam = {a: v - half for a, v in row.items() if v > half}
+        lam_total = functools.reduce(operator.add, lam.values(), 0)
+        inv = 1 / lam_total if isinstance(lam_total, float) else F(1) / lam_total
+        for got, want in [(pou.rows[x], row), (gamma.rows[x], {a: v * inv for a, v in lam.items()})]:
+            assert {a: (type(v), v) for a, v in got.entries.items()} == {
+                a: (type(v), v) for a, v in want.items()}
+        if space.dim == 1:
+            assert all(type(v) is F for v in gamma.rows[x].entries.values())
+    assert pou.l1_lipschitz == 2 * len(balls) / float(min(totals))

@@ -311,6 +311,17 @@ def rational_cover(draw):
     return MetricSampleSpace(list(dict.fromkeys(samples)), dim=dim), balls
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.lists(VALUES, min_size=2, max_size=2).map(tuple), min_size=1, max_size=6,
+                unique=True))
+def test_samples_read_as_plain_tuples(points):
+    space = MetricSampleSpace(points)
+    for sample, p in zip(space.samples, points):
+        assert (sample == p, hash(sample), repr(sample)) == (True, hash(p), repr(p))
+    assert {p: i for i, p in enumerate(points)} == {x: i for i, x in enumerate(space.samples)}
+    assert repr(space.samples) == repr(points)
+
+
 def oracle_bump(x, ball):
     """max(radius - d(x, centre), 0) through Fraction, as the bump was
     computed before the integer incidence."""

@@ -1,7 +1,9 @@
+import functools
+import operator
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from poukit import (
     ExtendedUnitVec,
@@ -14,6 +16,7 @@ from poukit import (
     mather_support_bound,
     norms,
 )
+from poukit.scalars import _fold_sum
 from poukit.sparse import dirac, is_unit_simplex_point, uniform
 
 
@@ -154,3 +157,95 @@ def test_survivor_count_bound(y):
 @given(simplex_points)
 def test_exact_mode_determinism(y):
     assert mather_eta(y) == mather_eta(SparseVec(dict(y.entries)))
+
+
+# The pure-Fraction reference: norm1, mather_lambda and mather_eta as they
+# were computed before exact vectors went on one integer denominator.
+def fold(values):
+    return functools.reduce(operator.add, values, 0)
+
+
+def oracle_norm1(v):
+    return fold(abs(x) for x in v.entries.values())
+
+
+def oracle_lambda(y):
+    sup = max(max((abs(v) for v in y.explicit.entries.values()), default=0), y.tail_sup)
+    half = sup / 2
+    if y.tail_sup >= half:
+        raise TailTooLarge(f"tail_sup={y.tail_sup} >= sup/2={half}; unlisted survivors possible")
+    return {k: v - half for k, v in y.explicit.entries.items() if v > half}
+
+
+def oracle_eta(y):
+    lam = oracle_lambda(y)
+    total = fold(lam.values())
+    inv = 1 / total if isinstance(total, float) else F(1) / total
+    return {k: v * inv for k, v in lam.items()}
+
+
+def typed(entries):
+    return {k: (type(v), v) for k, v in entries.items()}
+
+
+# coprime denominators near 2**61, whose lcm outgrows any machine word
+NEAR_2_61 = st.sampled_from([2**61 - 1, 2**61 + 1, 2**61 - 3])
+WEIGHTS = st.one_of(
+    st.integers(1, 50),
+    st.builds(F, st.integers(1, 10**20), NEAR_2_61),
+    st.builds(F, st.integers(1, 60), st.integers(1, 12)),
+)
+
+
+@st.composite
+def extended_vectors(draw):
+    """Exact unit vectors of 1-6 listed entries, sometimes with an entry at
+    exactly half the sup and sometimes with a tail; or the int Dirac."""
+    if draw(st.integers(0, 9)) == 0:
+        return ExtendedUnitVec({"i0": 1})
+    ws = [F(w) for w in draw(st.lists(WEIGHTS, min_size=1, max_size=6))]
+    if draw(st.booleans()):
+        ws.append(max(ws) / 2)  # a tie at sup/2, dropped by the clip
+    tail = F(draw(st.sampled_from([0, 0, 1, 3]))) * max(ws)
+    total = sum(ws) + tail
+    tail_sup = tail / total * F(draw(st.integers(0, 4)), 4)
+    return ExtendedUnitVec({f"i{n}": w / total for n, w in enumerate(ws)}, tail / total, tail_sup)
+
+
+class TestIntegerPathsAgainstFractions:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(WEIGHTS, WEIGHTS.map(operator.neg), st.floats(-9, 9)), max_size=6))
+    def test_norm1(self, values):
+        v = SparseVec((f"i{n}", x) for n, x in enumerate(values))
+        norm = v.norm1()
+        assert (type(norm), norm) == (type(oracle_norm1(v)), oracle_norm1(v))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(extended_vectors())
+    def test_lambda_and_eta(self, y):
+        try:
+            lam, eta = oracle_lambda(y), oracle_eta(y)
+        except TailTooLarge as exc:
+            for shrink in (mather_lambda, mather_eta):
+                with pytest.raises(TailTooLarge) as raised:
+                    shrink(y)
+                assert str(raised.value) == str(exc)
+            return
+        assert typed(mather_lambda(y).entries) == typed(lam)
+        assert typed(mather_eta(y).entries) == typed(eta)
+        if y.tail_mass == 0:
+            assert typed(mather_eta(y.explicit).entries) == typed(eta)
+
+    def test_ints_keep_their_float_result(self):
+        assert typed(mather_eta(SparseVec({"a": 1})).entries) == {"a": (float, 1.0)}
+        assert typed(SparseVec({"a": 2, "b": -1}).entries) == {"a": (int, 2), "b": (int, -1)}
+        assert type(SparseVec({"a": 2, "b": -1}).norm1()) is int
+
+    def test_tie_at_half_sup_is_dropped(self):
+        y = vec(a=F(1, 2), b=F(1, 4), c=F(1, 4))
+        assert mather_eta(y) == SparseVec({"a": F(1)})
+
+    def test_fold_is_left_to_right(self):
+        # Python 3.12's compensated sum() gives 1.0
+        assert _fold_sum([0.1] * 10) == 0.9999999999999999
+        assert SparseVec({f"i{n}": 0.1 for n in range(10)}).norm1() == 0.9999999999999999
