@@ -193,15 +193,33 @@ def dump_pou(pou):
     }
 
 
+class _Faces(list):
+    """A dump's simplices, equal to the plain list of lists; ``texts`` holds
+    the JSON texts of each simplex's vertices for :func:`report_text`."""
+
+    __slots__ = ("texts",)
+
+
 def dump_complex(cx):
     """Simplices, each in ``repr`` order, come by size, then in list order of
     ``(type is not str, type name, name)``: total on JSON names, and plain
-    list order (the fast path) when all are strings."""
+    list order (the fast path) when all are strings.  Each vertex name is
+    encoded once and the simplices carry the texts, unless a name is a tuple:
+    a JSON array, whose text depends on its indentation."""
     by = None if all(type(v) is str for v in cx.vertices) else (
         lambda s: [(type(v) is not str, type(v).__name__, v) for v in s])
+    names = {v: _quote(v) if type(v) is str else json.dumps(v) for v in cx.vertices}
+    simplices = _Faces()
+    simplices.texts = []
+    for level in cx.faces_by_size(names.__getitem__):
+        order = sorted(level, key=by)
+        simplices += map(list, order)
+        simplices.texts += map(level.__getitem__, order)
+    if any(isinstance(v, tuple) for v in cx.vertices):
+        simplices = list(simplices)
     return {
         "vertices": sorted(cx.vertices, key=repr),
-        "simplices": [list(s) for level in cx.faces_by_size() for s in sorted(level, key=by)],
+        "simplices": simplices,
         "witnessed": cx.witnessed,
     }
 
@@ -220,7 +238,7 @@ def load_convex_target(obj, mode=EXACT):
     return ConvexTarget(ambient_dim, sets)
 
 
-_quote = json.encoder.encode_basestring_ascii  # TypeError on anything but a str
+_quote = json.encoder.encode_basestring_ascii
 
 
 def report_text(doc):
@@ -228,9 +246,10 @@ def report_text(doc):
     document whose object keys are strings.
 
     ``indent`` makes ``json.dumps`` use its pure-Python encoder.  Here each
-    string goes through the C string encoder, and a list of strings, the
-    bulk of a nerve dump, is written with one ``join``; other scalars are
-    written by ``json.dumps`` itself.
+    string goes through the C string encoder, and the simplices of
+    :func:`dump_complex`, the bulk of a nerve dump, are written from the
+    texts they carry, with one ``join`` per simplex and one for the list;
+    other scalars are written by ``json.dumps`` itself.
     """
     return _text(doc, "\n")
 
@@ -244,10 +263,12 @@ def _text(obj, nl):
         if not obj:
             return "[]"
         inner = nl + "  "
-        try:
-            items = list(map(_quote, obj))
-        except TypeError:
-            items = [_text(x, inner) for x in obj]
+        if isinstance(obj, _Faces):
+            deeper = inner + "  "
+            between = inner + "]," + inner + "[" + deeper
+            faces = between.join(map(("," + deeper).join, obj.texts))
+            return "[" + inner + "[" + deeper + faces + inner + "]" + nl + "]"
+        items = [_text(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(obj, dict):
         if not obj:

@@ -103,12 +103,16 @@ class SimplicialComplex:
     def dimension(self):
         return min(self.max_dimension, max(map(len, self.facets), default=0) - 1)
 
-    def faces_by_size(self):
-        """The simplices with 1, 2, ... vertices, one set per size, each
-        simplex a tuple of its vertices sorted by ``repr``."""
-        ordered = [sorted(f, key=repr) for f in self.facets]
+    def faces_by_size(self, label=None):
+        """The simplices with 1, 2, ... vertices, one dict per size that maps
+        each simplex, the tuple of its vertices in ``repr`` order, to the
+        tuple of their labels: ``label(v)``, or ``v`` itself by default.
+        Faces come from the facets, largest first, each kept at its first
+        arrival, so a level is already nearly in lexicographic order."""
+        ordered = sorted((sorted(f, key=repr) for f in self.facets), key=len, reverse=True)
+        labelled = [(f, f if label is None else list(map(label, f))) for f in ordered]
         return [
-            {s for f in ordered for s in combinations(f, k)}
+            {s: t for f, ls in labelled for s, t in zip(combinations(f, k), combinations(ls, k))}
             for k in range(1, self.dimension() + 2)
         ]
 

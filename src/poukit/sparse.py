@@ -17,7 +17,9 @@ over the lcm of their denominators.  Rows checked by ``validate_pou`` are not
 checked again when they are shrunk.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 from ._immutable import immutable
 from .errors import NotAUnitVector, TailTooLarge
@@ -26,14 +28,15 @@ from .scalars import EXACT, _fold_sum, _over_lcm
 
 @immutable(init=False)
 class SparseVec:
-    """Immutable finitely supported vector: index -> nonzero scalar."""
+    """Immutable finitely supported vector: index -> nonzero scalar, built
+    from a mapping, a SparseVec or (index, value) pairs; ``entries`` is read-only."""
 
-    entries: dict
+    entries: MappingProxyType
 
     def __init__(self, entries=()):
         if isinstance(entries, SparseVec):
-            data = dict(entries.entries)
-        elif isinstance(entries, dict):
+            entries = entries.entries
+        if isinstance(entries, Mapping):
             data = {k: v for k, v in entries.items() if v != 0}
         else:
             data = {}
@@ -42,7 +45,7 @@ class SparseVec:
                     data[k] = data.get(k, 0) + v
                     if data[k] == 0:
                         del data[k]
-        object.__setattr__(self, "entries", data)
+        object.__setattr__(self, "entries", MappingProxyType(data))
 
     def __getitem__(self, key):
         return self.entries.get(key, 0)

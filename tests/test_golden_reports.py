@@ -3,14 +3,14 @@
 Each of the nine commands runs on each ``data/`` file in both modes with
 ``--seed 7``, in process, from the repository root with a relative input
 path (reports embed it).  ``golden_reports.json`` pins the SHA-256 of
-``[stdout, stderr, exit code]`` as JSON for each of the 144 runs.  A change
-that alters a report on purpose rewrites the file and names the change::
+``[stdout, stderr, exit code]`` as JSON for each of the 162 runs.  Run as a
+script, it compares the digests, names each run that differs and exits 1
+if any does; it does not import pytest, so any supported Python can run it::
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-With ``--check`` the script compares the digests instead of rewriting them,
-names each run that differs and exits 1 if any does.  It does not import
-pytest, so any supported Python can run it.
+Only ``--write`` rewrites the file, for a change that alters a report on
+purpose and names that change.
 """
 
 import contextlib
@@ -50,7 +50,7 @@ def pytest_generate_tests(metafunc):
 
 
 def test_every_run_is_pinned():
-    assert len(RUNS) == 144
+    assert len(RUNS) == 162
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(" ".join(r) for r in RUNS)
 
 
@@ -62,7 +62,7 @@ def test_report_bytes(run, monkeypatch):
 if __name__ == "__main__":
     os.chdir(ROOT)
     golden = {" ".join(run): digest(*run) for run in RUNS}
-    if "--check" not in sys.argv[1:]:
+    if "--write" in sys.argv[1:]:
         GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         sys.exit(0)
     pinned = json.loads(GOLDEN.read_text())

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -17,9 +18,10 @@ from poukit import (
     subordination_check,
     validate_pou,
 )
+from poukit import jsonio
 from poukit.errors import InputError
 from poukit.generators import make_rng, random_cover, random_open_cover
-from poukit.jsonio import dump_complex
+from poukit.jsonio import dump_complex, report_text
 from poukit.sparse import SparseVec, dirac
 
 
@@ -65,16 +67,25 @@ def global_sort_dump(cover, max_dimension):
 
 # repr order and string order differ on the quoted names
 INDEX_NAMES = ["U0", "U1", "U10", "U2", "a'", 'b"', "A", "\u00e9", "z\\", "0"]
+MIXED_NAMES = ["U0", "a'", "\u00e9", "z\\", "0", 0, 1, 10, 2, -1]
 
 
-def random_named_cover(rng):
+def random_named_cover(rng, pool=INDEX_NAMES):
     domain = FiniteSpace.discrete({f"x{i}" for i in range(rng.randint(1, 8))})
-    names = rng.sample(INDEX_NAMES, rng.randint(1, len(INDEX_NAMES)))
+    names = rng.sample(pool, rng.randint(1, len(pool)))
     values = {
         x: set(rng.sample(names, rng.randint(1, len(names))))
         for x in sorted(domain.points)
     }
     return indexed_cover(domain, {a for v in values.values() for a in v}, values)
+
+
+def assert_written_as_json(dump):
+    """A report holding ``dump`` is written as ``json.dumps`` writes the
+    same data with the simplices as a plain list of lists."""
+    doc = {"payload": {"complex": dump}}
+    plain = {"payload": {"complex": {**dump, "simplices": list(map(list, dump["simplices"]))}}}
+    assert report_text(doc) == json.dumps(plain, sort_keys=True, indent=2)
 
 
 class TestComplexInvariants:
@@ -158,6 +169,27 @@ class TestNerveFromCover:
             assert dump_complex(cx) == global_sort_dump(cover, max_dimension)
             handed_in = SimplicialComplex(cx.vertices, cx.simplices, witnessed=True)
             assert dump_complex(handed_in) == dump_complex(cx)
+            assert_written_as_json(dump_complex(cx))
+        rng = make_rng(31 + max_dimension)
+        for _ in range(60):
+            cover = random_named_cover(rng, MIXED_NAMES)
+            assert_written_as_json(dump_complex(nerve_from_cover(cover, max_dimension=max_dimension)))
+        assert_written_as_json(dump_complex(SimplicialComplex(set(), [])))
+        tuple_named = SimplicialComplex({("a", 1), 2}, [{("a", 1)}, {2}, {("a", 1), 2}])
+        assert_written_as_json(dump_complex(tuple_named))
+
+    def test_each_name_is_quoted_once(self, monkeypatch):
+        """One 14-vertex facet has 16,383 faces and 114,688 vertex
+        appearances; the dump quotes each of the 14 names once."""
+        members = {f"U{i}" for i in range(14)}
+        cover = indexed_cover(FiniteSpace.discrete({"x"}), members, {"x": members})
+        calls = []
+        quote = jsonio._quote
+        monkeypatch.setattr(jsonio, "_quote", lambda s: calls.append(s) or quote(s))
+        simplices = dump_complex(nerve_from_cover(cover, max_dimension=13))["simplices"]
+        text = report_text(simplices)
+        assert len(simplices) == 2**14 - 1 and len(calls) <= 14
+        assert text == json.dumps(simplices, indent=2)
 
     def test_membership_is_decided_on_facets(self):
         """One witness in 40 members: the nerve has 2^40 - 1 simplices, so

@@ -223,6 +223,15 @@ class TestMatherCompose:
         gamma, _ = mather_compose(pou)
         assert gamma.rows[(F(1, 2),)] == SparseVec({"U0": F(1, 2), "U1": F(1, 2)})
 
+    def test_row_entries_are_read_only(self):
+        """A validated row cannot be given mass 3/2 behind the check, and a
+        vector built from a row's entries is the row."""
+        pou = validate_pou(FiniteSpace.discrete({"x"}), {"a", "b"}, {"x": dirac("a")})
+        with pytest.raises(TypeError):
+            pou.rows["x"].entries["b"] = F(1, 2)
+        assert mather_compose(pou)[0].rows["x"] == dirac("a")
+        assert SparseVec(pou.rows["x"].entries) == SparseVec(pou.rows["x"]) == dirac("a")
+
     def test_symmetric_row_fixed(self):
         pou = pou_from_metric_cover(line_space(), line_balls())
         gamma, _ = mather_compose(pou)
