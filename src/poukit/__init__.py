@@ -44,7 +44,6 @@ from .setmaps import (
     ball_cover,
     classify,
     closure_cover,
-    graph_closure,
     indexed_cover,
 )
 from .spaces import (

@@ -91,6 +91,9 @@ def load_finite_space(obj):
     missing = points - min_open.keys()
     if missing:
         raise InputError(f"no min_open for {sorted(missing, key=repr)}")
+    unknown = min_open.keys() - points
+    if unknown:
+        raise InputError(f"min_open for unknown points {sorted(unknown, key=repr)}")
     return FiniteSpace(points, min_open)
 
 
@@ -151,27 +154,22 @@ def load_set_valued_map(obj):
     return SetValuedMap(domain, codomain, values)
 
 
-def _ground_point(ground, key):
-    if isinstance(ground, MetricSampleSpace):
-        if not (key.isdecimal() and int(key) < len(ground.samples)):
-            raise InputError(f"no sample at position {key!r}")
-        return ground.samples[int(key)]
-    if key not in ground.points:
-        raise InputError(f"unknown ground point {key!r}")
-    return key
-
-
 def load_pou(obj, mode=EXACT):
     ground, indices, rows = require_fields(
         obj, "a partition of unity", "ground", "indices", "rows"
     )
     ground = load_ground(ground, mode)
     indices = _point_set(indices, "indices")
-    rows = {
-        _ground_point(ground, k): load_sparse_vec({"entries": row}, mode)
-        for k, row in expect(rows, "rows").items()
-    }
-    return validate_pou(ground, indices, rows, mode=mode)
+    if isinstance(ground, MetricSampleSpace):  # exactly the keys dump_pou writes
+        points = {str(i): x for i, x in enumerate(ground.samples)}
+    else:
+        points = {p: p for p in ground.points}
+    loaded = {}
+    for k, row in expect(rows, "rows").items():
+        if k not in points:
+            raise InputError(f"no ground point keyed {k!r}")
+        loaded[points[k]] = load_sparse_vec({"entries": row}, mode)
+    return validate_pou(ground, indices, loaded, mode=mode)
 
 
 def dump_pou(pou):

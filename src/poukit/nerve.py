@@ -221,9 +221,6 @@ class CoverSimplexMapping:
             if not self.cover.domain.is_open(self.cover.fiber(a)):
                 raise InputError(f"cover member {a!r} is not open")
 
-    def members_at(self, x):
-        return self.cover.values[x]
-
     def membership(self, p, x):
         car = p.carrier()
         if not car:

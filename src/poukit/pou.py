@@ -47,12 +47,6 @@ class PartitionOfUnity:
     def ground_points(self):
         return _ground_points(self.ground)
 
-    def row(self, x):
-        return self.rows[x]
-
-    def coordinate(self, alpha, x):
-        return self.rows[x][alpha]
-
     def open_star(self, alpha):
         """Ground points where the alpha-th coordinate function is nonzero."""
         if alpha not in self.index_set:

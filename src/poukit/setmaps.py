@@ -217,18 +217,3 @@ def carrier_fiber(omega, p):
     if not car:
         raise InputError("simplex vector with empty carrier")
     return frozenset(x for x in omega.domain.points if car <= omega.values[x])
-
-
-def graph_closure(phi):
-    """Mapping given by the closure of the graph, computed via the
-    neighborhood-image intersection formula."""
-    x, y = phi.domain, phi.codomain
-    values = {}
-    for p in x.points:
-        acc = set(y.points)
-        for q in x.points:
-            u = x.min_open[q]
-            if p in u:
-                acc &= y.closure(phi.image(u))
-        values[p] = frozenset(acc)
-    return SetValuedMap(x, y, values)

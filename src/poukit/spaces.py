@@ -6,10 +6,10 @@ Opens are exactly the unions of minimal opens, so all topological queries are
 exact set computations.
 
 A metric sample space is a finite list of coordinate points with the
-Euclidean metric (or an explicit distance table); it is the desk-scale ground
-for ball covers and bump constructions.  Its ``incidence`` decides which
-balls contain each sample, once per pair; covers and bumps all read it.
-Each sample is hashed once, and equals and hashes like its plain tuple.
+Euclidean metric; it is the desk-scale ground for ball covers and bump
+constructions.  Its ``incidence`` decides which balls contain each sample,
+once per pair; covers and bumps all read it.  Each sample is hashed once,
+and equals and hashes like its plain tuple.
 """
 
 import math
@@ -19,7 +19,6 @@ from ._immutable import immutable
 from .errors import InputError, NotReflexive, NotTransitive
 from .scalars import _fold_sum, _over_lcm
 
-TOL_METRIC = 1e-9
 _RATIONAL = (int, Fraction)
 
 
@@ -157,15 +156,14 @@ class Ball:
 
 @immutable(init=False, eq=False)
 class MetricSampleSpace:
-    """Finite list of sample points with a metric.  With rational
+    """Finite list of sample points with the Euclidean metric.  With rational
     coordinates ball membership (d < r) is decided exactly, on integers, so
     cover combinatorics stay exact even when distances are irrational."""
 
     dim: int
     samples: list
-    _table: dict
 
-    def __init__(self, samples, dim=None, distance_table=None):
+    def __init__(self, samples, dim=None):
         samples = [_Sample(p) for p in samples]
         if not samples:
             raise InputError("need at least one sample")
@@ -180,31 +178,11 @@ class MetricSampleSpace:
             raise InputError(f"duplicate sample {dup!r}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "_table", distance_table)
-        self._check_metric()
-
-    def _check_metric(self):
-        if self._table is None:
-            return
-        for p in self.samples:
-            if abs(self.dist(p, p)) > TOL_METRIC:
-                raise InputError(f"d({p},{p}) != 0")
-            for q in self.samples:
-                if abs(self.dist(p, q) - self.dist(q, p)) > TOL_METRIC:
-                    raise InputError(f"asymmetric distance at ({p},{q})")
-                for r in self.samples:
-                    if self.dist(p, r) > self.dist(p, q) + self.dist(q, r) + TOL_METRIC:
-                        raise InputError(f"triangle inequality fails at ({p},{q},{r})")
 
     def dist_sq(self, p, q):
-        if self._table is not None:
-            d = self._table[(tuple(p), tuple(q))]
-            return d * d
         return _fold_sum((a - b) ** 2 for a, b in zip(p, q))
 
     def dist(self, p, q):
-        if self._table is not None:
-            return self._table[(tuple(p), tuple(q))]
         if self.dim == 1:
             return abs(p[0] - q[0])  # exact on rational coordinates
         return math.sqrt(float(self.dist_sq(p, q)))
@@ -233,12 +211,12 @@ class MetricSampleSpace:
         return _over_lcm(ball.center + (ball.radius,), _RATIONAL)
 
     def _measure(self, x, sx, ball, sb):
-        """``(d(x, centre) < radius, s, scale)``.  On a rational pair without
-        a distance table, x = X / D_x and the centre and radius C / D_b and
-        R / D_b, so d**2 = s / scale**2 with s = sum((X D_b - C D_x)**2) and
-        scale = D_x D_b, and x is inside iff s < (R D_x)**2, all on integers.
-        Other pairs compare ``dist_sq`` with r**2 and carry ``None`` twice."""
-        if sx is not None and sb is not None and self._table is None:
+        """``(d(x, centre) < radius, s, scale)``.  On a rational pair, x =
+        X / D_x and the centre and radius C / D_b and R / D_b, so d**2 =
+        s / scale**2 with s = sum((X D_b - C D_x)**2) and scale = D_x D_b,
+        and x is inside iff s < (R D_x)**2, all on integers.  Float pairs
+        compare ``dist_sq`` with r**2 and carry ``None`` twice."""
+        if sx is not None and sb is not None:
             (xs, dx), (bs, db) = sx, sb
             s = 0
             for p, c in zip(xs, bs):  # bs ends with R, past the last coordinate

@@ -1,17 +1,15 @@
-"""Seeded random instance generators for property checks.
+"""Seeded random instances and the graph-closure oracle for the test suite.
 
+The tests import this module as ``generators``; the library does not use it.
 Everything draws from a caller-supplied ``random.Random`` so runs are
-reproducible from a single seed; reports record that seed.  Draws run over
-points in ``repr`` order, never in set order, which follows the per-process
-string hash.
+reproducible from a single seed.  Draws run over points in ``repr`` order,
+never in set order, which follows the per-process string hash.
 """
 
 import random
 from fractions import Fraction
 
-from .setmaps import SetValuedMap, indexed_cover
-from .sparse import SparseVec
-from .spaces import FiniteSpace
+from poukit import FiniteSpace, SetValuedMap, SparseVec, indexed_cover
 
 
 def random_simplex_point(rng, indices, max_carrier=None):
@@ -104,3 +102,18 @@ def random_open_cover(rng, domain=None, max_indices=6, max_points=8):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def graph_closure(phi):
+    """Mapping given by the closure of the graph, computed via the
+    neighborhood-image intersection formula."""
+    x, y = phi.domain, phi.codomain
+    values = {}
+    for p in x.points:
+        acc = set(y.points)
+        for q in x.points:
+            u = x.min_open[q]
+            if p in u:
+                acc &= y.closure(phi.image(u))
+        values[p] = frozenset(acc)
+    return SetValuedMap(x, y, values)

@@ -18,14 +18,19 @@ from poukit import (
     conv_fiber_open,
     conv_membership,
     epsilon_selection,
-    graph_closure,
     indexed_cover,
     mather_eta,
     mather_lambda,
     mather_support_bound,
     pou_from_metric_cover,
 )
-from poukit.generators import (
+from poukit.nerve import cover_simplex_mapping
+from poukit.setmaps import SetValuedMap
+from poukit.spaces import FiniteSpace
+from poukit.sparse import SparseVec, is_unit_simplex_point
+
+from generators import (
+    graph_closure,
     make_rng,
     random_cover,
     random_open_cover,
@@ -33,10 +38,6 @@ from poukit.generators import (
     random_simplex_point,
     random_space,
 )
-from poukit.nerve import cover_simplex_mapping
-from poukit.setmaps import SetValuedMap
-from poukit.spaces import FiniteSpace
-from poukit.sparse import SparseVec, is_unit_simplex_point
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 UNIVERSE = [f"i{n}" for n in range(25)]

@@ -139,19 +139,6 @@ class TestContract:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_cli_imports_no_generators(self):
-        # every verify-all check is exact; nothing in the CLI draws at random
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import poukit.cli, sys; assert 'poukit.generators' not in sys.modules",
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-
 
 def selection_problem():
     return {
@@ -241,6 +228,7 @@ MALFORMED_SPACES = {
     "unhashable-point": lambda s: {**s, "points": [["a"], "b"]},
     "unhashable-neighbour": lambda s: {**s, "min_open": {**s["min_open"], "b": [["b"]]}},
     "point-without-min_open": lambda s: {**s, "points": [*s["points"], "c"]},
+    "min_open-for-unknown-point": lambda s: {**s, "min_open": {**s["min_open"], "zz": ["a"]}},
 }
 
 MALFORMED_MAPS = {
@@ -534,6 +522,9 @@ MALFORMED_POUS = {
     "row-not-an-object": lambda p: {**p, "rows": {**p["rows"], "0": ["U0"]}},
     "unknown-sample": lambda p: {**p, "rows": {**p["rows"], "2": {"U0": "1"}}},
     "sample-key-not-a-position": lambda p: {**p, "rows": {**p["rows"], "x": {"U0": "1"}}},
+    # each would replace a row of its own: "00" read as 0, the Arabic-Indic one as 1
+    "sample-key-00": lambda p: {**p, "rows": {**p["rows"], "00": {"U1": "1"}}},
+    "sample-key-arabic-indic-one": lambda p: {**p, "rows": {**p["rows"], "\u0661": {"U1": "1"}}},
     "entry-1/0": lambda p: {**p, "rows": {**p["rows"], "0": {"U0": "1/0"}}},
     "entry-abc": lambda p: {**p, "rows": {**p["rows"], "0": {"U0": "abc"}}},
 }

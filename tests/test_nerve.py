@@ -20,9 +20,10 @@ from poukit import (
 )
 from poukit import jsonio
 from poukit.errors import InputError
-from poukit.generators import make_rng, random_cover, random_open_cover
 from poukit.jsonio import dump_complex, report_text
 from poukit.sparse import SparseVec, dirac
+
+from generators import make_rng, random_cover, random_open_cover
 
 
 def line_cover():

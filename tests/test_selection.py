@@ -21,7 +21,6 @@ from poukit import (
     indexed_cover,
     validate_pou,
 )
-from poukit.generators import make_rng, random_open_cover, random_simplex_point
 from poukit.scalars import FLOAT, Mode
 from poukit.selection import (
     dist_to_box,
@@ -30,6 +29,8 @@ from poukit.selection import (
     dist_to_segment,
 )
 from poukit.sparse import SparseVec, dirac, uniform
+
+from generators import make_rng, random_open_cover, random_simplex_point
 
 
 class TestConvMembership:

@@ -11,13 +11,14 @@ from poukit import (
     classify,
     closure_cover,
     finite_interval_model,
-    graph_closure,
     indexed_cover,
     product_space,
 )
 from poukit import setmaps, spaces
 from poukit.errors import InputError
-from poukit.generators import (
+
+from generators import (
+    graph_closure,
     make_rng,
     random_cover,
     random_set_valued_map,
@@ -241,7 +242,7 @@ class TestImage:
 
 
 DRAWS = """
-from poukit.generators import make_rng, random_cover, random_set_valued_map
+from generators import make_rng, random_cover, random_set_valued_map
 rng = make_rng(7)
 for draw in (random_set_valued_map, random_cover) * 40:
     phi = draw(rng)
@@ -251,10 +252,11 @@ for draw in (random_set_valued_map, random_cover) * 40:
 
 class TestGenerators:
     def test_seeded_draws_do_not_depend_on_the_string_hash(self):
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        tests = pathlib.Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests), str(tests.parent / "src")])
         outs = []
         for hash_seed in ("1", "2"):
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
             proc = subprocess.run(
                 [sys.executable, "-c", DRAWS], env=env, capture_output=True, text=True
             )

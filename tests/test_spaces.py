@@ -15,7 +15,8 @@ from poukit import (
     validate_space,
 )
 from poukit.errors import InputError
-from poukit.generators import make_rng, random_space
+
+from generators import make_rng, random_space
 
 
 class TestValidation:
@@ -163,12 +164,6 @@ class TestMetricGround:
         assert not self.m.ball_membership(b, (F(1, 2),))
         assert self.m.dist_to_ball_complement(b, (F(1, 2),)) == 0
 
-    def test_metric_table_validated(self):
-        pts = [(0,), (1,)]
-        bad = {((0,), (0,)): 0, ((1,), (1,)): 0, ((0,), (1,)): 1, ((1,), (0,)): 2}
-        with pytest.raises(InputError):
-            MetricSampleSpace(pts, distance_table=bad)
-
     def test_duplicate_samples_rejected(self):
         with pytest.raises(InputError, match="duplicate sample"):
             MetricSampleSpace([(F(0),), (F(0),), (F(1),)])
@@ -246,16 +241,6 @@ class TestBallMembershipKernel:
         space = MetricSampleSpace([x])
         expected = sum((a - b) ** 2 for a, b in zip(x, centre)) < r**2
         assert space.ball_membership(Ball(centre, r), x) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(RATIONALS, RATIONALS, RADII)
-    def test_distance_table(self, c, x, r):
-        # the table doubles the Euclidean metric, so it must decide, not the coordinates
-        samples = [(F(c),)] if c == x else [(F(c),), (F(x),)]
-        table = {(p, q): 2 * abs(p[0] - q[0]) for p in samples for q in samples}
-        space = MetricSampleSpace(samples, distance_table=table)
-        inside = space.ball_membership(Ball((F(c),), r), (F(x),))
-        assert inside == oracle_inside((2 * x,), (2 * c,), r)
 
     def test_exact_mode_calls_no_dist_sq(self, monkeypatch):
         calls = []
@@ -367,16 +352,3 @@ class TestIncidence:
             return max(b.radius - d, 0)
 
         assert_incidence(space, balls, lambda x, b: space.dist_sq(x, b.center) < b.radius**2, bump)
-
-    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(st.lists(RATIONALS, min_size=1, max_size=6, unique=True), st.data())
-    def test_distance_table_decides(self, xs, data):
-        # the table doubles the Euclidean metric, so it must decide, not the coordinates
-        samples = [(F(x),) for x in xs]
-        table = {(p, q): 2 * abs(p[0] - q[0]) for p in samples for q in samples}
-        space = MetricSampleSpace(samples, distance_table=table)
-        balls = {f"U{j}": Ball(data.draw(st.sampled_from(samples)), data.draw(RADII)) for j in range(3)}
-        assert_incidence(
-            space, balls,
-            lambda x, b: table[x, b.center] < b.radius,
-            lambda x, b: max(b.radius - table[x, b.center], 0))
