@@ -358,8 +358,8 @@ def main(argv=None):
         "tol_sum": args.tol_sum,
         "max_dim": args.max_dim,
     }
-    mode = scalars.Mode(exact=args.mode == "exact", tol=args.tol_sum)
     try:
+        mode = scalars.Mode(exact=args.mode == "exact", tol=args.tol_sum)
         digest, doc = _load(args.input)
         report = Report(args.command, config, {args.input: digest})
         COMMANDS[args.command](doc, args, report, mode)

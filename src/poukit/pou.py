@@ -11,16 +11,9 @@ check applies.
 """
 
 import types
-from dataclasses import field
 
 from ._immutable import immutable
-from .errors import (
-    DiscontinuousAt,
-    InputError,
-    NotACover,
-    RowNotSimplex,
-    SelfCheckFailed,
-)
+from .errors import DiscontinuousAt, InputError, NotACover, RowNotSimplex
 from .scalars import EXACT, Mode, format_scalar
 from .sparse import (ExtendedUnitVec, SparseVec, _normalized, is_unit_simplex_point,
                      mather_eta, mather_support_bound)
@@ -29,20 +22,39 @@ from .spaces import FiniteSpace, MetricSampleSpace
 
 @immutable(eq=False)
 class PartitionOfUnity:
-    """Rowwise partition of unity over a finite ground.  Use
-    :func:`validate_pou` to build one with all invariants checked; only it
-    sets ``_rows_checked``.  ``rows`` is a read-only view of a copy."""
+    """Rowwise partition of unity over a finite ground, checked when it is
+    built, by ``dataclasses.replace`` too: each row is a unit-simplex point
+    (as ``mode.is_one`` decides it) over the index set, else RowNotSimplex,
+    and on an Alexandrov ground rows are constant along minimal opens, else
+    DiscontinuousAt.  So every star is a union of components of the
+    specialization preorder, and is clopen.  ``rows`` is a read-only view of
+    a copy; ``l1_lipschitz`` is an l1 Lipschitz constant of the rows in the
+    ground metric, when one is known."""
 
     ground: object
     index_set: frozenset
     rows: dict
     mode: Mode = EXACT
     l1_lipschitz: float | None = None
-    _rows_checked: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index_set", frozenset(self.index_set))
-        object.__setattr__(self, "rows", types.MappingProxyType(dict(self.rows)))
+        index_set, rows = frozenset(self.index_set), dict(self.rows)
+        points = _ground_points(self.ground)
+        for x in points:
+            if x not in rows:
+                raise InputError(f"no row at ground point {x!r}")
+            r = rows[x]
+            if not isinstance(r, SparseVec) or not is_unit_simplex_point(r, self.mode):
+                raise RowNotSimplex(x, f"{r!r}")
+            if not r.carrier() <= index_set:
+                raise RowNotSimplex(x, "carrier leaves the index set")
+        if isinstance(self.ground, FiniteSpace):
+            for x in points:
+                for y in sorted(self.ground.min_open[x], key=repr):
+                    if rows[y] != rows[x]:
+                        raise DiscontinuousAt(x, y)
+        object.__setattr__(self, "index_set", index_set)
+        object.__setattr__(self, "rows", types.MappingProxyType(rows))
 
     def ground_points(self):
         return _ground_points(self.ground)
@@ -67,26 +79,8 @@ def _ground_points(ground):
 
 
 def validate_pou(ground, index_set, rows, mode=EXACT):
-    """Check rows are unit-simplex points over the index set and, on an
-    Alexandrov ground, that rows are constant along minimal opens."""
-    index_set = frozenset(index_set)
-    points = _ground_points(ground)
-    for x in points:
-        if x not in rows:
-            raise InputError(f"no row at ground point {x!r}")
-        r = rows[x]
-        if not isinstance(r, SparseVec) or not is_unit_simplex_point(r, mode):
-            raise RowNotSimplex(x, f"{r!r}")
-        if not r.carrier() <= index_set:
-            raise RowNotSimplex(x, "carrier leaves the index set")
-    if isinstance(ground, FiniteSpace):
-        for x in points:
-            for y in sorted(ground.min_open[x], key=repr):
-                if rows[y] != rows[x]:
-                    raise DiscontinuousAt(x, y)
-    pou = PartitionOfUnity(ground, index_set, rows, mode)
-    object.__setattr__(pou, "_rows_checked", True)
-    return pou
+    """The checked :class:`PartitionOfUnity` with these rows."""
+    return PartitionOfUnity(ground, index_set, rows, mode)
 
 
 def pou_from_metric_cover(space, balls, mode=EXACT):
@@ -113,48 +107,32 @@ def pou_from_incidence(incidence, mode=EXACT):
         rows[x], total = _normalized(bumps)
         totals.append(total)
     min_total = min(totals)
-    checked = validate_pou(space, set(balls), rows, mode=mode)
     # l1 Lipschitz bound for the normalized family: each bump is 1-Lipschitz
     # in the ground metric, and the total is at least min_total on samples.
     try:
         lip = 2 * len(balls) / float(min_total)
     except (OverflowError, ZeroDivisionError) as exc:
         raise InputError(f"bump total {format_scalar(min_total)} is out of float range") from exc
-    object.__setattr__(checked, "l1_lipschitz", lip)  # keeps the checked flag
-    return checked
+    return PartitionOfUnity(space, set(balls), rows, mode, lip)
 
 
 def subordination_check(pou, omega):
     """Index subordination (rowwise carrier containment) and strong
     subordination (closure of each star inside the fiber).
 
-    On a metric ground the closure of a star is approximated by the star's
-    sample set itself; the report flags this as approximate.  There
-    ``star(a) <= fiber(a)`` for every index a says the same as
-    ``carrier(x) <= values(x)`` for every point x, so strong subordination
-    is index subordination and the per-index loop is skipped.
+    On an Alexandrov ground each star is clopen, and on a metric ground the
+    closure of a star is approximated by the star's sample set itself, which
+    the report flags as approximate.  Either way ``star(a) <= fiber(a)`` for
+    every index a says the same as ``carrier(x) <= values(x)`` for every
+    point x, so strong subordination is index subordination.
     """
     if frozenset(omega.codomain.points) != pou.index_set:
         raise InputError("index sets differ")
-    metric = isinstance(pou.ground, MetricSampleSpace)
-    result = {"index_subordinated": True, "strongly_subordinated": True,
-              "approximate_closure": metric, "witness": None}
-    for x in pou.ground_points():
-        if not pou.carrier_at(x) <= omega.values[x]:
-            result["index_subordinated"] = False
-            result["witness"] = ("carrier", x)
-            break
-    if metric:
-        result["strongly_subordinated"] = result["index_subordinated"]
-        return result
-    for a in sorted(pou.index_set, key=repr):
-        star = pou.ground.closure(set(pou.open_star(a)))
-        if not star <= omega.fiber(a):
-            result["strongly_subordinated"] = False
-            if result["witness"] is None:
-                result["witness"] = ("support", a)
-            break
-    return result
+    witness = next((("carrier", x) for x in pou.ground_points()
+                    if not pou.carrier_at(x) <= omega.values[x]), None)
+    return {"index_subordinated": witness is None, "strongly_subordinated": witness is None,
+            "approximate_closure": isinstance(pou.ground, MetricSampleSpace),
+            "witness": witness}
 
 
 @immutable(eq=False)
@@ -165,8 +143,9 @@ class LocalFinitenessCertificate:
 
     On an Alexandrov ground the neighborhood is the minimal open of x (rows
     are constant there).  On a metric ground it is the l1 stability radius
-    of ``mather_support_bound`` at x over a conservative Lipschitz constant
-    for the bump family, as a metric radius.
+    of ``mather_support_bound`` at x over ``pou.l1_lipschitz``, as a metric
+    radius; without that constant there is no sound radius, and InputError
+    says so.
     """
 
     pou: PartitionOfUnity
@@ -175,8 +154,10 @@ class LocalFinitenessCertificate:
         pou = self.pou
         if isinstance(pou.ground, FiniteSpace):
             return ("min_open", frozenset(pou.ground.min_open[x]))
+        if pou.l1_lipschitz is None:
+            raise InputError("a metric radius needs the partition's l1_lipschitz constant")
         _, radius = mather_support_bound(pou.rows[x], pou.mode)
-        return ("metric_radius", float(radius) / (pou.l1_lipschitz or 2 * len(pou.index_set)))
+        return ("metric_radius", float(radius) / pou.l1_lipschitz)
 
     def index_bound(self, x):
         return self.pou.carrier_at(x)
@@ -186,20 +167,18 @@ def mather_compose(pou):
     """Apply the shrinking transform rowwise, with the certificate of its
     local finiteness.
 
-    Each row is checked to be a unit simplex point as it is shrunk, unless
-    ``pou`` comes from :func:`validate_pou`, which checked every row.  On an
-    Alexandrov ground strong carrier containment, cl(star of the output)
-    inside the star of the input, is checked exactly.  The certificate
-    computes nothing until it is read.
+    The rows of ``pou`` were checked when it was built, so they are not
+    checked again, and neither is the output: each shrunk row is a unit
+    simplex point whose carrier lies inside that of its input, and rows
+    equal along a minimal open shrink to equal rows, so every output star is
+    clopen and inside the input star.  The certificate computes nothing
+    until it is read.
     """
-    wrap = ExtendedUnitVec._of_checked if pou._rows_checked else (lambda row: row)
-    gamma_rows = {x: mather_eta(wrap(pou.rows[x]), pou.mode) for x in pou.ground_points()}
-    gamma = PartitionOfUnity(pou.ground, pou.index_set, gamma_rows, pou.mode)
-    if isinstance(pou.ground, FiniteSpace):
-        for a in sorted(pou.index_set, key=repr):
-            closed_star = pou.ground.closure(set(gamma.open_star(a)))
-            if not closed_star <= set(pou.open_star(a)):
-                raise SelfCheckFailed(
-                    f"closed star of {a!r} escapes the input star after shrinking"
-                )
+    rows = {x: mather_eta(ExtendedUnitVec._of_checked(pou.rows[x]), pou.mode)
+            for x in pou.ground_points()}
+    gamma = object.__new__(PartitionOfUnity)
+    for name, value in (("ground", pou.ground), ("index_set", pou.index_set),
+                        ("rows", types.MappingProxyType(rows)), ("mode", pou.mode),
+                        ("l1_lipschitz", None)):
+        object.__setattr__(gamma, name, value)
     return gamma, LocalFinitenessCertificate(pou)

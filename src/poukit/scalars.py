@@ -20,9 +20,14 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")  # "1e999999999" would be 10**
 
 @immutable
 class Mode:
-    """A run's arithmetic: exact or float, and ``is_one``'s float tolerance."""
+    """A run's arithmetic: exact or float, and ``is_one``'s float tolerance,
+    which must be finite and at least 0 (InputError)."""
     exact: bool
     tol: float = 1e-9
+
+    def __post_init__(self):
+        if not 0 <= self.tol < math.inf:  # NaN fails both
+            raise InputError(f"tolerance must be finite and at least 0, got {self.tol!r}")
 
     def parse(self, text):
         """Parse ``"p/q"``, a decimal string or a number into this mode.

@@ -18,7 +18,7 @@ open, so lower local constancy is total lower semicontinuity here.
 from dataclasses import dataclass, field
 
 from ._immutable import immutable
-from .errors import InputError, SelfCheckFailed
+from .errors import InputError, NotACover, SelfCheckFailed
 from .spaces import FiniteSpace, MetricSampleSpace
 
 
@@ -89,7 +89,7 @@ def ball_cover(space, balls):
 
     Ball membership is decided once per (sample, ball) pair, by
     ``space.incidence``: the nerve and the canonical-map check read the
-    returned cover.  A sample outside every ball is rejected.
+    returned cover.  A sample outside every ball raises NotACover.
     """
     if not isinstance(space, MetricSampleSpace):
         raise InputError("expected (MetricSampleSpace, balls)")
@@ -98,8 +98,11 @@ def ball_cover(space, balls):
 
 def incidence_cover(incidence):
     """:func:`ball_cover` from ``space.incidence(balls)``."""
-    samples = incidence.space.samples
-    values = {x: row.keys() for x, row in zip(samples, incidence.rows)}
+    samples, values = incidence.space.samples, {}
+    for x, row in zip(samples, incidence.rows):
+        if not row:
+            raise NotACover(x)
+        values[x] = row.keys()
     return indexed_cover(FiniteSpace.discrete(samples), set(incidence.balls), values)
 
 

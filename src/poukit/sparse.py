@@ -13,8 +13,8 @@ sup-norm and renormalizes; it maps unit vectors to finitely supported simplex
 points with carriers contained in the original carrier.
 
 Vectors of ``Fraction`` entries are summed, normalized and shrunk on integers
-over the lcm of their denominators.  Rows checked by ``validate_pou`` are not
-checked again when they are shrunk.
+over the lcm of their denominators.  The rows of a ``PartitionOfUnity``,
+checked when it was built, are not checked again when they are shrunk.
 """
 
 from collections.abc import Mapping

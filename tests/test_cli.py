@@ -659,6 +659,8 @@ def _target(anchor, **spec):
     return {"target": {"ambient_dim": 2, "sets": {"x": spec}}, "epsilon": "1", "anchors": [anchor]}
 
 
+_UNCOVERED = _cover([["0"], ["5"]], ["0"], "1")
+
 VERIFY_ALL_SECTIONS = ["spaces", "unit_vectors", "maps", "covers", "metric_covers", "targets"]
 
 # (command, input, flags, a fragment of the error message)
@@ -728,6 +730,22 @@ HOSTILE_INPUTS = {
     },
     "integer-literal-5000-digits": (
         "mather", RawJSON('{"entries": {"a": 1%s}}' % ("0" * 5000)), [], "cannot read"),
+    # nerve-build said "empty value at point (Fraction(5, 1),)"
+    **{
+        f"uncovered-sample-{command}": (command, obj, [], "point (Fraction(5, 1),) is not covered")
+        for command, obj in [
+            ("pou-build", _UNCOVERED),
+            ("nerve-build", _UNCOVERED),
+            ("canonical-check", {"cover": _UNCOVERED}),
+            ("verify-all", {"metric_covers": [_UNCOVERED]}),
+        ]
+    },
+    # inf passed the row {"a": 3, "b": 2}; nan and -1 failed valid rows
+    **{
+        f"tol-sum-{tol}": (
+            "pou-verify", _POU, ["--mode", "float", "--tol-sum", tol], "finite and at least 0")
+        for tol in ("nan", "inf", "-1", "1e400")
+    },
 }
 
 

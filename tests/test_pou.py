@@ -13,7 +13,6 @@ from poukit import (
     FiniteSpace,
     MetricSampleSpace,
     NotACover,
-    NotAUnitVector,
     PartitionOfUnity,
     ball_cover,
     indexed_cover,
@@ -24,8 +23,10 @@ from poukit import (
 )
 from poukit import pou as pou_module
 from poukit import sparse
-from poukit.errors import InputError, RowNotSimplex, SelfCheckFailed
+from poukit.errors import InputError, RowNotSimplex
 from poukit.sparse import SparseVec, dirac, uniform
+
+from generators import random_cover, random_space
 
 
 def line_space():
@@ -126,16 +127,19 @@ class TestSubordination:
 
 def star_fiber_subordination(pou, omega):
     """Index and strong subordination by the per-index loop: every star (its
-    sample set, on a metric ground) inside the fiber of its index."""
+    sample set on a metric ground, its closure on an Alexandrov ground)
+    inside the fiber of its index."""
+    metric = isinstance(pou.ground, MetricSampleSpace)
+    close = set if metric else pou.ground.closure
     result = {"index_subordinated": True, "strongly_subordinated": True,
-              "approximate_closure": True, "witness": None}
+              "approximate_closure": metric, "witness": None}
     for x in pou.ground_points():
         if not pou.carrier_at(x) <= omega.values[x]:
             result["index_subordinated"] = False
             result["witness"] = ("carrier", x)
             break
     for a in sorted(pou.index_set, key=repr):
-        if not set(pou.open_star(a)) <= omega.fiber(a):
+        if not close(set(pou.open_star(a))) <= omega.fiber(a):
             result["strongly_subordinated"] = False
             if result["witness"] is None:
                 result["witness"] = ("support", a)
@@ -184,6 +188,54 @@ class TestMetricSubordination:
         assert failing > 50
 
 
+def component_rows(rng, space, omega):
+    """A partition row per component of the specialization preorder: half
+    the time uniform on a random part of the cover's intersection over the
+    component, else on random indices."""
+    root = {p: p for p in space.points}
+
+    def find(p):
+        while root[p] != p:
+            p = root[p]
+        return p
+
+    for p, nbhd in space.min_open.items():
+        for q in nbhd:
+            root[find(q)] = find(p)
+    components = {}
+    for p in sorted(space.points, key=repr):
+        components.setdefault(find(p), []).append(p)
+    indices = sorted(omega.codomain.points)
+    rows = {}
+    for comp in components.values():
+        common = sorted(set.intersection(*(set(omega.values[p]) for p in comp)))
+        pool = common if common and rng.random() < 0.5 else indices
+        row = uniform(rng.sample(pool, rng.randint(1, len(pool))))
+        rows.update(dict.fromkeys(comp, row))
+    return rows
+
+
+class TestAlexandrovSubordination:
+    def test_stars_are_clopen(self):
+        """On random Alexandrov spaces the per-index closure loops agree with
+        the carrier test: strong subordination is index subordination, and
+        the closure of each shrunk star stays inside the input star."""
+        rng = random.Random(14)
+        verdicts = []
+        for _ in range(1000):
+            space = random_space(rng)
+            omega = random_cover(rng, space)
+            pou = validate_pou(space, omega.codomain.points, component_rows(rng, space, omega))
+            res = subordination_check(pou, omega)
+            assert res == star_fiber_subordination(pou, omega)
+            assert res["strongly_subordinated"] == res["index_subordinated"]
+            gamma, _ = mather_compose(pou)
+            for a in pou.index_set:
+                assert space.closure(set(gamma.open_star(a))) <= set(pou.open_star(a))
+            verdicts.append(res["index_subordinated"])
+        assert 300 < sum(verdicts) < 700
+
+
 class TestMatherCompose:
     def test_each_row_is_validated_once(self, monkeypatch):
         """``validate_pou`` checks each row's mass, and ``mather_compose``
@@ -203,17 +255,13 @@ class TestMatherCompose:
 
     def test_unvalidated_bad_row_still_rejected(self):
         g = FiniteSpace.discrete({"x"})
-        pou = PartitionOfUnity(g, {"a"}, {"x": SparseVec({"a": F(1, 2)})})
-        with pytest.raises(NotAUnitVector, match="not a unit simplex point"):
-            mather_compose(pou)
+        with pytest.raises(RowNotSimplex, match="row at 'x'"):
+            PartitionOfUnity(g, {"a"}, {"x": SparseVec({"a": F(1, 2)})})
 
     def test_replaced_rows_are_checked_again(self):
         pou = validate_pou(FiniteSpace.discrete({"x"}), {"a"}, {"x": dirac("a")})
-        bad = dataclasses.replace(pou, rows={"x": SparseVec({"a": F(1, 2)})})
-        with pytest.raises(NotAUnitVector):
-            mather_compose(bad)
-        with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(pou, _rows_checked=True)
+        with pytest.raises(RowNotSimplex, match="row at 'x'"):
+            dataclasses.replace(pou, rows={"x": SparseVec({"a": F(1, 2)})})
 
     def test_rows_are_read_only(self):
         pou = pou_from_metric_cover(line_space(), line_balls())
@@ -270,12 +318,14 @@ class TestMatherCompose:
         assert kind == "metric_radius" and radius > 0
         assert len(calls) == 1
 
-    def test_escaping_star_raises_self_check(self, monkeypatch):
-        g = FiniteSpace.discrete({"x", "y"})
-        pou = validate_pou(g, {"a", "b"}, {"x": dirac("a"), "y": dirac("b")})
-        monkeypatch.setattr(FiniteSpace, "closure", lambda self, s: frozenset(self.points))
-        with pytest.raises(SelfCheckFailed):
-            mather_compose(pou)
+    def test_metric_radius_needs_a_lipschitz_constant(self):
+        """2 |I| is no Lipschitz constant: it gave radius 1/24 at 0, which
+        holds 1/100, whose carrier {b} is not inside {a}."""
+        m = MetricSampleSpace([(F(0),), (F(1, 100),)])
+        pou = validate_pou(m, {"a", "b"}, {(F(0),): dirac("a"), (F(1, 100),): dirac("b")})
+        _, cert = mather_compose(pou)
+        with pytest.raises(InputError, match="l1_lipschitz"):
+            cert.neighborhood((F(0),))
 
     def test_carrier_containment_random(self):
         rng = random.Random(5)

@@ -11,7 +11,7 @@ from poukit import (
     FiniteSpace,
     InputError,
     NonPositiveEpsilon,
-    NotAUnitVector,
+    RowNotSimplex,
     SelfCheckFailed,
     barycentric_selection,
     conv_fiber_open,
@@ -304,8 +304,9 @@ class TestEpsilonSelection:
         anchors = [(0.1,), (0.2,), (0.3,)]
         _, certs = epsilon_selection(target, 1.0, anchors, FLOAT)
         assert certs["x"].distance_bound < 1.0
-        with pytest.raises(NotAUnitVector, match="not a unit simplex point"):
+        with pytest.raises(RowNotSimplex, match="row at 'x'") as info:
             epsilon_selection(target, 1.0, anchors, Mode(exact=False, tol=0.0))
+        assert isinstance(info.value, InputError)
 
     def test_violated_certificate_travels_with_the_error(self, monkeypatch):
         anchors = [(0.0, 1.0), (1.0, 1.0)]
