@@ -26,7 +26,7 @@ from .pou import (
     LocalFinitenessCertificate,
     PartitionOfUnity,
     mather_compose,
-    pou_from_metric_cover,
+    pou_from_incidence,
     subordination_check,
     validate_pou,
 )
@@ -41,9 +41,9 @@ from .selection import (
 from .setmaps import (
     PropertyReport,
     SetValuedMap,
-    ball_cover,
     classify,
     closure_cover,
+    incidence_cover,
     indexed_cover,
 )
 from .spaces import (

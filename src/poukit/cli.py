@@ -15,7 +15,7 @@ import sys
 from . import jsonio, scalars
 from .errors import InputError, PoukitError, SelfCheckFailed, TailTooLarge
 from .nerve import canonical_map_check, nerve_from_cover
-from .pou import mather_compose, pou_from_incidence, pou_from_metric_cover, subordination_check
+from .pou import mather_compose, pou_from_incidence, subordination_check
 from .selection import epsilon_selection
 from .setmaps import classify, closure_cover, incidence_cover
 from .sparse import _as_extended, mather_eta, mather_lambda, mather_support_bound, norms
@@ -52,9 +52,6 @@ class Report:
                 "witness": witness,
             }
         )
-
-    def skipped(self, name, reason):
-        self.checks.append({"name": name, "status": "skipped", "witness": reason})
 
     @property
     def failed(self):
@@ -103,8 +100,7 @@ def cmd_map_classify(doc, args, report, mode):
 
 
 def cmd_pou_build(doc, args, report, mode):
-    space, balls = jsonio.load_metric_cover(doc, mode)
-    pou = pou_from_metric_cover(space, balls, mode=mode)
+    pou = pou_from_incidence(jsonio.load_metric_cover(doc, mode), mode)
     report.check("pou-built", True)
     report.payload["pou"] = jsonio.dump_pou(pou)
 
@@ -131,13 +127,16 @@ def cmd_mather(doc, args, report, mode):
 
 
 def _load_cover_input(obj, mode):
+    """``(incidence, cover)`` of a ball cover, ``(None, cover)`` of an
+    indexed one."""
     if isinstance(obj, dict) and "balls" in obj:
-        return jsonio.load_metric_cover(obj, mode)
-    return jsonio.load_set_valued_map(obj)
+        incidence = jsonio.load_metric_cover(obj, mode)
+        return incidence, incidence_cover(incidence)
+    return None, jsonio.load_set_valued_map(obj)
 
 
 def cmd_nerve_build(doc, args, report, mode):
-    cover = _load_cover_input(doc, mode)
+    _, cover = _load_cover_input(doc, mode)
     cx = nerve_from_cover(cover, max_dimension=args.max_dim)
     report.check("nerve-built", True)
     report.payload["complex"] = jsonio.dump_complex(cx)
@@ -145,10 +144,9 @@ def cmd_nerve_build(doc, args, report, mode):
 
 def cmd_canonical_check(doc, args, report, mode):
     (cover,) = jsonio.require_fields(doc, "a canonical-check input", "cover")
-    cover = _load_cover_input(cover, mode)
-    if isinstance(cover, tuple):
-        incidence = cover[0].incidence(cover[1])  # one decision per pair for both
-        pou, cover = pou_from_incidence(incidence, mode), incidence_cover(incidence)
+    incidence, cover = _load_cover_input(cover, mode)
+    if incidence is not None:
+        pou = pou_from_incidence(incidence, mode)
     else:
         (pou,) = jsonio.require_fields(doc, "a canonical-check input", "pou")
         pou = jsonio.load_pou(pou, mode)
@@ -250,15 +248,14 @@ def cmd_verify_all(doc, args, report, mode):
             report.check(f"cover[{i}]:closure-formulas", False, str(exc))
 
     for i, obj in _section(bundle, "metric_covers"):
-        space, balls = jsonio.load_metric_cover(obj, mode)
-        incidence = space.incidence(balls)
+        incidence = jsonio.load_metric_cover(obj, mode)
         pou, cover = pou_from_incidence(incidence, mode), incidence_cover(incidence)
         sub = subordination_check(pou, cover)
         ok = sub["index_subordinated"]
         report.check(
             f"metric_cover[{i}]:index-subordinated",
             ok,
-            None if ok else _sample_witness(space, sub["witness"]),
+            None if ok else _sample_witness(incidence, sub["witness"]),
         )
         can = canonical_map_check(pou, cover)
         report.check(
@@ -278,7 +275,7 @@ def cmd_verify_all(doc, args, report, mode):
         report.check(
             f"metric_cover[{i}]:carrier-shrinks",
             escape is None,
-            None if escape is None else _sample_witness(space, ("carrier escapes", escape)),
+            None if escape is None else _sample_witness(incidence, ("carrier escapes", escape)),
         )
 
     for i, obj in _section(bundle, "targets"):
@@ -304,11 +301,11 @@ def _violation(exc, eps):
         repr(float(eps)), list(c.active_anchors)]
 
 
-def _sample_witness(space, witness):
-    """A ``(kind, sample)`` witness with the sample written as its position,
-    the key ``jsonio`` uses for metric ground points."""
+def _sample_witness(incidence, witness):
+    """A ``(kind, sample)`` witness, the sample written as its position in
+    ``incidence.space``: the key ``jsonio`` uses for metric ground points."""
     kind, x = witness
-    return [kind, str(space.samples.index(x))]
+    return [kind, str(incidence.space.samples.index(x))]
 
 
 def _kuratowski_witness(space):

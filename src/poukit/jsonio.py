@@ -125,11 +125,12 @@ def load_ball(obj, mode=EXACT):
 
 
 def load_metric_cover(obj, mode=EXACT):
-    """``(space, balls)`` of a ball cover ``{"space": ..., "balls": {index:
-    ball}}``."""
+    """The :class:`~poukit.spaces.BallIncidence` of a ball cover
+    ``{"space": ..., "balls": {index: ball}}``: which balls contain each
+    sample, decided once, for the cover and the partition alike."""
     space, balls = require_fields(obj, "a metric cover", "space", "balls")
     space = load_metric_space(space, mode)
-    return space, {a: load_ball(b, mode) for a, b in expect(balls, "balls").items()}
+    return space.incidence({a: load_ball(b, mode) for a, b in expect(balls, "balls").items()})
 
 
 def load_ground(obj, mode=EXACT):
@@ -144,11 +145,13 @@ def load_set_valued_map(obj):
     )
     domain = load_finite_space(domain)
     values = _point_sets(values, "values")
-    if codomain == "discrete" or isinstance(codomain, list):
-        indices = set() if codomain == "discrete" else _point_set(codomain, "codomain")
-        for vals in values.values():
-            indices |= vals
-        codomain = FiniteSpace.discrete(indices)
+    unknown = values.keys() - domain.points
+    if unknown:
+        raise InputError(f"values for unknown points {sorted(unknown, key=repr)}")
+    if codomain == "discrete":  # the indices the values name
+        codomain = FiniteSpace.discrete(set().union(*values.values()))
+    elif isinstance(codomain, list):  # the index set, which values may not leave
+        codomain = FiniteSpace.discrete(_point_set(codomain, "codomain"))
     else:
         codomain = load_finite_space(codomain)
     return SetValuedMap(domain, codomain, values)

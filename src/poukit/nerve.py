@@ -19,7 +19,7 @@ from itertools import combinations
 
 from ._immutable import immutable
 from .errors import InputError
-from .setmaps import SetValuedMap, ball_cover, carrier_fiber
+from .setmaps import SetValuedMap, carrier_fiber
 
 MAX_DIMENSION = 8
 
@@ -135,19 +135,15 @@ def _facets(index_sets):
 
 
 def nerve_from_cover(cover, witnesses=None, max_dimension=MAX_DIMENSION):
-    """Nerve of an indexed cover up to ``max_dimension``, held as the facets
-    of the witnesses (by default every ground point).
-
-    ``cover`` is either a SetValuedMap with discrete codomain, or a pair
-    ``(space, balls)`` with ``balls`` a map index -> Ball, which
-    :func:`poukit.setmaps.ball_cover` converts.  A negative
+    """Nerve of an indexed cover (a SetValuedMap with discrete codomain) up
+    to ``max_dimension``, held as the facets of the witnesses (by default
+    every ground point).  A ball cover enters as
+    ``incidence_cover(space.incidence(balls))``.  A negative
     ``max_dimension`` would leave the vertices without simplices and is an
     InputError.
     """
     if max_dimension < 0:
         raise InputError(f"max_dimension must be at least 0, got {max_dimension}")
-    if not isinstance(cover, SetValuedMap):
-        cover = ball_cover(*cover)
     if witnesses is None:
         witnesses = cover.domain.points
     facets = _facets(cover.values[w] for w in witnesses)
@@ -179,14 +175,12 @@ class CanonicalReport:
 
 
 def canonical_map_check(pou, cover):
-    """Check that a partition of unity is a canonical map for the cover,
-    given as for :func:`nerve_from_cover`.
+    """Check that a partition of unity is a canonical map for the indexed
+    cover, given as for :func:`nerve_from_cover`.
 
     A row lies in the realization of the nerve iff its carrier is inside
     some facet.  No complex is built, so the verdict is never truncated.
     """
-    if not isinstance(cover, SetValuedMap):
-        cover = ball_cover(*cover)
     if cover.codomain.points != pou.index_set:
         raise InputError("cover and partition use different index sets")
     if cover.domain.points != frozenset(pou.ground_points()):

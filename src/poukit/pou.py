@@ -83,21 +83,16 @@ def validate_pou(ground, index_set, rows, mode=EXACT):
     return PartitionOfUnity(ground, index_set, rows, mode)
 
 
-def pou_from_metric_cover(space, balls, mode=EXACT):
-    """Normalized bump partition subordinated to a ball cover.
+def pou_from_incidence(incidence, mode=EXACT):
+    """Normalized bump partition subordinated to the ball cover behind
+    ``incidence = space.incidence(balls)``, with its ``l1_lipschitz``.
 
     Bump of ball a at x is max(radius_a - d(x, center_a), 0), over the
-    members ``space.incidence(balls)`` decided by the exact comparison
-    d^2 < r^2 when coordinates are rational, so carriers and stars are exact
-    in either mode even though the bump values involve square roots.
+    members the incidence decided by the exact comparison d^2 < r^2 when
+    coordinates are rational, so carriers and stars are exact in either
+    mode even though the bump values involve square roots.  A sample
+    outside every ball raises NotACover.
     """
-    if not isinstance(space, MetricSampleSpace):
-        raise InputError("bump construction needs a MetricSampleSpace ground")
-    return pou_from_incidence(space.incidence(balls), mode)
-
-
-def pou_from_incidence(incidence, mode=EXACT):
-    """:func:`pou_from_metric_cover` from ``space.incidence(balls)``."""
     space, balls = incidence.space, incidence.balls
     rows, totals = {}, []
     for i, x in enumerate(space.samples):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from ._immutable import immutable
 from .errors import InputError, NotACover, SelfCheckFailed
-from .spaces import FiniteSpace, MetricSampleSpace
+from .spaces import FiniteSpace
 
 
 @immutable(init=False)
@@ -83,21 +83,11 @@ def indexed_cover(domain, index_set, values):
     return SetValuedMap(domain, FiniteSpace.discrete(index_set), values)
 
 
-def ball_cover(space, balls):
-    """The ball family ``balls`` (index -> Ball) over a metric sample space
-    as an indexed cover of the discrete space on its samples.
-
-    Ball membership is decided once per (sample, ball) pair, by
-    ``space.incidence``: the nerve and the canonical-map check read the
-    returned cover.  A sample outside every ball raises NotACover.
-    """
-    if not isinstance(space, MetricSampleSpace):
-        raise InputError("expected (MetricSampleSpace, balls)")
-    return incidence_cover(space.incidence(balls))
-
-
 def incidence_cover(incidence):
-    """:func:`ball_cover` from ``space.incidence(balls)``."""
+    """The ball cover behind ``incidence = space.incidence(balls)`` as an
+    indexed cover of the discrete space on the samples: each sample maps to
+    the balls that contain it, as the incidence decided them.  A sample
+    outside every ball raises NotACover."""
     samples, values = incidence.space.samples, {}
     for x, row in zip(samples, incidence.rows):
         if not row:

@@ -18,11 +18,12 @@ from poukit import (
     conv_fiber_open,
     conv_membership,
     epsilon_selection,
+    incidence_cover,
     indexed_cover,
     mather_eta,
     mather_lambda,
     mather_support_bound,
-    pou_from_metric_cover,
+    pou_from_incidence,
 )
 from poukit.nerve import cover_simplex_mapping
 from poukit.setmaps import SetValuedMap
@@ -138,8 +139,8 @@ def test_criterion_5_canonical_maps():
     rng = make_rng(1005)
     for _ in range(100):
         space, balls = _random_ball_cover(rng)
-        pou = pou_from_metric_cover(space, balls)
-        rep = canonical_map_check(pou, (space, balls))
+        incidence = space.incidence(balls)
+        rep = canonical_map_check(pou_from_incidence(incidence), incidence_cover(incidence))
         assert rep.canonical
     report("5 canonical bump maps (100 random ball covers)")
 

@@ -240,6 +240,8 @@ MALFORMED_MAPS = {
     "values-not-an-object": lambda m: {**m, "values": [["a"]]},
     "unhashable-value": lambda m: {**m, "values": {"a": [["a"]], "b": ["b"]}},
     "unhashable-index": lambda m: {**m, "codomain": [["a"]]},
+    "values-for-unknown-point": lambda m: {**m, "values": {**m["values"], "zz": ["nowhere"]}},
+    "value-outside-listed-codomain": lambda m: {**m, "codomain": ["a"]},
     **{
         f"domain-{case}": lambda m, f=f: {**m, "domain": f(m["domain"])}
         for case, f in MALFORMED_SPACES.items()
@@ -431,6 +433,8 @@ class TestMetricCover:
         for command, doc, covers in [
             ("verify-all", {"metric_covers": [cover, cover]}, 2),
             ("canonical-check", {"cover": cover}, 1),
+            ("pou-build", cover, 1),
+            ("nerve-build", cover, 1),
         ]:
             built.clear()
             code, _ = run_main(tmp_path, capsys, command, doc)

@@ -9,12 +9,12 @@ from poukit import (
     FiniteSpace,
     MetricSampleSpace,
     SimplicialComplex,
-    ball_cover,
     canonical_map_check,
     cover_simplex_mapping,
+    incidence_cover,
     indexed_cover,
     nerve_from_cover,
-    pou_from_metric_cover,
+    pou_from_incidence,
     subordination_check,
     validate_pou,
 )
@@ -105,7 +105,8 @@ class TestComplexInvariants:
 
 class TestNerveFromCover:
     def test_three_ball_line(self):
-        cx = nerve_from_cover(line_cover())
+        m, balls = line_cover()
+        cx = nerve_from_cover(incidence_cover(m.incidence(balls)))
         expected = {
             frozenset({"0"}), frozenset({"1"}), frozenset({"2"}),
             frozenset({"0", "1"}), frozenset({"1", "2"}),
@@ -114,7 +115,7 @@ class TestNerveFromCover:
 
     def test_single_set(self):
         m = MetricSampleSpace([(F(0),)])
-        cx = nerve_from_cover((m, {"U": Ball((F(0),), F(1))}))
+        cx = nerve_from_cover(incidence_cover(m.incidence({"U": Ball((F(0),), F(1))})))
         assert cx.simplices == {frozenset({"U"})}
 
     def test_identical_sets_give_edge(self):
@@ -125,8 +126,9 @@ class TestNerveFromCover:
 
     def test_witness_monotonicity(self):
         m, balls = line_cover()
-        small = nerve_from_cover((m, balls), witnesses=[(F(0),), (F(2),)])
-        full = nerve_from_cover((m, balls))
+        cover = incidence_cover(m.incidence(balls))
+        small = nerve_from_cover(cover, witnesses=[(F(0),), (F(2),)])
+        full = nerve_from_cover(cover)
         assert small.simplices <= full.simplices
 
     def test_matches_brute_force_on_random_covers(self):
@@ -143,23 +145,17 @@ class TestNerveFromCover:
         same = Ball((F(3, 10),), F(1, 4))
         balls = {f"C{i}": same for i in range(5)}
         balls.update(L=Ball((F(0),), F(1, 2)), R=Ball((F(1),), F(3, 5)))
-        cover = ball_cover(m, balls)
+        cover = incidence_cover(m.incidence(balls))
         for d in range(7):
-            cx = nerve_from_cover((m, balls), max_dimension=d)
+            cx = nerve_from_cover(cover, max_dimension=d)
             assert cx.simplices == brute_force_nerve(cover, d)
-        assert nerve_from_cover((m, balls), max_dimension=2).dimension() == 2
-        assert nerve_from_cover((m, balls)).dimension() == 5
-
-    def test_ball_pair_is_converted_by_ball_cover(self):
-        m, balls = line_cover()
-        assert nerve_from_cover((m, balls)) == nerve_from_cover(ball_cover(m, balls))
-        m, balls = ten_ball_cover()
-        assert nerve_from_cover((m, balls)) == nerve_from_cover(ball_cover(m, balls))
+        assert nerve_from_cover(cover, max_dimension=2).dimension() == 2
+        assert nerve_from_cover(cover).dimension() == 5
 
     def test_ball_cover_rejects_an_uncovered_sample(self):
         m = MetricSampleSpace([(F(0),), (F(2),)])
         with pytest.raises(InputError):
-            ball_cover(m, {"U": Ball((F(0),), F(1))})
+            incidence_cover(m.incidence({"U": Ball((F(0),), F(1))}))
 
     @pytest.mark.parametrize("max_dimension", [0, 1, 2, 8, len(INDEX_NAMES)])
     def test_dump_matches_global_sort(self, max_dimension):
@@ -215,7 +211,8 @@ class TestNerveFromCover:
 
 class TestRealizationMembership:
     def setup_method(self):
-        self.cx = nerve_from_cover(line_cover())
+        m, balls = line_cover()
+        self.cx = nerve_from_cover(incidence_cover(m.incidence(balls)))
 
     def test_vertex_dirac(self):
         assert self.cx.realization_membership(dirac("1"))
@@ -237,8 +234,8 @@ class TestCanonicalMapCheck:
     def test_bump_pou_is_canonical(self):
         m = MetricSampleSpace([(F(0),), (F(1, 2),), (F(1),)])
         balls = {"U0": Ball((F(0),), F(7, 10)), "U1": Ball((F(1),), F(7, 10))}
-        pou = pou_from_metric_cover(m, balls)
-        rep = canonical_map_check(pou, (m, balls))
+        pou = pou_from_incidence(m.incidence(balls))
+        rep = canonical_map_check(pou, incidence_cover(m.incidence(balls)))
         assert rep.canonical
 
     def test_constant_dirac_fails_star_condition(self):
@@ -246,35 +243,35 @@ class TestCanonicalMapCheck:
         balls = {"U0": Ball((F(0),), F(1, 2)), "U1": Ball((F(1),), F(1, 2))}
         rows = {x: dirac("U0") for x in m.samples}
         pou = validate_pou(m, set(balls), rows)
-        rep = canonical_map_check(pou, (m, balls))
+        rep = canonical_map_check(pou, incidence_cover(m.incidence(balls)))
         assert not rep.canonical
         assert rep.star_violations
 
     def test_one_set_cover_constant_dirac(self):
         m = MetricSampleSpace([(F(0),), (F(1),)])
         balls = {"U": Ball((F(1, 2),), F(2))}
-        pou = pou_from_metric_cover(m, balls)
-        rep = canonical_map_check(pou, (m, balls))
+        pou = pou_from_incidence(m.incidence(balls))
+        rep = canonical_map_check(pou, incidence_cover(m.incidence(balls)))
         assert rep.canonical
 
     def test_verdict_is_not_truncated(self):
         m, balls = ten_ball_cover()
-        pou = pou_from_metric_cover(m, balls)
+        pou = pou_from_incidence(m.incidence(balls))
         assert len(pou.carrier_at((F(0),))) == 10
-        assert canonical_map_check(pou, (m, balls)).canonical
-        assert nerve_from_cover((m, balls)).dimension() == 8
+        assert canonical_map_check(pou, incidence_cover(m.incidence(balls))).canonical
+        assert nerve_from_cover(incidence_cover(m.incidence(balls))).dimension() == 8
 
     def test_different_ground_points_rejected(self):
         m, balls = line_cover()
-        pou = pou_from_metric_cover(m, balls)
+        pou = pou_from_incidence(m.incidence(balls))
         other = MetricSampleSpace(m.samples[:-1])
         with pytest.raises(InputError):
-            canonical_map_check(pou, ball_cover(other, balls))
+            canonical_map_check(pou, incidence_cover(other.incidence(balls)))
 
     def test_canonical_implies_index_subordinated(self):
         m, balls = line_cover()
-        pou = pou_from_metric_cover(m, balls)
-        assert canonical_map_check(pou, (m, balls)).canonical
+        pou = pou_from_incidence(m.incidence(balls))
+        assert canonical_map_check(pou, incidence_cover(m.incidence(balls))).canonical
         domain = FiniteSpace.discrete(m.samples)
         cover = indexed_cover(
             domain, set(balls),

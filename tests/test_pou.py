@@ -14,10 +14,10 @@ from poukit import (
     MetricSampleSpace,
     NotACover,
     PartitionOfUnity,
-    ball_cover,
+    incidence_cover,
     indexed_cover,
     mather_compose,
-    pou_from_metric_cover,
+    pou_from_incidence,
     subordination_check,
     validate_pou,
 )
@@ -71,13 +71,13 @@ class TestValidate:
 
 class TestBumpConstruction:
     def test_line_example(self):
-        pou = pou_from_metric_cover(line_space(), line_balls())
+        pou = pou_from_incidence(line_space().incidence(line_balls()))
         assert pou.rows[(F(1, 2),)] == SparseVec({"U0": F(1, 2), "U1": F(1, 2)})
         assert pou.rows[(F(0),)] == dirac("U0")
 
     def test_single_ball(self):
         m = line_space()
-        pou = pou_from_metric_cover(m, {"U": Ball((F(1, 2),), F(2),)})
+        pou = pou_from_incidence(m.incidence({"U": Ball((F(1, 2),), F(2),)}))
         assert all(pou.rows[x] == dirac("U") for x in m.samples)
 
     def test_symmetric_three_balls(self):
@@ -86,20 +86,20 @@ class TestBumpConstruction:
             f"U{i}": Ball(c, F(2))
             for i, c in enumerate([(F(1), F(0)), (F(-1), F(0)), (F(0), F(1))])
         }
-        pou = pou_from_metric_cover(m, balls)
+        pou = pou_from_incidence(m.incidence(balls))
         row = pou.rows[(F(0), F(0))]
         for a in row:
             assert float(row[a]) == pytest.approx(1 / 3)
 
     def test_uncovered_sample(self):
         with pytest.raises(NotACover):
-            pou_from_metric_cover(line_space(), {"U": Ball((F(0),), F(1, 4))})
+            pou_from_incidence(line_space().incidence({"U": Ball((F(0),), F(1, 4))}))
 
 
 class TestSubordination:
     def test_bump_pou_index_subordinated(self):
         m, balls = line_space(), line_balls()
-        pou = pou_from_metric_cover(m, balls)
+        pou = pou_from_incidence(m.incidence(balls))
         domain = FiniteSpace.discrete(m.samples)
         cover = indexed_cover(
             domain,
@@ -173,8 +173,8 @@ class TestMetricSubordination:
         failing = 0
         for _ in range(300):
             space, balls = random_ball_cover(rng)
-            pou = pou_from_metric_cover(space, balls)
-            exact = ball_cover(space, balls)
+            pou = pou_from_incidence(space.incidence(balls))
+            exact = incidence_cover(space.incidence(balls))
             idx = sorted(balls)
             shrunk = {
                 x: set(vals) if rng.random() < 0.7 else {rng.choice(idx)}
@@ -249,7 +249,7 @@ class TestMatherCompose:
 
         monkeypatch.setattr(sparse, "is_unit_simplex_point", counted)
         monkeypatch.setattr(pou_module, "is_unit_simplex_point", counted)
-        pou = pou_from_metric_cover(line_space(), line_balls())
+        pou = pou_from_incidence(line_space().incidence(line_balls()))
         mather_compose(pou)
         assert len(calls) == len(pou.rows) == 3
 
@@ -264,7 +264,7 @@ class TestMatherCompose:
             dataclasses.replace(pou, rows={"x": SparseVec({"a": F(1, 2)})})
 
     def test_rows_are_read_only(self):
-        pou = pou_from_metric_cover(line_space(), line_balls())
+        pou = pou_from_incidence(line_space().incidence(line_balls()))
         with pytest.raises(TypeError):
             pou.rows[(F(1, 2),)] = SparseVec({"U0": F(1, 2)})
         assert pou.rows == dict(pou.rows)
@@ -281,7 +281,7 @@ class TestMatherCompose:
         assert SparseVec(pou.rows["x"].entries) == SparseVec(pou.rows["x"]) == dirac("a")
 
     def test_symmetric_row_fixed(self):
-        pou = pou_from_metric_cover(line_space(), line_balls())
+        pou = pou_from_incidence(line_space().incidence(line_balls()))
         gamma, _ = mather_compose(pou)
         assert gamma.rows[(F(1, 2),)] == SparseVec({"U0": F(1, 2), "U1": F(1, 2)})
 
@@ -312,7 +312,7 @@ class TestMatherCompose:
         monkeypatch.setattr("poukit.pou.mather_support_bound", counted)
         m = MetricSampleSpace([(F(i, 10),) for i in range(11)])
         balls = {"L": Ball((F(0),), F(7, 10)), "R": Ball((F(1),), F(7, 10))}
-        _, cert = mather_compose(pou_from_metric_cover(m, balls))
+        _, cert = mather_compose(pou_from_incidence(m.incidence(balls)))
         assert calls == []
         kind, radius = cert.neighborhood(m.samples[3])
         assert kind == "metric_radius" and radius > 0
@@ -356,7 +356,7 @@ class TestMatherCompose:
             "R": Ball((F(1),), F(7, 10)),
             "M": Ball((F(1, 2),), F(2, 5)),
         }
-        pou = pou_from_metric_cover(m, balls)
+        pou = pou_from_incidence(m.incidence(balls))
         gamma, cert = mather_compose(pou)
         for x in m.samples:
             kind, radius = cert.neighborhood(x)
@@ -368,7 +368,7 @@ class TestMatherCompose:
 
 class TestOpenStar:
     def test_metric_example(self):
-        pou = pou_from_metric_cover(line_space(), line_balls())
+        pou = pou_from_incidence(line_space().incidence(line_balls()))
         assert pou.open_star("U0") == [(F(0),), (F(1, 2),)]
 
     def test_constant_dirac(self):
@@ -407,7 +407,7 @@ def test_rows_and_shrunk_rows_equal_the_fraction_formulas(cover):
     """Rows are bumps over their left-to-right sum; shrunk rows are the
     clip at half the sup over its sum.  Exact rows stay Fractions."""
     space, balls = cover
-    pou = pou_from_metric_cover(space, balls)
+    pou = pou_from_incidence(space.incidence(balls))
     gamma, _ = mather_compose(pou)
     incidence = space.incidence(balls)
     totals = []
