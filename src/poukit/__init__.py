@@ -16,10 +16,8 @@ from .errors import (
     TailTooLarge,
 )
 from .nerve import (
-    CoverSimplexMapping,
     SimplicialComplex,
     canonical_map_check,
-    cover_simplex_mapping,
     nerve_from_cover,
 )
 from .pou import (

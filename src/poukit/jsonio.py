@@ -145,9 +145,6 @@ def load_set_valued_map(obj):
     )
     domain = load_finite_space(domain)
     values = _point_sets(values, "values")
-    unknown = values.keys() - domain.points
-    if unknown:
-        raise InputError(f"values for unknown points {sorted(unknown, key=repr)}")
     if codomain == "discrete":  # the indices the values name
         codomain = FiniteSpace.discrete(set().union(*values.values()))
     elif isinstance(codomain, list):  # the index set, which values may not leave

@@ -13,13 +13,16 @@ subset test against the facets, and the full face set is enumerated only
 when a caller reads ``simplices`` or a dump lists the faces.
 ``max_dimension`` bounds only the complexes built for dumps; canonical
 verdicts are never truncated.
+
+The hull map x -> conv{e_a : a in cover(x)}, which sends each point to a
+simplex of the nerve, is :func:`poukit.selection.conv_membership` with
+:func:`poukit.selection.conv_fiber_open`.
 """
 
 from itertools import combinations
 
 from ._immutable import immutable
 from .errors import InputError
-from .setmaps import SetValuedMap, carrier_fiber
 
 MAX_DIMENSION = 8
 
@@ -194,39 +197,3 @@ def canonical_map_check(pou, cover):
             membership_violations.append(x)
         star_violations += [(a, x) for a in car if a not in cover.values[x]]
     return CanonicalReport(membership_violations, star_violations)
-
-
-@immutable(eq=False)
-class CoverSimplexMapping:
-    """Queryable mapping sending each point to the realized subcomplex spanned
-    by the cover members containing it.
-
-    ``membership(p, x)`` holds iff the carrier of ``p`` is contained in the
-    set of members containing ``x``; the fiber of ``p`` is the intersection
-    of the members named by its carrier, an open set when the cover is open.
-    """
-
-    cover: SetValuedMap
-
-    def __post_init__(self):
-        if not isinstance(self.cover, SetValuedMap):
-            raise InputError("expected an indexed cover over a finite space")
-        for a in self.cover.codomain.points:
-            if not self.cover.domain.is_open(self.cover.fiber(a)):
-                raise InputError(f"cover member {a!r} is not open")
-
-    def membership(self, p, x):
-        car = p.carrier()
-        if not car:
-            raise InputError("point with empty carrier")
-        return car <= self.cover.values[x]
-
-    def fiber(self, p):
-        return carrier_fiber(self.cover, p)
-
-    def fiber_is_open(self, p):
-        return self.cover.domain.is_open(self.fiber(p))
-
-
-def cover_simplex_mapping(cover):
-    return CoverSimplexMapping(cover)

@@ -1,9 +1,10 @@
 """Convex-hull covers, barycentric selections, and epsilon-selections.
 
-The convex hull of an index set inside the free vector space on the indices
-has exact membership: a simplex vector lies in the hull of the members at a
-point iff its carrier is contained in that member set (the indices form a
-basis, so barycentric coordinates are unique).
+``conv_membership`` and ``conv_fiber_open`` are the hull map of an indexed
+cover, x -> conv{e_a : a in omega(x)} inside the free vector space on the
+indices.  Membership is exact: a unit simplex point lies in the hull of the
+members at a point iff its carrier is contained in that member set (the
+indices form a basis, so barycentric coordinates are unique).
 
 For coordinate ambient spaces, convex targets are points, segments, axis
 boxes, or V-polytopes with distance oracles in plain floats.  Points, segments
@@ -21,24 +22,32 @@ from ._immutable import immutable
 from .errors import CoverGap, InputError, NonPositiveEpsilon, SelfCheckFailed
 from .pou import PartitionOfUnity, mather_compose
 from .scalars import FLOAT, _fold_sum
-from .setmaps import carrier_fiber
-from .sparse import _normalized
+from .sparse import _normalized, as_unit_simplex_point
 from .spaces import FiniteSpace
 
 # Wolfe's optimality gap, relative to the largest squared vertex norm
 _WOLFE_TOL = 1e-12
 
 
+def _simplex_carrier(p):
+    """The carrier of ``p``, which must be a unit simplex point."""
+    if not p.entries:
+        raise InputError("simplex vector with empty carrier")
+    return as_unit_simplex_point(p).carrier()
+
+
 def conv_membership(omega, x, p):
-    """Is the simplex vector ``p`` in the convex hull of the members of the
-    cover at ``x``?  Exact: carrier containment."""
-    return p.carrier() <= omega.values[x]
+    """Is the unit simplex point ``p`` in the convex hull of the members of
+    the cover at ``x``?  Exact: carrier containment."""
+    return _simplex_carrier(p) <= omega.values[x]
 
 
 def conv_fiber_open(omega, p):
-    """Fiber of ``p`` under the hull cover (intersection of the fibers named
-    by its carrier) together with its openness verdict."""
-    fiber = carrier_fiber(omega, p)
+    """The fiber ``{x : p in conv(omega(x))}`` of the unit simplex point
+    ``p`` under the hull map, the intersection of the cover's fibers over its
+    carrier, with its openness verdict and a non-interior witness."""
+    car = _simplex_carrier(p)
+    fiber = frozenset(x for x in omega.domain.points if car <= omega.values[x])
     is_open = omega.domain.is_open(fiber)
     witness = None
     if not is_open:

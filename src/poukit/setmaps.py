@@ -37,6 +37,9 @@ class SetValuedMap:
             raise InputError("domain must be a FiniteSpace")
         if not isinstance(codomain, FiniteSpace):
             codomain = FiniteSpace.discrete(codomain)
+        unknown = values.keys() - domain.points
+        if unknown:
+            raise InputError(f"values for unknown points {sorted(unknown, key=repr)}")
         vals = {}
         for p in domain.points:
             if p not in values:
@@ -180,7 +183,8 @@ def closure_cover(omega):
     """Cover whose fibers are the closures of the original fibers.
 
     Each fiber is closed once; the values are then re-derived pointwise from
-    the defining neighborhood-image intersection.  On an indexed cover (a
+    the defining neighborhood-image intersection, which is the image of the
+    minimal open U_p, as p in U_q implies U_p <= U_q.  On an indexed cover (a
     discrete codomain) the two must agree: that is the closed-cover
     identity, and a disagreement raises SelfCheckFailed.
     """
@@ -189,24 +193,11 @@ def closure_cover(omega):
     closed_values = {
         p: frozenset(a for a, cl in closed_fibers.items() if p in cl) for p in x.points
     }
-    # pointwise: intersection of images of open neighborhoods of p
     for p in x.points:
-        acc = set(omega.codomain.points)
-        for q in x.points:
-            u = x.min_open[q]
-            if p in u:
-                acc &= omega.image(u)
-        if frozenset(acc) != closed_values[p]:
+        acc = set(omega.image(x.min_open[p]))
+        if acc != closed_values[p]:
             raise SelfCheckFailed(
                 f"closure-cover formulas disagree at {p!r}: {acc} vs {closed_values[p]}"
             )
     return SetValuedMap(x, omega.codomain, closed_values)
 
-
-def carrier_fiber(omega, p):
-    """``{x : carrier(p) <= omega(x)}``, the intersection of the fibers over
-    the carrier of the simplex vector ``p``, which must be nonempty."""
-    car = p.carrier()
-    if not car:
-        raise InputError("simplex vector with empty carrier")
-    return frozenset(x for x in omega.domain.points if car <= omega.values[x])

@@ -51,10 +51,10 @@ class FiniteSpace:
             if p not in nbhd:
                 raise NotReflexive(p)
         for x in self.points:
-            for y in self.min_open[x]:
-                for z in self.min_open[y]:
-                    if z not in self.min_open[x]:
-                        raise NotTransitive(x, y, z)
+            ux = self.min_open[x]
+            for y in ux:
+                if not self.min_open[y] <= ux:
+                    raise NotTransitive(x, y, next(z for z in self.min_open[y] if z not in ux))
 
     def __hash__(self):
         return hash((self.points, frozenset(self.min_open.items())))
@@ -158,7 +158,9 @@ class Ball:
 class MetricSampleSpace:
     """Finite list of sample points with the Euclidean metric.  With rational
     coordinates ball membership (d < r) is decided exactly, on integers, so
-    cover combinatorics stay exact even when distances are irrational."""
+    cover combinatorics stay exact even when distances are irrational.
+    :meth:`incidence` is the one place a (sample, ball) pair is decided;
+    :meth:`BallIncidence.bumps` reads the bumps off its rows."""
 
     dim: int
     samples: list
@@ -250,15 +252,6 @@ class MetricSampleSpace:
             ) from exc
         zero = Fraction(0) if isinstance(gap, Fraction) else 0.0
         return gap if gap > 0 else zero
-
-    def ball_membership(self, ball, x):
-        """Whether d(x, centre) < radius, decided as by :meth:`incidence`."""
-        return self._measure(x, _over_lcm(x, _RATIONAL), ball, self._scaled_ball(ball))[0]
-
-    def dist_to_ball_complement(self, ball, x):
-        """max(radius - d(x, center), 0), the bump of the ball at x."""
-        _, s, scale = self._measure(x, _over_lcm(x, _RATIONAL), ball, self._scaled_ball(ball))
-        return self._bump(ball, x, s, scale)
 
 
 @immutable(eq=False)

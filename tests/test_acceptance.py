@@ -25,7 +25,6 @@ from poukit import (
     mather_support_bound,
     pou_from_incidence,
 )
-from poukit.nerve import cover_simplex_mapping
 from poukit.setmaps import SetValuedMap
 from poukit.spaces import FiniteSpace
 from poukit.sparse import SparseVec, is_unit_simplex_point
@@ -127,11 +126,8 @@ def _random_ball_cover(rng):
     }
     # keep only the candidate samples the balls actually cover, so the ball
     # family is a cover of the sample space by construction
-    probe = MetricSampleSpace(candidates)
-    covered = [
-        x for x in candidates
-        if any(probe.ball_membership(b, x) for b in balls.values())
-    ]
+    rows = MetricSampleSpace(candidates).incidence(balls).rows
+    covered = [x for x, row in zip(candidates, rows) if row]
     return MetricSampleSpace(covered), balls
 
 
@@ -149,15 +145,14 @@ def test_criterion_6_hull_fibers_open():
     rng = make_rng(1006)
     for _ in range(500):
         cover = random_open_cover(rng, max_indices=6, max_points=8)
-        phi = cover_simplex_mapping(cover)
         idx = sorted(cover.codomain.points)
         for _ in range(100):
             p = random_simplex_point(rng, idx)
             is_open, fiber, _ = conv_fiber_open(cover, p)
             assert is_open
-            assert phi.fiber(p) == fiber and phi.fiber_is_open(p)
+            assert fiber == frozenset.intersection(*(cover.fiber(a) for a in p.carrier()))
             for x in cover.domain.points:
-                assert phi.membership(p, x) == (x in fiber)
+                assert conv_membership(cover, x, p) == (x in fiber)
     report("6 hull fibers open + membership/fiber consistency (500 covers)")
 
 

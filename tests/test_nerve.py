@@ -10,7 +10,6 @@ from poukit import (
     MetricSampleSpace,
     SimplicialComplex,
     canonical_map_check,
-    cover_simplex_mapping,
     incidence_cover,
     indexed_cover,
     nerve_from_cover,
@@ -23,7 +22,7 @@ from poukit.errors import InputError
 from poukit.jsonio import dump_complex, report_text
 from poukit.sparse import SparseVec, dirac
 
-from generators import make_rng, random_cover, random_open_cover
+from generators import make_rng, random_cover
 
 
 def line_cover():
@@ -270,57 +269,7 @@ class TestCanonicalMapCheck:
 
     def test_canonical_implies_index_subordinated(self):
         m, balls = line_cover()
-        pou = pou_from_incidence(m.incidence(balls))
-        assert canonical_map_check(pou, incidence_cover(m.incidence(balls))).canonical
-        domain = FiniteSpace.discrete(m.samples)
-        cover = indexed_cover(
-            domain, set(balls),
-            {x: {a for a, b in balls.items() if m.ball_membership(b, x)}
-             for x in m.samples},
-        )
+        incidence = m.incidence(balls)
+        pou, cover = pou_from_incidence(incidence), incidence_cover(incidence)
+        assert canonical_map_check(pou, cover).canonical
         assert subordination_check(pou, cover)["index_subordinated"]
-
-
-class TestCoverSimplexMapping:
-    def setup_method(self):
-        s = FiniteSpace.sierpinski()
-        self.cover = indexed_cover(s, {"U0", "U1"}, {"a": {"U1"}, "b": {"U0", "U1"}})
-        # fibers: U0 -> {b} (open), U1 -> {a, b} (open)
-        self.phi = cover_simplex_mapping(self.cover)
-
-    def test_dirac_fiber_is_the_member(self):
-        assert self.phi.fiber(dirac("U0")) == {"b"}
-
-    def test_edge_fiber_is_intersection(self):
-        p = SparseVec({"U0": F(1, 2), "U1": F(1, 2)})
-        assert self.phi.fiber(p) == {"b"}
-        assert self.phi.fiber_is_open(p)
-
-    def test_membership_fails_outside(self):
-        p = SparseVec({"U0": F(1, 2), "U1": F(1, 2)})
-        assert not self.phi.membership(p, "a")
-        assert self.phi.membership(p, "b")
-
-    def test_membership_iff_in_fiber(self):
-        rng = make_rng(19)
-        for _ in range(50):
-            cover = random_open_cover(rng)
-            phi = cover_simplex_mapping(cover)
-            idx = sorted(cover.codomain.points)
-            k = rng.randint(1, len(idx))
-            picked = rng.sample(idx, k)
-            ws = [rng.randint(1, 9) for _ in picked]
-            p = SparseVec({a: F(w, sum(ws)) for a, w in zip(picked, ws)})
-            fiber = phi.fiber(p)
-            assert phi.fiber_is_open(p)
-            for x in cover.domain.points:
-                assert phi.membership(p, x) == (x in fiber)
-
-    def test_rejects_non_open_cover(self):
-        s = FiniteSpace.sierpinski()
-        bad = indexed_cover(s, {"U"}, {"a": {"U"}, "b": {"U"}})
-        # fiber of U is {a, b}: open, fine
-        cover_simplex_mapping(bad)
-        worse = indexed_cover(s, {"U", "V"}, {"a": {"U"}, "b": {"V"}})
-        with pytest.raises(InputError):
-            cover_simplex_mapping(worse)  # fiber of U is {a}, not open

@@ -99,13 +99,8 @@ class TestBumpConstruction:
 class TestSubordination:
     def test_bump_pou_index_subordinated(self):
         m, balls = line_space(), line_balls()
-        pou = pou_from_incidence(m.incidence(balls))
-        domain = FiniteSpace.discrete(m.samples)
-        cover = indexed_cover(
-            domain,
-            set(balls),
-            {x: {a for a, b in balls.items() if m.ball_membership(b, x)} for x in m.samples},
-        )
+        incidence = m.incidence(balls)
+        pou, cover = pou_from_incidence(incidence), incidence_cover(incidence)
         res = subordination_check(pou, cover)
         assert res["index_subordinated"]
 

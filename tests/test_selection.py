@@ -11,12 +11,12 @@ from poukit import (
     FiniteSpace,
     InputError,
     NonPositiveEpsilon,
+    NotAUnitVector,
     RowNotSimplex,
     SelfCheckFailed,
     barycentric_selection,
     conv_fiber_open,
     conv_membership,
-    cover_simplex_mapping,
     epsilon_selection,
     indexed_cover,
     validate_pou,
@@ -33,6 +33,24 @@ from poukit.sparse import SparseVec, dirac, uniform
 from generators import make_rng, random_open_cover, random_simplex_point
 
 
+def sierpinski_cover():
+    """Two members on the Sierpinski space, both open: U0 -> {b}, U1 -> {a, b}."""
+    s = FiniteSpace.sierpinski()
+    return indexed_cover(s, {"U0", "U1"}, {"a": {"U1"}, "b": {"U0", "U1"}})
+
+
+def single_member_cover():
+    return indexed_cover(FiniteSpace.discrete({"x"}), {"a", "b"}, {"x": {"a"}})
+
+
+# vectors that are no point of conv{e_a}, with the error each must raise
+NOT_SIMPLEX_POINTS = [
+    pytest.param(SparseVec(), InputError, "empty carrier", id="empty"),
+    pytest.param(SparseVec({"a": F(1, 2)}), NotAUnitVector, "not a unit simplex", id="half"),
+    pytest.param(SparseVec({"a": F(-1)}), NotAUnitVector, "not a unit simplex", id="negative"),
+]
+
+
 class TestConvMembership:
     def setup_method(self):
         g = FiniteSpace.discrete({"x"})
@@ -45,9 +63,26 @@ class TestConvMembership:
         assert not conv_membership(self.om, "x", dirac("c"))
 
     def test_carrier_escapes(self):
-        g = FiniteSpace.discrete({"x"})
-        om = indexed_cover(g, {"a", "b"}, {"x": {"a"}})
-        assert not conv_membership(om, "x", uniform("ab"))
+        assert not conv_membership(single_member_cover(), "x", uniform("ab"))
+
+    def test_membership_fails_outside(self):
+        p = SparseVec({"U0": F(1, 2), "U1": F(1, 2)})
+        assert not conv_membership(sierpinski_cover(), "a", p)
+        assert conv_membership(sierpinski_cover(), "b", p)
+
+    def test_membership_iff_in_fiber(self):
+        rng = make_rng(19)
+        for _ in range(50):
+            cover = random_open_cover(rng)
+            idx = sorted(cover.codomain.points)
+            k = rng.randint(1, len(idx))
+            picked = rng.sample(idx, k)
+            ws = [rng.randint(1, 9) for _ in picked]
+            p = SparseVec({a: F(w, sum(ws)) for a, w in zip(picked, ws)})
+            is_open, fiber, _ = conv_fiber_open(cover, p)
+            assert is_open
+            for x in cover.domain.points:
+                assert conv_membership(cover, x, p) == (x in fiber)
 
 
 class TestConvFiberOpen:
@@ -69,8 +104,25 @@ class TestConvFiberOpen:
         om = random_open_cover(make_rng(5))
         with pytest.raises(InputError, match="empty carrier"):
             conv_fiber_open(om, SparseVec())
+        x = min(om.domain.points, key=repr)
         with pytest.raises(InputError, match="empty carrier"):
-            cover_simplex_mapping(om).fiber(SparseVec())
+            conv_membership(om, x, SparseVec())
+
+    @pytest.mark.parametrize("p, error, message", NOT_SIMPLEX_POINTS)
+    def test_both_reject_a_vector_off_the_simplex(self, p, error, message):
+        om = single_member_cover()
+        with pytest.raises(error, match=message):
+            conv_membership(om, "x", p)
+        with pytest.raises(error, match=message):
+            conv_fiber_open(om, p)
+
+    def test_dirac_fiber_is_the_member(self):
+        assert conv_fiber_open(sierpinski_cover(), dirac("U0"))[1] == {"b"}
+
+    def test_edge_fiber_is_intersection(self):
+        p = SparseVec({"U0": F(1, 2), "U1": F(1, 2)})
+        is_open, fiber, witness = conv_fiber_open(sierpinski_cover(), p)
+        assert fiber == {"b"} and is_open and witness is None
 
     def test_dirac_fiber_is_cover_fiber(self):
         s = FiniteSpace.sierpinski()

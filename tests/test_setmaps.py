@@ -53,6 +53,10 @@ class TestClassify:
         with pytest.raises(InputError):
             SetValuedMap(s, s, {"a": set(), "b": {"b"}})
 
+    def test_values_for_unknown_points_rejected(self):
+        with pytest.raises(InputError, match=r"values for unknown points \['zz'\]"):
+            SetValuedMap(FiniteSpace.discrete({"a"}), {"0"}, {"a": {"0"}, "zz": {"1"}})
+
     def test_witness_on_failure(self):
         rep = classify(sierpinski_identity())
         assert "totally_lsc" in rep.witnesses
@@ -205,6 +209,26 @@ class TestClosureCover:
         for _ in range(25):
             om = random_cover(rng)
             assert graph_closure(om) == closure_cover(om)
+
+    def test_one_image_per_point_on_a_chain(self, monkeypatch):
+        """The pointwise value at p is image(U_p), not an intersection over
+        every open that contains p: |X| images, not |X|**2."""
+        n, rng = 40, make_rng(43)
+        points = [f"c{i:02}" for i in range(n)]
+        chain = FiniteSpace(points, {p: points[i:] for i, p in enumerate(points)})
+        om = random_cover(rng, domain=chain, max_indices=5)
+        calls = []
+        image = SetValuedMap.image
+
+        def counted(self, s):
+            calls.append(s)
+            return image(self, s)
+
+        monkeypatch.setattr(SetValuedMap, "image", counted)
+        closed = closure_cover(om)
+        assert len(calls) == n
+        monkeypatch.undo()
+        assert closed == graph_closure(om)
 
 
 class TestGraphClosure:

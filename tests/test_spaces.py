@@ -19,6 +19,28 @@ from poukit.errors import InputError
 from generators import make_rng, random_space
 
 
+@st.composite
+def reflexive_relation(draw):
+    """``min_open`` of a reflexive relation on 2-7 points; about half are not
+    transitive."""
+    points = [f"p{i}" for i in range(draw(st.integers(2, 7)))]
+    return {x: {x, *draw(st.lists(st.sampled_from(points), max_size=4))} for x in points}
+
+
+def oracle_transitivity_witness(points, min_open):
+    """The first (x, y, z) with y in U_x and z in U_y but z not in U_x, by the
+    triple loop over the same frozensets the space builds; None when the
+    relation is transitive."""
+    points = frozenset(points)
+    opens = {p: frozenset(min_open[p]) for p in points}
+    for x in points:
+        for y in opens[x]:
+            for z in opens[y]:
+                if z not in opens[x]:
+                    return x, y, z
+    return None
+
+
 class TestValidation:
     def test_sierpinski_valid(self):
         s = validate_space({"a", "b"}, {"a": {"a", "b"}, "b": {"b"}})
@@ -42,6 +64,20 @@ class TestValidation:
     def test_not_reflexive(self):
         with pytest.raises(NotReflexive):
             validate_space({"a", "b"}, {"a": {"b"}, "b": {"b"}})
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(reflexive_relation())
+    def test_transitivity_witness_equals_the_triple_loop(self, min_open):
+        points = set(min_open)
+        witness = oracle_transitivity_witness(points, min_open)
+        if witness is None:
+            validate_space(points, min_open)
+            return
+        with pytest.raises(NotTransitive) as exc:
+            validate_space(points, min_open)
+        assert (exc.value.x, exc.value.y, exc.value.z) == witness
+        assert str(exc.value) == str(NotTransitive(*witness))
+
 
 
 class TestOpensAndClosures:
@@ -150,19 +186,20 @@ class TestMetricGround:
         self.m = MetricSampleSpace([(F(0),), (F(1, 2),), (F(1),)])
 
     def test_ball_membership(self):
-        b = Ball((F(0),), F(7, 10))
-        assert self.m.ball_membership(b, (F(1, 2),))
-        assert self.m.dist_to_ball_complement(b, (F(1, 2),)) == F(1, 5)
+        incidence = self.m.incidence({"U": Ball((F(0),), F(7, 10))})
+        assert "U" in incidence.rows[1]  # the sample 1/2
+        assert incidence.bumps(1) == {"U": F(1, 5)}
 
     def test_center_membership(self):
         b = Ball((F(0),), F(7, 10))
-        assert self.m.ball_membership(b, (F(0),))
-        assert self.m.dist_to_ball_complement(b, (F(0),)) == b.radius
+        incidence = self.m.incidence({"U": b})
+        assert "U" in incidence.rows[0]  # the sample 0
+        assert incidence.bumps(0) == {"U": b.radius}
 
     def test_boundary_excluded(self):
-        b = Ball((F(0),), F(1, 2))
-        assert not self.m.ball_membership(b, (F(1, 2),))
-        assert self.m.dist_to_ball_complement(b, (F(1, 2),)) == 0
+        incidence = self.m.incidence({"U": Ball((F(0),), F(1, 2))})
+        assert "U" not in incidence.rows[1]  # the sample 1/2
+        assert incidence.bumps(1) == {}
 
     def test_duplicate_samples_rejected(self):
         with pytest.raises(InputError, match="duplicate sample"):
@@ -174,7 +211,7 @@ class TestMetricGround:
 
     def test_centre_of_the_wrong_dimension_rejected(self):
         with pytest.raises(InputError, match="coordinates"):
-            self.m.ball_membership(Ball((F(0), F(1)), F(1)), (F(0),))
+            self.m.incidence({"U": Ball((F(0), F(1)), F(1))})
 
 
 # rationals with mixed small denominators, negative ones included; some are ints
@@ -216,31 +253,33 @@ def oracle_inside(x, centre, r):
     return sum((F(a) - F(b)) ** 2 for a, b in zip(x, centre)) < F(r) ** 2
 
 
+def decided_inside(x, ball):
+    """Whether the incidence of a one-sample space puts ``x`` in ``ball``."""
+    return "U" in MetricSampleSpace([x], dim=len(x)).incidence({"U": ball}).rows[0]
+
+
 class TestBallMembershipKernel:
     @settings(max_examples=400, deadline=None)
     @given(ball_and_point())
     def test_exact_equals_the_fraction_oracle(self, case):
         centre, r, x = case
-        space = MetricSampleSpace([x], dim=len(x))
-        assert space.ball_membership(Ball(centre, r), x) == oracle_inside(x, centre, r)
+        assert decided_inside(x, Ball(centre, r)) == oracle_inside(x, centre, r)
 
     def test_sphere_is_outside(self):
         for dim in (1, 2, 3):
             centre = tuple(F(-1, 3) for _ in range(dim))
             u = rational_unit(dim, F(2, 3), F(-5))
             x = tuple(c + F(5, 7) * e for c, e in zip(centre, u))
-            space = MetricSampleSpace([x])
-            assert not space.ball_membership(Ball(centre, F(5, 7)), x)
-            assert space.ball_membership(Ball(centre, F(5, 7) + F(1, 10**12)), x)
+            assert not decided_inside(x, Ball(centre, F(5, 7)))
+            assert decided_inside(x, Ball(centre, F(5, 7) + F(1, 10**12)))
 
     @settings(max_examples=200, deadline=None)
     @given(ball_and_point())
     def test_float_mode_compares_float_squares(self, case):
         centre, r, x = case
         centre, r, x = tuple(map(float, centre)), float(r), tuple(map(float, x))
-        space = MetricSampleSpace([x])
         expected = sum((a - b) ** 2 for a, b in zip(x, centre)) < r**2
-        assert space.ball_membership(Ball(centre, r), x) == expected
+        assert decided_inside(x, Ball(centre, r)) == expected
 
     def test_exact_mode_calls_no_dist_sq(self, monkeypatch):
         calls = []
@@ -253,16 +292,11 @@ class TestBallMembershipKernel:
         monkeypatch.setattr(MetricSampleSpace, "dist_sq", counted)
         samples = [(F(i, 7), F(-i, 5)) for i in range(6)]
         balls = {f"U{j}": Ball((F(j, 3), F(-j, 4)), F(2, 3)) for j in range(4)}
-        exact = MetricSampleSpace(samples)
-        for x in samples:
-            for b in balls.values():
-                exact.ball_membership(b, x)
+        MetricSampleSpace(samples).incidence(balls)
         assert calls == []
         floats = [tuple(map(float, x)) for x in samples]
-        inexact = MetricSampleSpace(floats)
-        for x in floats:
-            for b in balls.values():
-                inexact.ball_membership(Ball(tuple(map(float, b.center)), float(b.radius)), x)
+        MetricSampleSpace(floats).incidence(
+            {a: Ball(tuple(map(float, b.center)), float(b.radius)) for a, b in balls.items()})
         assert len(calls) == len(samples) * len(balls)
 
 
@@ -319,16 +353,14 @@ def oracle_bump(x, ball):
 
 
 def assert_incidence(space, balls, inside, bump):
-    """The incidence, ``ball_membership`` and ``dist_to_ball_complement``
-    agree with the oracles ``inside(x, ball)`` and ``bump(x, ball)``."""
+    """The incidence rows and their bumps agree with the oracles
+    ``inside(x, ball)`` and ``bump(x, ball)``, and every pair is decided."""
     incidence = space.incidence(balls)
+    assert len(incidence.rows) == len(space.samples)
     for i, x in enumerate(space.samples):
         members = [a for a, b in balls.items() if inside(x, b)]
         assert list(incidence.rows[i]) == members
         assert incidence.bumps(i) == {a: bump(x, balls[a]) for a in members}
-        for b in balls.values():
-            assert space.ball_membership(b, x) == inside(x, b)
-            assert space.dist_to_ball_complement(b, x) == bump(x, b)
 
 
 class TestIncidence:

@@ -9,7 +9,6 @@ import pytest
 from poukit import (
     Ball,
     ConvexTarget,
-    CoverSimplexMapping,
     ExtendedUnitVec,
     FiniteSpace,
     MetricSampleSpace,
@@ -44,7 +43,6 @@ VALUES = {
     "SimplicialComplex": (
         lambda: SimplicialComplex({"a", "b"}, [{"a"}, {"b"}, {"a", "b"}]), True, False),
     "CanonicalReport": (lambda: CanonicalReport([], [("a", "x")]), False, True),
-    "CoverSimplexMapping": (lambda: CoverSimplexMapping(_cover()), False, True),
     "ConvexTarget": (lambda: ConvexTarget(1, {"x": {"kind": "point", "p": (0.0,)}}), False, True),
 }
 
