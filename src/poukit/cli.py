@@ -14,7 +14,7 @@ import sys
 
 from . import jsonio, scalars
 from .errors import InputError, PoukitError, SelfCheckFailed, TailTooLarge
-from .nerve import canonical_map_check, nerve_from_cover
+from .nerve import MAX_DIMENSION, canonical_map_check, nerve_from_cover
 from .pou import mather_compose, pou_from_incidence, subordination_check
 from .selection import epsilon_selection
 from .setmaps import classify, closure_cover, incidence_cover
@@ -112,7 +112,7 @@ def cmd_pou_verify(doc, args, report, mode):
 
 
 def cmd_mather(doc, args, report, mode):
-    y = jsonio.load_sparse_vec(doc, mode)
+    y = _as_extended(jsonio.load_sparse_vec(doc, mode), mode)
     lam = mather_lambda(y, mode)
     eta = mather_eta(y, mode)
     bound, radius = mather_support_bound(y, mode)
@@ -137,9 +137,9 @@ def _load_cover_input(obj, mode):
 
 def cmd_nerve_build(doc, args, report, mode):
     _, cover = _load_cover_input(doc, mode)
-    cx = nerve_from_cover(cover, max_dimension=args.max_dim)
+    cx = nerve_from_cover(cover)
     report.check("nerve-built", True)
-    report.payload["complex"] = jsonio.dump_complex(cx)
+    report.payload["complex"] = jsonio.dump_complex(cx, args.max_dim)
 
 
 def cmd_canonical_check(doc, args, report, mode):
@@ -152,8 +152,7 @@ def cmd_canonical_check(doc, args, report, mode):
         pou = jsonio.load_pou(pou, mode)
     cx_report = canonical_map_check(pou, cover)
     report.check("canonical", cx_report.canonical, cx_report.to_dict())
-    nerve = nerve_from_cover(cover, max_dimension=args.max_dim)
-    report.payload["nerve"] = jsonio.dump_complex(nerve)
+    report.payload["nerve"] = jsonio.dump_complex(nerve_from_cover(cover), args.max_dim)
 
 
 def _load_selection_input(obj):
@@ -343,7 +342,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol-sum", type=float, default=scalars.EXACT.tol)
     parser.add_argument("--out", default=None, help="write the report here")
-    parser.add_argument("--max-dim", type=int, default=8)
+    parser.add_argument("--max-dim", type=int, default=MAX_DIMENSION)
     return parser
 
 

@@ -87,14 +87,7 @@ def _point_sets(obj, what):
 def load_finite_space(obj):
     points, min_open = require_fields(obj, "a finite space", "points", "min_open")
     points = _point_set(points, "points")
-    min_open = _point_sets(min_open, "min_open")
-    missing = points - min_open.keys()
-    if missing:
-        raise InputError(f"no min_open for {sorted(missing, key=repr)}")
-    unknown = min_open.keys() - points
-    if unknown:
-        raise InputError(f"min_open for unknown points {sorted(unknown, key=repr)}")
-    return FiniteSpace(points, min_open)
+    return FiniteSpace(points, _point_sets(min_open, "min_open"))
 
 
 def dump_finite_space(space):
@@ -198,18 +191,19 @@ class _Faces(list):
     __slots__ = ("texts",)
 
 
-def dump_complex(cx):
-    """Simplices, each in ``repr`` order, come by size, then in list order of
-    ``(type is not str, type name, name)``: total on JSON names, and plain
-    list order (the fast path) when all are strings.  Each vertex name is
-    encoded once and the simplices carry the texts, unless a name is a tuple:
-    a JSON array, whose text depends on its indentation."""
+def dump_complex(cx, max_dimension=None):
+    """The vertices of ``cx`` and its simplices, up to ``max_dimension`` when
+    a bound is given.  Simplices, each in ``repr`` order, come by size, then
+    in list order of ``(type is not str, type name, name)``: total on JSON
+    names, and plain list order (the fast path) when all are strings.  Each
+    vertex name is encoded once and the simplices carry the texts, unless a
+    name is a tuple: a JSON array, whose text depends on its indentation."""
     by = None if all(type(v) is str for v in cx.vertices) else (
         lambda s: [(type(v) is not str, type(v).__name__, v) for v in s])
     names = {v: _quote(v) if type(v) is str else json.dumps(v) for v in cx.vertices}
     simplices = _Faces()
     simplices.texts = []
-    for level in cx.faces_by_size(names.__getitem__):
+    for level in cx.faces_by_size(names.__getitem__, max_dimension):
         order = sorted(level, key=by)
         simplices += map(list, order)
         simplices.texts += map(level.__getitem__, order)

@@ -23,8 +23,9 @@ from .spaces import FiniteSpace, MetricSampleSpace
 @immutable(eq=False)
 class PartitionOfUnity:
     """Rowwise partition of unity over a finite ground, checked when it is
-    built, by ``dataclasses.replace`` too: each row is a unit-simplex point
-    (as ``mode.is_one`` decides it) over the index set, else RowNotSimplex,
+    built, by ``dataclasses.replace`` too: there is a row at each ground
+    point and at no other, else InputError; each row is a unit-simplex point
+    (as ``mode.is_one`` decides it) over the index set, else RowNotSimplex;
     and on an Alexandrov ground rows are constant along minimal opens, else
     DiscontinuousAt.  So every star is a union of components of the
     specialization preorder, and is clopen.  ``rows`` is a read-only view of
@@ -40,6 +41,9 @@ class PartitionOfUnity:
     def __post_init__(self):
         index_set, rows = frozenset(self.index_set), dict(self.rows)
         points = _ground_points(self.ground)
+        unknown = rows.keys() - points
+        if unknown:
+            raise InputError(f"rows at unknown points {sorted(unknown, key=repr)}")
         for x in points:
             if x not in rows:
                 raise InputError(f"no row at ground point {x!r}")
@@ -151,7 +155,7 @@ class LocalFinitenessCertificate:
             return ("min_open", frozenset(pou.ground.min_open[x]))
         if pou.l1_lipschitz is None:
             raise InputError("a metric radius needs the partition's l1_lipschitz constant")
-        _, radius = mather_support_bound(pou.rows[x], pou.mode)
+        _, radius = mather_support_bound(ExtendedUnitVec._of_checked(pou.rows[x]), pou.mode)
         return ("metric_radius", float(radius) / pou.l1_lipschitz)
 
     def index_bound(self, x):

@@ -44,6 +44,12 @@ class FiniteSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "points", frozenset(self.points))
+        missing = self.points - self.min_open.keys()
+        if missing:
+            raise InputError(f"no min_open for {sorted(missing, key=repr)}")
+        unknown = self.min_open.keys() - self.points
+        if unknown:
+            raise InputError(f"min_open for unknown points {sorted(unknown, key=repr)}")
         object.__setattr__(self, "min_open", {p: frozenset(self.min_open[p]) for p in self.points})
         for p, nbhd in self.min_open.items():
             if not nbhd <= self.points:

@@ -18,6 +18,7 @@ from poukit import (
     SparseVec,
     finite_interval_model,
 )
+from poukit import sparse
 from poukit.cli import COMMANDS, main
 from poukit.jsonio import dump_finite_space, load_set_valued_map, report_text
 from poukit.nerve import CanonicalReport
@@ -311,6 +312,19 @@ class TestTolSum:
             for flags in ([], ["--tol-sum", "0.01"], [])
         ]
         assert codes == [2, 0, 2]
+
+
+def test_mather_decides_the_mass_once(tmp_path, capsys, monkeypatch):
+    """A plain vector becomes an extended one once, not in each of the
+    three transforms, and a bad one is still rejected with exit 2."""
+    calls = []
+    check = sparse.is_unit_simplex_point
+    monkeypatch.setattr(sparse, "is_unit_simplex_point",
+                        lambda v, mode: calls.append(v) or check(v, mode))
+    code, _ = run_main(tmp_path, capsys, "mather", {"entries": {"a": "1/2", "b": "1/2"}})
+    assert code == 0 and len(calls) == 1
+    code, out = run_main(tmp_path, capsys, "mather", {"entries": {"a": "1/2"}})
+    assert code == 2 and "not a unit simplex point" in out.err
 
 
 class TestSelfChecks:

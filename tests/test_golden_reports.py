@@ -2,8 +2,11 @@
 
 Each of the nine commands runs on each ``data/`` file in both modes with
 ``--seed 7``, in process, from the repository root with a relative input
-path (reports embed it).  ``golden_reports.json`` pins the SHA-256 of
-``[stdout, stderr, exit code]`` as JSON for each of the 162 runs.  Run as a
+path (reports embed it); ``nerve-build`` and ``canonical-check`` run again
+at ``--max-dim`` 0, 1 and -1, which truncate the dump of
+``deep_ball_cover.json`` or reject the bound.  ``golden_reports.json`` pins
+the SHA-256 of ``[stdout, stderr, exit code]`` as JSON for each of the 270
+runs.  Run as a
 script, it compares the digests, names each run that differs and exits 1
 if any does; it does not import pytest, so any supported Python can run it::
 
@@ -25,20 +28,27 @@ from poukit.cli import COMMANDS, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_reports.json"
+DATA = [f"data/{path.name}" for path in sorted((ROOT / "data").glob("*.json"))]
 RUNS = [
-    (command, f"data/{path.name}", mode)
+    (command, path, mode)
     for command in sorted(COMMANDS)
-    for path in sorted((ROOT / "data").glob("*.json"))
+    for path in DATA
     for mode in ("exact", "float")
+] + [
+    (command, path, mode, "--max-dim", dim)
+    for command in ("canonical-check", "nerve-build")
+    for path in DATA
+    for mode in ("exact", "float")
+    for dim in ("0", "1", "-1")
 ]
 
 
-def digest(command, path, mode):
+def digest(command, path, mode, *flags):
     """SHA-256 of ``[stdout, stderr, exit code]`` of one run; the working
     directory must be the repository root."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, path, "--mode", mode, "--seed", "7"])
+        code = main([command, path, "--mode", mode, "--seed", "7", *flags])
     text = json.dumps([out.getvalue(), err.getvalue(), code])
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -50,7 +60,7 @@ def pytest_generate_tests(metafunc):
 
 
 def test_every_run_is_pinned():
-    assert len(RUNS) == 162
+    assert len(RUNS) == 270
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(" ".join(r) for r in RUNS)
 
 

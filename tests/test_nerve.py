@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import pathlib
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -18,11 +21,14 @@ from poukit import (
     validate_pou,
 )
 from poukit import jsonio
+from poukit.cli import main
 from poukit.errors import InputError
 from poukit.jsonio import dump_complex, report_text
 from poukit.sparse import SparseVec, dirac
 
-from generators import make_rng, random_cover
+from generators import make_rng, random_cover, random_simplex_point
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def line_cover():
@@ -42,14 +48,38 @@ def ten_ball_cover():
     return m, balls
 
 
-def brute_force_nerve(cover, max_dimension):
-    """Every face of every witness's member set, up to max_dimension."""
+def brute_force_closure(family, max_dimension=None):
+    """Every nonempty subset of every member, up to max_dimension."""
     simplices = set()
-    for x in cover.domain.points:
-        members = sorted(cover.values[x])
-        for r in range(1, min(len(members), max_dimension + 1) + 1):
+    for members in family:
+        members = sorted(members, key=repr)
+        top = len(members) if max_dimension is None else min(len(members), max_dimension + 1)
+        for r in range(1, top + 1):
             simplices.update(map(frozenset, combinations(members, r)))
     return simplices
+
+
+def brute_force_nerve(cover, max_dimension=None):
+    """Every face of every witness's member set, up to max_dimension."""
+    return brute_force_closure(cover.values.values(), max_dimension)
+
+
+def faces(cx, max_dimension=None):
+    """The simplices ``faces_by_size`` lists, as a set of frozensets."""
+    return {frozenset(s) for level in cx.faces_by_size(max_dimension=max_dimension) for s in level}
+
+
+def count_complexes(monkeypatch):
+    """A list that grows by one for each SimplicialComplex built."""
+    built = []
+    init = SimplicialComplex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+    return built
 
 
 def global_sort_dump(cover, max_dimension):
@@ -90,16 +120,61 @@ def assert_written_as_json(dump):
 
 class TestComplexInvariants:
     def test_downward_closure_enforced(self):
-        with pytest.raises(InputError):
-            SimplicialComplex({"a", "b"}, [{"a", "b"}])
+        cx = SimplicialComplex([{"a", "b"}])
+        assert cx.facets == (frozenset({"a", "b"}),)
+        assert cx.vertices == {"a", "b"}
+        assert cx.simplices == {frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})}
 
-    def test_isolated_vertex_rejected(self):
-        with pytest.raises(InputError):
-            SimplicialComplex({"a", "b"}, [{"a"}])
+    def test_empty_member_rejected(self):
+        for family in ([set()], [{"a"}, set()], [{"a", "b"}, (), {"c"}]):
+            with pytest.raises(InputError, match="empty simplex"):
+                SimplicialComplex(family)
 
     def test_dimension(self):
-        cx = SimplicialComplex({"a", "b"}, [{"a"}, {"b"}, {"a", "b"}])
+        cx = SimplicialComplex([{"a"}, {"b"}, {"a", "b"}])
         assert cx.dimension() == 1
+        assert SimplicialComplex([]).dimension() == -1
+
+    def test_matches_brute_force_closure(self):
+        """Random families with duplicates, nested members and the empty
+        family: the complex is their downward closure, held as the distinct
+        maximal members, and equals the complex of that closure."""
+        rng = make_rng(37)
+        names = ["a", "b", "c", "d", "e", 0, 1, ("t", 2)]
+        for _ in range(300):
+            family = [set(rng.sample(names, rng.randint(1, 5))) for _ in range(rng.randint(0, 6))]
+            family += [set(rng.sample(sorted(s, key=repr), rng.randint(1, len(s))))
+                       for s in family if rng.random() < 0.4]  # nested
+            family += [set(s) for s in family if rng.random() < 0.3]  # duplicates
+            rng.shuffle(family)
+            cx = SimplicialComplex(family)
+            closure = brute_force_closure(family)
+            assert cx.simplices == closure == faces(cx)
+            assert cx.vertices == {v for s in family for v in s}
+            maximal = {frozenset(s) for s in family if not any(s < t for t in family)}
+            assert len(cx.facets) == len(maximal) and set(cx.facets) == maximal
+            assert all(s in cx for s in closure)
+            assert cx == SimplicialComplex(closure) == SimplicialComplex(cx.facets)
+            d = rng.randint(0, 4)
+            assert faces(cx, d) == brute_force_closure(family, d)
+
+    def test_negative_dump_bound_rejected(self):
+        cx = SimplicialComplex([{"a", "b"}])
+        with pytest.raises(InputError, match="max_dimension must be at least 0, got -1"):
+            cx.faces_by_size(max_dimension=-1)
+        with pytest.raises(InputError, match="max_dimension"):
+            dump_complex(cx, -1)
+        assert faces(cx, 0) == {frozenset({"a"}), frozenset({"b"})}
+
+    def test_equality_compares_facets(self):
+        """Two complexes on 40 vertices: equality must not enumerate their
+        2^40 - 1 simplices."""
+        members = frozenset(f"U{i}" for i in range(40))
+        big = SimplicialComplex([members])
+        assert big == SimplicialComplex([{"U0"}, members, {"U1", "U2"}, members])
+        assert big != SimplicialComplex([members - {"U0"}])
+        assert big != SimplicialComplex([members, {"V"}])
+        assert big != members
 
 
 class TestNerveFromCover:
@@ -135,8 +210,9 @@ class TestNerveFromCover:
         for _ in range(100):
             cover = random_cover(rng)
             d = rng.randint(0, 6)
-            cx = nerve_from_cover(cover, max_dimension=d)
-            assert cx.simplices == brute_force_nerve(cover, d)
+            cx = nerve_from_cover(cover)
+            assert cx.simplices == brute_force_nerve(cover)
+            assert faces(cx, d) == brute_force_nerve(cover, d)
             assert cx.vertices == {a for s in cover.values.values() for a in s}
 
     def test_matches_brute_force_on_coincident_balls(self):
@@ -145,11 +221,10 @@ class TestNerveFromCover:
         balls = {f"C{i}": same for i in range(5)}
         balls.update(L=Ball((F(0),), F(1, 2)), R=Ball((F(1),), F(3, 5)))
         cover = incidence_cover(m.incidence(balls))
+        cx = nerve_from_cover(cover)
         for d in range(7):
-            cx = nerve_from_cover(cover, max_dimension=d)
-            assert cx.simplices == brute_force_nerve(cover, d)
-        assert nerve_from_cover(cover, max_dimension=2).dimension() == 2
-        assert nerve_from_cover(cover).dimension() == 5
+            assert faces(cx, d) == brute_force_nerve(cover, d)
+        assert cx.dimension() == 5
 
     def test_ball_cover_rejects_an_uncovered_sample(self):
         m = MetricSampleSpace([(F(0),), (F(2),)])
@@ -161,18 +236,19 @@ class TestNerveFromCover:
         rng = make_rng(29 + max_dimension)
         for _ in range(60):
             cover = random_named_cover(rng)
-            cx = nerve_from_cover(cover, max_dimension=max_dimension)
-            assert dump_complex(cx) == global_sort_dump(cover, max_dimension)
-            handed_in = SimplicialComplex(cx.vertices, cx.simplices, witnessed=True)
-            assert dump_complex(handed_in) == dump_complex(cx)
-            assert_written_as_json(dump_complex(cx))
+            cx = nerve_from_cover(cover)
+            dump = dump_complex(cx, max_dimension)
+            assert dump == global_sort_dump(cover, max_dimension)
+            handed_in = SimplicialComplex(cx.simplices, witnessed=True)
+            assert dump_complex(handed_in, max_dimension) == dump
+            assert_written_as_json(dump)
         rng = make_rng(31 + max_dimension)
         for _ in range(60):
             cover = random_named_cover(rng, MIXED_NAMES)
-            assert_written_as_json(dump_complex(nerve_from_cover(cover, max_dimension=max_dimension)))
-        assert_written_as_json(dump_complex(SimplicialComplex(set(), [])))
-        tuple_named = SimplicialComplex({("a", 1), 2}, [{("a", 1)}, {2}, {("a", 1), 2}])
-        assert_written_as_json(dump_complex(tuple_named))
+            assert_written_as_json(dump_complex(nerve_from_cover(cover), max_dimension))
+        assert_written_as_json(dump_complex(SimplicialComplex([]), max_dimension))
+        tuple_named = SimplicialComplex([{("a", 1)}, {2}, {("a", 1), 2}])
+        assert_written_as_json(dump_complex(tuple_named, max_dimension))
 
     def test_each_name_is_quoted_once(self, monkeypatch):
         """One 14-vertex facet has 16,383 faces and 114,688 vertex
@@ -182,22 +258,25 @@ class TestNerveFromCover:
         calls = []
         quote = jsonio._quote
         monkeypatch.setattr(jsonio, "_quote", lambda s: calls.append(s) or quote(s))
-        simplices = dump_complex(nerve_from_cover(cover, max_dimension=13))["simplices"]
+        simplices = dump_complex(nerve_from_cover(cover))["simplices"]
         text = report_text(simplices)
         assert len(simplices) == 2**14 - 1 and len(calls) <= 14
         assert text == json.dumps(simplices, indent=2)
 
     def test_membership_is_decided_on_facets(self):
         """One witness in 40 members: the nerve has 2^40 - 1 simplices, so
-        membership and dimension must not enumerate them."""
+        membership, dimension and equality must not enumerate them, and a
+        dump bound lists fewer faces without shrinking the complex."""
         members = {f"U{i}" for i in range(40)}
         cover = indexed_cover(FiniteSpace.discrete({"x"}), members, {"x": members})
-        cx = nerve_from_cover(cover, max_dimension=40)
+        cx = nerve_from_cover(cover)
         assert cx.dimension() == 39
         assert members in cx and {"U0", "U7"} in cx
         assert set() not in cx and {"U0", "V"} not in cx
         assert cx.realization_membership(SparseVec({a: F(1, 40) for a in members}))
-        assert members not in nerve_from_cover(cover, max_dimension=38)
+        assert cx == nerve_from_cover(cover)
+        assert len(dump_complex(cx, 0)["simplices"]) == 40
+        assert members in cx and cx.dimension() == 39
 
     def test_downward_closed_random(self):
         rng = make_rng(17)
@@ -257,8 +336,12 @@ class TestCanonicalMapCheck:
         m, balls = ten_ball_cover()
         pou = pou_from_incidence(m.incidence(balls))
         assert len(pou.carrier_at((F(0),))) == 10
-        assert canonical_map_check(pou, incidence_cover(m.incidence(balls))).canonical
-        assert nerve_from_cover(incidence_cover(m.incidence(balls))).dimension() == 8
+        cover = incidence_cover(m.incidence(balls))
+        assert canonical_map_check(pou, cover).canonical
+        cx = nerve_from_cover(cover)
+        assert cx.dimension() == 9 and set(balls) in cx
+        assert cx.realization_membership(pou.rows[(F(0),)])
+        assert max(map(len, dump_complex(cx, 8)["simplices"])) == 9
 
     def test_different_ground_points_rejected(self):
         m, balls = line_cover()
@@ -273,3 +356,74 @@ class TestCanonicalMapCheck:
         pou, cover = pou_from_incidence(incidence), incidence_cover(incidence)
         assert canonical_map_check(pou, cover).canonical
         assert subordination_check(pou, cover)["index_subordinated"]
+
+
+def dense_canonical_check(pou, cover):
+    """Every row tested against every facet of the nerve, and every carried
+    index against the cover: the verdict lists, computed without shortcuts."""
+    family = list(cover.values.values())
+    facets = [s for s in family if not any(s < t for t in family)]
+    membership, star = [], []
+    for x in pou.ground_points():
+        car = pou.carrier_at(x)
+        if not any(car <= f for f in facets):
+            membership.append(x)
+        star += [(a, x) for a in car if a not in cover.values[x]]
+    return membership, star
+
+
+class TestCanonicalMapCheckOracle:
+    def test_matches_dense_oracle(self):
+        """300 random covers of discrete spaces, with rows inside the cover
+        (no star violation), inside some facet, or anywhere."""
+        rng = make_rng(41)
+        seen = {"canonical": 0, "star only": 0, "membership": 0}
+        for _ in range(300):
+            domain = FiniteSpace.discrete({f"x{i}" for i in range(rng.randint(1, 8))})
+            cover = random_cover(rng, domain=domain)
+            indices = sorted(cover.codomain.points)
+            rows = {}
+            for x in sorted(domain.points):
+                pool = rng.choice([cover.values[x], rng.choice(list(cover.values.values())),
+                                   indices])
+                rows[x] = random_simplex_point(rng, sorted(pool))
+            pou = validate_pou(domain, set(indices), rows)
+            rep = canonical_map_check(pou, cover)
+            membership, star = dense_canonical_check(pou, cover)
+            assert rep.membership_violations == membership
+            assert rep.star_violations == star
+            assert rep.canonical == (not membership and not star)
+            seen["membership" if membership else "star only" if star else "canonical"] += 1
+        assert min(seen.values()) >= 30, seen
+
+    def test_subordinated_partition_builds_no_complex(self, monkeypatch):
+        m, balls = line_cover()
+        incidence = m.incidence(balls)
+        pou, cover = pou_from_incidence(incidence), incidence_cover(incidence)
+        built = count_complexes(monkeypatch)
+        assert canonical_map_check(pou, cover).canonical
+        assert built == []
+
+    def test_star_violation_builds_one_complex(self, monkeypatch):
+        m = MetricSampleSpace([(F(0),), (F(1),)])
+        balls = {"U0": Ball((F(0),), F(1, 2)), "U1": Ball((F(1),), F(1, 2))}
+        pou = validate_pou(m, set(balls), {x: dirac("U0") for x in m.samples})
+        cover = incidence_cover(m.incidence(balls))
+        built = count_complexes(monkeypatch)
+        rep = canonical_map_check(pou, cover)
+        assert rep.star_violations == [("U0", (F(1),))] and rep.membership_violations == []
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("command, path, complexes", [
+        ("verify-all", "data/example_bundle.json", 0),
+        ("canonical-check", "data/canonical_line.json", 1),
+        ("nerve-build", "data/deep_ball_cover.json", 1),
+    ])
+    def test_commands_build_only_the_dumped_complex(self, monkeypatch, command, path, complexes):
+        """verify-all on metric covers dumps no nerve and needs none for its
+        verdict; canonical-check builds only the nerve it dumps."""
+        monkeypatch.chdir(ROOT)
+        built = count_complexes(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, path]) == 0
+        assert len(built) == complexes

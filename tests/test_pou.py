@@ -61,6 +61,18 @@ class TestValidate:
         with pytest.raises(RowNotSimplex):
             validate_pou(g, {"a"}, {"x": SparseVec({"a": F(1, 2)})})
 
+    def test_rows_at_unknown_points_rejected(self):
+        g = FiniteSpace.discrete({"x"})
+        rows = {"x": dirac("a"), "zz": SparseVec({"a": F(-5)})}
+        with pytest.raises(InputError, match=r"rows at unknown points \['zz'\]"):
+            PartitionOfUnity(g, {"a"}, rows)
+        pou = validate_pou(g, {"a"}, {"x": dirac("a")})
+        with pytest.raises(InputError, match="unknown points"):
+            dataclasses.replace(pou, rows=rows)
+        m = line_space()
+        with pytest.raises(InputError, match=r"rows at unknown points \[\(Fraction\(2, 1\),\)\]"):
+            validate_pou(m, {"a"}, {**{x: dirac("a") for x in m.samples}, (F(2),): dirac("a")})
+
     def test_unknown_ground_rejected_by_validation_and_by_ground_points(self):
         rows = {"x": dirac("a")}
         with pytest.raises(InputError, match="ground must be"):
@@ -309,9 +321,14 @@ class TestMatherCompose:
         balls = {"L": Ball((F(0),), F(7, 10)), "R": Ball((F(1),), F(7, 10))}
         _, cert = mather_compose(pou_from_incidence(m.incidence(balls)))
         assert calls == []
+        checks = []
+        check = sparse.is_unit_simplex_point
+        monkeypatch.setattr(sparse, "is_unit_simplex_point",
+                            lambda v, mode: checks.append(v) or check(v, mode))
         kind, radius = cert.neighborhood(m.samples[3])
         assert kind == "metric_radius" and radius > 0
         assert len(calls) == 1
+        assert checks == []  # the row was checked when the partition was built
 
     def test_metric_radius_needs_a_lipschitz_constant(self):
         """2 |I| is no Lipschitz constant: it gave radius 1/24 at 0, which

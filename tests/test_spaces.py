@@ -61,6 +61,16 @@ class TestValidation:
                 {"a": {"a", "c"}, "c": {"c", "b"}, "b": {"b"}},
             )
 
+    def test_every_point_has_one_min_open(self):
+        """The library checks what the loader checked: a min_open for each
+        point and for no other."""
+        with pytest.raises(InputError, match=r"no min_open for \['b'\]"):
+            FiniteSpace({"a", "b"}, {"a": {"a"}})
+        with pytest.raises(InputError, match=r"min_open for unknown points \['c'\]"):
+            FiniteSpace({"a"}, {"a": {"a"}, "c": {"c"}})
+        with pytest.raises(InputError, match=r"no min_open for \['b', 'c'\]"):
+            validate_space({"c", "a", "b"}, {"a": {"a"}, "z": {"z"}})
+
     def test_not_reflexive(self):
         with pytest.raises(NotReflexive):
             validate_space({"a", "b"}, {"a": {"b"}, "b": {"b"}})

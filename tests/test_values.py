@@ -41,7 +41,7 @@ VALUES = {
     "PartitionOfUnity": (_pou, False, True),
     "LocalFinitenessCertificate": (lambda: mather_compose(_pou())[1], False, True),
     "SimplicialComplex": (
-        lambda: SimplicialComplex({"a", "b"}, [{"a"}, {"b"}, {"a", "b"}]), True, False),
+        lambda: SimplicialComplex([{"a"}, {"b"}, {"a", "b"}]), True, False),
     "CanonicalReport": (lambda: CanonicalReport([], [("a", "x")]), False, True),
     "ConvexTarget": (lambda: ConvexTarget(1, {"x": {"kind": "point", "p": (0.0,)}}), False, True),
 }
