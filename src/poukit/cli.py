@@ -18,7 +18,7 @@ from .nerve import MAX_DIMENSION, canonical_map_check, nerve_from_cover
 from .pou import mather_compose, pou_from_incidence, subordination_check
 from .selection import epsilon_selection
 from .setmaps import classify, closure_cover, incidence_cover
-from .sparse import _as_extended, mather_eta, mather_lambda, mather_support_bound, norms
+from .sparse import _as_extended, mather_eta, mather_lambda, mather_support_bound
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -93,14 +93,16 @@ def cmd_map_classify(doc, args, report, mode):
     rep = classify(phi)
     report.payload["classification"] = rep.to_dict()
     # classification itself never fails; only consistency of the hierarchy does
-    report.check(
-        "hierarchy-consistent",
-        (not rep.open_graph or rep.totally_lsc) and (not rep.totally_lsc or rep.lsc),
-    )
+    report.check("hierarchy-consistent", _diagram_holds(rep))
+
+
+def _diagram_holds(rep):
+    """An open graph is totally lsc, and a totally lsc map is lsc."""
+    return (not rep.open_graph or rep.totally_lsc) and (not rep.totally_lsc or rep.lsc)
 
 
 def cmd_pou_build(doc, args, report, mode):
-    pou = pou_from_incidence(jsonio.load_metric_cover(doc, mode), mode)
+    pou = pou_from_incidence(jsonio.load_metric_cover(doc, mode))
     report.check("pou-built", True)
     report.payload["pou"] = jsonio.dump_pou(pou)
 
@@ -113,11 +115,8 @@ def cmd_pou_verify(doc, args, report, mode):
 
 def cmd_mather(doc, args, report, mode):
     y = _as_extended(jsonio.load_sparse_vec(doc, mode), mode)
-    lam = mather_lambda(y, mode)
-    eta = mather_eta(y, mode)
-    bound, radius = mather_support_bound(y, mode)
-    l1, _ = norms(eta)
-    report.check("eta-on-simplex", mode.is_one(l1))
+    lam, eta, (bound, radius) = mather_lambda(y), mather_eta(y), mather_support_bound(y)
+    report.check("eta-on-simplex", scalars.EXACT.is_one(eta.norm1()))
     report.payload["lambda"] = jsonio.dump_sparse_vec(lam)
     report.payload["eta"] = jsonio.dump_sparse_vec(eta)
     report.payload["support_bound"] = {
@@ -146,7 +145,7 @@ def cmd_canonical_check(doc, args, report, mode):
     (cover,) = jsonio.require_fields(doc, "a canonical-check input", "cover")
     incidence, cover = _load_cover_input(cover, mode)
     if incidence is not None:
-        pou = pou_from_incidence(incidence, mode)
+        pou = pou_from_incidence(incidence)
     else:
         (pou,) = jsonio.require_fields(doc, "a canonical-check input", "pou")
         pou = jsonio.load_pou(pou, mode)
@@ -157,25 +156,17 @@ def cmd_canonical_check(doc, args, report, mode):
 
 def _load_selection_input(obj):
     """Target, epsilon and anchors of one epsilon-selection problem, all in
-    float mode, with every anchor in the target's ambient dimension."""
+    float mode."""
     target, eps, anchors = jsonio.require_fields(
         obj, "a selection problem", "target", "epsilon", "anchors"
     )
-    target = jsonio.load_convex_target(target, scalars.FLOAT)
-    eps = scalars.FLOAT.parse(eps)
-    anchors = jsonio._points(anchors, "anchors", scalars.FLOAT)
-    for a in anchors:
-        if len(a) != target.ambient_dim:
-            raise InputError(
-                f"anchor {list(a)!r} has {len(a)} coordinates, "
-                f"ambient_dim is {target.ambient_dim!r}"
-            )
-    return target, eps, anchors
+    target, eps = jsonio.load_convex_target(target, scalars.FLOAT), scalars.FLOAT.parse(eps)
+    return target, eps, jsonio._points(anchors, "anchors", scalars.FLOAT)
 
 
 def cmd_select_eps(doc, args, report, mode):
     target, eps, anchors = _load_selection_input(doc)
-    values, certs = epsilon_selection(target, eps, anchors, mode)
+    values, certs = epsilon_selection(target, eps, anchors)
     report.check("epsilon-bound", True)  # a violated certificate raises
     report.payload["selection"] = {
         str(x): {
@@ -188,22 +179,22 @@ def cmd_select_eps(doc, args, report, mode):
 
 
 def _verify_unit_vector(report, name, y, mode):
-    """The transform's invariants: eta has l1 mass one (``mode.is_one``), its
-    carrier stays inside that of ``y``, and it has at most ``2 / sup``
-    indices.  A failed check names each broken invariant with its value; a
-    tail certificate too weak for the transform fails with ``tail_sup`` and
-    ``sup/2``."""
+    """The transform's invariants: eta has l1 mass one (``EXACT.is_one``,
+    not the run's ``mode``), its carrier stays inside that of ``y``, and it
+    has at most ``2 / sup`` indices.  A failed check names each broken
+    invariant with its value; a tail certificate too weak for the transform
+    fails with ``tail_sup`` and ``sup/2``."""
     y = _as_extended(y, mode)
     fmt = scalars.format_scalar
     try:
-        eta = mather_eta(y, mode)
+        eta = mather_eta(y)
     except TailTooLarge:
         broken = {"tail_sup": fmt(y.tail_sup), "sup/2": fmt(y.sup_norm() / 2)}
     else:
         l1, car = eta.norm1(), eta.carrier()
         size_times_sup = len(car) * y.sup_norm()
         broken = {}
-        if not mode.is_one(l1):
+        if not scalars.EXACT.is_one(l1):
             broken["eta_l1"] = fmt(l1)
         if not car <= y.explicit.carrier():
             broken["eta_carrier_outside"] = sorted(map(repr, car - y.explicit.carrier()))
@@ -226,9 +217,7 @@ def cmd_verify_all(doc, args, report, mode):
     for i, obj in _section(bundle, "maps"):
         phi = jsonio.load_set_valued_map(obj)
         rep = classify(phi)
-        diagram = (not rep.open_graph or rep.totally_lsc) and (
-            not rep.totally_lsc or rep.lsc
-        )
+        diagram = _diagram_holds(rep)
         collapse = rep.lower_locally_constant == rep.totally_lsc
         witnesses = rep.to_dict()["witnesses"]
         report.check(f"map[{i}]:diagram", diagram, None if diagram else witnesses)
@@ -248,7 +237,7 @@ def cmd_verify_all(doc, args, report, mode):
 
     for i, obj in _section(bundle, "metric_covers"):
         incidence = jsonio.load_metric_cover(obj, mode)
-        pou, cover = pou_from_incidence(incidence, mode), incidence_cover(incidence)
+        pou, cover = pou_from_incidence(incidence), incidence_cover(incidence)
         sub = subordination_check(pou, cover)
         ok = sub["index_subordinated"]
         report.check(
@@ -280,7 +269,7 @@ def cmd_verify_all(doc, args, report, mode):
     for i, obj in _section(bundle, "targets"):
         target, eps, anchors = _load_selection_input(obj)
         try:
-            epsilon_selection(target, eps, anchors, mode)
+            epsilon_selection(target, eps, anchors)
             report.check(f"target[{i}]:epsilon-bound", True)
         except SelfCheckFailed as exc:
             report.check(f"target[{i}]:epsilon-bound", False, _violation(exc, eps))

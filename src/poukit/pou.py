@@ -87,15 +87,16 @@ def validate_pou(ground, index_set, rows, mode=EXACT):
     return PartitionOfUnity(ground, index_set, rows, mode)
 
 
-def pou_from_incidence(incidence, mode=EXACT):
+def pou_from_incidence(incidence):
     """Normalized bump partition subordinated to the ball cover behind
     ``incidence = space.incidence(balls)``, with its ``l1_lipschitz``.
 
     Bump of ball a at x is max(radius_a - d(x, center_a), 0), over the
     members the incidence decided by the exact comparison d^2 < r^2 when
     coordinates are rational, so carriers and stars are exact in either
-    mode even though the bump values involve square roots.  A sample
-    outside every ball raises NotACover.
+    mode even though the bump values involve square roots.  Rows are
+    checked with the default tolerance in either mode.  A sample outside
+    every ball raises NotACover; one whose bumps all round to 0.0, InputError.
     """
     space, balls = incidence.space, incidence.balls
     rows, totals = {}, []
@@ -103,6 +104,8 @@ def pou_from_incidence(incidence, mode=EXACT):
         bumps = incidence.bumps(i)
         if not bumps:
             raise NotACover(x)
+        if not any(bumps.values()):
+            raise InputError(f"every bump at {[str(c) for c in x]} rounds to 0.0 in floats")
         rows[x], total = _normalized(bumps)
         totals.append(total)
     min_total = min(totals)
@@ -112,7 +115,7 @@ def pou_from_incidence(incidence, mode=EXACT):
         lip = 2 * len(balls) / float(min_total)
     except (OverflowError, ZeroDivisionError) as exc:
         raise InputError(f"bump total {format_scalar(min_total)} is out of float range") from exc
-    return PartitionOfUnity(space, set(balls), rows, mode, lip)
+    return PartitionOfUnity(space, set(balls), rows, l1_lipschitz=lip)
 
 
 def subordination_check(pou, omega):
@@ -155,7 +158,7 @@ class LocalFinitenessCertificate:
             return ("min_open", frozenset(pou.ground.min_open[x]))
         if pou.l1_lipschitz is None:
             raise InputError("a metric radius needs the partition's l1_lipschitz constant")
-        _, radius = mather_support_bound(ExtendedUnitVec._of_checked(pou.rows[x]), pou.mode)
+        _, radius = mather_support_bound(ExtendedUnitVec._of_checked(pou.rows[x]))
         return ("metric_radius", float(radius) / pou.l1_lipschitz)
 
     def index_bound(self, x):
@@ -173,7 +176,7 @@ def mather_compose(pou):
     clopen and inside the input star.  The certificate computes nothing
     until it is read.
     """
-    rows = {x: mather_eta(ExtendedUnitVec._of_checked(pou.rows[x]), pou.mode)
+    rows = {x: mather_eta(ExtendedUnitVec._of_checked(pou.rows[x]))
             for x in pou.ground_points()}
     gamma = object.__new__(PartitionOfUnity)
     for name, value in (("ground", pou.ground), ("index_set", pou.index_set),

@@ -21,7 +21,7 @@ import operator
 from ._immutable import immutable
 from .errors import CoverGap, InputError, NonPositiveEpsilon, SelfCheckFailed
 from .pou import PartitionOfUnity, mather_compose
-from .scalars import FLOAT, _fold_sum
+from .scalars import _fold_sum
 from .sparse import _normalized, as_unit_simplex_point
 from .spaces import FiniteSpace
 
@@ -268,7 +268,7 @@ class ConvexTarget:
             raise InputError(f"distance to the {kind} at {x!r} is out of float range") from exc
 
 
-def epsilon_selection(target, eps, anchors, mode=FLOAT):
+def epsilon_selection(target, eps, anchors):
     """Certified approximate selection for a convex target.
 
     Anchor weights are bumps of the distance oracle, max(eps - d(a, set), 0),
@@ -276,12 +276,17 @@ def epsilon_selection(target, eps, anchors, mode=FLOAT):
     and summed barycentrically.  Every active anchor is strictly eps-close to
     the target set and the value is a convex combination of active anchors,
     so its distance to the (convex) set stays below eps; a certificate that
-    says otherwise raises SelfCheckFailed carrying it.  Rows are unit
-    simplex points as ``mode.is_one`` decides it.
+    says otherwise raises SelfCheckFailed carrying it.  Rows are checked
+    with the default tolerance; an anchor outside the target's ambient
+    dimension raises InputError before the epsilon is checked.
     """
+    anchors = [tuple(a) for a in anchors]
+    for a in anchors:
+        if len(a) != target.ambient_dim:
+            raise InputError(f"anchor {list(a)!r} has {len(a)} coordinates, "
+                             f"ambient_dim is {target.ambient_dim!r}")
     if eps <= 0:
         raise NonPositiveEpsilon(eps)
-    anchors = [tuple(a) for a in anchors]
     anchor_ids = {f"a{i}": a for i, a in enumerate(anchors)}
     ground = FiniteSpace.discrete(target.ground_points())
     rows = {}
@@ -294,7 +299,7 @@ def epsilon_selection(target, eps, anchors, mode=FLOAT):
         if not weights:
             raise CoverGap(x)
         rows[x], _ = _normalized(weights)
-    pou = PartitionOfUnity(ground, set(anchor_ids), rows, mode)
+    pou = PartitionOfUnity(ground, set(anchor_ids), rows)
     gamma, _cert = mather_compose(pou)
     values, certs = barycentric_selection(gamma, anchor_ids)
     for x, v in values.items():

@@ -197,28 +197,30 @@ def _half_sup(y):
     return half
 
 
-def mather_lambda(y, mode=EXACT):
-    """Coordinatewise ``max(y(a) - sup/2, 0)``.
+def mather_lambda(y):
+    """Coordinatewise ``max(y(a) - sup/2, 0)`` of an ``ExtendedUnitVec``, or
+    of a unit simplex point checked as ``EXACT.is_one`` decides it.
 
     Only explicitly listed coordinates can survive (guaranteed by the tail
     precondition), and ties at exactly half the sup-norm are dropped.  The
     result is nonzero: the argmax coordinate keeps half the sup-norm.
     """
-    y = _as_extended(y, mode)
+    y = _as_extended(y)
     half = _half_sup(y)
     return SparseVec(
         (k, v - half) for k, v in y.explicit.entries.items() if v > half
     )
 
 
-def mather_eta(y, mode=EXACT):
-    """l1-normalized shrinking transform; lands in the finite unit simplex.
-    With ``Fraction`` entries n_a / d over their lcm d and M = max n, the clip
-    is (2 n_a - M) / 2d, so eta(a) = (2 n_a - M) / sum(2 n - M) over 2 n > M."""
-    y = _as_extended(y, mode)
+def mather_eta(y):
+    """l1-normalized shrinking transform of ``y`` as ``mather_lambda`` takes
+    it; lands in the finite unit simplex.  With ``Fraction`` entries n_a / d
+    over their lcm d and M = max n, the clip is (2 n_a - M) / 2d, so
+    eta(a) = (2 n_a - M) / sum(2 n - M) over 2 n > M."""
+    y = _as_extended(y)
     over = y.explicit.entries and _over_lcm(y.explicit.entries.values(), Fraction)
     if not over:
-        lam = mather_lambda(y, mode)
+        lam = mather_lambda(y)
         total = lam.norm1()
         return lam.scale(1 / total if isinstance(total, float) else Fraction(1) / total)
     if y.tail_sup:  # a zero tail_sup is below the positive half sup
@@ -240,16 +242,17 @@ def _normalized(weights):
     return SparseVec({a: Fraction(g, n) for a, g in zip(weights, over[0])}), Fraction(n, over[1])
 
 
-def mather_support_bound(y, mode=EXACT):
+def mather_support_bound(y):
     """Support stability certificate: a finite index set B and a radius d > 0
-    such that every unit vector within l1-distance d of ``y`` shrinks into B.
+    such that every unit vector within l1-distance d of ``y`` (as
+    ``mather_lambda`` takes it) shrinks into B.
 
     Uses d = (sup - 2 * tail_mass) / 6, strictly inside the sound range
     (anything below (sup - 2 * tail_mass) / 3 works: a perturbed vector y'
     has sup' >= sup - d, while an unlisted coordinate is at most
     tail_sup + d <= tail_mass + d < sup'/2).
     """
-    y = _as_extended(y, mode)
+    y = _as_extended(y)
     _half_sup(y)
     sup = y.sup_norm()
     margin = sup - 2 * y.tail_mass

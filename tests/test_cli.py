@@ -314,6 +314,56 @@ class TestTolSum:
         assert codes == [2, 0, 2]
 
 
+class TestTolSumZero:
+    """``--tol-sum`` judges only rows and vectors read from input.  Rows and
+    vectors poukit computes itself are judged with the library default, so
+    at ``--tol-sum 0`` these runs, whose computed floats miss 1 by an ulp,
+    still match the default run."""
+
+    # the float rows at (1/10, 3/10) and (7/10, 6/10) do not sum to 1
+    COVER = {
+        "space": {"samples": [["0", "0"], ["1/10", "3/10"], ["7/10", "6/10"]]},
+        "balls": {
+            "A": {"center": ["0", "0"], "radius": "3/2"},
+            "B": {"center": ["1", "1"], "radius": "3/2"},
+            "C": {"center": ["1", "0"], "radius": "1"},
+        },
+    }
+    # the float rows 9/24, 8/24, 7/24 sum to 1 - 2**-53
+    TARGET = {
+        "target": {"ambient_dim": 1, "sets": {"x": {"kind": "point", "p": ["0"]}}},
+        "epsilon": "1",
+        "anchors": [["0.1"], ["0.2"], ["0.3"]],
+    }
+    # sums to 1 in floats; its float eta does not
+    VECTOR = {"entries": {"a": "0.3", "b": "0.3", "c": "0.4"}}
+    EXACT, FLOAT = [], ["--mode", "float"]
+
+    @pytest.mark.parametrize("command, obj, flags", [
+        ("pou-build", COVER, EXACT),
+        ("pou-build", COVER, FLOAT),
+        ("canonical-check", {"cover": COVER}, EXACT),
+        ("canonical-check", {"cover": COVER}, FLOAT),
+        ("select-eps", TARGET, EXACT),
+        ("mather", VECTOR, FLOAT),
+        ("verify-all", {"metric_covers": [COVER]}, EXACT),
+        ("verify-all", {"metric_covers": [COVER]}, FLOAT),
+        ("verify-all", {"unit_vectors": [VECTOR]}, FLOAT),
+        ("verify-all", {"targets": [TARGET]}, EXACT),
+    ])
+    def test_computed_rows_and_vectors_ignore_the_flag(
+        self, tmp_path, capsys, command, obj, flags
+    ):
+        reports = []
+        for tol in ([], ["--tol-sum", "0"]):
+            code, out = run_main(tmp_path, capsys, command, obj, *flags, *tol)
+            assert code == 0 and out.err == ""
+            reports.append(json.loads(out.out))
+        assert reports[1]["config"].pop("tol_sum") == 0
+        reports[0]["config"].pop("tol_sum")
+        assert reports[1] == reports[0]
+
+
 def test_mather_decides_the_mass_once(tmp_path, capsys, monkeypatch):
     """A plain vector becomes an extended one once, not in each of the
     three transforms, and a bad one is still rejected with exit 2."""
@@ -675,6 +725,8 @@ def _target(anchor, **spec):
 
 
 _UNCOVERED = _cover([["0"], ["5"]], ["0"], "1")
+# inside the ball exactly, d**2 < 1, but the float bump 1 - d rounds to 0.0
+_BUMP_ROUNDS_TO_ZERO = _cover([["99999999999999999999/100000000000000000000", "0"]], ["0", "0"], "1")
 
 VERIFY_ALL_SECTIONS = ["spaces", "unit_vectors", "maps", "covers", "metric_covers", "targets"]
 
@@ -753,6 +805,16 @@ HOSTILE_INPUTS = {
             ("nerve-build", _UNCOVERED),
             ("canonical-check", {"cover": _UNCOVERED}),
             ("verify-all", {"metric_covers": [_UNCOVERED]}),
+        ]
+    },
+    # a ZeroDivisionError traceback with exit 1
+    **{
+        f"bump-rounds-to-zero-{command}": (
+            command, obj, [], "every bump at ['99999999999999999999/100000000000000000000', '0']")
+        for command, obj in [
+            ("pou-build", _BUMP_ROUNDS_TO_ZERO),
+            ("canonical-check", {"cover": _BUMP_ROUNDS_TO_ZERO}),
+            ("verify-all", {"metric_covers": [_BUMP_ROUNDS_TO_ZERO]}),
         ]
     },
     # inf passed the row {"a": 3, "b": 2}; nan and -1 failed valid rows
@@ -871,7 +933,7 @@ class TestMatherInvariants:
         # y = (a 3/5, b 3/10, c 1/10); the fake eta has mass 5/4, the foreign
         # index z, and 4 indices at sup 3/5
         fake = SparseVec({"a": F(1, 4), "b": F(1, 4), "c": F(1, 4), "z": F(1, 2)})
-        monkeypatch.setattr("poukit.cli.mather_eta", lambda y, mode: fake)
+        monkeypatch.setattr("poukit.cli.mather_eta", lambda y: fake)
         bundle = _bundle_sections("unit_vectors")
         code, out = run_main(tmp_path, capsys, "verify-all", bundle)
         assert code == 1

@@ -312,9 +312,9 @@ class TestMatherCompose:
         calls = []
         bound = sparse.mather_support_bound
 
-        def counted(y, mode):
+        def counted(y):
             calls.append(y)
-            return bound(y, mode)
+            return bound(y)
 
         monkeypatch.setattr("poukit.pou.mather_support_bound", counted)
         m = MetricSampleSpace([(F(i, 10),) for i in range(11)])

@@ -1,6 +1,7 @@
 """The names ``poukit`` exports.  A change to the public API shows up as a
 diff of this list."""
 
+import inspect
 import types
 
 import poukit
@@ -66,3 +67,20 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+# a run's Mode reaches only the parsers and the checks on vectors read from
+# input; these constructions and transforms read none
+NO_MODE_SIGNATURES = {
+    "pou_from_incidence": "(incidence)",
+    "epsilon_selection": "(target, eps, anchors)",
+    "mather_lambda": "(y)",
+    "mather_eta": "(y)",
+    "mather_support_bound": "(y)",
+}
+
+
+def test_constructions_and_transforms_take_no_mode():
+    signatures = {name: str(inspect.signature(getattr(poukit, name)))
+                  for name in NO_MODE_SIGNATURES}
+    assert signatures == NO_MODE_SIGNATURES

@@ -12,7 +12,6 @@ from poukit import (
     InputError,
     NonPositiveEpsilon,
     NotAUnitVector,
-    RowNotSimplex,
     SelfCheckFailed,
     barycentric_selection,
     conv_fiber_open,
@@ -21,7 +20,7 @@ from poukit import (
     indexed_cover,
     validate_pou,
 )
-from poukit.scalars import FLOAT, Mode
+from poukit.scalars import _fold_sum
 from poukit.selection import (
     dist_to_box,
     dist_to_point,
@@ -350,15 +349,28 @@ class TestEpsilonSelection:
         with pytest.raises(NonPositiveEpsilon):
             epsilon_selection(self.segment_target(), 0, [(0, 0)])
 
-    def test_rows_are_checked_with_the_tolerance_of_the_mode(self):
-        # the float rows 9/24, 8/24, 7/24 sum to 1 - 2**-53, not to 1
+    def test_rows_it_normalizes_pass_the_default_tolerance(self):
+        # the float rows 9/24, 8/24, 7/24 sum to 1 - 2**-53, not to 1; the
+        # selection reads no input, so no run's tolerance judges them
         target = ConvexTarget(1, {"x": {"kind": "point", "p": (0.0,)}})
         anchors = [(0.1,), (0.2,), (0.3,)]
-        _, certs = epsilon_selection(target, 1.0, anchors, FLOAT)
+        weights = [1.0 - a for (a,) in anchors]
+        assert _fold_sum(w / _fold_sum(weights) for w in weights) == 1 - 2**-53
+        _, certs = epsilon_selection(target, 1.0, anchors)
         assert certs["x"].distance_bound < 1.0
-        with pytest.raises(RowNotSimplex, match="row at 'x'") as info:
-            epsilon_selection(target, 1.0, anchors, Mode(exact=False, tol=0.0))
-        assert isinstance(info.value, InputError)
+
+    @pytest.mark.parametrize("kind, spec", [
+        ("point", {"p": (0.0, 0.0)}),
+        ("segment", {"a": (0.0, 0.0), "b": (1.0, 0.0)}),
+        ("box", {"lo": (0.0, 0.0), "hi": (1.0, 1.0)}),
+        ("polytope", {"vertices": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]}),
+    ])
+    def test_anchor_dimension_is_checked_before_epsilon(self, kind, spec):
+        target = ConvexTarget(2, {"x": {"kind": kind, **spec}})
+        msg = r"anchor \[0\.1, 0\.1, 5\.0\] has 3 coordinates, ambient_dim is 2"
+        for eps in (0.5, 0.0):
+            with pytest.raises(InputError, match=msg):
+                epsilon_selection(target, eps, [(0.0, 0.0), (0.1, 0.1, 5.0)])
 
     def test_violated_certificate_travels_with_the_error(self, monkeypatch):
         anchors = [(0.0, 1.0), (1.0, 1.0)]
