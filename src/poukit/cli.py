@@ -8,6 +8,7 @@ seeds nothing) and content digests of the inputs, and carry no timestamps.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -320,7 +321,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on the first call and shared by every
+    later one in the process: callers must not mutate it.  ``parse_args``
+    leaves it unchanged, so no flag value reaches the next call."""
     parser = argparse.ArgumentParser(
         prog="poukit",
         description="verify partitions of unity, covers, nerves, and selections",

@@ -43,11 +43,15 @@ class SimplicialComplex:
     witnessed: bool
 
     def __init__(self, sets, witnessed=False):
-        facets = []
+        facets, at = [], {}  # at[v]: the facets so far that hold vertex v
         for s in sorted(set(map(frozenset, sets)), key=len, reverse=True):
             if not s:
                 raise InputError("empty simplex")
-            if not any(s <= f for f in facets):
+            # a facet holding s holds each of its vertices: test the fewest
+            v = min(s, key=lambda u: len(at.get(u, ())))
+            if not any(s <= f for f in at.get(v, ())):
+                for u in s:
+                    at.setdefault(u, []).append(s)
                 facets.append(s)
         object.__setattr__(self, "vertices", frozenset().union(*facets))
         object.__setattr__(self, "facets", tuple(facets))

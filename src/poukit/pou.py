@@ -15,7 +15,7 @@ import types
 from ._immutable import immutable
 from .errors import DiscontinuousAt, InputError, NotACover, RowNotSimplex
 from .scalars import EXACT, Mode, format_scalar
-from .sparse import (ExtendedUnitVec, SparseVec, _normalized, is_unit_simplex_point,
+from .sparse import (ExtendedUnitVec, SparseVec, is_unit_simplex_point,
                      mather_eta, mather_support_bound)
 from .spaces import FiniteSpace, MetricSampleSpace
 
@@ -94,19 +94,18 @@ def pou_from_incidence(incidence):
     Bump of ball a at x is max(radius_a - d(x, center_a), 0), over the
     members the incidence decided by the exact comparison d^2 < r^2 when
     coordinates are rational, so carriers and stars are exact in either
-    mode even though the bump values involve square roots.  Rows are
-    checked with the default tolerance in either mode.  A sample outside
-    every ball raises NotACover; one whose bumps all round to 0.0, InputError.
+    mode even though the bump values involve square roots.  On an exact
+    line row the bumps are integers over one denominator, normalized as
+    such.  Rows are checked with the default tolerance in either mode.  A
+    sample outside every ball raises NotACover; one whose bumps all round
+    to 0.0, InputError.
     """
     space, balls = incidence.space, incidence.balls
     rows, totals = {}, []
     for i, x in enumerate(space.samples):
-        bumps = incidence.bumps(i)
-        if not bumps:
+        if not incidence.rows[i]:
             raise NotACover(x)
-        if not any(bumps.values()):
-            raise InputError(f"every bump at {[str(c) for c in x]} rounds to 0.0 in floats")
-        rows[x], total = _normalized(bumps)
+        rows[x], total = incidence.normalized(i)
         totals.append(total)
     min_total = min(totals)
     # l1 Lipschitz bound for the normalized family: each bump is 1-Lipschitz

@@ -7,17 +7,22 @@ exact set computations.
 
 A metric sample space is a finite list of coordinate points with the
 Euclidean metric; it is the desk-scale ground for ball covers and bump
-constructions.  Its ``incidence`` decides which balls contain each sample,
-once per pair; covers and bumps all read it.  Each sample is hashed once,
-and equals and hashes like its plain tuple.
+constructions.  Its ``incidence`` decides which balls contain each sample;
+covers and bumps all read it.  It sorts the samples once by their first
+coordinate and decides, for each ball, only the samples whose coordinate
+lies in the ball's padded interval there, so its work follows the pairs the
+cover holds.  Each sample is hashed once, and equals and hashes like its
+plain tuple.
 """
 
+import bisect
 import math
 from fractions import Fraction
 
 from ._immutable import immutable
 from .errors import InputError, NotReflexive, NotTransitive
 from .scalars import _fold_sum, _over_lcm
+from .sparse import SparseVec, _normalized
 
 _RATIONAL = (int, Fraction)
 
@@ -181,9 +186,11 @@ class MetricSampleSpace:
             raise InputError(f"dim must be an integer, got {dim!r}")
         if any(len(p) != dim for p in samples):
             raise InputError("inconsistent sample dimension")
-        if len(set(samples)) != len(samples):
-            dup = next(p for i, p in enumerate(samples) if p in samples[:i])
-            raise InputError(f"duplicate sample {dup!r}")
+        seen = set()
+        for p in samples:
+            if p in seen:
+                raise InputError(f"duplicate sample {p!r}")
+            seen.add(p)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "samples", samples)
 
@@ -197,17 +204,54 @@ class MetricSampleSpace:
 
     def incidence(self, balls):
         """The balls of the cover ``balls`` (index -> Ball) that contain each
-        sample, as a :class:`BallIncidence`: each pair decided once."""
+        sample, as a :class:`BallIncidence`.
+
+        A ball can contain only samples whose first coordinate lies within
+        its radius of the centre's.  So the samples are sorted once by that
+        coordinate as a float, each ball bisects its interval, padded past
+        every rounding of those keys, and a sweep over the sorted samples
+        decides each sample against the balls whose interval holds it, in
+        ``balls`` order, by the same comparison as a dense pass; it keeps no
+        more than the rows.  A centre or radius past the float range, or a
+        space of dimension 0, widens the interval to every sample.  A pair
+        outside its interval is never decided, so its float square cannot
+        overflow; of the pairs that raise, the first in samples order is
+        the one reported, as in a dense pass."""
         scaled = [(a, b, self._scaled_ball(b)) for a, b in balls.items()]
-        rows = []
-        for x in self.samples:
-            sx = _over_lcm(x, _RATIONAL)
-            row = {}
-            for a, b, sb in scaled:
-                inside, s, scale = self._measure(x, sx, b, sb)
-                if inside:
-                    row[a] = s, scale
-            rows.append(row)
+        samples, n = self.samples, len(self.samples)
+        over = [_over_lcm(x, _RATIONAL) for x in samples]
+        keys = [_axis_key(x[0], sx) if x else 0.0 for x, sx in zip(samples, over)]
+        order = sorted(range(n), key=keys.__getitem__)
+        keys = [keys[i] for i in order]
+        enter, leave = [[] for _ in range(n)], [[] for _ in range(n)]
+        for j, (_, b, sb) in enumerate(scaled):
+            lo, hi = _window(b, sb) if self.dim else (-math.inf, math.inf)
+            p, q = bisect.bisect_left(keys, lo), bisect.bisect_right(keys, hi)
+            if p < q:
+                enter[p].append(j)
+                if q < n:
+                    leave[q].append(j)
+        rows, live, failed = [None] * n, [], None  # live: ball positions, ascending
+        for p, i in enumerate(order):
+            for j in leave[p]:
+                live.remove(j)
+            for j in enter[p]:
+                bisect.insort(live, j)
+            if failed is not None and failed[0] < i:
+                continue
+            x, sx, row = samples[i], over[i], {}
+            try:
+                for j in live:
+                    a, b, sb = scaled[j]
+                    inside, s, scale = self._measure(x, sx, b, sb)
+                    if inside:
+                        row[a] = s, scale
+            except InputError as exc:
+                failed = i, exc
+                continue
+            rows[i] = row
+        if failed is not None:
+            raise failed[1]
         return BallIncidence(self, dict(balls), tuple(rows))
 
     def _scaled_ball(self, ball):
@@ -242,35 +286,107 @@ class MetricSampleSpace:
 
     def _bump(self, ball, x, s, scale):
         """max(radius - d(x, centre), 0) from ``_measure``'s s and scale; an
-        int/int division rounds like ``float(Fraction)``.  InputError when the
-        distance or the radius leaves the float range."""
+        int/int division rounds like ``float(Fraction)``.  A rational pair in
+        dimension 1 reaches it only in a row that also holds a float pair
+        (other rows take :meth:`BallIncidence._line_row`); its d = |x0 - c0|
+        is exact and its gap positive.  InputError when the distance or the
+        radius leaves the float range."""
         r = ball.radius
         try:
-            if scale is None:
+            if scale is None or self.dim == 1:
                 gap = r - self.dist(x, ball.center)
-            elif self.dim == 1:
-                gap = Fraction(r.numerator * (scale // r.denominator) - math.isqrt(s), scale)
             else:
                 gap = r - math.sqrt(s / (scale * scale))
         except OverflowError as exc:
             raise InputError(
                 f"bump of a ball of radius {r} at {[str(c) for c in x]} is out of float range"
             ) from exc
-        zero = Fraction(0) if isinstance(gap, Fraction) else 0.0
-        return gap if gap > 0 else zero
+        return gap if gap > 0 else 0.0
+
+
+def _axis_key(v, over, i=0):
+    """A float within a rounding step of v, which is ``over[0][i] / over[1]``
+    when ``over`` is not None (int / int rounds like ``float(Fraction)``);
+    past the float range, an infinity of v's sign.  A NaN, which no ball
+    contains, sorts last, so the keys stay totally ordered."""
+    try:
+        key = over[0][i] / over[1] if over else float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+    return key if key == key else math.inf
+
+
+def _window(ball, over):
+    """``(lo, hi)``: every sample the ball can contain has its first
+    coordinate's key in [lo, hi]; ``over`` is the ball's ``_scaled_ball``.
+    A contained sample has |x0 - c0| < r: on rationals by definition, on
+    floats because rounding is monotone and the other squares are at least
+    0.  The pad, 2**-40 of |c0| + r plus 2**-1000 for subnormals, exceeds the
+    few roundings of the keys and of this sum; an infinite key widens the
+    window to everything."""
+    c, r = _axis_key(ball.center[0], over), _axis_key(ball.radius, over, -1)
+    pad = (abs(c) + r) * 2.0**-40 + 2.0**-1000
+    lo, hi = c - r - pad, c + r + pad
+    return (lo, hi) if lo <= hi else (-math.inf, math.inf)  # inf - inf is NaN
 
 
 @immutable(eq=False)
 class BallIncidence:
     """``rows[i]`` maps each ball containing ``space.samples[i]``, in
     ``balls`` order, to ``(s, scale)``: the squared distance to its centre is
-    s / scale**2 on integers for a rational pair, else ``(None, None)``."""
+    s / scale**2 on integers for a rational pair, else ``(None, None)``.
+    Only the pairs inside a ball's interval on the first axis were decided
+    (:meth:`MetricSampleSpace.incidence`); the rows are those of a dense
+    pass over all pairs."""
 
     space: MetricSampleSpace
     balls: dict
     rows: tuple
 
     def bumps(self, i):
-        """``{index: max(radius - d(x, centre), 0)}`` over the members at x_i."""
+        """``{index: max(radius - d(x, centre), 0)}`` over the members at
+        x_i: ``Fraction`` gaps from :meth:`_line_row` on an exact line row,
+        else floats (rational pairs in dimension 2 and above, float pairs)."""
+        line = self._line_row(i)
+        if line is None:
+            return self._float_bumps(i)
+        gaps, d = line
+        return {a: Fraction(g, d) for a, g in gaps.items()}
+
+    def normalized(self, i):
+        """``(row, total)``: the bumps at x_i over their sum, as a
+        ``SparseVec``, and that sum; an exact line row is normalized on its
+        integer gaps.  InputError when every bump rounds to 0.0."""
+        line = self._line_row(i)
+        if line is None:
+            bumps = self._float_bumps(i)
+            if not any(bumps.values()):
+                x = self.space.samples[i]
+                raise InputError(f"every bump at {[str(c) for c in x]} rounds to 0.0 in floats")
+            return _normalized(bumps)
+        gaps, d = line  # positive integer gaps g_a over d: g_a / sum(g)
+        n = sum(gaps.values())
+        return SparseVec({a: Fraction(g, n) for a, g in gaps.items()}), Fraction(n, d)
+
+    def _float_bumps(self, i):
         x, balls, bump = self.space.samples[i], self.balls, self.space._bump
         return {a: bump(balls[a], x, s, scale) for a, (s, scale) in self.rows[i].items()}
+
+    def _line_row(self, i):
+        """``(gaps, d)`` with bump ``gaps[a] / d`` at x_i for each member a,
+        on integers, when the space has dimension 1 and every pair in the
+        row is rational; else None.  A pair's gap is R (scale / D_r) -
+        isqrt(s) over ``scale``, for the radius R / D_r in lowest terms, and
+        d is the lcm of the row's scales."""
+        if self.space.dim != 1:
+            return None
+        row = self.rows[i]
+        scales = [scale for _, scale in row.values()]
+        if None in scales:
+            return None
+        d, balls = math.lcm(*scales), self.balls
+        gaps = {}
+        for a, (s, scale) in row.items():
+            r = balls[a].radius
+            gaps[a] = (r.numerator * (scale // r.denominator) - math.isqrt(s)) * (d // scale)
+        return gaps, d

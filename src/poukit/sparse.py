@@ -12,8 +12,8 @@ The shrinking transform drops every coordinate that does not exceed half the
 sup-norm and renormalizes; it maps unit vectors to finitely supported simplex
 points with carriers contained in the original carrier.
 
-Vectors of ``Fraction`` entries are summed, normalized and shrunk on integers
-over the lcm of their denominators.  The rows of a ``PartitionOfUnity``,
+Vectors of ``Fraction`` entries are summed and shrunk on integers over the
+lcm of their denominators.  The rows of a ``PartitionOfUnity``,
 checked when it was built, are not checked again when they are shrunk.
 """
 
@@ -232,14 +232,10 @@ def mather_eta(y):
 
 
 def _normalized(weights):
-    """``(weights / total, total)`` for a nonempty dict of positive weights;
-    ``Fraction`` weights n_a / d over one denominator give n_a / sum(n)."""
-    over = _over_lcm(weights.values(), Fraction)
-    if not over:
-        total = _fold_sum(weights.values())
-        return SparseVec({a: g / total for a, g in weights.items()}), total
-    n = sum(over[0])
-    return SparseVec({a: Fraction(g, n) for a, g in zip(weights, over[0])}), Fraction(n, over[1])
+    """``(weights / total, total)`` for a nonempty dict of positive weights,
+    summed left to right."""
+    total = _fold_sum(weights.values())
+    return SparseVec({a: g / total for a, g in weights.items()}), total
 
 
 def mather_support_bound(y):

@@ -19,7 +19,7 @@ from poukit import (
     finite_interval_model,
 )
 from poukit import sparse
-from poukit.cli import COMMANDS, main
+from poukit.cli import COMMANDS, build_parser, main
 from poukit.jsonio import dump_finite_space, load_set_valued_map, report_text
 from poukit.nerve import CanonicalReport
 from poukit.sparse import uniform
@@ -312,6 +312,12 @@ class TestTolSum:
             for flags in ([], ["--tol-sum", "0.01"], [])
         ]
         assert codes == [2, 0, 2]
+
+
+def test_one_parser_per_process():
+    """Built on the first call and shared; TestTolSum pins that no flag
+    value of one call reaches the next."""
+    assert build_parser() is build_parser()
 
 
 class TestTolSumZero:
@@ -826,6 +832,14 @@ HOSTILE_INPUTS = {
 }
 
 
+# unit balls at 0 and 1e200: in float mode the far pairs' squares overflow,
+# but their first coordinates lie 1e200 apart, so no run decides them
+_FAR_FLOAT_BALLS = {
+    "space": {"samples": [[0], [1e200]]},
+    "balls": {"U": {"center": [0], "radius": 1}, "V": {"center": [1e200], "radius": 1}},
+}
+
+
 class TestHostileInput:
     @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
     def test_exits_2_with_the_reason(self, tmp_path, capsys, case):
@@ -833,6 +847,42 @@ class TestHostileInput:
         code, out = run_main(tmp_path, capsys, command, obj, *flags)
         assert code == 2
         assert reason in json.loads(out.err)["error"]
+
+    @pytest.mark.parametrize("command, obj", [
+        ("pou-build", _FAR_FLOAT_BALLS),
+        ("nerve-build", _FAR_FLOAT_BALLS),
+        ("canonical-check", {"cover": _FAR_FLOAT_BALLS}),
+        ("verify-all", {"metric_covers": [_FAR_FLOAT_BALLS]}),
+    ])
+    def test_far_float_pairs_are_never_decided(self, tmp_path, capsys, command, obj):
+        code, out = run_main(tmp_path, capsys, command, obj, "--mode", "float")
+        assert (code, out.err) == (0, "")
+        if command == "pou-build":
+            rows = json.loads(out.out)["payload"]["pou"]["rows"]
+            assert rows == {"0": {"U": "1.0"}, "1": {"V": "1.0"}}
+
+
+_POINT_COVER = {
+    "space": {"samples": [[]]},
+    "balls": {"U": {"center": [], "radius": 1}, "V": {"center": [], "radius": "1/2"}},
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("command, obj", [
+    ("pou-build", _POINT_COVER),
+    ("nerve-build", _POINT_COVER),
+    ("canonical-check", {"cover": _POINT_COVER}),
+    ("verify-all", {"metric_covers": [_POINT_COVER]}),
+])
+def test_a_cover_of_dimension_0_builds(tmp_path, capsys, command, obj, mode):
+    """The one point of a 0-dimensional space lies in every ball."""
+    code, out = run_main(tmp_path, capsys, command, obj, "--mode", mode)
+    assert (code, out.err) == (0, "")
+    assert json.loads(out.out)["overall"] == "pass"
+    if command == "pou-build":
+        rows = json.loads(out.out)["payload"]["pou"]["rows"]
+        assert list(rows) == ["0"] and list(rows["0"]) == ["U", "V"]
 
 
 def _count_closures(monkeypatch):

@@ -384,8 +384,8 @@ class TestCanonicalMapCheckOracle:
             indices = sorted(cover.codomain.points)
             rows = {}
             for x in sorted(domain.points):
-                pool = rng.choice([cover.values[x], rng.choice(list(cover.values.values())),
-                                   indices])
+                other = cover.values[rng.choice(sorted(domain.points))]  # not in hash order
+                pool = rng.choice([cover.values[x], other, indices])
                 rows[x] = random_simplex_point(rng, sorted(pool))
             pou = validate_pou(domain, set(indices), rows)
             rep = canonical_map_check(pou, cover)

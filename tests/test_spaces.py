@@ -296,7 +296,7 @@ class TestBallMembershipKernel:
         dist_sq = MetricSampleSpace.dist_sq
 
         def counted(self, p, q):
-            calls.append(p)
+            calls.append((p, q))
             return dist_sq(self, p, q)
 
         monkeypatch.setattr(MetricSampleSpace, "dist_sq", counted)
@@ -305,9 +305,17 @@ class TestBallMembershipKernel:
         MetricSampleSpace(samples).incidence(balls)
         assert calls == []
         floats = [tuple(map(float, x)) for x in samples]
-        MetricSampleSpace(floats).incidence(
-            {a: Ball(tuple(map(float, b.center)), float(b.radius)) for a, b in balls.items()})
-        assert len(calls) == len(samples) * len(balls)
+        balls = {a: Ball(tuple(map(float, b.center)), float(b.radius)) for a, b in balls.items()}
+        space = MetricSampleSpace(floats)
+        rows = space.incidence(balls).rows
+        # only the pairs whose first coordinates lie within the radius
+        window = [(x, b.center) for x in floats for b in balls.values()
+                  if abs(x[0] - b.center[0]) <= b.radius]
+        assert sorted(calls) == sorted(window)
+        assert len(window) < len(samples) * len(balls)
+        assert [list(row) for row in rows] == [
+            [a for a, b in balls.items() if dist_sq(space, x, b.center) < b.radius**2]
+            for x in floats]
 
 
 # coprime denominators near 10**12 and 2**61, where one lcm over a whole
@@ -373,13 +381,36 @@ def assert_incidence(space, balls, inside, bump):
         assert incidence.bumps(i) == {a: bump(x, balls[a]) for a in members}
 
 
+def float_inside(space):
+    return lambda x, b: space.dist_sq(x, b.center) < b.radius**2
+
+
+def float_bump(space):
+    def bump(x, b):
+        d = abs(x[0] - b.center[0]) if space.dim == 1 else math.sqrt(space.dist_sq(x, b.center))
+        return max(b.radius - d, 0)
+    return bump
+
+
+def assert_exact_incidence(space, balls):
+    assert_incidence(space, balls, lambda x, b: oracle_inside(x, b.center, b.radius), oracle_bump)
+
+
+def assert_float_incidence(space, balls):
+    assert_incidence(space, balls, float_inside(space), float_bump(space))
+
+
+def steps(v):
+    """v and the floats one step below and above it."""
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
 class TestIncidence:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(rational_cover())
     def test_exact_equals_the_fraction_oracle(self, cover):
         space, balls = cover
-        assert_incidence(
-            space, balls, lambda x, b: oracle_inside(x, b.center, b.radius), oracle_bump)
+        assert_exact_incidence(space, balls)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(rational_cover())
@@ -388,9 +419,113 @@ class TestIncidence:
         samples = dict.fromkeys(tuple(map(float, x)) for x in space.samples)
         space = MetricSampleSpace(list(samples), dim=space.dim)
         balls = {a: Ball(tuple(map(float, b.center)), float(b.radius)) for a, b in balls.items()}
+        assert_float_incidence(space, balls)
 
-        def bump(x, b):
-            d = abs(x[0] - b.center[0]) if space.dim == 1 else math.sqrt(space.dist_sq(x, b.center))
-            return max(b.radius - d, 0)
+    # (centre, radius) on the first axis, from tiny to near the float limit
+    EDGES = [(0.3, 0.1), (1e-3, 7.1), (-2.5, 1 / 3), (1e20, 12345.678), (5e-324, 1e-320),
+             (1e154, 3e146), (1.0000001e154, 2e147), (-1e150, 1e140)]
 
-        assert_incidence(space, balls, lambda x, b: space.dist_sq(x, b.center) < b.radius**2, bump)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_float_keys_one_step_from_the_interval_ends(self, dim):
+        for c, r in self.EDGES:
+            ends = sorted(set(steps(c - r) + steps(c + r) + [c]))
+            space = MetricSampleSpace([(x,) + (0.0,) * (dim - 1) for x in ends])
+            balls = {"U": Ball((c,) + (0.0,) * (dim - 1), r)}
+            assert_float_incidence(space, balls)
+            exact = [tuple(map(F, x)) for x in space.samples]
+            exact_balls = {"U": Ball(tuple(map(F, balls["U"].center)), F(r))}
+            assert_exact_incidence(MetricSampleSpace(exact), exact_balls)
+
+    # rational (centre, radius) whose float keys put an interval end past
+    # the key of a sample just inside it, found by search: near 1 a relative
+    # pad covers them, among subnormals only an absolute one
+    TINY = F(1, 2**1074)
+    ROUNDED = [(F(4285657, 653161), F(3333474013397, 653191045406)),
+               (F(3266837, 95461), F(91121884441, 15911725863)),
+               (TINY * F(-17, 2), TINY / 3), (TINY * F(29, 2), TINY * F(37, 5))]
+
+    def test_exact_steps_past_the_interval_ends(self):
+        """Samples a 10**-30 step inside and outside c +- r, whose float
+        keys round onto the end's."""
+        for c, r in [(F(c), F(r)) for c, r in self.EDGES] + self.ROUNDED:
+            tiny = F(1, 10**30) * (abs(c) + r)
+            samples = [(e + k * tiny,) for e in (c - r, c + r) for k in (-1, 0, 1)]
+            assert_exact_incidence(MetricSampleSpace(samples), {"U": Ball((c,), r)})
+
+    @pytest.mark.parametrize("scale", [F(10) ** 154, F(10) ** 300])
+    def test_coordinates_near_the_float_limit(self, scale):
+        balls = {f"U{j}": Ball((scale * (1 + F(j, 10**6)),), scale * F(3, 10**6))
+                 for j in range(-3, 4)}
+        samples = [(scale * (1 + F(k, 10**7)),) for k in range(-40, 41, 3)]
+        space = MetricSampleSpace(samples)
+        assert_exact_incidence(space, balls)
+        space = MetricSampleSpace([tuple(map(float, x)) for x in samples])
+        balls = {a: Ball((float(b.center[0]),), float(b.radius)) for a, b in balls.items()}
+        if scale < 10**200:  # squares of the larger differences leave the float range
+            assert_float_incidence(space, balls)
+
+    def test_exact_coordinates_past_the_float_range(self):
+        """Keys of 10**400 are infinite, and 10**-400 rounds to 0.0; both
+        balls and samples, centres and radii."""
+        big, tiny = 10**400, F(1, 10**400)
+        balls = {
+            "far": Ball((big,), 3), "far-": Ball((-big,), F(5, 2)), "huge": Ball((0,), big),
+            "tiny": Ball((0,), tiny), "tiny+": Ball((tiny,), tiny), "unit": Ball((1,), 1),
+        }
+        samples = [(big + k,) for k in range(-4, 5)] + [(-big + k,) for k in range(-3, 4)]
+        samples += [(k * tiny / 2,) for k in range(-3, 5)] + [(F(1, 2),), (F(3, 2),), (10**399,)]
+        assert_exact_incidence(MetricSampleSpace(samples), balls)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_dimension_2_cover_spread_along_the_second_axis(self, exact):
+        num = F if exact else (lambda p, q=1: p / q)
+        balls = {f"U{j}": Ball((num(j % 2, 10**9), num(j, 2)), num(7, 10)) for j in range(8)}
+        samples = [(num(i % 3, 10**8), num(i, 5)) for i in range(-3, 24)]
+        space = MetricSampleSpace(samples)
+        (assert_exact_incidence if exact else assert_float_incidence)(space, balls)
+
+    def test_a_nan_sample_keeps_the_others_sorted(self):
+        """No ball contains a NaN sample; sorted among the other keys it
+        would leave them out of order, and their pairs out of the windows."""
+        space = MetricSampleSpace([(3.0,), (math.nan,), (1.0,), (2.0,), (0.5,)])
+        assert_float_incidence(space, {"U": Ball((1.0,), 0.6), "V": Ball((2.9,), 0.2)})
+
+    @pytest.mark.parametrize("num", [F, float])
+    def test_dimension_0_puts_the_one_sample_in_every_ball(self, num):
+        space = MetricSampleSpace([()])
+        balls = {"U": Ball((), num(1)), "V": Ball((), num(1) / 2)}
+        assert list(space.incidence(balls).rows[0]) == ["U", "V"]
+        assert_incidence(space, balls, lambda x, b: True, lambda x, b: b.radius)
+
+    def test_the_first_failing_sample_in_samples_order_is_named(self):
+        """Every sample fails; the sweep meets -5.0 first and 5.0 last, a
+        dense pass fails at 0.0 first."""
+        space = MetricSampleSpace([(0.0,), (5.0,), (-5.0,)])
+        with pytest.raises(InputError, match=r"from \['0.0'\] to a ball of radius 1e\+300"):
+            space.incidence({"U": Ball((0.0,), 1.0), "V": Ball((0.0,), 1e300)})
+
+    def test_a_line_cover_decides_a_few_pairs_per_sample(self, monkeypatch):
+        """2,000 samples, 400 balls: at most 3 n of the 800,000 pairs."""
+        calls = []
+        measure = MetricSampleSpace._measure
+
+        def counted(self, *args):
+            calls.append(args)
+            return measure(self, *args)
+
+        monkeypatch.setattr(MetricSampleSpace, "_measure", counted)
+        n, k = 2000, 400
+        space = MetricSampleSpace([(F(i, n),) for i in range(n)])
+        balls = {f"U{j}": Ball((F(2 * j + 1, 2 * k),), F(11, 10 * k)) for j in range(k)}
+        rows = space.incidence(balls).rows
+        assert len(calls) <= 3 * n
+        assert all(rows)
+
+
+def test_duplicate_sample_found_in_one_pass():
+    """8,001 samples with one repeat; the first repeat in order is named."""
+    samples = [(F(i, 7),) for i in range(8000)] + [(F(1234, 7),)]
+    with pytest.raises(InputError, match=r"duplicate sample \(Fraction\(1234, 7\),\)"):
+        MetricSampleSpace(samples)
+    with pytest.raises(InputError, match=r"duplicate sample \(2,\)"):
+        MetricSampleSpace([(1,), (2,), (2,), (1,)])
