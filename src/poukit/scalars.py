@@ -16,6 +16,9 @@ from ._immutable import immutable
 from .errors import InputError
 
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")  # "1e999999999" would be 10**999999999
+# ASCII digits only, and few enough that int() stays below every Python's
+# default digit limit (4300); any other string takes Fraction's own parser
+_RATIO = re.compile(r"(-?[0-9]{1,4000})(?:/([0-9]{1,4000}))?")
 
 
 @immutable
@@ -32,10 +35,19 @@ class Mode:
     def parse(self, text):
         """Parse ``"p/q"``, a decimal string or a number into this mode.
         InputError for anything else, such as ``"abc"``, ``"1/0"``, a list, a
-        boolean, ``NaN``, ``"1e1001"`` or, in float mode, ``"1e400"``."""
+        boolean, ``NaN``, ``"1e1001"`` or, in float mode, ``"1e400"``.
+
+        A ``[-]digits[/digits]`` string with a nonzero denominator is read
+        with ``int``: ``Fraction(n, d)``, or the correctly rounded ``n / d``,
+        which is ``float(Fraction(text))``; its value and its errors are
+        those of the general path."""
         if isinstance(text, bool) or not isinstance(text, (int, float, str, Fraction)):
             raise InputError(f"cannot parse scalar from {text!r}")
         try:
+            if isinstance(text, str) and (m := _RATIO.fullmatch(text)):
+                n, d = int(m[1]), int(m[2] or 1)
+                if d:
+                    return Fraction(n, d) if self.exact else n / d
             if isinstance(text, str) and (e := _EXPONENT.search(text)) and abs(int(e[1])) > 1000:
                 raise ValueError("decimal exponent beyond 1000")
             value = Fraction(text)  # Fraction accepts both "3/4" and "0.75"
@@ -71,7 +83,13 @@ def _fold_sum(values):
 
 def _over_lcm(values, kinds):
     """``(nums, d)`` with ``values[i] == nums[i] / d`` and d the lcm of the
-    denominators, or None unless every value is an instance of ``kinds``."""
-    if all(isinstance(v, kinds) for v in values):
-        d = math.lcm(*(v.denominator for v in values))
-        return tuple(v.numerator * (d // v.denominator) for v in values), d
+    denominators, or None unless every value is an instance of ``kinds``
+    (each an int or a Fraction: ``as_integer_ratio`` reads it in lowest
+    terms)."""
+    ratios = []
+    for v in values:
+        if not isinstance(v, kinds):
+            return None
+        ratios.append(v.as_integer_ratio())
+    d = math.lcm(*[q for _, q in ratios])
+    return tuple([n * (d // q) for n, q in ratios]), d

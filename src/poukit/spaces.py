@@ -366,7 +366,7 @@ class BallIncidence:
             return _normalized(bumps)
         gaps, d = line  # positive integer gaps g_a over d: g_a / sum(g)
         n = sum(gaps.values())
-        return SparseVec({a: Fraction(g, n) for a, g in gaps.items()}), Fraction(n, d)
+        return SparseVec._of_nonzero({a: Fraction(g, n) for a, g in gaps.items()}), Fraction(n, d)
 
     def _float_bumps(self, i):
         x, balls, bump = self.space.samples[i], self.balls, self.space._bump

@@ -12,9 +12,11 @@ The shrinking transform drops every coordinate that does not exceed half the
 sup-norm and renormalizes; it maps unit vectors to finitely supported simplex
 points with carriers contained in the original carrier.
 
-Vectors of ``Fraction`` entries are summed and shrunk on integers over the
-lcm of their denominators.  The rows of a ``PartitionOfUnity``,
-checked when it was built, are not checked again when they are shrunk.
+Vectors of ``Fraction`` entries are summed, checked and shrunk on integers
+over the lcm of their denominators, and a vector whose entries are nonzero
+by construction is not tested for zeros again.  The rows of a
+``PartitionOfUnity``, checked when it was built, are not checked again when
+they are shrunk.
 """
 
 from collections.abc import Mapping
@@ -46,6 +48,13 @@ class SparseVec:
                     if data[k] == 0:
                         del data[k]
         object.__setattr__(self, "entries", MappingProxyType(data))
+
+    @classmethod
+    def _of_nonzero(cls, data):
+        """The vector ``data``, a dict whose values are known to be nonzero."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "entries", MappingProxyType(data))
+        return v
 
     def __getitem__(self, key):
         return self.entries.get(key, 0)
@@ -103,8 +112,14 @@ def dirac(index):
 
 def is_unit_simplex_point(v, mode=EXACT):
     """All entries strictly positive and l1 mass one, as ``mode.is_one``
-    decides it."""
-    if not v.entries or any(x <= 0 for x in v.entries.values()):
+    decides it.  ``Fraction`` entries n_a / d over their lcm d are decided
+    on integers: every n_a > 0 and sum(n) == d, which is exact in any mode."""
+    values = v.entries.values()
+    over = values and _over_lcm(values, Fraction)
+    if over:
+        nums, d = over
+        return all(n > 0 for n in nums) and sum(nums) == d
+    if not values or any(x <= 0 for x in values):
         return False
     return mode.is_one(v.norm1())
 
@@ -218,17 +233,20 @@ def mather_eta(y):
     over their lcm d and M = max n, the clip is (2 n_a - M) / 2d, so
     eta(a) = (2 n_a - M) / sum(2 n - M) over 2 n > M."""
     y = _as_extended(y)
-    over = y.explicit.entries and _over_lcm(y.explicit.entries.values(), Fraction)
-    if not over:
-        lam = mather_lambda(y)
-        total = lam.norm1()
-        return lam.scale(1 / total if isinstance(total, float) else Fraction(1) / total)
+    entries = y.explicit.entries
+    over = entries and _over_lcm(entries.values(), Fraction)
+    if not over:  # mather_lambda, its l1 norm and its scaling, on one dict
+        half = _half_sup(y)
+        lam = {k: w for k, v in entries.items() if v > half and (w := v - half) != 0}
+        total = _fold_sum(lam.values())
+        c = 1 / total if isinstance(total, float) else Fraction(1) / total
+        return SparseVec._of_nonzero({k: p for k, w in lam.items() if (p := c * w) != 0})
     if y.tail_sup:  # a zero tail_sup is below the positive half sup
         _half_sup(y)
     top = max(over[0])
-    kept = {a: 2 * n - top for a, n in zip(y.explicit.entries, over[0]) if 2 * n > top}
+    kept = {a: 2 * n - top for a, n in zip(entries, over[0]) if 2 * n > top}
     total = sum(kept.values())
-    return SparseVec({a: Fraction(n, total) for a, n in kept.items()})
+    return SparseVec._of_nonzero({a: Fraction(n, total) for a, n in kept.items()})
 
 
 def _normalized(weights):

@@ -803,6 +803,19 @@ HOSTILE_INPUTS = {
     },
     "integer-literal-5000-digits": (
         "mather", RawJSON('{"entries": {"a": 1%s}}' % ("0" * 5000)), [], "cannot read"),
+    # an int/int overflow inside Mode.parse is a parse error, not a traceback
+    **{
+        f"ratio-string-overflow-{text[-4:]}": (
+            "mather", {"entries": {"a": text}}, ["--mode", "float"],
+            f"cannot parse scalar from {text!r}: integer division result too large for a float")
+        for text in ("1" + "0" * 400, "1" + "0" * 400 + "/3")
+    },
+    **{
+        f"ratio-string-5000-digits-{mode}": (
+            "mather", {"entries": {"a": "1" * 5000}}, ["--mode", mode],
+            f"cannot parse scalar from {'1' * 5000!r}: Exceeds the limit (4300")
+        for mode in ("exact", "float")
+    },
     # nerve-build said "empty value at point (Fraction(5, 1),)"
     **{
         f"uncovered-sample-{command}": (command, obj, [], "point (Fraction(5, 1),) is not covered")

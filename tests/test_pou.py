@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from poukit import (
 from poukit import pou as pou_module
 from poukit import sparse
 from poukit.errors import InputError, RowNotSimplex
+from poukit.spaces import BallIncidence
 from poukit.sparse import SparseVec, dirac, uniform
 
 from generators import random_cover, random_space
@@ -106,6 +108,41 @@ class TestBumpConstruction:
     def test_uncovered_sample(self):
         with pytest.raises(NotACover):
             pou_from_incidence(line_space().incidence({"U": Ball((F(0),), F(1, 4))}))
+
+    def test_line_row_with_one_numerator_off_is_rejected(self, monkeypatch):
+        """A built row's unit mass is checked from its entries, not trusted
+        from the incidence: an exact line row g / n with one g off by one
+        has mass (n + 1) / n."""
+        incidence = line_space().incidence(line_balls())
+        row, _ = incidence.normalized(1)
+        assert len(row) == 2 and all(type(w) is F for w in row.entries.values())
+        _shift_first_entry(monkeypatch, lambda row: F(1, math.lcm(
+            *(w.denominator for w in row.entries.values()))))
+        with pytest.raises(RowNotSimplex):
+            pou_from_incidence(incidence)
+
+    def test_float_row_with_mass_off_by_1e_6_is_rejected(self, monkeypatch):
+        m = MetricSampleSpace([(F(0), F(0))])
+        balls = {f"U{i}": Ball(c, F(2)) for i, c in enumerate([(F(1), F(0)), (F(-1), F(0))])}
+        incidence = m.incidence(balls)
+        row, _ = incidence.normalized(0)
+        assert len(row) == 2 and all(type(w) is float for w in row.entries.values())
+        _shift_first_entry(monkeypatch, lambda row: 1e-6)
+        with pytest.raises(RowNotSimplex):
+            pou_from_incidence(incidence)
+
+
+def _shift_first_entry(monkeypatch, shift):
+    """Make ``BallIncidence.normalized`` add ``shift(row)`` to the first
+    entry of every row it builds."""
+    normalized = BallIncidence.normalized
+
+    def shifted(self, i):
+        row, total = normalized(self, i)
+        (a, w), *rest = row.entries.items()
+        return SparseVec({a: w + shift(row), **dict(rest)}), total
+
+    monkeypatch.setattr(BallIncidence, "normalized", shifted)
 
 
 class TestSubordination:

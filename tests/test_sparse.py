@@ -16,7 +16,7 @@ from poukit import (
     mather_support_bound,
     norms,
 )
-from poukit.scalars import _fold_sum
+from poukit.scalars import EXACT, FLOAT, Mode, _fold_sum
 from poukit.sparse import dirac, is_unit_simplex_point, uniform
 
 
@@ -249,3 +249,103 @@ class TestIntegerPathsAgainstFractions:
         # Python 3.12's compensated sum() gives 1.0
         assert _fold_sum([0.1] * 10) == 0.9999999999999999
         assert SparseVec({f"i{n}": 0.1 for n in range(10)}).norm1() == 0.9999999999999999
+
+
+def oracle_is_unit_simplex_point(v, mode):
+    """``is_unit_simplex_point`` as positivity and ``mode.is_one`` of the
+    left-to-right l1 mass."""
+    if not v.entries or any(x <= 0 for x in v.entries.values()):
+        return False
+    return mode.is_one(oracle_norm1(v))
+
+
+@st.composite
+def rows(draw):
+    """Rows of Fraction, int, float or mixed entries: near the simplex
+    (exact, or one numerator over the lcm off by one, or a float within and
+    beyond the tolerance), or arbitrary, with zero and negative entries."""
+    kind = draw(st.sampled_from(["fractions", "off", "floats", "mixed", "any"]))
+    if kind == "any":
+        entries = draw(st.lists(st.one_of(
+            st.integers(-2, 2), st.builds(F, st.integers(-6, 6), st.integers(1, 6)),
+            st.floats(-2, 2)), max_size=5))
+    else:
+        ws = draw(st.lists(st.integers(1, 50), min_size=1, max_size=6))
+        entries = [F(w, sum(ws)) for w in ws]
+        if kind == "off":
+            d = sum(ws)
+            entries[0] += F(draw(st.sampled_from([-1, 1])), d)
+        elif kind == "floats":
+            entries = [float(w) for w in entries]
+            entries[0] += draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, -1e-6]))
+        elif kind == "mixed":
+            entries[0] = float(entries[0])
+    # zeros are not stored by SparseVec; _of_nonzero stores them anyway
+    build = SparseVec._of_nonzero if draw(st.booleans()) else SparseVec
+    return build({f"i{n}": x for n, x in enumerate(entries)})
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(rows(), st.sampled_from([EXACT, FLOAT, Mode(exact=False, tol=0.0),
+                                 Mode(exact=True, tol=1e-3)]))
+def test_is_unit_simplex_point_equals_the_mass_definition(v, mode):
+    assert is_unit_simplex_point(v, mode) is oracle_is_unit_simplex_point(v, mode)
+
+
+def test_int_dirac_and_empty_rows():
+    assert is_unit_simplex_point(SparseVec({"a": 1}))
+    assert not is_unit_simplex_point(SparseVec())
+    assert not is_unit_simplex_point(SparseVec._of_nonzero({"a": F(1), "b": F(0)}))
+    assert not is_unit_simplex_point(SparseVec({"a": F(3, 2), "b": F(-1, 2)}))
+
+
+def old_float_eta(y):
+    """The float branch of ``mather_eta`` as ``mather_lambda``, its l1 norm
+    and ``scale``."""
+    lam = mather_lambda(y)
+    total = lam.norm1()
+    return lam.scale(1 / total if isinstance(total, float) else F(1) / total)
+
+
+def entry_reprs(v):
+    return [(k, type(x), repr(x)) for k, x in v.entries.items()]
+
+
+# a Fraction clip of 10**-400 that meets a float total becomes 0.0
+TINY = F(1, 10**400)
+ETA_ENTRIES = st.one_of(
+    st.floats(2**-1074, 8),
+    st.integers(1, 8),
+    st.builds(F, st.integers(1, 60), st.integers(1, 12)),
+    st.builds(lambda q: F(1, 4) + TINY * q, st.integers(0, 2)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.lists(ETA_ENTRIES, min_size=1, max_size=6), st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+       st.sampled_from([0, 1, 2, 4]))
+def test_float_eta_equals_the_scaled_lambda(entries, tail_mass, tail_quarters):
+    """The float branch, and the exact one that all-Fraction rows take,
+    against the scaled ``mather_lambda``: the same values, by ``repr``, in
+    the same order, with an entry whose product rounds to 0.0 dropped."""
+    explicit = SparseVec({f"i{n}": x for n, x in enumerate(entries)})
+    if tail_mass:
+        tail_sup = tail_mass * tail_quarters / 4
+        y = ExtendedUnitVec(explicit, tail_mass, tail_sup, mode=Mode(exact=False, tol=1e300))
+    else:
+        y = ExtendedUnitVec._of_checked(explicit)
+    try:
+        want = old_float_eta(y)
+    except TailTooLarge as exc:
+        with pytest.raises(TailTooLarge) as raised:
+            mather_eta(y)
+        assert str(raised.value) == str(exc)
+        return
+    assert entry_reprs(mather_eta(y)) == entry_reprs(want)
+
+
+def test_a_clip_that_rounds_to_zero_is_dropped():
+    y = ExtendedUnitVec._of_checked(
+        SparseVec({"a": F(1, 2), "b": F(1, 4) + TINY, "c": 0.25000000000000006}))
+    eta = mather_eta(y)
+    assert list(eta.entries) == ["a", "c"] and entry_reprs(eta) == entry_reprs(old_float_eta(y))
