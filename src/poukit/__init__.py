@@ -26,7 +26,6 @@ from .pou import (
     mather_compose,
     pou_from_incidence,
     subordination_check,
-    validate_pou,
 )
 from .selection import (
     ConvexTarget,
@@ -49,20 +48,13 @@ from .spaces import (
     FiniteSpace,
     MetricSampleSpace,
     finite_interval_model,
-    product_space,
-    validate_space,
 )
 from .sparse import (
     ExtendedUnitVec,
     SparseVec,
-    carrier,
-    convex_combination,
-    dirac,
     mather_eta,
     mather_lambda,
     mather_support_bound,
-    norms,
-    uniform,
 )
 
 __version__ = "0.1.0"

@@ -33,7 +33,8 @@ def _load(path):
         with open(path, "rb") as fh:
             raw = fh.read()
         return hashlib.sha256(raw).hexdigest(), json.loads(raw.decode(), parse_float=str)
-    except (OSError, ValueError) as exc:  # no file, bad JSON, bad UTF-8, a 5000-digit integer
+    # no file, bad JSON, bad UTF-8, a 5000-digit integer, nesting deeper than the stack
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

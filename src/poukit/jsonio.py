@@ -11,7 +11,7 @@ import json
 import reprlib
 
 from .errors import InputError
-from .pou import validate_pou
+from .pou import PartitionOfUnity
 from .scalars import EXACT, format_scalar
 from .selection import ConvexTarget
 from .setmaps import SetValuedMap
@@ -162,7 +162,7 @@ def load_pou(obj, mode=EXACT):
         if k not in points:
             raise InputError(f"no ground point keyed {k!r}")
         loaded[points[k]] = load_sparse_vec({"entries": row}, mode)
-    return validate_pou(ground, indices, loaded, mode=mode)
+    return PartitionOfUnity(ground, indices, loaded, mode=mode)
 
 
 def dump_pou(pou):

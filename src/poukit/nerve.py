@@ -92,14 +92,6 @@ class SimplicialComplex:
             for k in range(1, top + 2)
         ]
 
-    def realization_membership(self, p):
-        """A simplex vector lies in the geometric realization iff its carrier
-        is a simplex of the complex."""
-        car = p.carrier()
-        if not car <= self.vertices:
-            raise InputError(f"foreign vertices {sorted(car - self.vertices, key=repr)}")
-        return car in self
-
 
 def nerve_from_cover(cover, witnesses=None):
     """Nerve of an indexed cover (a SetValuedMap with discrete codomain),

@@ -50,7 +50,7 @@ class PartitionOfUnity:
             r = rows[x]
             if not isinstance(r, SparseVec) or not is_unit_simplex_point(r, self.mode):
                 raise RowNotSimplex(x, f"{r!r}")
-            if not r.carrier() <= index_set:
+            if not r.entries.keys() <= index_set:
                 raise RowNotSimplex(x, "carrier leaves the index set")
         if isinstance(self.ground, FiniteSpace):
             for x in points:
@@ -63,14 +63,9 @@ class PartitionOfUnity:
     def ground_points(self):
         return _ground_points(self.ground)
 
-    def open_star(self, alpha):
-        """Ground points where the alpha-th coordinate function is nonzero."""
-        if alpha not in self.index_set:
-            raise InputError(f"unknown index {alpha!r}")
-        return [x for x in self.ground_points() if self.rows[x][alpha] != 0]
-
     def carrier_at(self, x):
-        return self.rows[x].carrier()
+        """The indices where the row at x is nonzero, as a set view."""
+        return self.rows[x].entries.keys()
 
 
 def _ground_points(ground):
@@ -80,11 +75,6 @@ def _ground_points(ground):
     if isinstance(ground, FiniteSpace):
         return sorted(ground.points, key=repr)
     raise InputError("ground must be a FiniteSpace or MetricSampleSpace")
-
-
-def validate_pou(ground, index_set, rows, mode=EXACT):
-    """The checked :class:`PartitionOfUnity` with these rows."""
-    return PartitionOfUnity(ground, index_set, rows, mode)
 
 
 def pou_from_incidence(incidence):

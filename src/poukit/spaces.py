@@ -41,8 +41,9 @@ class _Sample(tuple):
 
 @immutable
 class FiniteSpace:
-    """Validated finite Alexandrov space.  Use :func:`validate_space` or the
-    named constructors; direct construction skips no checks."""
+    """Validated finite Alexandrov space: construction raises InputError,
+    NotReflexive or NotTransitive with witnesses, and only ``discrete``,
+    which cannot fail them, skips the checks."""
 
     points: frozenset
     min_open: dict
@@ -106,22 +107,12 @@ class FiniteSpace:
         return space
 
     @classmethod
-    def indiscrete(cls, points):
-        pts = set(points)
-        return cls(pts, {p: pts for p in pts})
-
-    @classmethod
     def sierpinski(cls, open_point="b", closed_point="a"):
         """Two points; {open_point} is open, the other is not."""
         return cls(
             {open_point, closed_point},
             {closed_point: {closed_point, open_point}, open_point: {open_point}},
         )
-
-
-def validate_space(points, min_open):
-    """Build a space, raising NotReflexive / NotTransitive with witnesses."""
-    return FiniteSpace(points, min_open)
 
 
 def finite_interval_model(n):
@@ -138,16 +129,6 @@ def finite_interval_model(n):
         if i < n:
             nbhd.add(f"e{i + 1}")
         min_open[f"v{i}"] = nbhd
-    return FiniteSpace(points, min_open)
-
-
-def product_space(x, y):
-    """Product topology: minimal opens are boxes of minimal opens."""
-    points = {(p, q) for p in x.points for q in y.points}
-    min_open = {
-        (p, q): {(a, b) for a in x.min_open[p] for b in y.min_open[q]}
-        for (p, q) in points
-    }
     return FiniteSpace(points, min_open)
 
 

@@ -2,7 +2,7 @@
 shrinking transform.
 
 A ``SparseVec`` is a finitely supported real function on an index universe,
-stored as a map from index to nonzero value.  ``UnitSimplexPoint`` restricts
+stored as a map from index to nonzero value.  A unit simplex point restricts
 to strictly positive entries summing to one.  ``ExtendedUnitVec`` models unit
 vectors whose support may extend beyond the explicitly listed part: the
 remainder is described by a certified tail bound (total unlisted mass and a
@@ -31,23 +31,17 @@ from .scalars import EXACT, _fold_sum, _over_lcm
 @immutable(init=False)
 class SparseVec:
     """Immutable finitely supported vector: index -> nonzero scalar, built
-    from a mapping, a SparseVec or (index, value) pairs; ``entries`` is read-only."""
+    from a mapping or a SparseVec, else TypeError; ``entries`` is read-only."""
 
     entries: MappingProxyType
 
-    def __init__(self, entries=()):
+    def __init__(self, entries=MappingProxyType({})):
         if isinstance(entries, SparseVec):
             entries = entries.entries
-        if isinstance(entries, Mapping):
-            data = {k: v for k, v in entries.items() if v != 0}
-        else:
-            data = {}
-            for k, v in entries:
-                if v != 0:
-                    data[k] = data.get(k, 0) + v
-                    if data[k] == 0:
-                        del data[k]
-        object.__setattr__(self, "entries", MappingProxyType(data))
+        if not isinstance(entries, Mapping):
+            raise TypeError(f"SparseVec takes a mapping, not {type(entries).__name__}")
+        object.__setattr__(self, "entries", MappingProxyType(
+            {k: v for k, v in entries.items() if v != 0}))
 
     @classmethod
     def _of_nonzero(cls, data):
@@ -85,30 +79,6 @@ class SparseVec:
     def sup_norm(self):
         return max((abs(v) for v in self.entries.values()), default=0)
 
-    def scale(self, c):
-        return SparseVec((k, c * v) for k, v in self.entries.items())
-
-    def add(self, other):
-        return SparseVec(
-            list(self.entries.items()) + list(other.entries.items())
-        )
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-
-def carrier(v):
-    return v.carrier()
-
-
-def norms(v):
-    """(l1, sup) norm pair; (0, 0) for the zero vector."""
-    return v.norm1(), v.sup_norm()
-
-
-def dirac(index):
-    return SparseVec({index: Fraction(1)})
-
 
 def is_unit_simplex_point(v, mode=EXACT):
     """All entries strictly positive and l1 mass one, as ``mode.is_one``
@@ -128,24 +98,6 @@ def as_unit_simplex_point(v, mode=EXACT):
     if not is_unit_simplex_point(v, mode):
         raise NotAUnitVector(f"not a unit simplex point: {v!r}")
     return v
-
-
-def uniform(indices):
-    indices = list(indices)
-    w = Fraction(1, len(indices))
-    return SparseVec({i: w for i in indices})
-
-
-def convex_combination(weights, points):
-    """Weighted sum of sparse vectors; ``weights`` is a unit simplex point and
-    every carried index must have a point."""
-    missing = weights.carrier() - set(points)
-    if missing:
-        raise KeyError(f"no point supplied for weighted indices {sorted(missing, key=repr)}")
-    acc = []
-    for k in weights:
-        acc.extend(points[k].scale(weights[k]).entries.items())
-    return SparseVec(acc)
 
 
 @immutable(init=False, eq=False)
@@ -182,11 +134,6 @@ class ExtendedUnitVec:
         return max(self.explicit.sup_norm(), self.tail_sup)
 
     @classmethod
-    def from_simplex_point(cls, p, mode=EXACT):
-        """``p`` with an empty tail, checked once by ``as_unit_simplex_point``."""
-        return cls._of_checked(as_unit_simplex_point(p, mode))
-
-    @classmethod
     def _of_checked(cls, p):
         """``p``, already known to be a unit simplex point, with an empty tail."""
         y = object.__new__(cls)
@@ -199,7 +146,7 @@ class ExtendedUnitVec:
 def _as_extended(y, mode=EXACT):
     if isinstance(y, ExtendedUnitVec):
         return y
-    return ExtendedUnitVec.from_simplex_point(y, mode)
+    return ExtendedUnitVec._of_checked(as_unit_simplex_point(y, mode))
 
 
 def _half_sup(y):
@@ -222,9 +169,7 @@ def mather_lambda(y):
     """
     y = _as_extended(y)
     half = _half_sup(y)
-    return SparseVec(
-        (k, v - half) for k, v in y.explicit.entries.items() if v > half
-    )
+    return SparseVec({k: v - half for k, v in y.explicit.entries.items() if v > half})
 
 
 def mather_eta(y):

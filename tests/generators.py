@@ -1,4 +1,5 @@
-"""Seeded random instances and the graph-closure oracle for the test suite.
+"""Seeded random instances, small vectors and spaces, and the oracles of the
+test suite.
 
 The tests import this module as ``generators``; the library does not use it.
 Everything draws from a caller-supplied ``random.Random`` so runs are
@@ -10,6 +11,41 @@ import random
 from fractions import Fraction
 
 from poukit import FiniteSpace, SetValuedMap, SparseVec, indexed_cover
+
+
+def dirac(index):
+    return SparseVec({index: Fraction(1)})
+
+
+def uniform(indices):
+    indices = list(indices)
+    return SparseVec(dict.fromkeys(indices, Fraction(1, len(indices))))
+
+
+def linear_combination(*terms):
+    """The sum of ``c * v`` over the ``(c, v)`` terms, added key by key in
+    term order."""
+    acc = {}
+    for c, v in terms:
+        for k, x in v.entries.items():
+            acc[k] = acc.get(k, 0) + c * x
+    return SparseVec(acc)
+
+
+def open_star(pou, alpha):
+    """Ground points, in ``pou.ground_points()`` order, where the alpha-th
+    coordinate function is nonzero."""
+    return [x for x in pou.ground_points() if pou.rows[x][alpha] != 0]
+
+
+def product_space(x, y):
+    """Product topology: minimal opens are boxes of minimal opens."""
+    points = {(p, q) for p in x.points for q in y.points}
+    min_open = {
+        (p, q): {(a, b) for a in x.min_open[p] for b in y.min_open[q]}
+        for (p, q) in points
+    }
+    return FiniteSpace(points, min_open)
 
 
 def random_simplex_point(rng, indices, max_carrier=None):

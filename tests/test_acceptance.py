@@ -27,10 +27,11 @@ from poukit import (
 )
 from poukit.setmaps import SetValuedMap
 from poukit.spaces import FiniteSpace
-from poukit.sparse import SparseVec, is_unit_simplex_point
+from poukit.sparse import is_unit_simplex_point
 
 from generators import (
     graph_closure,
+    linear_combination,
     make_rng,
     random_cover,
     random_open_cover,
@@ -72,10 +73,8 @@ def test_criterion_2_mather_stability():
         # weight t < radius/2 forces l1 distance below the radius
         u = random_simplex_point(rng, UNIVERSE, max_carrier=12)
         t = radius / rng.randint(3, 10)
-        moved = SparseVec(
-            list(y.scale(1 - t).entries.items()) + list(u.scale(t).entries.items())
-        )
-        assert moved.sub(y).norm1() < radius
+        moved = linear_combination((1 - t, y), (t, u))
+        assert linear_combination((1, moved), (-1, y)).norm1() < radius
         # brute-force evaluation of the shrinking threshold on the perturbed
         # vector, independent of mather_lambda
         sup = max(moved.entries.values())

@@ -22,7 +22,8 @@ from poukit import sparse
 from poukit.cli import COMMANDS, build_parser, main
 from poukit.jsonio import dump_finite_space, load_set_valued_map, report_text
 from poukit.nerve import CanonicalReport
-from poukit.sparse import uniform
+
+from generators import uniform
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -873,6 +874,30 @@ class TestHostileInput:
         if command == "pou-build":
             rows = json.loads(out.out)["payload"]["pou"]["rows"]
             assert rows == {"0": {"U": "1.0"}, "1": {"V": "1.0"}}
+
+
+# 200,000 brackets exceed the JSON decoder's recursion limit in any process;
+# whether a 990-deep extra key does depends on the caller's stack depth
+_DEEP_NESTING = "[" * 200_000 + "]" * 200_000
+_DEEP_EXTRA_KEY = (json.dumps(_space())[:-1] + ', "extra": ' + "[" * 990 + "]" * 990 + "}")
+
+
+@pytest.mark.parametrize("command", ["space-validate", "verify-all"])
+class TestDeepNesting:
+    def test_in_process(self, tmp_path, capsys, command):
+        code, out = run_main(tmp_path, capsys, command, RawJSON(_DEEP_NESTING))
+        assert code == 2 and "cannot read" in json.loads(out.err)["error"]
+        code, out = run_main(tmp_path, capsys, command, RawJSON(_DEEP_EXTRA_KEY))
+        assert code in (0, 2) and "Traceback" not in out.err
+
+    def test_in_a_subprocess(self, tmp_path, command):
+        path = tmp_path / "input.json"
+        path.write_text(_DEEP_NESTING)
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 2 and "cannot read" in json.loads(proc.stderr)["error"]
+        path.write_text(_DEEP_EXTRA_KEY)
+        proc = run_cli(command, str(path))
+        assert proc.returncode in (0, 2) and "Traceback" not in proc.stderr
 
 
 _POINT_COVER = {

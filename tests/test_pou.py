@@ -20,15 +20,14 @@ from poukit import (
     mather_compose,
     pou_from_incidence,
     subordination_check,
-    validate_pou,
 )
 from poukit import pou as pou_module
 from poukit import sparse
 from poukit.errors import InputError, RowNotSimplex
 from poukit.spaces import BallIncidence
-from poukit.sparse import SparseVec, dirac, uniform
+from poukit.sparse import SparseVec
 
-from generators import random_cover, random_space
+from generators import dirac, open_star, random_cover, random_space, uniform
 
 
 def line_space():
@@ -43,42 +42,42 @@ class TestValidate:
     def test_discrete_ground_any_rows(self):
         g = FiniteSpace.discrete({"x", "y"})
         rows = {"x": dirac("a"), "y": uniform("ab")}
-        pou = validate_pou(g, {"a", "b"}, rows)
+        pou = PartitionOfUnity(g, {"a", "b"}, rows)
         assert pou.carrier_at("y") == {"a", "b"}
 
     def test_sierpinski_mismatched_rows_rejected(self):
         s = FiniteSpace.sierpinski()
         rows = {"a": dirac("0"), "b": dirac("1")}
         with pytest.raises(DiscontinuousAt):
-            validate_pou(s, {"0", "1"}, rows)
+            PartitionOfUnity(s, {"0", "1"}, rows)
 
     def test_sierpinski_constant_valid(self):
         s = FiniteSpace.sierpinski()
         rows = {p: dirac("0") for p in s.points}
-        pou = validate_pou(s, {"0"}, rows)
-        assert pou.open_star("0") == sorted(s.points)
+        pou = PartitionOfUnity(s, {"0"}, rows)
+        assert open_star(pou, "0") == sorted(s.points)
 
     def test_non_simplex_row_rejected(self):
         g = FiniteSpace.discrete({"x"})
         with pytest.raises(RowNotSimplex):
-            validate_pou(g, {"a"}, {"x": SparseVec({"a": F(1, 2)})})
+            PartitionOfUnity(g, {"a"}, {"x": SparseVec({"a": F(1, 2)})})
 
     def test_rows_at_unknown_points_rejected(self):
         g = FiniteSpace.discrete({"x"})
         rows = {"x": dirac("a"), "zz": SparseVec({"a": F(-5)})}
         with pytest.raises(InputError, match=r"rows at unknown points \['zz'\]"):
             PartitionOfUnity(g, {"a"}, rows)
-        pou = validate_pou(g, {"a"}, {"x": dirac("a")})
+        pou = PartitionOfUnity(g, {"a"}, {"x": dirac("a")})
         with pytest.raises(InputError, match="unknown points"):
             dataclasses.replace(pou, rows=rows)
         m = line_space()
         with pytest.raises(InputError, match=r"rows at unknown points \[\(Fraction\(2, 1\),\)\]"):
-            validate_pou(m, {"a"}, {**{x: dirac("a") for x in m.samples}, (F(2),): dirac("a")})
+            PartitionOfUnity(m, {"a"}, {**{x: dirac("a") for x in m.samples}, (F(2),): dirac("a")})
 
     def test_unknown_ground_rejected_by_validation_and_by_ground_points(self):
         rows = {"x": dirac("a")}
         with pytest.raises(InputError, match="ground must be"):
-            validate_pou({"x"}, {"a"}, rows)
+            PartitionOfUnity({"x"}, {"a"}, rows)
         with pytest.raises(InputError, match="ground must be"):
             PartitionOfUnity({"x"}, {"a"}, rows).ground_points()
 
@@ -155,7 +154,7 @@ class TestSubordination:
 
     def test_constant_dirac_fails_against_small_cover(self):
         g = FiniteSpace.discrete({"x", "y"})
-        pou = validate_pou(g, {"a", "b"}, {p: dirac("a") for p in g.points})
+        pou = PartitionOfUnity(g, {"a", "b"}, {p: dirac("a") for p in g.points})
         cover = indexed_cover(g, {"a", "b"}, {"x": {"a"}, "y": {"b"}})
         res = subordination_check(pou, cover)
         assert not res["index_subordinated"]
@@ -163,7 +162,7 @@ class TestSubordination:
 
     def test_sierpinski_strong_subordination(self):
         s = FiniteSpace.sierpinski()
-        pou = validate_pou(s, {"0", "1"}, {p: dirac("0") for p in s.points})
+        pou = PartitionOfUnity(s, {"0", "1"}, {p: dirac("0") for p in s.points})
         cover = indexed_cover(s, {"0", "1"}, {"a": {"0"}, "b": {"0", "1"}})
         res = subordination_check(pou, cover)
         assert res["index_subordinated"] and res["strongly_subordinated"]
@@ -183,7 +182,7 @@ def star_fiber_subordination(pou, omega):
             result["witness"] = ("carrier", x)
             break
     for a in sorted(pou.index_set, key=repr):
-        if not close(set(pou.open_star(a))) <= omega.fiber(a):
+        if not close(set(open_star(pou, a))) <= omega.fiber(a):
             result["strongly_subordinated"] = False
             if result["witness"] is None:
                 result["witness"] = ("support", a)
@@ -269,20 +268,20 @@ class TestAlexandrovSubordination:
         for _ in range(1000):
             space = random_space(rng)
             omega = random_cover(rng, space)
-            pou = validate_pou(space, omega.codomain.points, component_rows(rng, space, omega))
+            pou = PartitionOfUnity(space, omega.codomain.points, component_rows(rng, space, omega))
             res = subordination_check(pou, omega)
             assert res == star_fiber_subordination(pou, omega)
             assert res["strongly_subordinated"] == res["index_subordinated"]
             gamma, _ = mather_compose(pou)
             for a in pou.index_set:
-                assert space.closure(set(gamma.open_star(a))) <= set(pou.open_star(a))
+                assert space.closure(set(open_star(gamma, a))) <= set(open_star(pou, a))
             verdicts.append(res["index_subordinated"])
         assert 300 < sum(verdicts) < 700
 
 
 class TestMatherCompose:
     def test_each_row_is_validated_once(self, monkeypatch):
-        """``validate_pou`` checks each row's mass, and ``mather_compose``
+        """``PartitionOfUnity`` checks each row's mass, and ``mather_compose``
         does not check it again."""
         calls = []
         check = sparse.is_unit_simplex_point
@@ -303,7 +302,7 @@ class TestMatherCompose:
             PartitionOfUnity(g, {"a"}, {"x": SparseVec({"a": F(1, 2)})})
 
     def test_replaced_rows_are_checked_again(self):
-        pou = validate_pou(FiniteSpace.discrete({"x"}), {"a"}, {"x": dirac("a")})
+        pou = PartitionOfUnity(FiniteSpace.discrete({"x"}), {"a"}, {"x": dirac("a")})
         with pytest.raises(RowNotSimplex, match="row at 'x'"):
             dataclasses.replace(pou, rows={"x": SparseVec({"a": F(1, 2)})})
 
@@ -318,7 +317,7 @@ class TestMatherCompose:
     def test_row_entries_are_read_only(self):
         """A validated row cannot be given mass 3/2 behind the check, and a
         vector built from a row's entries is the row."""
-        pou = validate_pou(FiniteSpace.discrete({"x"}), {"a", "b"}, {"x": dirac("a")})
+        pou = PartitionOfUnity(FiniteSpace.discrete({"x"}), {"a", "b"}, {"x": dirac("a")})
         with pytest.raises(TypeError):
             pou.rows["x"].entries["b"] = F(1, 2)
         assert mather_compose(pou)[0].rows["x"] == dirac("a")
@@ -331,7 +330,7 @@ class TestMatherCompose:
 
     def test_row_collapse(self):
         g = FiniteSpace.discrete({"x"})
-        pou = validate_pou(
+        pou = PartitionOfUnity(
             g, {"a", "b", "c"},
             {"x": SparseVec({"a": F(3, 5), "b": F(3, 10), "c": F(1, 10)})},
         )
@@ -340,7 +339,7 @@ class TestMatherCompose:
 
     def test_constant_pou_certificate(self):
         s = FiniteSpace.sierpinski()
-        pou = validate_pou(s, {"0"}, {p: dirac("0") for p in s.points})
+        pou = PartitionOfUnity(s, {"0"}, {p: dirac("0") for p in s.points})
         gamma, cert = mather_compose(pou)
         for p in s.points:
             assert cert.index_bound(p) == {"0"}
@@ -371,7 +370,7 @@ class TestMatherCompose:
         """2 |I| is no Lipschitz constant: it gave radius 1/24 at 0, which
         holds 1/100, whose carrier {b} is not inside {a}."""
         m = MetricSampleSpace([(F(0),), (F(1, 100),)])
-        pou = validate_pou(m, {"a", "b"}, {(F(0),): dirac("a"), (F(1, 100),): dirac("b")})
+        pou = PartitionOfUnity(m, {"a", "b"}, {(F(0),): dirac("a"), (F(1, 100),): dirac("b")})
         _, cert = mather_compose(pou)
         with pytest.raises(InputError, match="l1_lipschitz"):
             cert.neighborhood((F(0),))
@@ -389,7 +388,7 @@ class TestMatherCompose:
                 rows[p] = SparseVec(
                     {a: F(w, sum(ws)) for a, w in zip(picked, ws)}
                 )
-            pou = validate_pou(g, set(idx), rows)
+            pou = PartitionOfUnity(g, set(idx), rows)
             gamma, _ = mather_compose(pou)
             for p in g.points:
                 assert gamma.carrier_at(p) <= pou.carrier_at(p)
@@ -418,13 +417,13 @@ class TestMatherCompose:
 class TestOpenStar:
     def test_metric_example(self):
         pou = pou_from_incidence(line_space().incidence(line_balls()))
-        assert pou.open_star("U0") == [(F(0),), (F(1, 2),)]
+        assert open_star(pou, "U0") == [(F(0),), (F(1, 2),)]
 
     def test_constant_dirac(self):
         g = FiniteSpace.discrete({"x", "y"})
-        pou = validate_pou(g, {"a", "b"}, {p: dirac("a") for p in g.points})
-        assert set(pou.open_star("a")) == set(g.points)
-        assert pou.open_star("b") == []
+        pou = PartitionOfUnity(g, {"a", "b"}, {p: dirac("a") for p in g.points})
+        assert set(open_star(pou, "a")) == set(g.points)
+        assert open_star(pou, "b") == []
 
 
 COORDS = st.one_of(

@@ -33,13 +33,10 @@ PUBLIC_NAMES = [
     "TailTooLarge",
     "barycentric_selection",
     "canonical_map_check",
-    "carrier",
     "classify",
     "closure_cover",
     "conv_fiber_open",
     "conv_membership",
-    "convex_combination",
-    "dirac",
     "epsilon_selection",
     "finite_interval_model",
     "incidence_cover",
@@ -49,13 +46,8 @@ PUBLIC_NAMES = [
     "mather_lambda",
     "mather_support_bound",
     "nerve_from_cover",
-    "norms",
     "pou_from_incidence",
-    "product_space",
     "subordination_check",
-    "uniform",
-    "validate_pou",
-    "validate_space",
 ]
 
 

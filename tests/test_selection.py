@@ -12,13 +12,13 @@ from poukit import (
     InputError,
     NonPositiveEpsilon,
     NotAUnitVector,
+    PartitionOfUnity,
     SelfCheckFailed,
     barycentric_selection,
     conv_fiber_open,
     conv_membership,
     epsilon_selection,
     indexed_cover,
-    validate_pou,
 )
 from poukit.scalars import _fold_sum
 from poukit.selection import (
@@ -27,9 +27,9 @@ from poukit.selection import (
     dist_to_polytope,
     dist_to_segment,
 )
-from poukit.sparse import SparseVec, dirac, uniform
+from poukit.sparse import SparseVec
 
-from generators import make_rng, random_open_cover, random_simplex_point
+from generators import dirac, make_rng, random_open_cover, random_simplex_point, uniform
 
 
 def sierpinski_cover():
@@ -136,7 +136,7 @@ class TestBarycentricSelection:
 
     def test_weighted_triangle(self):
         g = FiniteSpace.discrete({"x"})
-        pou = validate_pou(
+        pou = PartitionOfUnity(
             g, {"a", "b", "c"},
             {"x": SparseVec({"a": F(1, 2), "b": F(1, 4), "c": F(1, 4)})},
         )
@@ -146,13 +146,13 @@ class TestBarycentricSelection:
 
     def test_dirac_returns_anchor(self):
         g = FiniteSpace.discrete({"x"})
-        pou = validate_pou(g, {"a", "b", "c"}, {"x": dirac("b")})
+        pou = PartitionOfUnity(g, {"a", "b", "c"}, {"x": dirac("b")})
         values, _ = barycentric_selection(pou, self.anchors())
         assert values["x"] == (F(1), F(0))
 
     def test_collinear_centroid(self):
         g = FiniteSpace.discrete({"x"})
-        pou = validate_pou(g, {"a", "b"}, {"x": uniform("ab")})
+        pou = PartitionOfUnity(g, {"a", "b"}, {"x": uniform("ab")})
         anchors = {"a": (F(0),), "b": (F(1),)}
         values, _ = barycentric_selection(pou, anchors)
         assert values["x"] == (F(1, 2),)
@@ -162,7 +162,7 @@ class TestBarycentricSelection:
         g = FiniteSpace.discrete({"x"})
         for _ in range(50):
             p = random_simplex_point(rng, ["a", "b", "c"])
-            pou = validate_pou(g, {"a", "b", "c"}, {"x": p})
+            pou = PartitionOfUnity(g, {"a", "b", "c"}, {"x": p})
             values, _ = barycentric_selection(pou, self.anchors())
             u, v = values["x"]
             assert u >= 0 and v >= 0 and u + v <= 1  # inside the triangle

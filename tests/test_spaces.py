@@ -11,12 +11,10 @@ from poukit import (
     NotReflexive,
     NotTransitive,
     finite_interval_model,
-    product_space,
-    validate_space,
 )
 from poukit.errors import InputError
 
-from generators import make_rng, random_space
+from generators import make_rng, product_space, random_space
 
 
 @st.composite
@@ -43,7 +41,7 @@ def oracle_transitivity_witness(points, min_open):
 
 class TestValidation:
     def test_sierpinski_valid(self):
-        s = validate_space({"a", "b"}, {"a": {"a", "b"}, "b": {"b"}})
+        s = FiniteSpace({"a", "b"}, {"a": {"a", "b"}, "b": {"b"}})
         assert s.points == {"a", "b"}
 
     def test_discrete_valid(self):
@@ -51,12 +49,12 @@ class TestValidation:
         assert all(s.min_open[p] == {p} for p in s.points)
 
     def test_indiscrete_valid(self):
-        s = validate_space({"a", "b"}, {"a": {"a", "b"}, "b": {"a", "b"}})
+        s = FiniteSpace({"a", "b"}, {"a": {"a", "b"}, "b": {"a", "b"}})
         assert s.is_open({"a", "b"})
 
     def test_not_transitive(self):
         with pytest.raises(NotTransitive):
-            validate_space(
+            FiniteSpace(
                 {"a", "b", "c"},
                 {"a": {"a", "c"}, "c": {"c", "b"}, "b": {"b"}},
             )
@@ -69,11 +67,11 @@ class TestValidation:
         with pytest.raises(InputError, match=r"min_open for unknown points \['c'\]"):
             FiniteSpace({"a"}, {"a": {"a"}, "c": {"c"}})
         with pytest.raises(InputError, match=r"no min_open for \['b', 'c'\]"):
-            validate_space({"c", "a", "b"}, {"a": {"a"}, "z": {"z"}})
+            FiniteSpace({"c", "a", "b"}, {"a": {"a"}, "z": {"z"}})
 
     def test_not_reflexive(self):
         with pytest.raises(NotReflexive):
-            validate_space({"a", "b"}, {"a": {"b"}, "b": {"b"}})
+            FiniteSpace({"a", "b"}, {"a": {"b"}, "b": {"b"}})
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(reflexive_relation())
@@ -81,10 +79,10 @@ class TestValidation:
         points = set(min_open)
         witness = oracle_transitivity_witness(points, min_open)
         if witness is None:
-            validate_space(points, min_open)
+            FiniteSpace(points, min_open)
             return
         with pytest.raises(NotTransitive) as exc:
-            validate_space(points, min_open)
+            FiniteSpace(points, min_open)
         assert (exc.value.x, exc.value.y, exc.value.z) == witness
         assert str(exc.value) == str(NotTransitive(*witness))
 

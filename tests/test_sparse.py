@@ -9,63 +9,42 @@ from poukit import (
     ExtendedUnitVec,
     SparseVec,
     TailTooLarge,
-    carrier,
-    convex_combination,
     mather_eta,
     mather_lambda,
     mather_support_bound,
-    norms,
 )
 from poukit.scalars import EXACT, FLOAT, Mode, _fold_sum
-from poukit.sparse import dirac, is_unit_simplex_point, uniform
+from poukit.sparse import is_unit_simplex_point
+
+from generators import dirac, linear_combination, uniform
 
 
 def vec(**kw):
     return SparseVec({k: F(v) for k, v in kw.items()})
 
 
-class TestCarrierAndNorms:
-    def test_dirac_carrier(self):
-        assert carrier(dirac("a")) == {"a"}
-
-    def test_two_point_carrier(self):
-        assert carrier(vec(a="1/2", c="1/2")) == {"a", "c"}
-
-    def test_empty_carrier(self):
-        assert carrier(SparseVec()) == frozenset()
-
-    def test_norms_simplex(self):
-        assert norms(vec(a="1/2", b="1/4", c="1/4")) == (1, F(1, 2))
-
-    def test_norms_dirac(self):
-        assert norms(dirac("a")) == (1, 1)
-
-    def test_norms_signed(self):
-        assert norms(vec(a="-3/10", b="7/10")) == (1, F(7, 10))
+class TestSparseVecInput:
+    """A mapping or a SparseVec, and nothing else: a list of pairs could
+    hold one index twice."""
 
     def test_zeros_not_stored(self):
         v = SparseVec({"a": F(1), "b": F(0)})
         assert "b" not in v.entries
+        assert not SparseVec({"a": 0}).entries
 
+    def test_default_is_the_zero_vector(self):
+        assert SparseVec() == SparseVec({}) and not SparseVec().entries
 
-class TestConvexCombination:
-    def test_dirac_weight_is_identity(self):
-        pts = {"a": vec(x="1/3", y="2/3"), "b": dirac("z")}
-        assert convex_combination(dirac("a"), pts) == pts["a"]
+    def test_copies_a_sparse_vec_or_its_entries(self):
+        v = vec(a="1/2", b="1/2")
+        assert SparseVec(v) == SparseVec(v.entries) == v
 
-    def test_two_diracs(self):
-        w = vec(a="1/2", b="1/2")
-        out = convex_combination(w, {"a": dirac("x"), "b": dirac("y")})
-        assert out == vec(x="1/2", y="1/2")
-
-    def test_cancellation(self):
-        w = vec(a="1/4", b="3/4")
-        out = convex_combination(w, {"a": vec(x=1), "b": vec(x=-1)})
-        assert out == vec(x="-1/2")
-
-    def test_missing_point(self):
-        with pytest.raises(KeyError):
-            convex_combination(dirac("a"), {})
+    @pytest.mark.parametrize("entries", [
+        [("a", 1)], [("a", 1), ("a", -1)], iter(()), (), None, "ab",
+    ], ids=["pairs", "duplicate-pairs", "empty-iterator", "empty-tuple", "none", "string"])
+    def test_anything_else_is_a_type_error(self, entries):
+        with pytest.raises(TypeError, match="SparseVec takes a mapping"):
+            SparseVec(entries)
 
 
 class TestMatherLambda:
@@ -216,7 +195,7 @@ class TestIntegerPathsAgainstFractions:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(st.lists(st.one_of(WEIGHTS, WEIGHTS.map(operator.neg), st.floats(-9, 9)), max_size=6))
     def test_norm1(self, values):
-        v = SparseVec((f"i{n}", x) for n, x in enumerate(values))
+        v = SparseVec({f"i{n}": x for n, x in enumerate(values)})
         norm = v.norm1()
         assert (type(norm), norm) == (type(oracle_norm1(v)), oracle_norm1(v))
 
@@ -301,10 +280,10 @@ def test_int_dirac_and_empty_rows():
 
 def old_float_eta(y):
     """The float branch of ``mather_eta`` as ``mather_lambda``, its l1 norm
-    and ``scale``."""
+    and a scaling."""
     lam = mather_lambda(y)
     total = lam.norm1()
-    return lam.scale(1 / total if isinstance(total, float) else F(1) / total)
+    return linear_combination((1 / total if isinstance(total, float) else F(1) / total, lam))
 
 
 def entry_reprs(v):
@@ -349,3 +328,16 @@ def test_a_clip_that_rounds_to_zero_is_dropped():
         SparseVec({"a": F(1, 2), "b": F(1, 4) + TINY, "c": 0.25000000000000006}))
     eta = mather_eta(y)
     assert list(eta.entries) == ["a", "c"] and entry_reprs(eta) == entry_reprs(old_float_eta(y))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(extended_vectors(), st.lists(ETA_ENTRIES, min_size=1, max_size=6).map(
+    lambda xs: ExtendedUnitVec._of_checked(SparseVec({f"i{n}": x for n, x in enumerate(xs)})))))
+def test_lambda_keeps_the_clipped_entries_in_order(y):
+    """``mather_lambda`` builds its dict directly: each clip ``v - sup/2``
+    over the kept entries, by type and ``repr``, in the input's order."""
+    try:
+        want = oracle_lambda(y)
+    except TailTooLarge:
+        return
+    assert entry_reprs(mather_lambda(y)) == [(k, type(x), repr(x)) for k, x in want.items()]

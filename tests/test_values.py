@@ -12,11 +12,11 @@ from poukit import (
     ExtendedUnitVec,
     FiniteSpace,
     MetricSampleSpace,
+    PartitionOfUnity,
     SimplicialComplex,
     SparseVec,
     indexed_cover,
     mather_compose,
-    validate_pou,
 )
 from poukit.nerve import CanonicalReport
 
@@ -27,7 +27,7 @@ def _cover():
 
 def _pou():
     g = FiniteSpace.discrete({"x"})
-    return validate_pou(g, {"a"}, {"x": SparseVec({"a": F(1)})})
+    return PartitionOfUnity(g, {"a"}, {"x": SparseVec({"a": F(1)})})
 
 
 # name -> (a fresh instance, equal by value, hashable)
