@@ -207,9 +207,10 @@ def _verify_unit_vector(report, name, y, mode):
 
 def cmd_verify_all(doc, args, report, mode):
     bundle = jsonio.expect(doc, "a verify-all bundle")
+    loaded = {}  # a bundle repeats a space wherever a map or cover names it
 
     for i, obj in _section(bundle, "spaces"):
-        bad = _kuratowski_witness(jsonio.load_finite_space(obj))
+        bad = _kuratowski_witness(jsonio.load_finite_space(obj, loaded))
         report.check(f"space[{i}]:kuratowski", bad is None, bad)
 
     for i, obj in _section(bundle, "unit_vectors"):
@@ -217,7 +218,7 @@ def cmd_verify_all(doc, args, report, mode):
         _verify_unit_vector(report, f"unit_vector[{i}]", y, mode)
 
     for i, obj in _section(bundle, "maps"):
-        phi = jsonio.load_set_valued_map(obj)
+        phi = jsonio.load_set_valued_map(obj, loaded)
         rep = classify(phi)
         diagram = _diagram_holds(rep)
         collapse = rep.lower_locally_constant == rep.totally_lsc
@@ -228,7 +229,7 @@ def cmd_verify_all(doc, args, report, mode):
         )
 
     for i, obj in _section(bundle, "covers"):
-        omega = jsonio.load_set_valued_map(obj)
+        omega = jsonio.load_set_valued_map(obj, loaded)
         if not omega.is_discrete_codomain():
             raise InputError(f"covers[{i}] has a codomain that is not discrete")
         try:
@@ -301,10 +302,13 @@ def _sample_witness(incidence, witness):
 def _kuratowski_witness(space):
     """``repr`` of the first point p, by ``repr``, with p outside cl{p} or
     cl(cl{p}) != cl{p}, else None.  ``closure`` is additive and maps the
-    empty set to itself, so singletons decide all four axioms."""
-    for p in sorted(space.points, key=repr):
-        c = space.closure({p})
-        if p not in c or space.closure(c) != c:
+    empty set to itself, so singletons decide all four axioms.  The sets are
+    masks over the space's ``repr`` order, each closed as one OR of the
+    closures of its points."""
+    ix = space._index()
+    for p, b in zip(ix.order, ix.bits):
+        c = ix.closure(b)
+        if not c & b or ix.closure(c) != c:
             return repr(p)
     return None
 

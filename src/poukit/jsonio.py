@@ -84,10 +84,28 @@ def _point_sets(obj, what):
     return {p: _point_set(v, f"{what}[{p!r}]") for p, v in expect(obj, what).items()}
 
 
-def load_finite_space(obj):
+def load_finite_space(obj, loaded=None):
+    """The space ``obj`` encodes.  ``loaded``, when given, maps the
+    canonical JSON text of each space a run has loaded to that space, and a
+    space found there is not loaded again."""
+    key = None if loaded is None else _canonical(obj)
+    if key is not None and key in loaded:
+        return loaded[key]
     points, min_open = require_fields(obj, "a finite space", "points", "min_open")
-    points = _point_set(points, "points")
-    return FiniteSpace(points, _point_sets(min_open, "min_open"))
+    space = FiniteSpace(_point_set(points, "points"), _point_sets(min_open, "min_open"))
+    if key is not None:
+        loaded[key] = space
+    return space
+
+
+def _canonical(obj):
+    """``json.dumps(obj, sort_keys=True)``: equal texts, equal objects.
+    None when it nests too deep to encode here, as a document can that the
+    decoder read at a shallower stack depth."""
+    try:
+        return json.dumps(obj, sort_keys=True)
+    except RecursionError:
+        return None
 
 
 def dump_finite_space(space):
@@ -132,18 +150,19 @@ def load_ground(obj, mode=EXACT):
     return load_metric_space(obj, mode)
 
 
-def load_set_valued_map(obj):
+def load_set_valued_map(obj, loaded=None):
+    """The map ``obj`` encodes; ``loaded`` as for :func:`load_finite_space`."""
     domain, codomain, values = require_fields(
         obj, "a set-valued map", "domain", "codomain", "values"
     )
-    domain = load_finite_space(domain)
+    domain = load_finite_space(domain, loaded)
     values = _point_sets(values, "values")
     if codomain == "discrete":  # the indices the values name
         codomain = FiniteSpace.discrete(set().union(*values.values()))
     elif isinstance(codomain, list):  # the index set, which values may not leave
         codomain = FiniteSpace.discrete(_point_set(codomain, "codomain"))
     else:
-        codomain = load_finite_space(codomain)
+        codomain = load_finite_space(codomain, loaded)
     return SetValuedMap(domain, codomain, values)
 
 

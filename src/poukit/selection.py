@@ -17,13 +17,14 @@ anchors, locally-finite shrinking, then a barycentric sum of the anchors.
 
 import math
 import operator
+from functools import reduce
 
 from ._immutable import immutable
 from .errors import CoverGap, InputError, NonPositiveEpsilon, SelfCheckFailed
 from .pou import PartitionOfUnity, mather_compose
 from .scalars import _fold_sum
 from .sparse import _normalized, as_unit_simplex_point
-from .spaces import FiniteSpace
+from .spaces import FiniteSpace, _first
 
 # Wolfe's optimality gap, relative to the largest squared vertex norm
 _WOLFE_TOL = 1e-12
@@ -45,15 +46,18 @@ def conv_membership(omega, x, p):
 def conv_fiber_open(omega, p):
     """The fiber ``{x : p in conv(omega(x))}`` of the unit simplex point
     ``p`` under the hull map, the intersection of the cover's fibers over its
-    carrier, with its openness verdict and a non-interior witness."""
+    carrier, with its openness verdict and a non-interior witness, the first
+    by ``repr``."""
     car = _simplex_carrier(p)
-    fiber = frozenset(x for x in omega.domain.points if car <= omega.values[x])
-    is_open = omega.domain.is_open(fiber)
-    witness = None
-    if not is_open:
-        missing = omega.domain.interior(fiber)
-        witness = sorted(fiber - missing, key=repr)[0]
-    return is_open, fiber, witness
+    ix = omega.domain._index()
+    fiber = 0
+    if car <= omega.codomain.points:
+        c = omega.codomain._index().mask(car)
+        vm = omega._value_masks()
+        fiber = reduce(operator.or_, (b for b, v in zip(ix.bits, vm) if v & c == c), 0)
+    is_open = ix.is_open(fiber)
+    witness = None if is_open else _first(ix.order, fiber & ~ix.interior(fiber))
+    return is_open, ix.points(fiber), witness
 
 
 @immutable

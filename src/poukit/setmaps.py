@@ -16,20 +16,26 @@ open, so lower local constancy is total lower semicontinuity here.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import and_, or_
 
 from ._immutable import immutable
 from .errors import InputError, NotACover, SelfCheckFailed
-from .spaces import FiniteSpace
+from .spaces import FiniteSpace, _first, _select, _transpose
 
 
 @immutable(init=False)
 class SetValuedMap:
     """Nonempty-valued map from a finite space to a finite space or to a
-    discrete index set.  It compares by value and is no dict key."""
+    discrete index set.  It compares by value and is no dict key.  A bad
+    value raises InputError at the first offending point in ``repr``
+    order."""
 
     domain: FiniteSpace
     codomain: FiniteSpace
     values: dict
+    _vm: list = field(default=None, repr=False, compare=False)
     __hash__ = None
 
     def __init__(self, domain, codomain, values):
@@ -40,45 +46,63 @@ class SetValuedMap:
         unknown = values.keys() - domain.points
         if unknown:
             raise InputError(f"values for unknown points {sorted(unknown, key=repr)}")
-        vals = {}
-        for p in domain.points:
-            if p not in values:
-                raise InputError(f"no value at point {p!r}")
-            v = frozenset(values[p])
-            if not v:
-                raise InputError(f"empty value at point {p!r}")
-            if not v <= codomain.points:
-                raise InputError(f"value at {p!r} leaves the codomain")
-            vals[p] = v
+        vals = {p: frozenset(values[p]) for p in domain.points if p in values}
+        cod = codomain.points
+        if len(vals) < len(domain.points) or not all(v and v <= cod for v in vals.values()):
+            for p in sorted(domain.points, key=repr):
+                if p not in vals:
+                    raise InputError(f"no value at point {p!r}")
+                if not vals[p]:
+                    raise InputError(f"empty value at point {p!r}")
+                if not vals[p] <= cod:
+                    raise InputError(f"value at {p!r} leaves the codomain")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_vm", None)
 
     def __call__(self, x):
         return self.values[x]
 
+    def _value_masks(self):
+        """Each value as a mask over the codomain's index, in the order of
+        the domain's, built on the first call."""
+        if self._vm is None:
+            order = self.domain._index().order
+            vm = self.codomain._index().masks(map(self.values.__getitem__, order))
+            object.__setattr__(self, "_vm", vm)
+        return self._vm
+
+    def _image_mask(self, m):
+        """The codomain mask of the union of values(x) over the domain mask m."""
+        return reduce(or_, _select(self._value_masks(), m), 0)
+
     def fiber(self, y):
         """Preimage of a single codomain element."""
-        return frozenset(x for x in self.domain.points if y in self.values[x])
+        return self.preimage((y,))
 
     def preimage(self, ys):
         """{x : values(x) meets ys}."""
-        ys = frozenset(ys)
-        return frozenset(x for x in self.domain.points if self.values[x] & ys)
+        ix, iy = self.domain._index(), self.codomain._index()
+        m = iy.mask(frozenset(ys) & self.codomain.points)
+        return ix.points(_preimage(ix.bits, self._value_masks(), m))
 
     def image(self, s):
         s = frozenset(s)
         if not s <= self.domain.points:
             raise InputError("image over unknown points")
-        out = set()
-        for x in s:
-            out |= self.values[x]
-        return frozenset(out)
+        m = self._image_mask(self.domain._index().mask(s))
+        return self.codomain._index().points(m)
 
     def is_discrete_codomain(self):
         return all(
             self.codomain.min_open[y] == frozenset({y}) for y in self.codomain.points
         )
+
+
+def _preimage(bits, vm, m):
+    """The OR of ``bits[i]`` over the i with ``vm[i]`` meeting the mask m."""
+    return reduce(or_, compress(bits, map(m.__and__, vm)), 0)
 
 
 def indexed_cover(domain, index_set, values):
@@ -131,45 +155,52 @@ class PropertyReport:
 def classify(phi):
     """Exact semicontinuity classification of a set-valued mapping.
 
-    Polynomial in |X| and |Y|: at most 3|Y| openness tests and one basic
-    box per graph point; no subset of Y and no product space is built.
+    Polynomial in |X| and |Y|, on masks: at most |Y| openness tests and |Y|
+    closedness tests on X, and one intersection of values and one union of
+    minimal opens per point of X; no subset of Y and no product space is
+    built.  Each witness is the first failure in ``repr`` order.
     """
-    x, y = phi.domain, phi.codomain
+    ix, iy = phi.domain._index(), phi.codomain._index()
+    bits, vm = ix.bits, phi._value_masks()
     rep = PropertyReport()
 
     # values nonempty by construction; is_cover records that fact
-    rep.is_cover = all(phi.values[p] for p in x.points)
+    rep.is_cover = all(vm)
 
     # l.s.c. on the minimal-open basis (preimages commute with unions)
-    for q in sorted(y.points, key=repr):
-        pre = phi.preimage(y.min_open[q])
-        if not x.is_open(pre):
+    for q, uq in zip(iy.order, iy.up):
+        if not ix.is_open(_preimage(bits, vm, uq)):
             rep.lsc = False
             rep.witnesses["lsc"] = ("basic open at", q)
             break
 
+    # common[p]: the intersection of values(a) over a in U_p.  The fiber of
+    # q is open iff q in values(p) implies q in common[p] for each p
+    common = [reduce(and_, _select(vm, u)) for u in ix.up]
+    bad = reduce(or_, [v & ~c for v, c in zip(vm, common)], 0)
+
     # totally l.s.c. = every fiber open = lower locally constant, since
     # {x : K <= values(x)} is the intersection of the fibers over K; the
     # first K that fails is the singleton of the first non-open fiber
-    for q in sorted(y.points, key=repr):
-        if not x.is_open(phi.fiber(q)):
-            rep.totally_lsc = rep.lower_locally_constant = False
-            rep.witnesses["totally_lsc"] = ("fiber not open", q)
-            rep.witnesses["lower_locally_constant"] = ("set not open for", frozenset({q}))
-            break
+    if bad:
+        q = _first(iy.order, bad)
+        rep.totally_lsc = rep.lower_locally_constant = False
+        rep.witnesses["totally_lsc"] = ("fiber not open", q)
+        rep.witnesses["lower_locally_constant"] = ("set not open for", frozenset({q}))
 
-    # open graph: the basic product box at (p, q) lies inside the graph
-    graph = {(p, q) for p in x.points for q in phi.values[p]}
-    for p, q in sorted(graph, key=repr):
-        if not all(y.min_open[q] <= phi.values[a] for a in x.min_open[p]):
+    # open graph: the basic product box U_p x U_q lies inside the graph iff
+    # U_q lies in common[p]; the witness is the first failing p by repr and
+    # its first failing q, which is the first failing graph point by repr
+    for p, v, c in zip(ix.order, vm, common):
+        if reduce(or_, _select(iy.up, v)) & ~c:
+            q = next(q for q, uq in zip(_select(iy.order, v), _select(iy.up, v)) if uq & ~c)
             rep.open_graph = False
             rep.witnesses["open_graph"] = ("no open box inside the graph at", (p, q))
             break
 
     # u.s.c. on point closures (closed sets are unions of these)
-    for q in sorted(y.points, key=repr):
-        pre = phi.preimage(y.closure({q}))
-        if not x.is_closed(pre):
+    for q, dq in zip(iy.order, iy.down):
+        if not ix.is_closed(_preimage(bits, vm, dq)):
             rep.usc = False
             rep.witnesses["usc"] = ("preimage of point closure not closed", q)
             break
@@ -186,18 +217,18 @@ def closure_cover(omega):
     the defining neighborhood-image intersection, which is the image of the
     minimal open U_p, as p in U_q implies U_p <= U_q.  On an indexed cover (a
     discrete codomain) the two must agree: that is the closed-cover
-    identity, and a disagreement raises SelfCheckFailed.
+    identity, and a disagreement at the first point by repr raises
+    SelfCheckFailed.  Fibers and values are masks until the result is built.
     """
-    x = omega.domain
-    closed_fibers = {a: x.closure(omega.fiber(a)) for a in omega.codomain.points}
-    closed_values = {
-        p: frozenset(a for a, cl in closed_fibers.items() if p in cl) for p in x.points
-    }
-    for p in x.points:
-        acc = set(omega.image(x.min_open[p]))
-        if acc != closed_values[p]:
+    ix, iy = omega.domain._index(), omega.codomain._index()
+    fibers = _transpose(omega._value_masks(), len(iy.order))
+    closed = _transpose([ix.closure(f) for f in fibers], len(ix.order))
+    for p, u, cv in zip(ix.order, ix.up, closed):
+        acc = omega._image_mask(u)
+        if acc != cv:
             raise SelfCheckFailed(
-                f"closure-cover formulas disagree at {p!r}: {acc} vs {closed_values[p]}"
+                f"closure-cover formulas disagree at {p!r}: "
+                f"{set(iy.points(acc))} vs {iy.points(cv)}"
             )
-    return SetValuedMap(x, omega.codomain, closed_values)
-
+    values = {p: iy.points(m) for p, m in zip(ix.order, closed)}
+    return SetValuedMap(omega.domain, omega.codomain, values)

@@ -3,7 +3,15 @@
 A finite Alexandrov space is given by the minimal open neighborhood of each
 point (equivalently, a preorder: y in min_open(x) means x specializes to y).
 Opens are exactly the unions of minimal opens, so all topological queries are
-exact set computations.
+exact set computations.  They run on Python ints used as bitmasks over one
+point order, the ``repr`` order that witnesses use: the space's
+:class:`_Index` holds, for each point x, the mask ``up`` of U_x and the mask
+``down`` of its closure cl{x}.  A closure is the OR of ``down`` over a set,
+and a set is open when the OR of ``up`` over it is the set itself.
+Validation builds the index, testing transitivity with one OR of ``up``
+masks per pair y in U_x; a discrete space, which needs no validation, sorts
+nothing and builds no masks until a query asks for them.  The queries still
+take and return ``frozenset``s.
 
 A metric sample space is a finite list of coordinate points with the
 Euclidean metric; it is the desk-scale ground for ball covers and bump
@@ -17,7 +25,10 @@ plain tuple.
 
 import bisect
 import math
+from dataclasses import field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from ._immutable import immutable
 from .errors import InputError, NotReflexive, NotTransitive
@@ -42,37 +53,57 @@ class _Sample(tuple):
 @immutable
 class FiniteSpace:
     """Validated finite Alexandrov space: construction raises InputError,
-    NotReflexive or NotTransitive with witnesses, and only ``discrete``,
-    which cannot fail them, skips the checks."""
+    NotReflexive or NotTransitive with witnesses, each the first offender in
+    ``repr`` point order, and only ``discrete``, which cannot fail them,
+    skips the checks.  Queries take and return ``frozenset``s and run on the
+    masks of :meth:`_index`."""
 
     points: frozenset
     min_open: dict
+    _ix: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", frozenset(self.points))
-        missing = self.points - self.min_open.keys()
+        points = frozenset(self.points)
+        object.__setattr__(self, "points", points)
+        missing = points - self.min_open.keys()
         if missing:
             raise InputError(f"no min_open for {sorted(missing, key=repr)}")
-        unknown = self.min_open.keys() - self.points
+        unknown = self.min_open.keys() - points
         if unknown:
             raise InputError(f"min_open for unknown points {sorted(unknown, key=repr)}")
-        object.__setattr__(self, "min_open", {p: frozenset(self.min_open[p]) for p in self.points})
-        for p, nbhd in self.min_open.items():
-            if not nbhd <= self.points:
+        min_open = {p: frozenset(self.min_open[p]) for p in points}
+        object.__setattr__(self, "min_open", min_open)
+        order = sorted(points, key=repr)
+        for p in order:
+            if not min_open[p] <= points:
                 raise InputError(f"min_open({p!r}) leaves the point set")
-            if p not in nbhd:
+            if p not in min_open[p]:
                 raise NotReflexive(p)
-        for x in self.points:
-            ux = self.min_open[x]
-            for y in ux:
-                if not self.min_open[y] <= ux:
-                    raise NotTransitive(x, y, next(z for z in self.min_open[y] if z not in ux))
+        ix = _Index(order, min_open)
+        up = dict(zip(order, ix.up))
+        # transitive iff U_y <= U_x for each y in U_x: one OR of up masks per pair
+        for x, ux in up.items():
+            if reduce(or_, map(up.__getitem__, min_open[x])) != ux:
+                y, extra = next(
+                    (y, uy & ~ux) for y, uy in zip(_select(order, ux), _select(ix.up, ux))
+                    if uy & ~ux
+                )
+                raise NotTransitive(x, y, _first(order, extra))
+        object.__setattr__(self, "_ix", ix)
 
     def __hash__(self):
         return hash((self.points, frozenset(self.min_open.items())))
 
     def __repr__(self):
         return f"FiniteSpace({sorted(self.points, key=repr)!r})"
+
+    def _index(self):
+        """The space's :class:`_Index`, built by validation or, for a
+        discrete space, on the first call."""
+        if self._ix is None:
+            order = sorted(self.points, key=repr)
+            object.__setattr__(self, "_ix", _Index(order, self.min_open))
+        return self._ix
 
     def _check_subset(self, s):
         s = frozenset(s)
@@ -81,29 +112,32 @@ class FiniteSpace:
         return s
 
     def is_open(self, s):
-        s = self._check_subset(s)
-        return all(self.min_open[x] <= s for x in s)
+        ix = self._index()
+        return ix.is_open(ix.mask(self._check_subset(s)))
 
     def is_closed(self, s):
-        return self.is_open(self.points - self._check_subset(s))
+        ix = self._index()
+        return ix.is_closed(ix.mask(self._check_subset(s)))
 
     def closure(self, s):
         """Smallest closed superset: points whose every neighborhood meets s,
         i.e. whose minimal open meets s."""
-        s = self._check_subset(s)
-        return frozenset(x for x in self.points if self.min_open[x] & s)
+        ix = self._index()
+        return ix.points(ix.closure(ix.mask(self._check_subset(s))))
 
     def interior(self, s):
-        s = self._check_subset(s)
-        return frozenset(x for x in s if self.min_open[x] <= s)
+        ix = self._index()
+        return ix.points(ix.interior(ix.mask(self._check_subset(s))))
 
     @classmethod
     def discrete(cls, points):
-        """Every point open: nothing to check."""
+        """Every point open: nothing to check, and no masks until a query
+        asks for them."""
         min_open = {p: frozenset((p,)) for p in points}
         space = object.__new__(cls)
         object.__setattr__(space, "points", frozenset(min_open))  # reuses the dict's hashes
         object.__setattr__(space, "min_open", min_open)
+        object.__setattr__(space, "_ix", None)
         return space
 
     @classmethod
@@ -113,6 +147,79 @@ class FiniteSpace:
             {open_point, closed_point},
             {closed_point: {closed_point, open_point}, open_point: {open_point}},
         )
+
+
+def _select(seq, m):
+    """The items of ``seq`` at the set bits of the int mask ``m``, in order."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(seq[low.bit_length() - 1])
+        m ^= low
+    return out
+
+
+def _first(seq, m):
+    """The item of ``seq`` at the lowest set bit of the nonzero mask ``m``."""
+    return seq[(m & -m).bit_length() - 1]
+
+
+def _transpose(masks, n):
+    """Bit j of ``masks[i]`` as bit i of the j-th result, for j < n, moving
+    the set bits one by one."""
+    cols = [0] * n
+    for i, m in enumerate(masks):
+        b = 1 << i
+        for j in _select(range(n), m):
+            cols[j] |= b
+    return cols
+
+
+class _Index:
+    """A finite space's points in ``repr`` order as int masks: bit i stands
+    for ``order[i]``, ``bit`` maps each point to the mask of it alone, and
+    ``bits[i]``, ``up[i]`` and ``down[i]`` are the masks of ``order[i]``
+    alone, of its minimal open U_x and of its closure cl{x} = {y : x in U_y}."""
+
+    __slots__ = ("order", "bit", "bits", "up", "down")
+
+    def __init__(self, order, min_open):
+        n = len(order)
+        self.order = order
+        self.bits = [1 << i for i in range(n)]
+        self.bit = dict(zip(order, self.bits))
+        self.up = self.masks(map(min_open.__getitem__, order))
+        self.down = _transpose(self.up, n)
+
+    def masks(self, sets):
+        """The mask of each set of points of the space in ``sets``."""
+        bit = self.bit
+        return [sum(map(bit.__getitem__, s)) for s in sets]
+
+    def mask(self, s):
+        """The mask of ``s``, a set of points of the space."""
+        return sum(map(self.bit.__getitem__, s))
+
+    def points(self, m):
+        """The points of the mask ``m``."""
+        return frozenset(_select(self.order, m))
+
+    def closure(self, m):
+        """The OR of cl{x} over x in m."""
+        return reduce(or_, _select(self.down, m), 0)
+
+    def is_open(self, m):
+        """Whether m holds U_x for each of its x."""
+        return reduce(or_, _select(self.up, m), 0) == m
+
+    def is_closed(self, m):
+        """Whether m holds cl{x} for each of its x."""
+        return self.closure(m) == m
+
+    def interior(self, m):
+        """The complement of the closure of the complement."""
+        full = (1 << len(self.order)) - 1
+        return full ^ self.closure(full ^ m)
 
 
 def finite_interval_model(n):

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from poukit import (
     ConvexTarget,
-    FiniteSpace,
     MetricSampleSpace,
     PartitionOfUnity,
     PropertyReport,
@@ -18,7 +17,7 @@ from poukit import (
     SparseVec,
     finite_interval_model,
 )
-from poukit import sparse
+from poukit import sparse, spaces
 from poukit.cli import COMMANDS, build_parser, main
 from poukit.jsonio import dump_finite_space, load_set_valued_map, report_text
 from poukit.nerve import CanonicalReport
@@ -430,7 +429,8 @@ class TestSelfChecks:
         self, tmp_path, capsys, monkeypatch
     ):
         bundle = json.loads((DATA / "example_bundle.json").read_text())
-        monkeypatch.setattr(SetValuedMap, "image", lambda self, u: frozenset())
+        # the pointwise formula reads the image of each minimal open as a mask
+        monkeypatch.setattr(SetValuedMap, "_image_mask", lambda self, m: 0)
         code, out = run_main(tmp_path, capsys, "verify-all", {"covers": bundle["covers"]})
         assert code == 1
         check = json.loads(out.out)["checks"][0]
@@ -924,18 +924,16 @@ def test_a_cover_of_dimension_0_builds(tmp_path, capsys, command, obj, mode):
 
 
 def _count_closures(monkeypatch):
+    """The masks closed by the one closure every check and query reads."""
     calls = []
-    close = FiniteSpace.closure
+    close = spaces._Index.closure
 
-    def counted(self, s):
-        calls.append(s)
-        return close(self, s)
+    def counted(self, m):
+        calls.append(m)
+        return close(self, m)
 
-    monkeypatch.setattr(FiniteSpace, "closure", counted)
+    monkeypatch.setattr(spaces._Index, "closure", counted)
     return calls
-
-
-_NEXT = {"a": "b", "b": "c", "c": "c"}
 
 
 def _bundle_sections(*names):
@@ -964,20 +962,21 @@ class TestExactFiniteChecks:
         assert code == 0
         assert 0 < len(calls) <= indices
 
+    # closures of masks over the points a, b, c: bit 0 is a, bit 2 is c
     @pytest.mark.parametrize(
         "closure, witness",
         [
-            (lambda self, s: frozenset(), "'a'"),
+            (lambda self, m: 0, "'a'"),
             # cl{a} = {a, b} but cl{a, b} = {a, b, c}
-            (lambda self, s: frozenset(s) | {_NEXT[x] for x in s}, "'a'"),
-            (lambda self, s: frozenset(s) - {"b"}, "'b'"),
+            (lambda self, m: m | (m << 1) & 0b111, "'a'"),
+            (lambda self, m: m & ~0b010, "'b'"),
         ],
         ids=["not-extensive", "not-idempotent", "not-extensive-at-b"],
     )
     def test_broken_closure_fails_with_the_first_point(
         self, tmp_path, capsys, monkeypatch, closure, witness
     ):
-        monkeypatch.setattr(FiniteSpace, "closure", closure)
+        monkeypatch.setattr(spaces._Index, "closure", closure)
         space = {"points": ["a", "b", "c"], "min_open": {p: [p] for p in "abc"}}
         code, out = run_main(tmp_path, capsys, "verify-all", {"spaces": [space]})
         assert code == 1

@@ -13,6 +13,7 @@ from poukit import (
     finite_interval_model,
     indexed_cover,
 )
+from poukit import spaces
 from poukit.errors import InputError
 
 from generators import (
@@ -164,20 +165,24 @@ class TestOracles:
 
 class TestScaling:
     def test_openness_tests_linear_in_codomain(self, monkeypatch):
+        """classify decides every open or closed set through the index's
+        mask tests, at most 3|Y| of them."""
         calls = []
-        is_open = FiniteSpace.is_open
 
-        def counted(self, s):
-            calls.append(s)
-            return is_open(self, s)
+        def counted(test):
+            def wrapper(self, m):
+                calls.append(m)
+                return test(self, m)
+            return wrapper
 
+        for name in ("is_open", "is_closed"):
+            monkeypatch.setattr(spaces._Index, name, counted(getattr(spaces._Index, name)))
         codomain = finite_interval_model(8)
         assert len(codomain.points) == 17
         phi = totally_lsc_map(make_rng(61), codomain)
-        monkeypatch.setattr(FiniteSpace, "is_open", counted)
         rep = classify(phi)
         assert rep.totally_lsc and rep.lower_locally_constant
-        assert 0 < len(calls) <= 3 * len(codomain.points)
+        assert 0 < len(calls) <= 2 * len(codomain.points)
 
 
 class TestClosureCover:
@@ -212,13 +217,13 @@ class TestClosureCover:
         chain = FiniteSpace(points, {p: points[i:] for i, p in enumerate(points)})
         om = random_cover(rng, domain=chain, max_indices=5)
         calls = []
-        image = SetValuedMap.image
+        image = SetValuedMap._image_mask
 
-        def counted(self, s):
-            calls.append(s)
-            return image(self, s)
+        def counted(self, m):
+            calls.append(m)
+            return image(self, m)
 
-        monkeypatch.setattr(SetValuedMap, "image", counted)
+        monkeypatch.setattr(SetValuedMap, "_image_mask", counted)
         closed = closure_cover(om)
         assert len(calls) == n
         monkeypatch.undo()

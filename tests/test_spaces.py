@@ -27,14 +27,12 @@ def reflexive_relation(draw):
 
 def oracle_transitivity_witness(points, min_open):
     """The first (x, y, z) with y in U_x and z in U_y but z not in U_x, by the
-    triple loop over the same frozensets the space builds; None when the
-    relation is transitive."""
-    points = frozenset(points)
-    opens = {p: frozenset(min_open[p]) for p in points}
-    for x in points:
-        for y in opens[x]:
-            for z in opens[y]:
-                if z not in opens[x]:
+    triple loop over each set in ``repr`` order; None when the relation is
+    transitive."""
+    for x in sorted(points, key=repr):
+        for y in sorted(min_open[x], key=repr):
+            for z in sorted(min_open[y], key=repr):
+                if z not in min_open[x]:
                     return x, y, z
     return None
 
