@@ -18,7 +18,7 @@ from .errors import InputError, PoukitError, SelfCheckFailed, TailTooLarge
 from .nerve import MAX_DIMENSION, canonical_map_check, nerve_from_cover
 from .pou import mather_compose, pou_from_incidence, subordination_check
 from .selection import epsilon_selection
-from .setmaps import classify, closure_cover, incidence_cover
+from .setmaps import _closed_value_masks, classify, incidence_cover
 from .sparse import _as_extended, mather_eta, mather_lambda, mather_support_bound
 
 EXIT_OK = 0
@@ -233,7 +233,7 @@ def cmd_verify_all(doc, args, report, mode):
         if not omega.is_discrete_codomain():
             raise InputError(f"covers[{i}] has a codomain that is not discrete")
         try:
-            closure_cover(omega)  # cross-checks the fiberwise and pointwise formulas
+            _closed_value_masks(omega)  # cross-checks the fiberwise and pointwise formulas
             report.check(f"cover[{i}]:closure-formulas", True)
         except SelfCheckFailed as exc:
             report.check(f"cover[{i}]:closure-formulas", False, str(exc))

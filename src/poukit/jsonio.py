@@ -81,7 +81,10 @@ def _point_set(items, what):
 
 
 def _point_sets(obj, what):
-    return {p: _point_set(v, f"{what}[{p!r}]") for p, v in expect(obj, what).items()}
+    try:  # the name what[key] is formatted only on the pass that raises it
+        return {p: set(expect(v, what, "points")) for p, v in expect(obj, what).items()}
+    except (InputError, TypeError):
+        return {p: _point_set(v, f"{what}[{p!r}]") for p, v in expect(obj, what).items()}
 
 
 def load_finite_space(obj, loaded=None):

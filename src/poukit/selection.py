@@ -13,6 +13,12 @@ method, a few small active-set steps instead of one projection per vertex
 subset.  The epsilon-selection pipeline turns a distance oracle plus a finite
 anchor set into a certified approximate selection: bump weights over the
 anchors, locally-finite shrinking, then a barycentric sum of the anchors.
+An anchor q farther than eps * (1 + 2**-20) from the axis box of a polytope's
+vertices gets weight 0 without running Wolfe.  On an axis where q lies below
+the box, every coordinate fl(v - q) Wolfe reads is at least fl(lo - q), as
+rounding is monotone, and above it likewise; Wolfe's point weighs these
+vertices positively, summing to 1 up to a few roundings of 2**-53 each, so
+its norm is at least the box distance up to an error the pad far exceeds.
 """
 
 import math
@@ -183,8 +189,9 @@ def dist_to_polytope(q, vertices):
     x, xx = pts[start], sq[start]
     tol = _WOLFE_TOL * max(sq)
     while True:
-        j = min(range(len(pts)), key=lambda i: _dot(x, pts[i]))
-        if xx - _dot(x, pts[j]) <= tol or j in corral:
+        dots = [_dot(x, p) for p in pts]
+        j = min(range(len(pts)), key=dots.__getitem__)
+        if xx - dots[j] <= tol or j in corral:
             break
         cand, cw = corral + [j], weights + [0.0]
         while True:
@@ -272,6 +279,20 @@ class ConvexTarget:
             raise InputError(f"distance to the {kind} at {x!r} is out of float range") from exc
 
 
+def _far_anchors(spec, anchors, eps):
+    """The ids of the anchors farther than eps * (1 + 2**-20) from the vertex
+    box of a polytope; none for other kinds, which cost no more than the box,
+    or when a number leaves the float range, which the distance reports."""
+    if spec["kind"] != "polytope":
+        return set()
+    try:
+        cols = [[float(c) for c in col] for col in zip(*spec["vertices"])]
+        lo, hi, bound = [min(c) for c in cols], [max(c) for c in cols], eps * (1 + 2**-20)
+        return {aid for aid, a in anchors.items() if dist_to_box(a, lo, hi) > bound}
+    except OverflowError:
+        return set()
+
+
 def epsilon_selection(target, eps, anchors):
     """Certified approximate selection for a convex target.
 
@@ -296,8 +317,9 @@ def epsilon_selection(target, eps, anchors):
     rows = {}
     for x in target.ground_points():
         weights = {}
+        far = _far_anchors(target.sets[x], anchor_ids, eps)
         for aid, apt in anchor_ids.items():
-            gap = eps - target.distance(x, apt)
+            gap = 0 if aid in far else eps - target.distance(x, apt)
             if gap > 0:
                 weights[aid] = gap
         if not weights:

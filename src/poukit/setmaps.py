@@ -221,6 +221,13 @@ def closure_cover(omega):
     SelfCheckFailed.  Fibers and values are masks until the result is built.
     """
     ix, iy = omega.domain._index(), omega.codomain._index()
+    values = dict(zip(ix.order, map(iy.points, _closed_value_masks(omega))))
+    return SetValuedMap(omega.domain, omega.codomain, values)
+
+
+def _closed_value_masks(omega):
+    """``closure_cover``'s value masks in domain order, after its cross-check."""
+    ix, iy = omega.domain._index(), omega.codomain._index()
     fibers = _transpose(omega._value_masks(), len(iy.order))
     closed = _transpose([ix.closure(f) for f in fibers], len(ix.order))
     for p, u, cv in zip(ix.order, ix.up, closed):
@@ -230,5 +237,4 @@ def closure_cover(omega):
                 f"closure-cover formulas disagree at {p!r}: "
                 f"{set(iy.points(acc))} vs {iy.points(cv)}"
             )
-    values = {p: iy.points(m) for p, m in zip(ix.order, closed)}
-    return SetValuedMap(omega.domain, omega.codomain, values)
+    return closed

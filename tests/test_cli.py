@@ -854,6 +854,14 @@ _FAR_FLOAT_BALLS = {
 }
 
 
+# a unit triangle with a near anchor and one at 1e200: its squared vertex
+# distances overflow, but its distance to the vertex box exceeds epsilon, so
+# it is never measured
+_TRIANGLE = {"kind": "polytope", "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+_NEAR_ANCHOR = _target(["1/4", "1/4"], **_TRIANGLE)
+_FAR_ANCHOR = {**_NEAR_ANCHOR, "anchors": [["1/4", "1/4"], ["1e200", "0"]]}
+
+
 class TestHostileInput:
     @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
     def test_exits_2_with_the_reason(self, tmp_path, capsys, case):
@@ -874,6 +882,15 @@ class TestHostileInput:
         if command == "pou-build":
             rows = json.loads(out.out)["payload"]["pou"]["rows"]
             assert rows == {"0": {"U": "1.0"}, "1": {"V": "1.0"}}
+
+    def test_a_far_anchor_whose_squares_overflow_builds(self, tmp_path, capsys):
+        payloads = []
+        for obj in (_FAR_ANCHOR, _NEAR_ANCHOR):
+            code, out = run_main(tmp_path, capsys, "select-eps", obj)
+            assert (code, out.err) == (0, "")
+            payloads.append(json.loads(out.out)["payload"])
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["selection"]["x"]["value"] == ["0.25", "0.25"]
 
 
 # 200,000 brackets exceed the JSON decoder's recursion limit in any process;

@@ -19,15 +19,18 @@ from poukit import (
     conv_membership,
     epsilon_selection,
     indexed_cover,
+    mather_compose,
+    selection,
 )
 from poukit.scalars import _fold_sum
 from poukit.selection import (
+    SelectionCertificate,
     dist_to_box,
     dist_to_point,
     dist_to_polytope,
     dist_to_segment,
 )
-from poukit.sparse import SparseVec
+from poukit.sparse import SparseVec, _normalized
 
 from generators import dirac, make_rng, random_open_cover, random_simplex_point, uniform
 
@@ -252,7 +255,7 @@ def polytope_queries(draw):
     return draw(point), draw(st.lists(point, min_size=1, max_size=9))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(polytope_queries())
 def test_polytope_distance_matches_exact_oracle(case):
     q, vertices = case
@@ -391,3 +394,103 @@ class TestEpsilonSelection:
         _, fine = epsilon_selection(target, 0.2, fine_anchors)
         for x in target.ground_points():
             assert fine[x].distance_bound < 0.2 <= 0.4
+
+
+def ref_epsilon_selection(target, eps, anchors):
+    """``epsilon_selection`` as it was written before anchors far from a
+    polytope's vertex box were culled: every anchor is measured."""
+    anchor_ids = {f"a{i}": tuple(a) for i, a in enumerate(anchors)}
+    rows = {}
+    for x in target.ground_points():
+        weights = {}
+        for aid, apt in anchor_ids.items():
+            gap = eps - target.distance(x, apt)
+            if gap > 0:
+                weights[aid] = gap
+        if not weights:
+            raise CoverGap(x)
+        rows[x], _ = _normalized(weights)
+    ground = FiniteSpace.discrete(target.ground_points())
+    gamma, _ = mather_compose(PartitionOfUnity(ground, set(anchor_ids), rows))
+    values, certs = barycentric_selection(gamma, anchor_ids)
+    for x, v in values.items():
+        certs[x] = SelectionCertificate(x, v, target.distance(x, v), certs[x].active_anchors)
+    return values, certs
+
+
+def selection_or_gap(select, target, eps, anchors):
+    try:
+        return select(target, eps, anchors)
+    except CoverGap as exc:
+        return ("gap", exc.args)
+
+
+@st.composite
+def culling_cases(draw):
+    """A polytope of 1-9 vertices in dimension 1-3 at a scale of 1e-6 to 1e6,
+    with duplicate vertices and 1e-9-thin slivers, a segment beside it, and
+    anchors around the polytope's vertex box, some at box distance
+    eps * (1 +- 2**-k) on either side of the cull's pad."""
+    dim = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    coord = st.integers(-64, 64).map(lambda n: n * scale / 16)
+    vertices = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=9))
+    if draw(st.booleans()):  # a sliver: one axis squeezed to 1e-9 of the scale
+        axis = draw(st.integers(0, dim - 1))
+        vertices = [v[:axis] + (v[axis] * 1e-9,) + v[axis + 1:] for v in vertices]
+    vertices += draw(st.lists(st.sampled_from(vertices), max_size=3))  # duplicates
+    eps = scale * draw(st.integers(1, 64)) / 16
+    cols = list(zip(*vertices))
+    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
+    anchors = [vertices[0]] if draw(st.integers(0, 7)) else []  # else a gap is likely
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(1, 52))
+        reach = eps * (1 + draw(st.sampled_from([1, -1])) * 2.0**-k)
+        sides = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=dim, max_size=dim))
+        if not any(sides):
+            sides[0] = 1
+        w = [draw(st.integers(1, 8)) if s else 0 for s in sides]
+        norm = math.hypot(*w)
+        anchors.append(tuple(
+            h + reach * wi / norm if s > 0 else l - reach * wi / norm if s < 0 else (l + h) / 2
+            for s, wi, l, h in zip(sides, w, lo, hi)
+        ))
+    anchors += draw(st.lists(st.tuples(*[coord] * dim), max_size=3))
+    target = ConvexTarget(dim, {
+        "p": {"kind": "polytope", "vertices": vertices},
+        "s": {"kind": "segment", "a": vertices[0], "b": vertices[-1]},
+    })
+    return target, eps, anchors
+
+
+class TestFarAnchorCull:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(culling_cases())
+    def test_equals_the_selection_that_measures_every_anchor(self, case):
+        target, eps, anchors = case
+        assert selection_or_gap(epsilon_selection, target, eps, anchors) == selection_or_gap(
+            ref_epsilon_selection, target, eps, anchors)
+
+    def test_far_anchors_are_never_measured(self, monkeypatch):
+        calls = []
+
+        def counted(q, vertices):
+            calls.append(q)
+            return dist_to_polytope(q, vertices)
+
+        monkeypatch.setattr(selection, "dist_to_polytope", counted)
+        target = ConvexTarget(2, {"x": {"kind": "polytope",
+                                        "vertices": [(0, 0), (1, 0), (0, 1), (1, 1)]}})
+        far = [(2 + i, -3 - i) for i in range(20)] + [(-1.5, 0.5), (0.5, 2.01)]
+        epsilon_selection(target, 1.0, [*far[:10], (0.5, 0.5), *far[10:]])
+        assert len(calls) == 1 + 1  # the near anchor and the certificate
+
+    def test_an_anchor_outside_the_float_range_is_still_reported(self):
+        target = ConvexTarget(2, {"x": {"kind": "polytope", "vertices": [(0, 0), (1, 0)]}})
+        with pytest.raises(InputError, match="polytope at 'x' is out of float range"):
+            epsilon_selection(target, 1.0, [(0, 0), (10**400, 0)])
+
+    def test_a_vertex_outside_the_float_range_is_still_reported(self):
+        target = ConvexTarget(1, {"x": {"kind": "polytope", "vertices": [(0,), (10**400,)]}})
+        with pytest.raises(InputError, match="polytope at 'x' is out of float range"):
+            epsilon_selection(target, 1.0, [(5,)])

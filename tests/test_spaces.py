@@ -265,7 +265,7 @@ def decided_inside(x, ball):
 
 
 class TestBallMembershipKernel:
-    @settings(max_examples=400, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(ball_and_point())
     def test_exact_equals_the_fraction_oracle(self, case):
         centre, r, x = case
@@ -279,7 +279,7 @@ class TestBallMembershipKernel:
             assert not decided_inside(x, Ball(centre, F(5, 7)))
             assert decided_inside(x, Ball(centre, F(5, 7) + F(1, 10**12)))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(ball_and_point())
     def test_float_mode_compares_float_squares(self, case):
         centre, r, x = case
