@@ -68,7 +68,7 @@ class Report:
             "overall": "fail" if self.failed else "pass",
             "payload": self.payload,
         }
-        return jsonio.report_text(doc) + "\n"
+        return jsonio.report_text(doc)
 
 
 def _emit(report, out):

@@ -215,20 +215,17 @@ class _Faces(list):
 
 def dump_complex(cx, max_dimension=None):
     """The vertices of ``cx`` and its simplices, up to ``max_dimension`` when
-    a bound is given.  Simplices, each in ``repr`` order, come by size, then
-    in list order of ``(type is not str, type name, name)``: total on JSON
-    names, and plain list order (the fast path) when all are strings.  Each
-    vertex name is encoded once and the simplices carry the texts, unless a
-    name is a tuple: a JSON array, whose text depends on its indentation."""
-    by = None if all(type(v) is str for v in cx.vertices) else (
-        lambda s: [(type(v) is not str, type(v).__name__, v) for v in s])
+    a bound is given, as :meth:`~poukit.nerve.SimplicialComplex.faces_by_size`
+    lists them: by size, each in ``repr`` order, then in the list order
+    ``nerve`` defines, strings first.  Each vertex name is encoded once and
+    the simplices carry the texts, unless a name is a tuple: a JSON array,
+    whose text depends on its indentation."""
     names = {v: _quote(v) if type(v) is str else json.dumps(v) for v in cx.vertices}
     simplices = _Faces()
     simplices.texts = []
-    for level in cx.faces_by_size(names.__getitem__, max_dimension):
-        order = sorted(level, key=by)
-        simplices += map(list, order)
-        simplices.texts += map(level.__getitem__, order)
+    for faces, texts in cx.faces_by_size(names.__getitem__, max_dimension):
+        simplices += map(list, faces)
+        simplices.texts += texts
     if any(isinstance(v, tuple) for v in cx.vertices):
         simplices = list(simplices)
     return {
@@ -256,38 +253,56 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def report_text(doc):
-    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for a
-    document whose object keys are strings.
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a final newline,
+    byte for byte, for a document whose object keys are strings.
 
-    ``indent`` makes ``json.dumps`` use its pure-Python encoder.  Here each
+    ``indent`` makes ``json.dumps`` use its pure-Python encoder.  Here the
+    text, final newline included, is written as chunks to one list and
+    joined once, so no container's text is copied into its parent's.  Each
     string goes through the C string encoder, and the simplices of
-    :func:`dump_complex`, the bulk of a nerve dump, are written from the
-    texts they carry, with one ``join`` per simplex and one for the list;
-    other scalars are written by ``json.dumps`` itself.
+    :func:`dump_complex`, the bulk of a nerve dump, are one chunk written
+    from the texts they carry, with one ``join`` per simplex and one for
+    the list; other scalars are written by ``json.dumps`` itself.
     """
-    return _text(doc, "\n")
+    chunks = []
+    _write(doc, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
-def _text(obj, nl):
-    """The text of ``obj``; ``nl`` is the line break and indentation of the
-    line it starts on."""
+def _write(obj, nl, put):
+    """Put the text of ``obj`` in chunks; ``nl`` is the line break and
+    indentation of the line it starts on."""
     if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, (list, tuple)):
+        put(_quote(obj))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            put("[]")
+            return
         inner = nl + "  "
         if isinstance(obj, _Faces):
             deeper = inner + "  "
             between = inner + "]," + inner + "[" + deeper
-            faces = between.join(map(("," + deeper).join, obj.texts))
-            return "[" + inner + "[" + deeper + faces + inner + "]" + nl + "]"
-        items = [_text(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(obj, dict):
+            put("[" + inner + "[" + deeper)
+            put(between.join(map(("," + deeper).join, obj.texts)))
+            put(inner + "]" + nl + "]")
+            return
+        sep, comma = "[" + inner, "," + inner
+        for x in obj:
+            put(sep)
+            _write(x, inner, put)
+            sep = comma
+        put(nl + "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            put("{}")
+            return
         inner = nl + "  "
-        items = [_quote(k) + ": " + _text(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    return json.dumps(obj)
+        sep, comma = "{" + inner, "," + inner
+        for k, v in sorted(obj.items()):
+            put(sep + _quote(k) + ": ")
+            _write(v, inner, put)
+            sep = comma
+        put(nl + "}")
+    else:
+        put(json.dumps(obj))

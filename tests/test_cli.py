@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poukit import (
     ConvexTarget,
@@ -19,7 +19,7 @@ from poukit import (
 )
 from poukit import sparse, spaces
 from poukit.cli import COMMANDS, build_parser, main
-from poukit.jsonio import dump_finite_space, load_set_valued_map, report_text
+from poukit.jsonio import _Faces, dump_finite_space, load_set_valued_map, report_text
 from poukit.nerve import CanonicalReport
 
 from generators import uniform
@@ -1051,9 +1051,20 @@ class TestMatherInvariants:
         }
 
 
+def _faces(simplices):
+    """Simplices as ``dump_complex`` writes them: a list of lists that
+    carries the JSON text of each vertex."""
+    faces = _Faces(simplices)
+    faces.texts = [tuple(map(json.dumps, s)) for s in simplices]
+    return faces
+
+
 _json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_face_lists = st.lists(
+    st.lists(st.text() | st.integers(), min_size=1, max_size=3), max_size=4
+).map(_faces)
 _report_docs = st.recursive(
-    _json_scalars,
+    _json_scalars | _face_lists,
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=4).map(tuple)
@@ -1116,9 +1127,22 @@ class TestInputEdges:
 
 
 class TestReportText:
+    """``json.dumps`` writes a ``_Faces`` value as the plain list of lists
+    it equals, so it is the oracle for the texts the faces carry."""
+
+    FACES = [["U0"], ["U1"], ["U0", "U1"], [0, "\u00e9", 'a"']]
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_report_docs)
+    @example([_faces(FACES)])
+    @example([_faces(FACES), 1, "x"])
+    @example([None, {}, _faces(FACES)])
+    @example({"a": _faces(FACES), "b": [_faces([[1]])]})
+    @example({"payload": {"complex": {"simplices": [[_faces(FACES)], ()]}}})
+    @example([_faces([]), {"faces": _faces([])}, _faces([])])
+    @example(_faces(FACES))
     def test_equals_json_dumps_with_sorted_keys_and_indent_2(self, doc):
-        assert report_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        assert report_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class TestFiles:

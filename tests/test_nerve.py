@@ -98,6 +98,36 @@ def global_sort_dump(cover, max_dimension):
 # repr order and string order differ on the quoted names
 INDEX_NAMES = ["U0", "U1", "U10", "U2", "a'", 'b"', "A", "\u00e9", "z\\", "0"]
 MIXED_NAMES = ["U0", "a'", "\u00e9", "z\\", "0", 0, 1, 10, 2, -1]
+# repr order and string order agree
+PLAIN_NAMES = [f"v{i}" for i in range(10)]
+
+
+def list_order(s):
+    """The documented dump order of a simplex whose vertices are in repr
+    order: by size, then in list order of (type is not str, type name,
+    name)."""
+    return len(s), [(type(v) is not str, type(v).__name__, v) for v in s]
+
+
+def list_sorted_closure(family, max_dimension=None):
+    """The brute-force closure, each simplex in repr order, under a single
+    global sort by ``list_order``."""
+    closure = brute_force_closure(family, max_dimension)
+    return sorted((sorted(s, key=repr) for s in closure), key=list_order)
+
+
+def equal_facets(rng, pool):
+    """Two to five random facets of one size: several facets reach every
+    level, so each level is merged and sorted."""
+    size = rng.randint(2, len(pool) - 2)
+    return [set(rng.sample(pool, size)) for _ in range(rng.randint(2, 5))]
+
+
+def one_large_facet(rng, pool):
+    """A facet of 7 or more vertices and up to four of at most 3: the
+    levels above 3 come from the large facet alone."""
+    family = [set(rng.sample(pool, rng.randint(7, len(pool))))]
+    return family + [set(rng.sample(pool, rng.randint(1, 3))) for _ in range(rng.randint(0, 4))]
 
 
 def random_named_cover(rng, pool=INDEX_NAMES):
@@ -115,7 +145,7 @@ def assert_written_as_json(dump):
     same data with the simplices as a plain list of lists."""
     doc = {"payload": {"complex": dump}}
     plain = {"payload": {"complex": {**dump, "simplices": list(map(list, dump["simplices"]))}}}
-    assert report_text(doc) == json.dumps(plain, sort_keys=True, indent=2)
+    assert report_text(doc) == json.dumps(plain, sort_keys=True, indent=2) + "\n"
 
 
 class TestComplexInvariants:
@@ -261,7 +291,7 @@ class TestNerveFromCover:
         simplices = dump_complex(nerve_from_cover(cover))["simplices"]
         text = report_text(simplices)
         assert len(simplices) == 2**14 - 1 and len(calls) <= 14
-        assert text == json.dumps(simplices, indent=2)
+        assert text == json.dumps(simplices, indent=2) + "\n"
 
     def test_membership_is_decided_on_facets(self):
         """One witness in 40 members: the nerve has 2^40 - 1 simplices, so
@@ -285,6 +315,55 @@ class TestNerveFromCover:
             for s in cx.simplices:
                 for v in s:
                     assert not (s - {v}) or (s - {v}) in cx.simplices
+
+
+class TestFaceOrder:
+    """Dumps against a global sort under the documented list order, on
+    covers with mixed names and on complexes built straight from facets
+    that take either way through ``faces_by_size``."""
+
+    @pytest.mark.parametrize("max_dimension", [0, 1, 2, 8, len(MIXED_NAMES)])
+    def test_mixed_names_match_global_sort(self, max_dimension):
+        rng = make_rng(43 + max_dimension)
+        for _ in range(60):
+            cover = random_named_cover(rng, MIXED_NAMES)
+            dump = dump_complex(nerve_from_cover(cover), max_dimension)
+            assert dump["simplices"] == list_sorted_closure(cover.values.values(), max_dimension)
+
+    @pytest.mark.parametrize("pool", [PLAIN_NAMES, INDEX_NAMES, MIXED_NAMES],
+                             ids=["plain", "index", "mixed"])
+    @pytest.mark.parametrize("family", [equal_facets, one_large_facet])
+    def test_facet_families_match_global_sort(self, family, pool):
+        """``equal_facets`` levels are merged and sorted.  The levels above
+        size 3 of ``one_large_facet`` come from one facet: as they come on
+        ``PLAIN_NAMES``, and sorted on the pools where list and ``repr``
+        order differ."""
+        rng = make_rng(47)
+        for _ in range(40):
+            members = family(rng, pool)
+            cx = SimplicialComplex(members)
+            assert cx.simplices == brute_force_closure(members) == faces(cx)
+            for d in (0, 1, 2, 3, 5, 8, None):
+                assert dump_complex(cx, d)["simplices"] == list_sorted_closure(members, d)
+                for level in cx.faces_by_size(max_dimension=d):
+                    level = list(level)
+                    assert level == sorted(level, key=list_order)
+            with pytest.raises(InputError, match="max_dimension must be at least 0"):
+                cx.faces_by_size(max_dimension=-1)
+            with pytest.raises(InputError, match="max_dimension must be at least 0"):
+                dump_complex(cx, -1)
+
+    def test_a_one_facet_level_comes_straight_from_combinations(self):
+        """Where list and ``repr`` order agree, each level above size 3 of
+        ``one_large_facet`` is the large facet's combinations as they come,
+        neither merged nor sorted."""
+        rng = make_rng(47)
+        for _ in range(40):
+            cx = SimplicialComplex(one_large_facet(rng, PLAIN_NAMES))
+            levels = list(cx.faces_by_size(str.upper))
+            assert len(levels) >= 7
+            for faces, labels in levels[3:]:
+                assert isinstance(faces, combinations) and isinstance(labels, combinations)
 
 
 class TestRealizationMembership:

@@ -111,6 +111,7 @@ simplex_points = st.integers(1, 8).flatmap(
 )
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(simplex_points)
 def test_eta_lands_on_simplex(y):
     eta = mather_eta(y)
@@ -118,6 +119,7 @@ def test_eta_lands_on_simplex(y):
     assert eta.carrier() <= y.carrier()
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(simplex_points)
 def test_survivors_strictly_exceed_half_sup(y):
     half = y.sup_norm() / 2
@@ -127,12 +129,14 @@ def test_survivors_strictly_exceed_half_sup(y):
         assert y[a] > half
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(simplex_points)
 def test_survivor_count_bound(y):
     lam = mather_lambda(y)
     assert len(lam.carrier()) * y.sup_norm() <= 2
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(simplex_points)
 def test_exact_mode_determinism(y):
     assert mather_eta(y) == mather_eta(SparseVec(dict(y.entries)))
