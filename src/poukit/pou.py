@@ -10,11 +10,13 @@ ground the rows come from closed-form bump constructions and no continuity
 check applies.
 """
 
+import math
+import sys
 import types
 
 from ._immutable import immutable
 from .errors import DiscontinuousAt, InputError, NotACover, RowNotSimplex
-from .scalars import EXACT, Mode, format_scalar
+from .scalars import EXACT, Mode
 from .sparse import (ExtendedUnitVec, SparseVec, is_unit_simplex_point,
                      mather_eta, mather_support_bound)
 from .spaces import FiniteSpace, MetricSampleSpace
@@ -82,8 +84,8 @@ def pou_from_incidence(incidence):
     ``incidence = space.incidence(balls)``, with its ``l1_lipschitz``.
 
     Bump of ball a at x is max(radius_a - d(x, center_a), 0), over the
-    members the incidence decided by the exact comparison d^2 < r^2 when
-    coordinates are rational, so carriers and stars are exact in either
+    members the incidence decided by the exact comparison d^2 < r^2 on the
+    values read, floats included, so carriers and stars are exact in either
     mode even though the bump values involve square roots.  On an exact
     line row the bumps are integers over one denominator, normalized as
     such.  Rows are checked with the default tolerance in either mode.  A
@@ -97,14 +99,21 @@ def pou_from_incidence(incidence):
             raise NotACover(x)
         rows[x], total = incidence.normalized(i)
         totals.append(total)
-    min_total = min(totals)
     # l1 Lipschitz bound for the normalized family: each bump is 1-Lipschitz
-    # in the ground metric, and the total is at least min_total on samples.
-    try:
-        lip = 2 * len(balls) / float(min_total)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise InputError(f"bump total {format_scalar(min_total)} is out of float range") from exc
+    # in the ground metric, and on samples the total is at least min(totals).
+    lip = _float_ratio_bound(2 * len(balls), min(totals))
     return PartitionOfUnity(space, set(balls), rows, l1_lipschitz=lip)
+
+
+def _float_ratio_bound(num, total):
+    """``num / float(total)`` for a positive ``total``, or, where that float
+    does not exist, a float upper bound of the quotient."""
+    try:
+        return num / float(total)  # math.inf when the quotient overflows
+    except ZeroDivisionError:  # total rounds to 0.0, so the quotient overflows
+        return math.inf
+    except OverflowError:  # total exceeds the largest float, so this bounds it
+        return math.nextafter(num / sys.float_info.max, math.inf)
 
 
 def subordination_check(pou, omega):

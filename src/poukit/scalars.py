@@ -84,8 +84,8 @@ def _fold_sum(values):
 def _over_lcm(values, kinds):
     """``(nums, d)`` with ``values[i] == nums[i] / d`` and d the lcm of the
     denominators, or None unless every value is an instance of ``kinds``
-    (each an int or a Fraction: ``as_integer_ratio`` reads it in lowest
-    terms)."""
+    (each an int, a Fraction or a finite float: ``as_integer_ratio`` reads
+    it exactly, in lowest terms)."""
     ratios = []
     for v in values:
         if not isinstance(v, kinds):

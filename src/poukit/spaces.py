@@ -16,11 +16,13 @@ take and return ``frozenset``s.
 A metric sample space is a finite list of coordinate points with the
 Euclidean metric; it is the desk-scale ground for ball covers and bump
 constructions.  Its ``incidence`` decides which balls contain each sample;
-covers and bumps all read it.  It sorts the samples once by their first
-coordinate and decides, for each ball, only the samples whose coordinate
-lies in the ball's padded interval there, so its work follows the pairs the
-cover holds.  Each sample is hashed once, and equals and hashes like its
-plain tuple.
+covers and bumps all read it.  Every coordinate and radius, float or
+rational, is read as an integer ratio, so each (sample, ball) pair is
+decided by one comparison on integers, which is exact and cannot overflow.
+The samples are sorted once by their first coordinate, and each ball
+decides only the samples whose coordinate lies in its padded interval
+there, so the work follows the pairs the cover holds.  Each sample is
+hashed once, and equals and hashes like its plain tuple.
 """
 
 import bisect
@@ -28,14 +30,15 @@ import math
 from dataclasses import field
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 from ._immutable import immutable
 from .errors import InputError, NotReflexive, NotTransitive
-from .scalars import _fold_sum, _over_lcm
+from .scalars import _over_lcm
 from .sparse import SparseVec, _normalized
 
-_RATIONAL = (int, Fraction)
+_NUMBERS = (int, float, Fraction)  # Fraction last: isinstance against it is slow for a float
 
 
 class _Sample(tuple):
@@ -241,13 +244,17 @@ def finite_interval_model(n):
 
 @immutable(eq=False)
 class Ball:
+    """An open ball; its centre and radius are ints, Fractions or finite
+    floats (InputError), and the radius is positive."""
+
     center: tuple
     radius: object
 
     def __post_init__(self):
+        object.__setattr__(self, "center", tuple(self.center))
+        _check_numbers(self.center + (self.radius,), "ball centre and radius")
         if self.radius <= 0:
             raise InputError(f"ball radius must be positive, got {self.radius}")
-        object.__setattr__(self, "center", tuple(self.center))
 
     def __repr__(self):
         return f"Ball({self.center}, {self.radius})"
@@ -255,9 +262,10 @@ class Ball:
 
 @immutable(init=False, eq=False)
 class MetricSampleSpace:
-    """Finite list of sample points with the Euclidean metric.  With rational
-    coordinates ball membership (d < r) is decided exactly, on integers, so
-    cover combinatorics stay exact even when distances are irrational.
+    """Finite list of sample points with the Euclidean metric, each
+    coordinate an int, a Fraction or a finite float (InputError).  Ball
+    membership (d < r) is decided exactly, on integers, so cover
+    combinatorics stay exact even when distances are irrational.
     :meth:`incidence` is the one place a (sample, ball) pair is decided;
     :meth:`BallIncidence.bumps` reads the bumps off its rows."""
 
@@ -274,6 +282,7 @@ class MetricSampleSpace:
             raise InputError(f"dim must be an integer, got {dim!r}")
         if any(len(p) != dim for p in samples):
             raise InputError("inconsistent sample dimension")
+        _check_numbers(chain.from_iterable(samples), "sample coordinates")
         seen = set()
         for p in samples:
             if p in seen:
@@ -282,137 +291,81 @@ class MetricSampleSpace:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "samples", samples)
 
-    def dist_sq(self, p, q):
-        return _fold_sum((a - b) ** 2 for a, b in zip(p, q))
-
-    def dist(self, p, q):
-        if self.dim == 1:
-            return abs(p[0] - q[0])  # exact on rational coordinates
-        return math.sqrt(float(self.dist_sq(p, q)))
-
     def incidence(self, balls):
         """The balls of the cover ``balls`` (index -> Ball) that contain each
         sample, as a :class:`BallIncidence`.
 
-        A ball can contain only samples whose first coordinate lies within
-        its radius of the centre's.  So the samples are sorted once by that
-        coordinate as a float, each ball bisects its interval, padded past
-        every rounding of those keys, and a sweep over the sorted samples
-        decides each sample against the balls whose interval holds it, in
-        ``balls`` order, by the same comparison as a dense pass; it keeps no
-        more than the rows.  A centre or radius past the float range, or a
-        space of dimension 0, widens the interval to every sample.  A pair
-        outside its interval is never decided, so its float square cannot
-        overflow; of the pairs that raise, the first in samples order is
-        the one reported, as in a dense pass."""
-        scaled = [(a, b, self._scaled_ball(b)) for a, b in balls.items()]
-        samples, n = self.samples, len(self.samples)
-        over = [_over_lcm(x, _RATIONAL) for x in samples]
-        keys = [_axis_key(x[0], sx) if x else 0.0 for x, sx in zip(samples, over)]
-        order = sorted(range(n), key=keys.__getitem__)
+        Each sample and each ball is cleared of denominators once, floats
+        included (a float is a dyadic rational), and :func:`_measure`
+        decides a pair on those integers.  A ball can contain only samples
+        whose first coordinate lies within its radius of the centre's.  So
+        the samples are sorted once by a float key of that coordinate, and
+        each ball, in ``balls`` order, bisects its interval, padded past
+        every rounding of those keys, and decides the samples there.  A
+        centre or radius past the float range, or a space of dimension 0,
+        widens the interval to every sample."""
+        samples, dim = self.samples, self.dim
+        over = [_over_lcm(x, _NUMBERS) for x in samples]
+        keys = [_axis_key(sx) if dim else 0.0 for sx in over]
+        order = sorted(range(len(samples)), key=keys.__getitem__)
         keys = [keys[i] for i in order]
-        enter, leave = [[] for _ in range(n)], [[] for _ in range(n)]
-        for j, (_, b, sb) in enumerate(scaled):
-            lo, hi = _window(b, sb) if self.dim else (-math.inf, math.inf)
-            p, q = bisect.bisect_left(keys, lo), bisect.bisect_right(keys, hi)
-            if p < q:
-                enter[p].append(j)
-                if q < n:
-                    leave[q].append(j)
-        rows, live, failed = [None] * n, [], None  # live: ball positions, ascending
-        for p, i in enumerate(order):
-            for j in leave[p]:
-                live.remove(j)
-            for j in enter[p]:
-                bisect.insort(live, j)
-            if failed is not None and failed[0] < i:
-                continue
-            x, sx, row = samples[i], over[i], {}
-            try:
-                for j in live:
-                    a, b, sb = scaled[j]
-                    inside, s, scale = self._measure(x, sx, b, sb)
-                    if inside:
-                        row[a] = s, scale
-            except InputError as exc:
-                failed = i, exc
-                continue
-            rows[i] = row
-        if failed is not None:
-            raise failed[1]
-        return BallIncidence(self, dict(balls), tuple(rows))
-
-    def _scaled_ball(self, ball):
-        if len(ball.center) != self.dim:
-            raise InputError(
-                f"ball centre {[str(c) for c in ball.center]} has {len(ball.center)} "
-                f"coordinates, the sample space has dimension {self.dim!r}"
-            )
-        return _over_lcm(ball.center + (ball.radius,), _RATIONAL)
-
-    def _measure(self, x, sx, ball, sb):
-        """``(d(x, centre) < radius, s, scale)``.  On a rational pair, x =
-        X / D_x and the centre and radius C / D_b and R / D_b, so d**2 =
-        s / scale**2 with s = sum((X D_b - C D_x)**2) and scale = D_x D_b,
-        and x is inside iff s < (R D_x)**2, all on integers.  Float pairs
-        compare ``dist_sq`` with r**2 and carry ``None`` twice."""
-        if sx is not None and sb is not None:
-            (xs, dx), (bs, db) = sx, sb
-            s = 0
-            for p, c in zip(xs, bs):  # bs ends with R, past the last coordinate
-                d = p * db - c * dx
-                s += d * d
-            r = bs[-1] * dx
-            return s < r * r, s, dx * db
-        try:
-            return self.dist_sq(x, ball.center) < ball.radius**2, None, None
-        except OverflowError as exc:
-            raise InputError(
-                f"squared distance from {[str(c) for c in x]} to a ball of radius "
-                f"{ball.radius} is out of float range"
-            ) from exc
-
-    def _bump(self, ball, x, s, scale):
-        """max(radius - d(x, centre), 0) from ``_measure``'s s and scale; an
-        int/int division rounds like ``float(Fraction)``.  A rational pair in
-        dimension 1 reaches it only in a row that also holds a float pair
-        (other rows take :meth:`BallIncidence._line_row`); its d = |x0 - c0|
-        is exact and its gap positive.  InputError when the distance or the
-        radius leaves the float range."""
-        r = ball.radius
-        try:
-            if scale is None or self.dim == 1:
-                gap = r - self.dist(x, ball.center)
-            else:
-                gap = r - math.sqrt(s / (scale * scale))
-        except OverflowError as exc:
-            raise InputError(
-                f"bump of a ball of radius {r} at {[str(c) for c in x]} is out of float range"
-            ) from exc
-        return gap if gap > 0 else 0.0
+        rows = [{} for _ in samples]
+        for a, b in balls.items():
+            if len(b.center) != dim:
+                raise InputError(
+                    f"ball centre {[str(c) for c in b.center]} has {len(b.center)} "
+                    f"coordinates, the sample space has dimension {dim!r}"
+                )
+            sb = _over_lcm(b.center + (b.radius,), _NUMBERS)
+            lo, hi = _window(sb) if dim else (-math.inf, math.inf)
+            for i in order[bisect.bisect_left(keys, lo):bisect.bisect_right(keys, hi)]:
+                inside, s, scale = _measure(over[i], sb)
+                if inside:
+                    rows[i][a] = s, scale
+        values = chain(*samples, *(b.center + (b.radius,) for b in balls.values()))
+        exact = not any(issubclass(kind, float) for kind in set(map(type, values)))
+        return BallIncidence(self, dict(balls), tuple(rows), exact)
 
 
-def _axis_key(v, over, i=0):
-    """A float within a rounding step of v, which is ``over[0][i] / over[1]``
-    when ``over`` is not None (int / int rounds like ``float(Fraction)``);
-    past the float range, an infinity of v's sign.  A NaN, which no ball
-    contains, sorts last, so the keys stay totally ordered."""
+def _check_numbers(values, what):
+    """InputError unless every value is an int, a Fraction or a finite float."""
+    for v in values:
+        if not isinstance(v, _NUMBERS) or isinstance(v, float) and not math.isfinite(v):
+            raise InputError(f"{what} must be ints, Fractions or finite floats, got {v!r}")
+
+
+def _measure(sx, sb):
+    """``(d(x, centre) < radius, s, scale)`` for a sample x = X / D_x and a
+    ball with centre C / D_b and radius R / D_b (their ``_over_lcm``
+    forms): d**2 = s / scale**2 with s = sum((X D_b - C D_x)**2) and scale
+    = D_x D_b, and x is inside iff s < (R D_x)**2, all on integers."""
+    (xs, dx), (bs, db) = sx, sb
+    s = 0
+    for p, c in zip(xs, bs):  # bs ends with R, past the last coordinate
+        d = p * db - c * dx
+        s += d * d
+    r = bs[-1] * dx
+    return s < r * r, s, dx * db
+
+
+def _axis_key(over, i=0):
+    """``over[0][i] / over[1]`` as a float (int / int rounds correctly), or
+    past the float range an infinity of its sign."""
+    num = over[0][i]
     try:
-        key = over[0][i] / over[1] if over else float(v)
+        return num / over[1]
     except OverflowError:
-        return math.inf if v > 0 else -math.inf
-    return key if key == key else math.inf
+        return math.inf if num > 0 else -math.inf
 
 
-def _window(ball, over):
+def _window(over):
     """``(lo, hi)``: every sample the ball can contain has its first
-    coordinate's key in [lo, hi]; ``over`` is the ball's ``_scaled_ball``.
-    A contained sample has |x0 - c0| < r: on rationals by definition, on
-    floats because rounding is monotone and the other squares are at least
-    0.  The pad, 2**-40 of |c0| + r plus 2**-1000 for subnormals, exceeds the
-    few roundings of the keys and of this sum; an infinite key widens the
+    coordinate's key in [lo, hi]; ``over`` is the ball's centre and radius
+    in ``_over_lcm`` form.  A contained sample has |x0 - c0| < r, and the
+    pad, 2**-40 of |c0| + r plus 2**-1000 for subnormals, exceeds the few
+    roundings of the keys and of this sum; an infinite key widens the
     window to everything."""
-    c, r = _axis_key(ball.center[0], over), _axis_key(ball.radius, over, -1)
+    c, r = _axis_key(over), _axis_key(over, -1)
     pad = (abs(c) + r) * 2.0**-40 + 2.0**-1000
     lo, hi = c - r - pad, c + r + pad
     return (lo, hi) if lo <= hi else (-math.inf, math.inf)  # inf - inf is NaN
@@ -422,19 +375,20 @@ def _window(ball, over):
 class BallIncidence:
     """``rows[i]`` maps each ball containing ``space.samples[i]``, in
     ``balls`` order, to ``(s, scale)``: the squared distance to its centre is
-    s / scale**2 on integers for a rational pair, else ``(None, None)``.
-    Only the pairs inside a ball's interval on the first axis were decided
-    (:meth:`MetricSampleSpace.incidence`); the rows are those of a dense
-    pass over all pairs."""
+    s / scale**2, on integers.  ``exact`` says that every sample and ball is
+    rational (no float).  Only the pairs inside a ball's interval on the
+    first axis were decided (:meth:`MetricSampleSpace.incidence`); the rows
+    are those of a dense pass over all pairs."""
 
     space: MetricSampleSpace
     balls: dict
     rows: tuple
+    exact: bool
 
     def bumps(self, i):
         """``{index: max(radius - d(x, centre), 0)}`` over the members at
         x_i: ``Fraction`` gaps from :meth:`_line_row` on an exact line row,
-        else floats (rational pairs in dimension 2 and above, float pairs)."""
+        else floats."""
         line = self._line_row(i)
         if line is None:
             return self._float_bumps(i)
@@ -457,22 +411,30 @@ class BallIncidence:
         return SparseVec._of_nonzero({a: Fraction(g, n) for a, g in gaps.items()}), Fraction(n, d)
 
     def _float_bumps(self, i):
-        x, balls, bump = self.space.samples[i], self.balls, self.space._bump
-        return {a: bump(balls[a], x, s, scale) for a, (s, scale) in self.rows[i].items()}
+        """The bumps at x_i as floats: r - |x0 - c0| in dimension 1, else r
+        - sqrt(s / scale**2), the root of the correctly rounded d**2.
+        InputError when the distance or the radius leaves the float range."""
+        x, line, bumps = self.space.samples[i], self.space.dim == 1, {}
+        for a, (s, scale) in self.rows[i].items():
+            b = self.balls[a]
+            try:
+                gap = b.radius - (abs(x[0] - b.center[0]) if line else math.sqrt(s / (scale * scale)))
+            except OverflowError as exc:
+                raise InputError(f"bump of a ball of radius {b.radius} at "
+                                 f"{[str(c) for c in x]} is out of float range") from exc
+            bumps[a] = gap if gap > 0 else 0.0
+        return bumps
 
     def _line_row(self, i):
         """``(gaps, d)`` with bump ``gaps[a] / d`` at x_i for each member a,
-        on integers, when the space has dimension 1 and every pair in the
-        row is rational; else None.  A pair's gap is R (scale / D_r) -
-        isqrt(s) over ``scale``, for the radius R / D_r in lowest terms, and
-        d is the lcm of the row's scales."""
-        if self.space.dim != 1:
+        on integers, when the space has dimension 1 and the incidence is
+        exact; else None.  A pair's gap is R (scale / D_r) - isqrt(s) over
+        ``scale``, for the radius R / D_r in lowest terms, and d is the lcm
+        of the row's scales."""
+        if self.space.dim != 1 or not self.exact:
             return None
-        row = self.rows[i]
-        scales = [scale for _, scale in row.values()]
-        if None in scales:
-            return None
-        d, balls = math.lcm(*scales), self.balls
+        row, balls = self.rows[i], self.balls
+        d = math.lcm(*[scale for _, scale in row.values()])
         gaps = {}
         for a, (s, scale) in row.items():
             r = balls[a].radius

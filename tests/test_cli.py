@@ -535,6 +535,23 @@ class TestMetricCover:
         assert code == 0, out.err
         assert 0 < len(calls) <= len(samples) * dim
 
+    def test_float_rows_in_dimension_2(self, tmp_path, capsys):
+        """The double -0.7 lies 0.99999999999999994... from the double 0.3,
+        inside U although its float square rounds to 1.0; bumps are r -
+        sqrt(d**2) for the correctly rounded d**2."""
+        cover = {
+            "space": {"samples": [["-0.7", "0.7"], ["0.3", "0.7"], ["-0.6", "0.4"]]},
+            "balls": {"U": {"center": ["0.3", "0.7"], "radius": "1"},
+                      "V": {"center": ["-0.7", "0.7"], "radius": "0.5"}},
+        }
+        code, out = run_main(tmp_path, capsys, "pou-build", cover, "--mode", "float")
+        assert (code, out.err) == (0, "")
+        assert json.loads(out.out)["payload"]["pou"]["rows"] == {
+            "0": {"U": "2.2204460492503126e-16", "V": "0.9999999999999998"},
+            "1": {"U": "1.0"},
+            "2": {"U": "0.2182863338332016", "V": "0.7817136661667984"},
+        }
+
 
 def line_cover():
     return json.loads((DATA / "line_ball_cover.json").read_text())
@@ -771,14 +788,10 @@ HOSTILE_INPUTS = {
         [],
         "not discrete",
     ),
-    "float-squares-overflow": (
-        "pou-build", _cover([[0], [1e200]], [0], 1e300), ["--mode", "float"], "float range"),
     "exact-distance-overflow": (
         "pou-build", _cover([["0", "0"], ["1e200", "0"]], ["0", "0"], "1e300"), [], "float range"),
     "exact-radius-overflow": (
         "pou-build", _cover([["0", "0"], ["1", "0"]], ["0", "0"], "1e400"), [], "float range"),
-    "bump-total-overflow": (
-        "canonical-check", {"cover": _cover([["0"], ["1"]], ["0"], str(10**400))}, [], "float range"),
     # the anchor lies on or inside the set; an overflowing projection said it was far
     "polytope-overflow": (
         "select-eps",
@@ -846,8 +859,28 @@ HOSTILE_INPUTS = {
 }
 
 
-# unit balls at 0 and 1e200: in float mode the far pairs' squares overflow,
-# but their first coordinates lie 1e200 apart, so no run decides them
+# (command, input, flags) of inputs at the float limits that build; all
+# exited 2 once, for a number no report prints
+BUILDING_INPUTS = {
+    # 1e300 squared leaves the float range; the pair's decision is on integers
+    "float-squares-overflow": (
+        "pou-build", _cover([[0], [1e200]], [0], 1e300), ["--mode", "float"]),
+    # bump totals past the float range, above and below: only the unprinted
+    # l1 Lipschitz constant reads them as a float
+    "bump-total-overflow": (
+        "canonical-check", {"cover": _cover([["0"], ["1"]], ["0"], str(10**400))}, []),
+    **{
+        f"bump-total-underflow-{command}": (command, obj, [])
+        for command, obj in [
+            ("pou-build", _cover([["0"]], ["0"], f"1/{10**400}")),
+            ("verify-all", {"metric_covers": [_cover([["0"]], ["0"], f"1/{10**400}")]}),
+        ]
+    },
+}
+
+
+# unit balls at 0 and 1e200, whose first coordinates lie 1e200 apart, so no
+# run decides the far pairs
 _FAR_FLOAT_BALLS = {
     "space": {"samples": [[0], [1e200]]},
     "balls": {"U": {"center": [0], "radius": 1}, "V": {"center": [1e200], "radius": 1}},
@@ -882,6 +915,15 @@ class TestHostileInput:
         if command == "pou-build":
             rows = json.loads(out.out)["payload"]["pou"]["rows"]
             assert rows == {"0": {"U": "1.0"}, "1": {"V": "1.0"}}
+
+    @pytest.mark.parametrize("case", sorted(BUILDING_INPUTS))
+    def test_inputs_at_the_float_limits_build(self, tmp_path, capsys, case):
+        command, obj, flags = BUILDING_INPUTS[case]
+        code, out = run_main(tmp_path, capsys, command, obj, *flags)
+        assert (code, out.err) == (0, "")
+        if case == "float-squares-overflow":
+            rows = json.loads(out.out)["payload"]["pou"]["rows"]
+            assert rows == {"0": {"U": "1.0"}, "1": {"U": "1.0"}}
 
     def test_a_far_anchor_whose_squares_overflow_builds(self, tmp_path, capsys):
         payloads = []

@@ -410,7 +410,7 @@ class TestMatherCompose:
             kind, radius = cert.neighborhood(x)
             assert kind == "metric_radius" and radius > 0
             for y in m.samples:
-                if m.dist(x, y) < radius:
+                if abs(x[0] - y[0]) < radius:  # the distance on a line
                     assert gamma.carrier_at(y) <= cert.index_bound(x)
 
 
@@ -474,3 +474,12 @@ def test_rows_and_shrunk_rows_equal_the_fraction_formulas(cover):
         if space.dim == 1:
             assert all(type(v) is F for v in gamma.rows[x].entries.values())
     assert pou.l1_lipschitz == 2 * len(balls) / float(min(totals))
+
+
+@pytest.mark.parametrize("radius", [F(10**400), F(1, 10**400), F(1, 2**1070)])
+def test_l1_lipschitz_bounds_bump_totals_past_the_float_range(radius):
+    """2 k / min_total over a total whose float is infinite, 0.0 or so small
+    that the quotient overflows: a positive float at least the exact value."""
+    space = MetricSampleSpace([(F(0),), (radius / 2,)])
+    pou = pou_from_incidence(space.incidence({"U": Ball((F(0),), radius)}))
+    assert 0 < pou.l1_lipschitz and pou.l1_lipschitz >= 2 / (radius / 2)

@@ -12,6 +12,7 @@ from poukit import (
     NotTransitive,
     finite_interval_model,
 )
+from poukit import spaces
 from poukit.errors import InputError
 
 from generators import make_rng, product_space, random_space
@@ -281,37 +282,26 @@ class TestBallMembershipKernel:
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(ball_and_point())
-    def test_float_mode_compares_float_squares(self, case):
+    def test_float_mode_equals_the_fraction_oracle_on_the_doubles(self, case):
         centre, r, x = case
         centre, r, x = tuple(map(float, centre)), float(r), tuple(map(float, x))
-        expected = sum((a - b) ** 2 for a, b in zip(x, centre)) < r**2
-        assert decided_inside(x, Ball(centre, r)) == expected
+        assert decided_inside(x, Ball(centre, r)) == oracle_inside(x, centre, r)
 
-    def test_exact_mode_calls_no_dist_sq(self, monkeypatch):
-        calls = []
-        dist_sq = MetricSampleSpace.dist_sq
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_and_radii_are_rejected(self, bad):
+        match = "must be ints, Fractions or finite floats"
+        with pytest.raises(InputError, match=f"sample coordinates {match}, got {bad}"):
+            MetricSampleSpace([(0.0, 1.0), (2.0, bad)])
+        with pytest.raises(InputError, match=f"ball centre and radius {match}, got {bad}"):
+            Ball((bad, 0.0), 1.0)
+        with pytest.raises(InputError, match=f"ball centre and radius {match}, got {bad}"):
+            Ball((0.0, 0.0), bad)
 
-        def counted(self, p, q):
-            calls.append((p, q))
-            return dist_sq(self, p, q)
-
-        monkeypatch.setattr(MetricSampleSpace, "dist_sq", counted)
-        samples = [(F(i, 7), F(-i, 5)) for i in range(6)]
-        balls = {f"U{j}": Ball((F(j, 3), F(-j, 4)), F(2, 3)) for j in range(4)}
-        MetricSampleSpace(samples).incidence(balls)
-        assert calls == []
-        floats = [tuple(map(float, x)) for x in samples]
-        balls = {a: Ball(tuple(map(float, b.center)), float(b.radius)) for a, b in balls.items()}
-        space = MetricSampleSpace(floats)
-        rows = space.incidence(balls).rows
-        # only the pairs whose first coordinates lie within the radius
-        window = [(x, b.center) for x in floats for b in balls.values()
-                  if abs(x[0] - b.center[0]) <= b.radius]
-        assert sorted(calls) == sorted(window)
-        assert len(window) < len(samples) * len(balls)
-        assert [list(row) for row in rows] == [
-            [a for a, b in balls.items() if dist_sq(space, x, b.center) < b.radius**2]
-            for x in floats]
+    def test_non_numbers_are_rejected(self):
+        with pytest.raises(InputError, match="got '1'"):
+            MetricSampleSpace([("1",)])
+        with pytest.raises(InputError, match="got None"):
+            Ball((0,), None)
 
 
 # coprime denominators near 10**12 and 2**61, where one lcm over a whole
@@ -344,6 +334,20 @@ def rational_cover(draw):
     return MetricSampleSpace(list(dict.fromkeys(samples)), dim=dim), balls
 
 
+@st.composite
+def float_cover(draw):
+    """A ``rational_cover`` read as doubles, each sample with a copy one
+    step (1 ulp) up or down, or not moved, on each coordinate, so that
+    pairs a rounding from a sphere are decided."""
+    space, balls = draw(rational_cover())
+    samples = []
+    for x in space.samples:
+        x = tuple(map(float, x))
+        samples += [x, tuple(draw(st.sampled_from(steps(v))) for v in x)]
+    balls = {a: Ball(tuple(map(float, b.center)), float(b.radius)) for a, b in balls.items()}
+    return MetricSampleSpace(list(dict.fromkeys(samples)), dim=space.dim), balls
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.lists(st.lists(VALUES, min_size=2, max_size=2).map(tuple), min_size=1, max_size=6,
                 unique=True))
@@ -356,8 +360,8 @@ def test_samples_read_as_plain_tuples(points):
 
 
 def oracle_bump(x, ball):
-    """max(radius - d(x, centre), 0) through Fraction, as the bump was
-    computed before the integer incidence."""
+    """max(radius - d(x, centre), 0): through Fraction in dimension 1, else
+    the root of the correctly rounded Fraction d**2."""
     if len(x) == 1:
         gap = F(ball.radius) - abs(F(x[0]) - F(ball.center[0]))
     else:
@@ -377,23 +381,25 @@ def assert_incidence(space, balls, inside, bump):
         assert incidence.bumps(i) == {a: bump(x, balls[a]) for a in members}
 
 
-def float_inside(space):
-    return lambda x, b: space.dist_sq(x, b.center) < b.radius**2
+def float_bump(x, ball):
+    """The bump of a float pair: r - |x0 - c0| in floats in dimension 1,
+    else as ``oracle_bump``."""
+    if len(x) == 1:
+        return max(ball.radius - abs(x[0] - ball.center[0]), 0)
+    return oracle_bump(x, ball)
 
 
-def float_bump(space):
-    def bump(x, b):
-        d = abs(x[0] - b.center[0]) if space.dim == 1 else math.sqrt(space.dist_sq(x, b.center))
-        return max(b.radius - d, 0)
-    return bump
+def exact_inside(x, ball):
+    """The Fraction oracle on the values read, floats included."""
+    return oracle_inside(x, ball.center, ball.radius)
 
 
 def assert_exact_incidence(space, balls):
-    assert_incidence(space, balls, lambda x, b: oracle_inside(x, b.center, b.radius), oracle_bump)
+    assert_incidence(space, balls, exact_inside, oracle_bump)
 
 
 def assert_float_incidence(space, balls):
-    assert_incidence(space, balls, float_inside(space), float_bump(space))
+    assert_incidence(space, balls, exact_inside, float_bump)
 
 
 def steps(v):
@@ -408,13 +414,10 @@ class TestIncidence:
         space, balls = cover
         assert_exact_incidence(space, balls)
 
-    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(rational_cover())
-    def test_float_covers_compare_float_squares(self, cover):
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(float_cover())
+    def test_float_covers_equal_the_fraction_oracle_on_the_doubles(self, cover):
         space, balls = cover
-        samples = dict.fromkeys(tuple(map(float, x)) for x in space.samples)
-        space = MetricSampleSpace(list(samples), dim=space.dim)
-        balls = {a: Ball(tuple(map(float, b.center)), float(b.radius)) for a, b in balls.items()}
         assert_float_incidence(space, balls)
 
     # (centre, radius) on the first axis, from tiny to near the float limit
@@ -457,8 +460,7 @@ class TestIncidence:
         assert_exact_incidence(space, balls)
         space = MetricSampleSpace([tuple(map(float, x)) for x in samples])
         balls = {a: Ball((float(b.center[0]),), float(b.radius)) for a, b in balls.items()}
-        if scale < 10**200:  # squares of the larger differences leave the float range
-            assert_float_incidence(space, balls)
+        assert_float_incidence(space, balls)
 
     def test_exact_coordinates_past_the_float_range(self):
         """Keys of 10**400 are infinite, and 10**-400 rounds to 0.0; both
@@ -480,11 +482,19 @@ class TestIncidence:
         space = MetricSampleSpace(samples)
         (assert_exact_incidence if exact else assert_float_incidence)(space, balls)
 
-    def test_a_nan_sample_keeps_the_others_sorted(self):
-        """No ball contains a NaN sample; sorted among the other keys it
-        would leave them out of order, and their pairs out of the windows."""
-        space = MetricSampleSpace([(3.0,), (math.nan,), (1.0,), (2.0,), (0.5,)])
-        assert_float_incidence(space, {"U": Ball((1.0,), 0.6), "V": Ball((2.9,), 0.2)})
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rational_samples_and_float_balls_mix(self, dim):
+        """An incidence is exact only when every sample and every ball is
+        rational; a mixed one has float bumps."""
+        pad = (F(0),) * (dim - 1)
+        samples = [(F(k, 3),) + pad for k in range(-4, 5)]
+        rational = {"U": Ball((F(0),) + pad, F(1)), "V": Ball((F(2, 3),) + pad, F(1, 2))}
+        floats = {a: Ball(tuple(map(float, b.center)), float(b.radius)) for a, b in rational.items()}
+        assert MetricSampleSpace(samples).incidence(rational).exact
+        for space, balls in [(MetricSampleSpace(samples), floats),
+                             (MetricSampleSpace([tuple(map(float, x)) for x in samples]), rational)]:
+            assert not space.incidence(balls).exact
+            assert_float_incidence(space, balls)
 
     @pytest.mark.parametrize("num", [F, float])
     def test_dimension_0_puts_the_one_sample_in_every_ball(self, num):
@@ -493,23 +503,29 @@ class TestIncidence:
         assert list(space.incidence(balls).rows[0]) == ["U", "V"]
         assert_incidence(space, balls, lambda x, b: True, lambda x, b: b.radius)
 
-    def test_the_first_failing_sample_in_samples_order_is_named(self):
-        """Every sample fails; the sweep meets -5.0 first and 5.0 last, a
-        dense pass fails at 0.0 first."""
-        space = MetricSampleSpace([(0.0,), (5.0,), (-5.0,)])
-        with pytest.raises(InputError, match=r"from \['0.0'\] to a ball of radius 1e\+300"):
-            space.incidence({"U": Ball((0.0,), 1.0), "V": Ball((0.0,), 1e300)})
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_float_radii_past_the_root_of_the_float_limit(self, dim):
+        """Squares of 1e300 leave the float range; the integer decision
+        does not."""
+        pad = (0.0,) * (dim - 1)
+        space = MetricSampleSpace([(x,) + pad for x in (0.0, 5.0, -5.0, 1e200, -1e300, 1e308)])
+        balls = {"U": Ball((0.0,) + pad, 1.0), "V": Ball((0.0,) + pad, 1e300),
+                 "W": Ball((1e308,) + pad, 1e308)}
+        assert [list(row) for row in space.incidence(balls).rows] == [
+            ["U", "V"], ["V", "W"], ["V"], ["V", "W"], [], ["W"]]
+        if dim == 1:
+            assert_float_incidence(space, balls)
 
     def test_a_line_cover_decides_a_few_pairs_per_sample(self, monkeypatch):
         """2,000 samples, 400 balls: at most 3 n of the 800,000 pairs."""
         calls = []
-        measure = MetricSampleSpace._measure
+        measure = spaces._measure
 
-        def counted(self, *args):
+        def counted(*args):
             calls.append(args)
-            return measure(self, *args)
+            return measure(*args)
 
-        monkeypatch.setattr(MetricSampleSpace, "_measure", counted)
+        monkeypatch.setattr(spaces, "_measure", counted)
         n, k = 2000, 400
         space = MetricSampleSpace([(F(i, n),) for i in range(n)])
         balls = {f"U{j}": Ball((F(2 * j + 1, 2 * k),), F(11, 10 * k)) for j in range(k)}
