@@ -95,7 +95,9 @@ def cmd_map_classify(doc, args, report, mode):
     rep = classify(phi)
     report.payload["classification"] = rep.to_dict()
     # classification itself never fails; only consistency of the hierarchy does
-    report.check("hierarchy-consistent", _diagram_holds(rep))
+    ok = _diagram_holds(rep)
+    witnesses = report.payload["classification"]["witnesses"]
+    report.check("hierarchy-consistent", ok, None if ok else witnesses)
 
 
 def _diagram_holds(rep):
@@ -118,7 +120,9 @@ def cmd_pou_verify(doc, args, report, mode):
 def cmd_mather(doc, args, report, mode):
     y = _as_extended(jsonio.load_sparse_vec(doc, mode), mode)
     lam, eta, (bound, radius) = mather_lambda(y), mather_eta(y), mather_support_bound(y)
-    report.check("eta-on-simplex", scalars.EXACT.is_one(eta.norm1()))
+    l1 = eta.norm1()
+    ok = scalars.EXACT.is_one(l1)
+    report.check("eta-on-simplex", ok, None if ok else {"eta_l1": scalars.format_scalar(l1)})
     report.payload["lambda"] = jsonio.dump_sparse_vec(lam)
     report.payload["eta"] = jsonio.dump_sparse_vec(eta)
     report.payload["support_bound"] = {

@@ -88,26 +88,35 @@ def _point_sets(obj, what):
 
 
 def load_finite_space(obj, loaded=None):
-    """The space ``obj`` encodes.  ``loaded``, when given, maps the
-    canonical JSON text of each space a run has loaded to that space, and a
-    space found there is not loaded again."""
-    key = None if loaded is None else _canonical(obj)
-    if key is not None and key in loaded:
-        return loaded[key]
+    """The space ``obj`` encodes.  ``loaded``, when given, is a run's memo:
+    a document equal (``==``) to one loaded before, key order aside, gets
+    that space back and is not loaded again.  The memo holds the documents
+    in buckets by their tuple of points, so a document is compared only
+    with those that list the same points.  A valid space has only string
+    points, so ``==`` cannot take a document of another space for it; one
+    too deep to compare is loaded without the memo."""
+    bucket = None if loaded is None else _memo_bucket(loaded, obj)
+    if bucket is not None:
+        try:
+            for doc, space in bucket:
+                if doc == obj:
+                    return space
+        except RecursionError:
+            bucket = None
     points, min_open = require_fields(obj, "a finite space", "points", "min_open")
     space = FiniteSpace(_point_set(points, "points"), _point_sets(min_open, "min_open"))
-    if key is not None:
-        loaded[key] = space
+    if bucket is not None:
+        bucket.append((obj, space))
     return space
 
 
-def _canonical(obj):
-    """``json.dumps(obj, sort_keys=True)``: equal texts, equal objects.
-    None when it nests too deep to encode here, as a document can that the
-    decoder read at a shallower stack depth."""
+def _memo_bucket(loaded, obj):
+    """The list of ``(document, space)`` pairs in ``loaded`` whose points
+    are those of ``obj``, or None when ``obj`` has no hashable points,
+    which loading it rejects."""
     try:
-        return json.dumps(obj, sort_keys=True)
-    except RecursionError:
+        return loaded.setdefault(tuple(obj["points"]), [])
+    except (TypeError, KeyError):
         return None
 
 

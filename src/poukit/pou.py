@@ -17,7 +17,7 @@ import types
 from ._immutable import immutable
 from .errors import DiscontinuousAt, InputError, NotACover, RowNotSimplex
 from .scalars import EXACT, Mode
-from .sparse import (ExtendedUnitVec, SparseVec, is_unit_simplex_point,
+from .sparse import (ExtendedUnitVec, SparseVec, _is_vertex, is_unit_simplex_point,
                      mather_eta, mather_support_bound)
 from .spaces import FiniteSpace, MetricSampleSpace
 
@@ -171,14 +171,18 @@ def mather_compose(pou):
     checked again, and neither is the output: each shrunk row is a unit
     simplex point whose carrier lies inside that of its input, and rows
     equal along a minimal open shrink to equal rows, so every output star is
-    clopen and inside the input star.  The certificate computes nothing
-    until it is read.
+    clopen and inside the input star.  A vertex row e_a, one entry equal to
+    1, is its own shrink (sup 1, clipped at 1/2, renormalized to 1) and is
+    taken as it is.  The certificate computes nothing until it is read.
     """
-    rows = {x: mather_eta(ExtendedUnitVec._of_checked(pou.rows[x]))
-            for x in pou.ground_points()}
+    rows = {}
+    for x in pou.ground_points():
+        r = pou.rows[x]
+        rows[x] = r if _is_vertex(r) else mather_eta(ExtendedUnitVec._of_checked(r))
     gamma = object.__new__(PartitionOfUnity)
     for name, value in (("ground", pou.ground), ("index_set", pou.index_set),
                         ("rows", types.MappingProxyType(rows)), ("mode", pou.mode),
                         ("l1_lipschitz", None)):
         object.__setattr__(gamma, name, value)
     return gamma, LocalFinitenessCertificate(pou)
+

@@ -39,6 +39,7 @@ from .scalars import _over_lcm
 from .sparse import SparseVec, _normalized
 
 _NUMBERS = (int, float, Fraction)  # Fraction last: isinstance against it is slow for a float
+_ONE = Fraction(1)
 
 
 class _Sample(tuple):
@@ -371,6 +372,16 @@ def _window(over):
     return (lo, hi) if lo <= hi else (-math.inf, math.inf)  # inf - inf is NaN
 
 
+def _root(s, scale):
+    """d = sqrt(s / scale**2), the root of the correctly rounded d**2.  Where
+    d**2 leaves the float range but d does not, the root of d**2 / 2**1024,
+    scaled back exactly by 2**512."""
+    try:
+        return math.sqrt(s / (scale * scale))
+    except OverflowError:
+        return math.ldexp(math.sqrt(s / (scale * scale << 1024)), 512)
+
+
 @immutable(eq=False)
 class BallIncidence:
     """``rows[i]`` maps each ball containing ``space.samples[i]``, in
@@ -398,27 +409,34 @@ class BallIncidence:
     def normalized(self, i):
         """``(row, total)``: the bumps at x_i over their sum, as a
         ``SparseVec``, and that sum; an exact line row is normalized on its
-        integer gaps.  InputError when every bump rounds to 0.0."""
+        integer gaps.  A sample inside one ball a gets the vertex row
+        ``{a: 1}`` (``Fraction(1)`` on an exact line row, else ``1.0``) with
+        no division, and its total is that bump.  InputError when every bump
+        rounds to 0.0."""
         line = self._line_row(i)
         if line is None:
             bumps = self._float_bumps(i)
             if not any(bumps.values()):
                 x = self.space.samples[i]
                 raise InputError(f"every bump at {[str(c) for c in x]} rounds to 0.0 in floats")
+            if len(bumps) == 1:
+                return SparseVec._of_nonzero(dict.fromkeys(bumps, 1.0)), *bumps.values()
             return _normalized(bumps)
         gaps, d = line  # positive integer gaps g_a over d: g_a / sum(g)
         n = sum(gaps.values())
+        if len(gaps) == 1:
+            return SparseVec._of_nonzero(dict.fromkeys(gaps, _ONE)), Fraction(n, d)
         return SparseVec._of_nonzero({a: Fraction(g, n) for a, g in gaps.items()}), Fraction(n, d)
 
     def _float_bumps(self, i):
         """The bumps at x_i as floats: r - |x0 - c0| in dimension 1, else r
-        - sqrt(s / scale**2), the root of the correctly rounded d**2.
-        InputError when the distance or the radius leaves the float range."""
+        - :func:`_root` (s, scale).  A member's d is below its radius, so
+        only a radius past the float range raises, as InputError."""
         x, line, bumps = self.space.samples[i], self.space.dim == 1, {}
         for a, (s, scale) in self.rows[i].items():
             b = self.balls[a]
             try:
-                gap = b.radius - (abs(x[0] - b.center[0]) if line else math.sqrt(s / (scale * scale)))
+                gap = b.radius - (abs(x[0] - b.center[0]) if line else _root(s, scale))
             except OverflowError as exc:
                 raise InputError(f"bump of a ball of radius {b.radius} at "
                                  f"{[str(c) for c in x]} is out of float range") from exc

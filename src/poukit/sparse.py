@@ -82,8 +82,11 @@ class SparseVec:
 
 def is_unit_simplex_point(v, mode=EXACT):
     """All entries strictly positive and l1 mass one, as ``mode.is_one``
-    decides it.  ``Fraction`` entries n_a / d over their lcm d are decided
-    on integers: every n_a > 0 and sum(n) == d, which is exact in any mode."""
+    decides it.  A vertex e_a, one entry equal to 1, passes as it is.
+    ``Fraction`` entries n_a / d over their lcm d are decided on integers:
+    every n_a > 0 and sum(n) == d, which is exact in any mode."""
+    if _is_vertex(v):
+        return True
     values = v.entries.values()
     over = values and _over_lcm(values, Fraction)
     if over:
@@ -92,6 +95,11 @@ def is_unit_simplex_point(v, mode=EXACT):
     if not values or any(x <= 0 for x in values):
         return False
     return mode.is_one(v.norm1())
+
+
+def _is_vertex(v):
+    """Whether ``v`` is a vertex e_a of the simplex: one entry, equal to 1."""
+    return len(v.entries) == 1 and 1 in v.entries.values()
 
 
 def as_unit_simplex_point(v, mode=EXACT):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import random
@@ -17,7 +18,7 @@ from poukit import (
     SparseVec,
     finite_interval_model,
 )
-from poukit import sparse, spaces
+from poukit import cli, sparse, spaces
 from poukit.cli import COMMANDS, build_parser, main
 from poukit.jsonio import _Faces, dump_finite_space, load_set_valued_map, report_text
 from poukit.nerve import CanonicalReport
@@ -381,6 +382,30 @@ def test_mather_decides_the_mass_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     code, out = run_main(tmp_path, capsys, "mather", {"entries": {"a": "1/2"}})
     assert code == 2 and "not a unit simplex point" in out.err
+
+
+class TestFailingChecksCarryWitnesses:
+    def test_hierarchy_consistent_names_the_classification_witnesses(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """An open graph that is not totally lsc breaks the diagram."""
+        classify = cli.classify
+        monkeypatch.setattr(cli, "classify",
+                            lambda phi: dataclasses.replace(classify(phi), open_graph=True))
+        obj = json.loads((DATA / "sierpinski_identity_map.json").read_text())
+        code, out = run_main(tmp_path, capsys, "map-classify", obj)
+        report = json.loads(out.out)
+        (check,) = report["checks"]
+        witnesses = report["payload"]["classification"]["witnesses"]
+        assert code == 1 and witnesses
+        assert check == {"name": "hierarchy-consistent", "status": "fail", "witness": witnesses}
+
+    def test_eta_on_simplex_names_the_mass_of_eta(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "mather_eta", lambda y: SparseVec({"a": F(1, 3)}))
+        code, out = run_main(tmp_path, capsys, "mather", {"entries": {"a": "1"}})
+        check = json.loads(out.out)["checks"][0]
+        assert code == 1
+        assert check == {"name": "eta-on-simplex", "status": "fail", "witness": {"eta_l1": "1/3"}}
 
 
 class TestSelfChecks:
@@ -788,8 +813,6 @@ HOSTILE_INPUTS = {
         [],
         "not discrete",
     ),
-    "exact-distance-overflow": (
-        "pou-build", _cover([["0", "0"], ["1e200", "0"]], ["0", "0"], "1e300"), [], "float range"),
     "exact-radius-overflow": (
         "pou-build", _cover([["0", "0"], ["1", "0"]], ["0", "0"], "1e400"), [], "float range"),
     # the anchor lies on or inside the set; an overflowing projection said it was far
@@ -865,6 +888,10 @@ BUILDING_INPUTS = {
     # 1e300 squared leaves the float range; the pair's decision is on integers
     "float-squares-overflow": (
         "pou-build", _cover([[0], [1e200]], [0], 1e300), ["--mode", "float"]),
+    # d = 1e200 inside a ball of radius 1e300: d**2 leaves the float range, d
+    # does not, and the bump takes the root of d**2 / 2**1024
+    "exact-distance-overflow": (
+        "pou-build", _cover([["0", "0"], ["1e200", "0"]], ["0", "0"], "1e300"), []),
     # bump totals past the float range, above and below: only the unprinted
     # l1 Lipschitz constant reads them as a float
     "bump-total-overflow": (
@@ -921,7 +948,7 @@ class TestHostileInput:
         command, obj, flags = BUILDING_INPUTS[case]
         code, out = run_main(tmp_path, capsys, command, obj, *flags)
         assert (code, out.err) == (0, "")
-        if case == "float-squares-overflow":
+        if case in ("float-squares-overflow", "exact-distance-overflow"):
             rows = json.loads(out.out)["payload"]["pou"]["rows"]
             assert rows == {"0": {"U": "1.0"}, "1": {"U": "1.0"}}
 

@@ -261,17 +261,44 @@ class TestLazyIndex:
 
 
 class TestSpaceMemo:
-    def test_a_space_is_loaded_once_per_canonical_text(self):
+    def test_equal_documents_share_one_space(self):
+        """An equal document, a copy or one with its keys in another order,
+        gets the space loaded first; another document gets its own."""
         loaded = {}
         first = jsonio.load_finite_space(json.loads(json.dumps(_ABCD)), loaded)
         min_open = dict(reversed(_ABCD["min_open"].items()))
         reordered = {"min_open": min_open, "points": _ABCD["points"]}
         assert jsonio.load_finite_space(reordered, loaded) is first
+        assert jsonio.load_finite_space(json.loads(json.dumps(_ABCD)), loaded) is first
         other = jsonio.load_finite_space(_space({"a": ["a", "b"], "b": ["b"]}), loaded)
-        assert other is not first and len(loaded) == 2
+        same_points = jsonio.load_finite_space(
+            _space({p: [p] if p != "a" else ["a", "b"] for p in "abcd"}), loaded)
+        assert len({id(first), id(other), id(same_points)}) == 3
+        assert same_points != first and jsonio.load_finite_space(_ABCD, loaded) is first
 
-    def test_a_space_nested_too_deep_to_encode_loads_without_the_memo(self):
-        deep = reduce(lambda inner, _: [inner], range(sys.getrecursionlimit()), [])
+    def test_a_space_is_validated_once(self, monkeypatch):
+        built = []
+        build = spaces._Index.__init__
+
+        def counted(self, order, min_open):
+            built.append(order)
+            build(self, order, min_open)
+
+        monkeypatch.setattr(spaces._Index, "__init__", counted)
         loaded = {}
-        space = jsonio.load_finite_space({**_space({"a": ["a"]}), "extra": deep}, loaded)
-        assert space == FiniteSpace({"a"}, {"a": {"a"}}) and loaded == {}
+        for _ in range(3):
+            jsonio.load_finite_space(json.loads(json.dumps(_ABCD)), loaded)
+        assert len(built) == 1
+
+    def test_a_space_nested_too_deep_to_compare_still_loads(self):
+        """Two equal documents, each with its own copy of a list nested
+        deeper than the recursion limit: comparing them raises
+        RecursionError, and the second is loaded without the memo."""
+        loaded = {}
+        spaces_loaded = []
+        for _ in range(2):
+            deep = reduce(lambda inner, _: [inner], range(sys.getrecursionlimit()), [])
+            doc = {**_space({"a": ["a"]}), "extra": deep}
+            spaces_loaded.append(jsonio.load_finite_space(doc, loaded))
+        assert spaces_loaded == [FiniteSpace({"a"}, {"a": {"a"}})] * 2
+        assert spaces_loaded[0] is not spaces_loaded[1]

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import operator
 import random
@@ -22,8 +23,10 @@ from poukit import (
     subordination_check,
 )
 from poukit import pou as pou_module
+from poukit.cli import main
 from poukit import sparse
 from poukit.errors import InputError, RowNotSimplex
+from poukit.scalars import FLOAT
 from poukit.spaces import BallIncidence
 from poukit.sparse import SparseVec
 
@@ -337,6 +340,16 @@ class TestMatherCompose:
         gamma, _ = mather_compose(pou)
         assert gamma.rows["x"] == dirac("a")
 
+    @pytest.mark.parametrize("one", [F(1), 1.0, 1])
+    def test_a_vertex_row_is_its_own_shrink(self, one):
+        """e_a is taken as it is, an int 1 too (the transform would write
+        1.0); a float row near 1 within the tolerance is shrunk to 1.0."""
+        g = FiniteSpace.discrete({"x", "y"})
+        rows = {"x": SparseVec({"a": one}), "y": SparseVec({"a": 1 - 1e-12})}
+        gamma, _ = mather_compose(PartitionOfUnity(g, {"a"}, rows, mode=FLOAT))
+        assert gamma.rows["x"] is rows["x"]
+        assert type(gamma.rows["y"]["a"]) is float and gamma.rows["y"]["a"] == 1
+
     def test_constant_pou_certificate(self):
         s = FiniteSpace.sierpinski()
         pou = PartitionOfUnity(s, {"0"}, {p: dirac("0") for p in s.points})
@@ -483,3 +496,69 @@ def test_l1_lipschitz_bounds_bump_totals_past_the_float_range(radius):
     space = MetricSampleSpace([(F(0),), (radius / 2,)])
     pou = pou_from_incidence(space.incidence({"U": Ball((F(0),), radius)}))
     assert 0 < pou.l1_lipschitz and pou.l1_lipschitz >= 2 / (radius / 2)
+
+
+@st.composite
+def vertex_row_covers(draw, num):
+    """1-4 balls in dimension 1, 2 or 3, their coordinates and radii of
+    type ``num``, and up to 8 samples, each inside a drawn ball; balls on a
+    coarse grid overlap now and then, so most rows are vertices."""
+    dim = draw(st.integers(1, 3))
+    balls = {
+        f"U{j}": Ball(tuple(num(draw(st.integers(-8, 8)), 2) for _ in range(dim)),
+                      num(draw(st.integers(1, 12)), 4))
+        for j in range(draw(st.integers(1, 4)))
+    }
+    samples = {}
+    for _ in range(draw(st.integers(1, 8))):
+        b = draw(st.sampled_from(list(balls.values())))
+        t = [num(draw(st.integers(-99, 99)), 100 * dim) for _ in range(dim)]
+        samples[tuple(c + b.radius * u for c, u in zip(b.center, t))] = None
+    return MetricSampleSpace(list(samples)), balls
+
+
+def _typed(row):
+    return {a: (type(v), v) for a, v in row.items()}
+
+
+@pytest.mark.parametrize("num", [F, lambda n, d: n / d], ids=["exact", "float"])
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(data=st.data())
+def test_vertex_rows_equal_the_general_path(num, data):
+    """Rows, their totals and value types, ``l1_lipschitz`` and the shrunk
+    rows equal those of ``_normalized`` and ``mather_eta`` run on every row,
+    vertex rows e_a included."""
+    space, balls = data.draw(vertex_row_covers(num))
+    incidence = space.incidence(balls)
+    pou = pou_from_incidence(incidence)
+    gamma, _ = mather_compose(pou)
+    totals = []
+    for i, x in enumerate(space.samples):
+        want, total = sparse._normalized(incidence.bumps(i))
+        row, got_total = incidence.normalized(i)
+        assert (type(got_total), got_total) == (type(total), total)
+        totals.append(total)
+        assert _typed(pou.rows[x].entries) == _typed(row.entries) == _typed(want.entries)
+        eta = sparse.mather_eta(sparse.ExtendedUnitVec._of_checked(want))
+        assert _typed(gamma.rows[x].entries) == _typed(eta.entries)
+    assert pou.l1_lipschitz == pou_module._float_ratio_bound(2 * len(balls), min(totals))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_vertex_rows_are_not_shrunk(tmp_path, capsys, monkeypatch, mode, dim):
+    """``verify-all`` on a cover whose samples each lie in one ball passes
+    without calling the shrinking transform."""
+    calls = []
+    eta = pou_module.mather_eta
+    monkeypatch.setattr(pou_module, "mather_eta", lambda y: calls.append(y) or eta(y))
+    pad = ["0"] * (dim - 1)
+    cover = {
+        "space": {"samples": [[str(k)] + pad for k in range(6)]},
+        "balls": {f"U{j}": {"center": [str(3 * j + 1)] + pad, "radius": "3/2"} for j in range(2)},
+    }
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"metric_covers": [cover]}))
+    assert main(["verify-all", str(path), "--mode", mode]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+    assert calls == []

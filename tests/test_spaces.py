@@ -361,12 +361,17 @@ def test_samples_read_as_plain_tuples(points):
 
 def oracle_bump(x, ball):
     """max(radius - d(x, centre), 0): through Fraction in dimension 1, else
-    the root of the correctly rounded Fraction d**2."""
+    the root of the correctly rounded Fraction d**2, or where that leaves
+    the float range 2**512 times the root of d**2 / 2**1024."""
     if len(x) == 1:
         gap = F(ball.radius) - abs(F(x[0]) - F(ball.center[0]))
     else:
         d_sq = sum((F(a) - F(b)) ** 2 for a, b in zip(x, ball.center))
-        gap = float(ball.radius) - math.sqrt(float(d_sq))
+        try:
+            d = math.sqrt(float(d_sq))
+        except OverflowError:
+            d = math.sqrt(float(d_sq / 2**1024)) * 2.0**512
+        gap = float(ball.radius) - d
     return max(gap, 0)
 
 
@@ -505,16 +510,17 @@ class TestIncidence:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_float_radii_past_the_root_of_the_float_limit(self, dim):
-        """Squares of 1e300 leave the float range; the integer decision
-        does not."""
+        """Squares of 1e300 leave the float range; neither the integer
+        decision nor, in dimension 2 and above, the bump's root does."""
         pad = (0.0,) * (dim - 1)
         space = MetricSampleSpace([(x,) + pad for x in (0.0, 5.0, -5.0, 1e200, -1e300, 1e308)])
         balls = {"U": Ball((0.0,) + pad, 1.0), "V": Ball((0.0,) + pad, 1e300),
                  "W": Ball((1e308,) + pad, 1e308)}
-        assert [list(row) for row in space.incidence(balls).rows] == [
+        incidence = space.incidence(balls)
+        assert [list(row) for row in incidence.rows] == [
             ["U", "V"], ["V", "W"], ["V"], ["V", "W"], [], ["W"]]
-        if dim == 1:
-            assert_float_incidence(space, balls)
+        assert_float_incidence(space, balls)
+        assert incidence.bumps(3)["V"] == 1e300 and incidence.bumps(5) == {"W": 1e308}
 
     def test_a_line_cover_decides_a_few_pairs_per_sample(self, monkeypatch):
         """2,000 samples, 400 balls: at most 3 n of the 800,000 pairs."""
