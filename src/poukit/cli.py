@@ -118,10 +118,10 @@ def cmd_pou_verify(doc, args, report, mode):
 
 
 def cmd_mather(doc, args, report, mode):
-    y = _as_extended(jsonio.load_sparse_vec(doc, mode), mode)
+    y = _as_extended(jsonio.load_sparse_vec(doc, mode))
     lam, eta, (bound, radius) = mather_lambda(y), mather_eta(y), mather_support_bound(y)
     l1 = eta.norm1()
-    ok = scalars.EXACT.is_one(l1)
+    ok = scalars.is_one(l1)
     report.check("eta-on-simplex", ok, None if ok else {"eta_l1": scalars.format_scalar(l1)})
     report.payload["lambda"] = jsonio.dump_sparse_vec(lam)
     report.payload["eta"] = jsonio.dump_sparse_vec(eta)
@@ -184,13 +184,13 @@ def cmd_select_eps(doc, args, report, mode):
     }
 
 
-def _verify_unit_vector(report, name, y, mode):
-    """The transform's invariants: eta has l1 mass one (``EXACT.is_one``,
-    not the run's ``mode``), its carrier stays inside that of ``y``, and it
-    has at most ``2 / sup`` indices.  A failed check names each broken
-    invariant with its value; a tail certificate too weak for the transform
-    fails with ``tail_sup`` and ``sup/2``."""
-    y = _as_extended(y, mode)
+def _verify_unit_vector(report, name, y):
+    """The transform's invariants: eta has l1 mass one (``scalars.is_one``),
+    its carrier stays inside that of ``y``, and it has at most ``2 / sup``
+    indices.  A failed check names each broken invariant with its value; a
+    tail certificate too weak for the transform fails with ``tail_sup`` and
+    ``sup/2``."""
+    y = _as_extended(y)
     fmt = scalars.format_scalar
     try:
         eta = mather_eta(y)
@@ -200,7 +200,7 @@ def _verify_unit_vector(report, name, y, mode):
         l1, car = eta.norm1(), eta.carrier()
         size_times_sup = len(car) * y.sup_norm()
         broken = {}
-        if not scalars.EXACT.is_one(l1):
+        if not scalars.is_one(l1):
             broken["eta_l1"] = fmt(l1)
         if not car <= y.explicit.carrier():
             broken["eta_carrier_outside"] = sorted(map(repr, car - y.explicit.carrier()))
@@ -219,7 +219,7 @@ def cmd_verify_all(doc, args, report, mode):
 
     for i, obj in _section(bundle, "unit_vectors"):
         y = jsonio.load_sparse_vec(obj, mode)
-        _verify_unit_vector(report, f"unit_vector[{i}]", y, mode)
+        _verify_unit_vector(report, f"unit_vector[{i}]", y)
 
     for i, obj in _section(bundle, "maps"):
         phi = jsonio.load_set_valued_map(obj, loaded)
@@ -343,7 +343,6 @@ def build_parser():
     parser.add_argument("input", help="JSON input file")
     parser.add_argument("--mode", choices=["exact", "float"], default="exact")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol-sum", type=float, default=scalars.EXACT.tol)
     parser.add_argument("--out", default=None, help="write the report here")
     parser.add_argument("--max-dim", type=int, default=MAX_DIMENSION)
     return parser
@@ -354,11 +353,11 @@ def main(argv=None):
     config = {
         "mode": args.mode,
         "seed": args.seed,
-        "tol_sum": args.tol_sum,
+        "tol_sum": scalars.TOL,
         "max_dim": args.max_dim,
     }
+    mode = scalars.EXACT if args.mode == "exact" else scalars.FLOAT
     try:
-        mode = scalars.Mode(exact=args.mode == "exact", tol=args.tol_sum)
         digest, doc = _load(args.input)
         report = Report(args.command, config, {args.input: digest})
         COMMANDS[args.command](doc, args, report, mode)

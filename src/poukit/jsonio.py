@@ -23,12 +23,8 @@ def load_sparse_vec(obj, mode=EXACT):
     entries = expect(expect(obj, "a unit vector").get("entries", {}), "entries")
     entries = {k: mode.parse(v) for k, v in entries.items()}
     if "tail_mass" in obj or "tail_sup" in obj:
-        return ExtendedUnitVec(
-            entries,
-            mode.parse(obj.get("tail_mass", 0)),
-            mode.parse(obj.get("tail_sup", 0)),
-            mode=mode,
-        )
+        return ExtendedUnitVec(entries, mode.parse(obj.get("tail_mass", 0)),
+                               mode.parse(obj.get("tail_sup", 0)))
     return SparseVec(entries)
 
 
@@ -73,18 +69,25 @@ def _points(obj, what, mode):
 
 
 def _point_set(items, what):
-    """A JSON list of points as a set; a string or an object is not one."""
+    """A JSON list of points as a set; a string, an object or a list with a
+    JSON true or false, which the set would merge with 1 or 0, is not one."""
     try:
-        return set(expect(items, what, "points"))
+        points = set(expect(items, what, "points"))
     except TypeError as exc:
         raise InputError(f"{what} is not a list of points: {exc}") from exc
+    if (0 in points or 1 in points) and any(type(p) is bool for p in items):
+        raise InputError(f"{what} names a JSON true or false, which is no point")
+    return points
 
 
 def _point_sets(obj, what):
-    try:  # the name what[key] is formatted only on the pass that raises it
-        return {p: set(expect(v, what, "points")) for p, v in expect(obj, what).items()}
+    try:  # the name what[key] is formatted only on the pass that checks it
+        sets = {p: set(expect(v, what, "points")) for p, v in expect(obj, what).items()}
+        if not any(0 in s or 1 in s for s in sets.values()):
+            return sets
     except (InputError, TypeError):
-        return {p: _point_set(v, f"{what}[{p!r}]") for p, v in expect(obj, what).items()}
+        pass
+    return {p: _point_set(v, f"{what}[{p!r}]") for p, v in expect(obj, what).items()}
 
 
 def load_finite_space(obj, loaded=None):
@@ -193,7 +196,7 @@ def load_pou(obj, mode=EXACT):
         if k not in points:
             raise InputError(f"no ground point keyed {k!r}")
         loaded[points[k]] = load_sparse_vec({"entries": row}, mode)
-    return PartitionOfUnity(ground, indices, loaded, mode=mode)
+    return PartitionOfUnity(ground, indices, loaded)
 
 
 def dump_pou(pou):

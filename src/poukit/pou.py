@@ -13,10 +13,10 @@ check applies.
 import math
 import sys
 import types
+from dataclasses import field
 
 from ._immutable import immutable
 from .errors import DiscontinuousAt, InputError, NotACover, RowNotSimplex
-from .scalars import EXACT, Mode
 from .sparse import (ExtendedUnitVec, SparseVec, _is_vertex, is_unit_simplex_point,
                      mather_eta, mather_support_bound)
 from .spaces import FiniteSpace, MetricSampleSpace
@@ -27,18 +27,17 @@ class PartitionOfUnity:
     """Rowwise partition of unity over a finite ground, checked when it is
     built, by ``dataclasses.replace`` too: there is a row at each ground
     point and at no other, else InputError; each row is a unit-simplex point
-    (as ``mode.is_one`` decides it) over the index set, else RowNotSimplex;
+    (as ``scalars.is_one`` decides it) over the index set, else RowNotSimplex;
     and on an Alexandrov ground rows are constant along minimal opens, else
     DiscontinuousAt.  So every star is a union of components of the
     specialization preorder, and is clopen.  ``rows`` is a read-only view of
-    a copy; ``l1_lipschitz`` is an l1 Lipschitz constant of the rows in the
-    ground metric, when one is known."""
+    a copy; ``l1_lipschitz``, keyword-only, is an l1 Lipschitz constant of
+    the rows in the ground metric, when one is known."""
 
     ground: object
     index_set: frozenset
     rows: dict
-    mode: Mode = EXACT
-    l1_lipschitz: float | None = None
+    l1_lipschitz: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         index_set, rows = frozenset(self.index_set), dict(self.rows)
@@ -50,7 +49,7 @@ class PartitionOfUnity:
             if x not in rows:
                 raise InputError(f"no row at ground point {x!r}")
             r = rows[x]
-            if not isinstance(r, SparseVec) or not is_unit_simplex_point(r, self.mode):
+            if not isinstance(r, SparseVec) or not is_unit_simplex_point(r):
                 raise RowNotSimplex(x, f"{r!r}")
             if not r.entries.keys() <= index_set:
                 raise RowNotSimplex(x, "carrier leaves the index set")
@@ -88,9 +87,9 @@ def pou_from_incidence(incidence):
     values read, floats included, so carriers and stars are exact in either
     mode even though the bump values involve square roots.  On an exact
     line row the bumps are integers over one denominator, normalized as
-    such.  Rows are checked with the default tolerance in either mode.  A
-    sample outside every ball raises NotACover; one whose bumps all round
-    to 0.0, InputError.
+    such.  Rows are checked as ``scalars.is_one`` decides it.  A sample
+    outside every ball raises NotACover; one whose bumps all round to 0.0,
+    InputError.
     """
     space, balls = incidence.space, incidence.balls
     rows, totals = {}, []
@@ -181,8 +180,7 @@ def mather_compose(pou):
         rows[x] = r if _is_vertex(r) else mather_eta(ExtendedUnitVec._of_checked(r))
     gamma = object.__new__(PartitionOfUnity)
     for name, value in (("ground", pou.ground), ("index_set", pou.index_set),
-                        ("rows", types.MappingProxyType(rows)), ("mode", pou.mode),
-                        ("l1_lipschitz", None)):
+                        ("rows", types.MappingProxyType(rows)), ("l1_lipschitz", None)):
         object.__setattr__(gamma, name, value)
     return gamma, LocalFinitenessCertificate(pou)
 

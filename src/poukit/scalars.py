@@ -3,7 +3,7 @@
 A ``Mode`` is the arithmetic context of a run, and its ``parse`` is the only
 place the choice is made.  Past parsing a value's own type says which
 arithmetic it is in: exact-mode bumps in dimension >= 2 are floats (square
-roots), so unit-mass tests and normalizations dispatch on the type.
+roots), so the unit-mass test and normalizations dispatch on the type.
 """
 
 import functools
@@ -20,17 +20,20 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")  # "1e999999999" would be 10**
 # default digit limit (4300); any other string takes Fraction's own parser
 _RATIO = re.compile(r"(-?[0-9]{1,4000})(?:/([0-9]{1,4000}))?")
 
+TOL = 1e-9  # how far from 1 the l1 mass of a float row may be
+
+
+def is_one(value):
+    """The unit-mass test: a float within ``TOL`` of 1, else exactly 1."""
+    if isinstance(value, float):
+        return abs(value - 1) <= TOL
+    return value == 1
+
 
 @immutable
 class Mode:
-    """A run's arithmetic: exact or float, and ``is_one``'s float tolerance,
-    which must be finite and at least 0 (InputError)."""
+    """A run's arithmetic: exact or float."""
     exact: bool
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 0 <= self.tol < math.inf:  # NaN fails both
-            raise InputError(f"tolerance must be finite and at least 0, got {self.tol!r}")
 
     def parse(self, text):
         """Parse ``"p/q"``, a decimal string or a number into this mode.
@@ -54,12 +57,6 @@ class Mode:
             return value if self.exact else float(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"cannot parse scalar from {text!r}: {exc}") from exc
-
-    def is_one(self, value):
-        """The unit-mass test: a float within ``tol`` of 1, else exactly 1."""
-        if isinstance(value, float):
-            return abs(value - 1) <= self.tol
-        return value == 1
 
 
 EXACT = Mode(exact=True)

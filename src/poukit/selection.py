@@ -29,7 +29,7 @@ from ._immutable import immutable
 from .errors import CoverGap, InputError, NonPositiveEpsilon, SelfCheckFailed
 from .pou import PartitionOfUnity, mather_compose
 from .scalars import _fold_sum
-from .sparse import _normalized, as_unit_simplex_point
+from .sparse import _as_extended, _normalized
 from .spaces import FiniteSpace, _first
 
 # Wolfe's optimality gap, relative to the largest squared vertex norm
@@ -40,7 +40,7 @@ def _simplex_carrier(p):
     """The carrier of ``p``, which must be a unit simplex point."""
     if not p.entries:
         raise InputError("simplex vector with empty carrier")
-    return as_unit_simplex_point(p).carrier()
+    return _as_extended(p).explicit.carrier()
 
 
 def conv_membership(omega, x, p):
@@ -225,8 +225,8 @@ class ConvexTarget:
     """Per-point convex subsets of a coordinate ambient space with distance
     oracles.  ``sets`` maps ground point -> spec dict with ``kind`` in
     {point, segment, box, polytope} and the coordinate fields ``KINDS`` names
-    for it; ``ambient_dim`` is an ``int`` (not a ``bool``), and every point
-    must have that many coordinates."""
+    for it; ``ambient_dim`` is an ``int`` (not a ``bool``), every point
+    must have that many coordinates, and a box has ``lo <= hi`` on each axis."""
 
     KINDS = {
         "point": ("p",),
@@ -258,6 +258,8 @@ class ConvexTarget:
                         f"point {p!r} of the set at {x!r} has {len(p)} "
                         f"coordinates, ambient_dim is {self.ambient_dim!r}"
                     )
+            if kind == "box" and any(lo > hi for lo, hi in zip(*points)):
+                raise InputError(f"empty box at {x!r}: lo {points[0]}, hi {points[1]}")
         object.__setattr__(self, "sets", dict(self.sets))
 
     def ground_points(self):
@@ -302,7 +304,7 @@ def epsilon_selection(target, eps, anchors):
     the target set and the value is a convex combination of active anchors,
     so its distance to the (convex) set stays below eps; a certificate that
     says otherwise raises SelfCheckFailed carrying it.  Rows are checked
-    with the default tolerance; an anchor outside the target's ambient
+    as ``scalars.is_one`` decides it; an anchor outside the target's ambient
     dimension raises InputError before the epsilon is checked.
     """
     anchors = [tuple(a) for a in anchors]

@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 from ._immutable import immutable
 from .errors import NotAUnitVector, TailTooLarge
-from .scalars import EXACT, _fold_sum, _over_lcm
+from .scalars import _fold_sum, _over_lcm, is_one
 
 
 @immutable(init=False)
@@ -80,11 +80,11 @@ class SparseVec:
         return max((abs(v) for v in self.entries.values()), default=0)
 
 
-def is_unit_simplex_point(v, mode=EXACT):
-    """All entries strictly positive and l1 mass one, as ``mode.is_one``
-    decides it.  A vertex e_a, one entry equal to 1, passes as it is.
-    ``Fraction`` entries n_a / d over their lcm d are decided on integers:
-    every n_a > 0 and sum(n) == d, which is exact in any mode."""
+def is_unit_simplex_point(v):
+    """All entries strictly positive and l1 mass one, as ``is_one`` decides
+    it.  A vertex e_a, one entry equal to 1, passes as it is.  ``Fraction``
+    entries n_a / d over their lcm d are decided on integers: every n_a > 0
+    and sum(n) == d."""
     if _is_vertex(v):
         return True
     values = v.entries.values()
@@ -94,7 +94,7 @@ def is_unit_simplex_point(v, mode=EXACT):
         return all(n > 0 for n in nums) and sum(nums) == d
     if not values or any(x <= 0 for x in values):
         return False
-    return mode.is_one(v.norm1())
+    return is_one(v.norm1())
 
 
 def _is_vertex(v):
@@ -102,30 +102,24 @@ def _is_vertex(v):
     return len(v.entries) == 1 and 1 in v.entries.values()
 
 
-def as_unit_simplex_point(v, mode=EXACT):
-    if not is_unit_simplex_point(v, mode):
-        raise NotAUnitVector(f"not a unit simplex point: {v!r}")
-    return v
-
-
 @immutable(init=False, eq=False)
 class ExtendedUnitVec:
     """Unit-mass vector given by an explicit positive finite part plus a tail
     certificate: the unlisted coordinates carry total mass ``tail_mass`` and
-    each is at most ``tail_sup``."""
+    each is at most ``tail_sup``; ``is_one`` decides the total mass."""
 
     explicit: SparseVec
     tail_mass: object
     tail_sup: object
 
-    def __init__(self, explicit, tail_mass=0, tail_sup=0, mode=EXACT):
+    def __init__(self, explicit, tail_mass=0, tail_sup=0):
         explicit = SparseVec(explicit)
         if any(x <= 0 for x in explicit.entries.values()):
             raise NotAUnitVector("explicit part must be strictly positive")
         if tail_mass < 0 or tail_sup < 0 or tail_sup > tail_mass:
             raise NotAUnitVector("need 0 <= tail_sup <= tail_mass")
         total = explicit.norm1() + tail_mass
-        if not mode.is_one(total):
+        if not is_one(total):
             raise NotAUnitVector(f"total mass {total} != 1")
         object.__setattr__(self, "explicit", explicit)
         object.__setattr__(self, "tail_mass", tail_mass)
@@ -151,10 +145,13 @@ class ExtendedUnitVec:
         return y
 
 
-def _as_extended(y, mode=EXACT):
+def _as_extended(y):
+    """``y`` as an ``ExtendedUnitVec``; NotAUnitVector if it is not one."""
     if isinstance(y, ExtendedUnitVec):
         return y
-    return ExtendedUnitVec._of_checked(as_unit_simplex_point(y, mode))
+    if not is_unit_simplex_point(y):
+        raise NotAUnitVector(f"not a unit simplex point: {y!r}")
+    return ExtendedUnitVec._of_checked(y)
 
 
 def _half_sup(y):
@@ -169,7 +166,7 @@ def _half_sup(y):
 
 def mather_lambda(y):
     """Coordinatewise ``max(y(a) - sup/2, 0)`` of an ``ExtendedUnitVec``, or
-    of a unit simplex point checked as ``EXACT.is_one`` decides it.
+    of a unit simplex point checked as ``is_one`` decides it.
 
     Only explicitly listed coordinates can survive (guaranteed by the tail
     precondition), and ties at exactly half the sup-norm are dropped.  The

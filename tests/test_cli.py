@@ -112,7 +112,14 @@ class TestContract:
     def test_reports_embed_digest_and_config(self):
         rep = report_of(run_cli("mather", str(DATA / "unit_vector.json"), "--seed", "5"))
         assert rep["config"]["seed"] == 5
+        assert rep["config"]["tol_sum"] == 1e-9
         assert len(next(iter(rep["inputs"].values()))) == 64
+
+    def test_tol_sum_is_no_flag(self):
+        """The unit-mass tolerance is ``scalars.TOL`` in every run."""
+        proc = run_cli("mather", str(DATA / "unit_vector.json"), "--tol-sum", "0.01")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --tol-sum 0.01" in proc.stderr
 
     def test_byte_identical_reports(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -284,48 +291,23 @@ class TestFiniteInput:
         assert "error" in json.loads(out.err)
 
 
-class TestTolSum:
-    POU = {
-        "ground": {"points": ["x"], "min_open": {"x": ["x"]}},
-        "indices": ["u", "v"],
-        "rows": {"x": {"u": "0.5", "v": "0.4999"}},
-    }
-
-    def test_flag_sets_the_float_row_tolerance_of_its_run(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        codes = [
-            run_main(tmp_path, capsys, "pou-verify", self.POU, "--mode", "float", *flags)[0]
-            for flags in ([], ["--tol-sum", "0.01"], [])
-        ]
-        assert codes == [2, 0, 2]
-
-    VECTOR = {"entries": {"a": "0.5", "b": "0.4999"}}
-
-    @pytest.mark.parametrize(
-        "command, obj", [("mather", VECTOR), ("verify-all", {"unit_vectors": [VECTOR]})]
-    )
-    def test_flag_sets_the_float_mass_tolerance_of_its_run(
-        self, tmp_path, capsys, command, obj
-    ):
-        codes = [
-            run_main(tmp_path, capsys, command, obj, "--mode", "float", *flags)[0]
-            for flags in ([], ["--tol-sum", "0.01"], [])
-        ]
-        assert codes == [2, 0, 2]
-
-
-def test_one_parser_per_process():
-    """Built on the first call and shared; TestTolSum pins that no flag
-    value of one call reaches the next."""
+def test_one_parser_per_process(tmp_path, capsys):
+    """Built on the first call and shared, and no flag value of one call
+    reaches the next: a default run after a ``--max-dim 0`` run reports as
+    the one before it."""
     assert build_parser() is build_parser()
+    reports = []
+    for flags in ([], ["--max-dim", "0"], []):
+        code, out = run_main(tmp_path, capsys, "nerve-build", line_cover(), *flags)
+        assert code == 0
+        reports.append(json.loads(out.out))
+    assert reports[0] == reports[2] != reports[1]
+    assert reports[2]["config"]["max_dim"] == 8 and reports[1]["config"]["max_dim"] == 0
 
 
-class TestTolSumZero:
-    """``--tol-sum`` judges only rows and vectors read from input.  Rows and
-    vectors poukit computes itself are judged with the library default, so
-    at ``--tol-sum 0`` these runs, whose computed floats miss 1 by an ulp,
-    still match the default run."""
+class TestComputedFloatsMissingOneByAnUlp:
+    """Rows and vectors poukit computes itself whose floats miss 1 by an
+    ulp are unit simplex points, as ``scalars.is_one`` decides it."""
 
     # the float rows at (1/10, 3/10) and (7/10, 6/10) do not sum to 1
     COVER = {
@@ -358,17 +340,10 @@ class TestTolSumZero:
         ("verify-all", {"unit_vectors": [VECTOR]}, FLOAT),
         ("verify-all", {"targets": [TARGET]}, EXACT),
     ])
-    def test_computed_rows_and_vectors_ignore_the_flag(
-        self, tmp_path, capsys, command, obj, flags
-    ):
-        reports = []
-        for tol in ([], ["--tol-sum", "0"]):
-            code, out = run_main(tmp_path, capsys, command, obj, *flags, *tol)
-            assert code == 0 and out.err == ""
-            reports.append(json.loads(out.out))
-        assert reports[1]["config"].pop("tol_sum") == 0
-        reports[0]["config"].pop("tol_sum")
-        assert reports[1] == reports[0]
+    def test_exits_0_with_empty_stderr(self, tmp_path, capsys, command, obj, flags):
+        code, out = run_main(tmp_path, capsys, command, obj, *flags)
+        assert (code, out.err) == (0, "")
+        assert json.loads(out.out)["overall"] == "pass"
 
 
 def test_mather_decides_the_mass_once(tmp_path, capsys, monkeypatch):
@@ -377,7 +352,7 @@ def test_mather_decides_the_mass_once(tmp_path, capsys, monkeypatch):
     calls = []
     check = sparse.is_unit_simplex_point
     monkeypatch.setattr(sparse, "is_unit_simplex_point",
-                        lambda v, mode: calls.append(v) or check(v, mode))
+                        lambda v: calls.append(v) or check(v))
     code, _ = run_main(tmp_path, capsys, "mather", {"entries": {"a": "1/2", "b": "1/2"}})
     assert code == 0 and len(calls) == 1
     code, out = run_main(tmp_path, capsys, "mather", {"entries": {"a": "1/2"}})
@@ -721,7 +696,7 @@ class TestMetricCoverWitnesses:
         def growing(pou):
             x = pou.ground_points()[0]
             rows = {**pou.rows, x: uniform(sorted(pou.index_set))}
-            return PartitionOfUnity(pou.ground, pou.index_set, rows, pou.mode), None
+            return PartitionOfUnity(pou.ground, pou.index_set, rows), None
 
         monkeypatch.setattr("poukit.cli.subordination_check", unsubordinated)
         monkeypatch.setattr("poukit.cli.canonical_map_check", not_canonical)
@@ -771,6 +746,19 @@ def _cover(samples, centre, radius):
 def _target(anchor, **spec):
     """A one-set 2-d target ``x`` with epsilon 1 and one anchor."""
     return {"target": {"ambient_dim": 2, "sets": {"x": spec}}, "epsilon": "1", "anchors": [anchor]}
+
+
+_EMPTY_BOX = {
+    "target": {"ambient_dim": 1, "sets": {"x": {"kind": "box", "lo": ["1"], "hi": ["0"]}}},
+    "epsilon": "1",
+    "anchors": [["1/2"]],
+}
+
+
+def _discrete_map(values, codomain):
+    """A map on the discrete space {x, y}."""
+    return {"domain": {"points": ["x", "y"], "min_open": {"x": ["x"], "y": ["y"]}},
+            "codomain": codomain, "values": values}
 
 
 _UNCOVERED = _cover([["0"], ["5"]], ["0"], "1")
@@ -873,12 +861,18 @@ HOSTILE_INPUTS = {
             ("verify-all", {"metric_covers": [_BUMP_ROUNDS_TO_ZERO]}),
         ]
     },
-    # inf passed the row {"a": 3, "b": 2}; nan and -1 failed valid rows
+    # a box with lo > hi passed with distance 0.5 to the empty set
     **{
-        f"tol-sum-{tol}": (
-            "pou-verify", _POU, ["--mode", "float", "--tol-sum", tol], "finite and at least 0")
-        for tol in ("nan", "inf", "-1", "1e400")
+        f"box-empty-{command}": (command, obj, [], "empty box at 'x': lo (1.0,), hi (0.0,)")
+        for command, obj in [("select-eps", _EMPTY_BOX), ("verify-all", {"targets": [_EMPTY_BOX]})]
     },
+    # JSON true == 1: the two indices below were one, and nerve-build dumped [true]
+    "value-names-true": (
+        "nerve-build", _discrete_map({"x": [1], "y": [True]}, "discrete"), [],
+        "values['y'] names a JSON true or false"),
+    "codomain-names-false": (
+        "map-classify", _discrete_map({"x": [0], "y": [0]}, [0, False]), [],
+        "codomain names a JSON true or false"),
 }
 
 

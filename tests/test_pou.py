@@ -26,7 +26,6 @@ from poukit import pou as pou_module
 from poukit.cli import main
 from poukit import sparse
 from poukit.errors import InputError, RowNotSimplex
-from poukit.scalars import FLOAT
 from poukit.spaces import BallIncidence
 from poukit.sparse import SparseVec
 
@@ -289,9 +288,9 @@ class TestMatherCompose:
         calls = []
         check = sparse.is_unit_simplex_point
 
-        def counted(v, mode):
+        def counted(v):
             calls.append(v)
-            return check(v, mode)
+            return check(v)
 
         monkeypatch.setattr(sparse, "is_unit_simplex_point", counted)
         monkeypatch.setattr(pou_module, "is_unit_simplex_point", counted)
@@ -346,7 +345,7 @@ class TestMatherCompose:
         1.0); a float row near 1 within the tolerance is shrunk to 1.0."""
         g = FiniteSpace.discrete({"x", "y"})
         rows = {"x": SparseVec({"a": one}), "y": SparseVec({"a": 1 - 1e-12})}
-        gamma, _ = mather_compose(PartitionOfUnity(g, {"a"}, rows, mode=FLOAT))
+        gamma, _ = mather_compose(PartitionOfUnity(g, {"a"}, rows))
         assert gamma.rows["x"] is rows["x"]
         assert type(gamma.rows["y"]["a"]) is float and gamma.rows["y"]["a"] == 1
 
@@ -373,7 +372,7 @@ class TestMatherCompose:
         checks = []
         check = sparse.is_unit_simplex_point
         monkeypatch.setattr(sparse, "is_unit_simplex_point",
-                            lambda v, mode: checks.append(v) or check(v, mode))
+                            lambda v: checks.append(v) or check(v))
         kind, radius = cert.neighborhood(m.samples[3])
         assert kind == "metric_radius" and radius > 0
         assert len(calls) == 1

@@ -315,6 +315,12 @@ class TestConvexTargetValidation:
         with pytest.raises(InputError):
             ConvexTarget(2, {"x": spec})
 
+    def test_an_empty_box_is_rejected_and_a_flat_one_is_not(self):
+        with pytest.raises(InputError, match=r"empty box at 'x': lo \(0, 1\), hi \(1, 0.5\)"):
+            ConvexTarget(2, {"x": {"kind": "box", "lo": (0, 1), "hi": (1, 0.5)}})
+        flat = ConvexTarget(2, {"x": {"kind": "box", "lo": (0, 1), "hi": (1, 1)}})
+        assert flat.distance("x", (0.5, 3)) == 2
+
 
 def grid(step=0.25, lo=0.0, hi=1.0, jlo=-0.25, jhi=0.25):
     xs, out = lo, []

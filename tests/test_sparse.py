@@ -13,7 +13,7 @@ from poukit import (
     mather_lambda,
     mather_support_bound,
 )
-from poukit.scalars import EXACT, FLOAT, Mode, _fold_sum
+from poukit.scalars import TOL, _fold_sum
 from poukit.sparse import is_unit_simplex_point
 
 from generators import dirac, linear_combination, uniform
@@ -234,12 +234,13 @@ class TestIntegerPathsAgainstFractions:
         assert SparseVec({f"i{n}": 0.1 for n in range(10)}).norm1() == 0.9999999999999999
 
 
-def oracle_is_unit_simplex_point(v, mode):
-    """``is_unit_simplex_point`` as positivity and ``mode.is_one`` of the
-    left-to-right l1 mass."""
+def oracle_is_unit_simplex_point(v):
+    """``is_unit_simplex_point`` as positivity and a left-to-right l1 mass
+    within ``TOL`` of 1 when it is a float, else equal to 1."""
     if not v.entries or any(x <= 0 for x in v.entries.values()):
         return False
-    return mode.is_one(oracle_norm1(v))
+    mass = oracle_norm1(v)
+    return abs(mass - 1) <= TOL if isinstance(mass, float) else mass == 1
 
 
 @st.composite
@@ -269,10 +270,9 @@ def rows(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
-@given(rows(), st.sampled_from([EXACT, FLOAT, Mode(exact=False, tol=0.0),
-                                 Mode(exact=True, tol=1e-3)]))
-def test_is_unit_simplex_point_equals_the_mass_definition(v, mode):
-    assert is_unit_simplex_point(v, mode) is oracle_is_unit_simplex_point(v, mode)
+@given(rows())
+def test_is_unit_simplex_point_equals_the_mass_definition(v):
+    assert is_unit_simplex_point(v) is oracle_is_unit_simplex_point(v)
 
 
 def test_int_dirac_and_empty_rows():
@@ -280,6 +280,14 @@ def test_int_dirac_and_empty_rows():
     assert not is_unit_simplex_point(SparseVec())
     assert not is_unit_simplex_point(SparseVec._of_nonzero({"a": F(1), "b": F(0)}))
     assert not is_unit_simplex_point(SparseVec({"a": F(3, 2), "b": F(-1, 2)}))
+
+
+def unchecked(explicit, tail_mass, tail_sup):
+    """An ``ExtendedUnitVec`` of any mass, which the transforms do not read."""
+    y = ExtendedUnitVec._of_checked(explicit)
+    object.__setattr__(y, "tail_mass", tail_mass)
+    object.__setattr__(y, "tail_sup", tail_sup)
+    return y
 
 
 def old_float_eta(y):
@@ -314,7 +322,7 @@ def test_float_eta_equals_the_scaled_lambda(entries, tail_mass, tail_quarters):
     explicit = SparseVec({f"i{n}": x for n, x in enumerate(entries)})
     if tail_mass:
         tail_sup = tail_mass * tail_quarters / 4
-        y = ExtendedUnitVec(explicit, tail_mass, tail_sup, mode=Mode(exact=False, tol=1e300))
+        y = unchecked(explicit, tail_mass, tail_sup)
     else:
         y = ExtendedUnitVec._of_checked(explicit)
     try:
