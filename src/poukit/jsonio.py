@@ -191,11 +191,16 @@ def load_pou(obj, mode=EXACT):
         points = {str(i): x for i, x in enumerate(ground.samples)}
     else:
         points = {p: p for p in ground.points}
+    index_of = {}  # an entry is keyed by its index's str, as dump_pou writes it
+    for a in sorted(indices, key=repr):
+        if index_of.setdefault(str(a), a) != a:
+            raise InputError(f"indices {index_of[str(a)]!r} and {a!r} are both keyed {str(a)!r}")
     loaded = {}
     for k, row in expect(rows, "rows").items():
         if k not in points:
             raise InputError(f"no ground point keyed {k!r}")
-        loaded[points[k]] = load_sparse_vec({"entries": row}, mode)
+        entries = {index_of.get(a, a): v for a, v in expect(row, "entries").items()}
+        loaded[points[k]] = load_sparse_vec({"entries": entries}, mode)
     return PartitionOfUnity(ground, indices, loaded)
 
 

@@ -7,10 +7,15 @@ members at a point iff its carrier is contained in that member set (the
 indices form a basis, so barycentric coordinates are unique).
 
 For coordinate ambient spaces, convex targets are points, segments, axis
-boxes, or V-polytopes with distance oracles in plain floats.  Points, segments
-and boxes project in closed form; a polytope runs Wolfe's min-norm-point
-method, a few small active-set steps instead of one projection per vertex
-subset.  The epsilon-selection pipeline turns a distance oracle plus a finite
+boxes, or V-polytopes with distance oracles in plain floats.  A target
+prepares each set's floats on the set's first measurement: a point, a
+segment's start, direction and squared length, a box's corners, a polytope's
+vertices and their axis box.  Points, segments and boxes project in closed
+form; a polytope runs Wolfe's min-norm-point method, a few small active-set
+steps instead of one projection per vertex subset, with the dot products of
+a major step taken column by column and each affine step a QR solve
+(modified Gram-Schmidt) on the corral's vertex differences.  The
+epsilon-selection pipeline turns a distance oracle plus a finite
 anchor set into a certified approximate selection: bump weights over the
 anchors, locally-finite shrinking, then a barycentric sum of the anchors.
 An anchor q farther than eps * (1 + 2**-20) from the axis box of a polytope's
@@ -22,15 +27,17 @@ its norm is at least the box distance up to an error the pad far exceeds.
 """
 
 import math
-import operator
+from dataclasses import field
 from functools import reduce
+from itertools import chain, repeat
+from operator import add, mul, neg, or_, sub
 
 from ._immutable import immutable
 from .errors import CoverGap, InputError, NonPositiveEpsilon, SelfCheckFailed
 from .pou import PartitionOfUnity, mather_compose
 from .scalars import _fold_sum
 from .sparse import _as_extended, _normalized
-from .spaces import FiniteSpace, _first
+from .spaces import FiniteSpace, _check_numbers, _first
 
 # Wolfe's optimality gap, relative to the largest squared vertex norm
 _WOLFE_TOL = 1e-12
@@ -60,7 +67,7 @@ def conv_fiber_open(omega, p):
     if car <= omega.codomain.points:
         c = omega.codomain._index().mask(car)
         vm = omega._value_masks()
-        fiber = reduce(operator.or_, (b for b, v in zip(ix.bits, vm) if v & c == c), 0)
+        fiber = reduce(or_, (b for b, v in zip(ix.bits, vm) if v & c == c), 0)
     is_open = ix.is_open(fiber)
     witness = None if is_open else _first(ix.order, fiber & ~ix.interior(fiber))
     return is_open, ix.points(fiber), witness
@@ -72,14 +79,6 @@ class SelectionCertificate:
     value: tuple
     distance_bound: object
     active_anchors: tuple
-
-
-def _vadd(p, q):
-    return tuple(a + b for a, b in zip(p, q))
-
-
-def _vscale(c, p):
-    return tuple(c * a for a in p)
 
 
 def barycentric_selection(gamma, anchors):
@@ -98,7 +97,7 @@ def barycentric_selection(gamma, anchors):
         dim = len(next(iter(anchors.values())))
         acc = (0,) * dim
         for a in row:
-            acc = _vadd(acc, _vscale(row[a], tuple(anchors[a])))
+            acc = tuple(map(add, acc, map(mul, repeat(row[a]), anchors[a])))
         values[x] = acc
         certs[x] = SelectionCertificate(
             x, acc, None, tuple(sorted(row.carrier(), key=repr))
@@ -107,63 +106,78 @@ def barycentric_selection(gamma, anchors):
 
 
 def _dot(u, v):
-    return _fold_sum(map(operator.mul, u, v))
+    return _fold_sum(map(mul, u, v))
+
+
+def _floats(p):
+    return [float(c) for c in p]
+
+
+def _segment_floats(a, b):
+    """A segment as its start a, direction d = b - a and d.d."""
+    a = _floats(a)
+    d = [float(c) - ac for c, ac in zip(b, a)]
+    return a, d, _dot(d, d)
+
+
+def _measure_segment(q, a, d, dd):
+    along = _dot(map(sub, q, a), d)
+    if not (math.isfinite(dd) and math.isfinite(along)):
+        raise OverflowError("segment projection out of float range")
+    t = 0.0 if dd == 0 else along / dd
+    t = min(1.0, max(0.0, t))
+    return math.dist(q, list(map(add, a, map(mul, repeat(t), d))))
+
+
+def _measure_box(q, lo, hi):
+    return math.hypot(*[max(l - c, 0.0, c - h) for c, l, h in zip(q, lo, hi)])
 
 
 def dist_to_point(q, p):
-    return math.dist([float(c) for c in q], [float(c) for c in p])
+    return math.dist(_floats(q), _floats(p))
 
 
 def dist_to_segment(q, a, b):
-    q = [float(c) for c in q]
-    a = [float(c) for c in a]
-    d = [float(c) - ac for c, ac in zip(b, a)]
-    denom, along = _dot(d, d), _dot([qc - ac for qc, ac in zip(q, a)], d)
-    if not (math.isfinite(denom) and math.isfinite(along)):
-        raise OverflowError("segment projection out of float range")
-    t = 0.0 if denom == 0 else along / denom
-    t = min(1.0, max(0.0, t))
-    return math.dist(q, [ac + t * dc for ac, dc in zip(a, d)])
+    return _measure_segment(_floats(q), *_segment_floats(a, b))
 
 
 def dist_to_box(q, lo, hi):
-    gaps = [
-        max(float(l) - float(c), 0.0, float(c) - float(h))
-        for c, l, h in zip(q, lo, hi)
-    ]
-    return math.hypot(*gaps)
-
-
-def _solve(a, b):
-    """Solve ``a x = b`` by Gaussian elimination with partial pivoting, in
-    place; None when a pivot vanishes."""
-    n = len(b)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-            b[r] -= f * b[col]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        x[r] = (b[r] - _dot(a[r][r + 1:], x[r + 1:])) / a[r][r]
-    return x
+    return _measure_box(_floats(q), _floats(lo), _floats(hi))
 
 
 def _affine_min_norm(pts):
     """Weights (summing to one) of the min-norm point of the affine hull of
-    ``pts``: the KKT system [[G, 1], [1, 0]] (w, mu) = (0, 1) with G the Gram
-    matrix.  None when the points are affinely dependent."""
-    k = len(pts)
-    kkt = [[_dot(p, r) for r in pts] + [1.0] for p in pts]
-    kkt.append([1.0] * k + [0.0])
-    sol = _solve(kkt, [0.0] * k + [1.0])
-    return None if sol is None else sol[:k]
+    ``pts``: t minimizes |p_0 + sum_i t_i (p_i - p_0)| by modified
+    Gram-Schmidt on the differences p_i - p_0 and back-substitution, and
+    the weights are (1 - sum t, t).  None when a difference has an exactly
+    zero norm after orthogonalization, as when the points repeat."""
+    p0 = pts[0]
+    basis, r = [], []  # orthonormal columns, and R column by column
+    for p in pts[1:]:
+        v = list(map(sub, p, p0))
+        rc = []
+        for u in basis:
+            c = _dot(u, v)
+            v = list(map(sub, v, map(mul, repeat(c), u)))
+            rc.append(c)
+        norm = math.hypot(*v)
+        if norm == 0:
+            return None
+        basis.append([a / norm for a in v])
+        rc.append(norm)
+        r.append(rc)
+    b, rhs = list(map(neg, p0)), []
+    for u in basis:
+        c = _dot(u, b)
+        b = list(map(sub, b, map(mul, repeat(c), u)))
+        rhs.append(c)
+    t = []
+    for i in range(len(r) - 1, -1, -1):
+        s = rhs[i]
+        for rc, tj in zip(r[i + 1:], t):
+            s -= rc[i] * tj
+        t.insert(0, s / r[i][i])
+    return [1 - _fold_sum(t), *t]
 
 
 def dist_to_polytope(q, vertices):
@@ -173,25 +187,37 @@ def dist_to_polytope(q, vertices):
     The vertices are translated by -q and a corral of affinely independent
     vertices with barycentric weights is kept, starting from the nearest
     vertex.  Each major step adds the vertex most opposed to the current point
-    x; minor steps move x toward the affine min-norm point of the corral and
-    drop vertices whose weights reach zero.  It stops when
+    x, its dot products taken column by column; minor steps move x toward the
+    affine min-norm point of the corral (:func:`_affine_min_norm`) and drop
+    vertices whose weights reach zero.  It stops when
     x.x - min_j x.p_j <= tol * max|p|^2, when x stops shrinking, or when the
     corral turns affinely dependent in floats.  x is always a convex
     combination of vertices, so the result never underestimates the distance
     beyond rounding.
     """
-    pts = [[float(c) - float(qc) for c, qc in zip(v, q)] for v in vertices]
-    sq = [_dot(p, p) for p in pts]
-    if not math.isfinite(max(sq)):  # it bounds every dot product below
+    cols = [list(map(sub, map(float, col), repeat(float(qc))))
+            for col, qc in zip(zip(*vertices), q)]
+    m, dim = len(vertices), len(cols)
+    pts = list(zip(*cols)) if cols else [()] * m
+    sq = repeat(0, m)
+    for col in cols:
+        sq = map(add, sq, map(mul, col, col))
+    sq = list(sq)
+    top = max(sq)
+    if not math.isfinite(top):  # it bounds every dot product below
         raise OverflowError("squared vertex distance out of float range")
-    start = min(range(len(pts)), key=sq.__getitem__)
+    start = sq.index(min(sq))
     corral, weights = [start], [1.0]
     x, xx = pts[start], sq[start]
-    tol = _WOLFE_TOL * max(sq)
+    tol = _WOLFE_TOL * top
     while True:
-        dots = [_dot(x, p) for p in pts]
-        j = min(range(len(pts)), key=dots.__getitem__)
-        if xx - dots[j] <= tol or j in corral:
+        dots = repeat(0, m)
+        for xd, col in zip(x, cols):
+            dots = map(add, dots, map(mul, repeat(xd), col))
+        dots = list(dots)
+        low = min(dots)
+        j = dots.index(low)
+        if xx - low <= tol or j in corral:
             break
         cand, cw = corral + [j], weights + [0.0]
         while True:
@@ -212,12 +238,40 @@ def dist_to_polytope(q, vertices):
             cand, cw = [cand[k] for k in keep], [cw[k] for k in keep]
         if alpha is None:
             break
-        y = [_dot(cw, [pts[i][d] for i in cand]) for d in range(len(x))]
+        y = repeat(0, dim)  # sum_k cw_k p_k, each coordinate folded as _dot does
+        for w, i in zip(cw, cand):
+            y = map(add, y, map(mul, repeat(w), pts[i]))
+        y = list(y)
         yy = _dot(y, y)
         if yy >= xx:
             break
         corral, weights, x, xx = cand, cw, y, yy
     return math.hypot(*x)
+
+
+def _prepare(spec):
+    """The floats the set ``spec`` is measured with, the arguments of its
+    measure after the query: a polytope's vertices and their axis box;
+    OverflowError when a number leaves the float range."""
+    kind = spec["kind"]
+    if kind == "point":
+        return (_floats(spec["p"]),)
+    if kind == "segment":
+        return _segment_floats(spec["a"], spec["b"])
+    if kind == "box":
+        return _floats(spec["lo"]), _floats(spec["hi"])
+    vertices = [tuple(map(float, v)) for v in spec["vertices"]]
+    cols = list(zip(*vertices))
+    return vertices, list(map(min, cols)), list(map(max, cols))
+
+
+_MEASURES = {
+    "point": math.dist,
+    "segment": _measure_segment,
+    "box": _measure_box,
+    # the module attribute, looked up at each call
+    "polytope": lambda q, vertices, lo, hi: dist_to_polytope(q, vertices),
+}
 
 
 @immutable(eq=False)
@@ -226,7 +280,10 @@ class ConvexTarget:
     oracles.  ``sets`` maps ground point -> spec dict with ``kind`` in
     {point, segment, box, polytope} and the coordinate fields ``KINDS`` names
     for it; ``ambient_dim`` is an ``int`` (not a ``bool``), every point
-    must have that many coordinates, and a box has ``lo <= hi`` on each axis."""
+    must have that many coordinates, each an int, a Fraction or a finite
+    float, and a box has ``lo <= hi`` on each axis.  A set's floats are
+    prepared on its first measurement, not here, so a number past the float
+    range is reported by the measurement."""
 
     KINDS = {
         "point": ("p",),
@@ -237,6 +294,7 @@ class ConvexTarget:
 
     ambient_dim: int
     sets: dict
+    _prep: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.ambient_dim, bool) or not isinstance(self.ambient_dim, int):
@@ -258,6 +316,7 @@ class ConvexTarget:
                         f"point {p!r} of the set at {x!r} has {len(p)} "
                         f"coordinates, ambient_dim is {self.ambient_dim!r}"
                     )
+            _check_numbers(chain.from_iterable(points), f"coordinates of the set at {x!r}")
             if kind == "box" and any(lo > hi for lo, hi in zip(*points)):
                 raise InputError(f"empty box at {x!r}: lo {points[0]}, hi {points[1]}")
         object.__setattr__(self, "sets", dict(self.sets))
@@ -265,32 +324,34 @@ class ConvexTarget:
     def ground_points(self):
         return list(self.sets)
 
+    def _prepared(self, x):
+        """The prepared floats of the set at ``x``, taken on the first call;
+        OverflowError on every call when a number leaves the float range."""
+        args = self._prep.get(x)
+        if args is None:
+            args = self._prep[x] = _prepare(self.sets[x])
+        return args
+
     def distance(self, x, q):
         """d(q, set at x); InputError when it leaves the float range."""
-        spec = self.sets[x]
-        kind = spec["kind"]
+        kind = self.sets[x]["kind"]
         try:
-            if kind == "point":
-                return dist_to_point(q, spec["p"])
-            if kind == "segment":
-                return dist_to_segment(q, spec["a"], spec["b"])
-            if kind == "box":
-                return dist_to_box(q, spec["lo"], spec["hi"])
-            return dist_to_polytope(q, spec["vertices"])
+            return _MEASURES[kind](_floats(q), *self._prepared(x))
         except OverflowError as exc:
             raise InputError(f"distance to the {kind} at {x!r} is out of float range") from exc
 
 
-def _far_anchors(spec, anchors, eps):
+def _far_anchors(target, x, anchors, eps):
     """The ids of the anchors farther than eps * (1 + 2**-20) from the vertex
-    box of a polytope; none for other kinds, which cost no more than the box,
-    or when a number leaves the float range, which the distance reports."""
-    if spec["kind"] != "polytope":
+    box of the polytope at ``x``; none for other kinds, which cost no more
+    than the box, or when a number leaves the float range, which the
+    distance reports."""
+    if target.sets[x]["kind"] != "polytope":
         return set()
     try:
-        cols = [[float(c) for c in col] for col in zip(*spec["vertices"])]
-        lo, hi, bound = [min(c) for c in cols], [max(c) for c in cols], eps * (1 + 2**-20)
-        return {aid for aid, a in anchors.items() if dist_to_box(a, lo, hi) > bound}
+        _, lo, hi = target._prepared(x)
+        bound = eps * (1 + 2**-20)
+        return {aid for aid, a in anchors.items() if _measure_box(_floats(a), lo, hi) > bound}
     except OverflowError:
         return set()
 
@@ -312,6 +373,8 @@ def epsilon_selection(target, eps, anchors):
         if len(a) != target.ambient_dim:
             raise InputError(f"anchor {list(a)!r} has {len(a)} coordinates, "
                              f"ambient_dim is {target.ambient_dim!r}")
+    _check_numbers(chain.from_iterable(anchors), "anchor coordinates")
+    _check_numbers((eps,), "epsilon")
     if eps <= 0:
         raise NonPositiveEpsilon(eps)
     anchor_ids = {f"a{i}": a for i, a in enumerate(anchors)}
@@ -319,7 +382,7 @@ def epsilon_selection(target, eps, anchors):
     rows = {}
     for x in target.ground_points():
         weights = {}
-        far = _far_anchors(target.sets[x], anchor_ids, eps)
+        far = _far_anchors(target, x, anchor_ids, eps)
         for aid, apt in anchor_ids.items():
             gap = 0 if aid in far else eps - target.distance(x, apt)
             if gap > 0:

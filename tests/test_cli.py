@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from poukit import (
     ConvexTarget,
+    FiniteSpace,
     MetricSampleSpace,
     PartitionOfUnity,
     PropertyReport,
@@ -18,7 +19,7 @@ from poukit import (
     SparseVec,
     finite_interval_model,
 )
-from poukit import cli, sparse, spaces
+from poukit import cli, jsonio, sparse, spaces
 from poukit.cli import COMMANDS, build_parser, main
 from poukit.jsonio import _Faces, dump_finite_space, load_set_valued_map, report_text
 from poukit.nerve import CanonicalReport
@@ -64,6 +65,28 @@ class TestCommands:
         pou_file.write_text(json.dumps(built["payload"]["pou"]))
         proc = run_cli("pou-verify", str(pou_file))
         assert proc.returncode == 0
+
+    def test_pou_round_trip_over_integer_indices(self):
+        pou = PartitionOfUnity(FiniteSpace.discrete({"x", "y", "z"}), {1, 2, "b"}, {
+            "x": SparseVec({1: F(1, 3), 2: F(2, 3)}), "y": SparseVec({"b": F(1)}),
+            "z": SparseVec({2: F(1, 2), "b": F(1, 2)})})
+        back = jsonio.load_pou(json.loads(json.dumps(jsonio.dump_pou(pou))))
+        assert back.index_set == {1, 2, "b"} and back.rows == pou.rows
+
+    @pytest.mark.parametrize("indices, error", [
+        ([1, 2], None),
+        (["1", "2"], "cover and partition use different index sets"),
+        ([1, "1", 2], "indices '1' and 1 are both keyed '1'"),
+    ])
+    def test_canonical_check_over_integer_indices(self, tmp_path, capsys, indices, error):
+        space = {"points": ["x", "y"], "min_open": {"x": ["x"], "y": ["y"]}}
+        doc = {
+            "cover": {"domain": space, "codomain": [1, 2], "values": {"x": [1], "y": [1, 2]}},
+            "pou": {"ground": space, "indices": indices,
+                    "rows": {"x": {"1": "1"}, "y": {"1": "1/2", "2": "1/2"}}},
+        }
+        code, out = run_main(tmp_path, capsys, "canonical-check", doc)
+        assert (code, error and json.loads(out.err)["error"]) == (2 if error else 0, error)
 
     def test_mather(self):
         proc = run_cli("mather", str(DATA / "unit_vector.json"))

@@ -1,12 +1,16 @@
 """Every property test is derandomized, so each run draws the same examples.
 Two rules, read from the syntax trees of the test files: a ``settings(...)``
 decorator sets ``derandomize=True``, and a ``@given`` test carries such a
-decorator or ``@derandomized(...)``."""
+decorator or ``@derandomized(...)``.  The same examples are drawn only under
+the same hypothesis release, so the ``test`` extra pins the versions the CI
+workflow installs."""
 
 import ast
 import pathlib
+import re
 
 TESTS = pathlib.Path(__file__).resolve().parent
+ROOT = TESTS.parent
 
 
 def decorator_calls():
@@ -40,3 +44,12 @@ def test_every_given_test_is_derandomized():
     bad = [where for where, calls in decorator_calls()
            if "given" in map(name, calls) and not any(map(derandomizes, calls))]
     assert bad == []
+
+
+def test_the_test_extra_pins_what_ci_installs():
+    extra = re.search(r"^test = (\[.*?\])$", (ROOT / "pyproject.toml").read_text(), re.M)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    installs = [line.split() for line in re.findall(r"pip install (.*)", workflow)]
+    ci = next(pins for pins in installs if any(p.startswith("pytest") for p in pins))
+    assert sorted(ast.literal_eval(extra[1])) == sorted(ci)
+    assert all("==" in pin for pin in ci)

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poukit import (
     ConvexTarget,
@@ -262,6 +262,65 @@ def test_polytope_distance_matches_exact_oracle(case):
     assert_matches_oracle(q, vertices)
 
 
+@st.composite
+def scaled_polytope_queries(draw):
+    """A query and 1-8 vertices in dimension 1-3 at a scale of 1e-6 to 1e6,
+    with 1e-9-thin slivers and duplicate vertices."""
+    dim = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    point = st.tuples(*[st.integers(-64, 64).map(lambda n: n * scale / 16)] * dim)
+    q, vertices = draw(point), draw(st.lists(point, min_size=1, max_size=8))
+    if draw(st.booleans()):  # a sliver: one axis squeezed to 1e-9 of the scale
+        axis = draw(st.integers(0, dim - 1))
+        vertices = [v[:axis] + (v[axis] * 1e-9,) + v[axis + 1:] for v in vertices]
+    return q, vertices + draw(st.lists(st.sampled_from(vertices), max_size=3))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(scaled_polytope_queries())
+# a sliver that stops at a point that no longer shrinks, 6e-9 past the hull
+@example(((-1.1875, -1.8125), [(-0.375, 3.4375e-9), (-1.1875, 3.5625e-9),
+                               (-1.5625, -3.125e-9), (2.0, 3.0625e-9), (-3.0625, -3.9375e-9)]))
+def test_polytope_distance_stays_within_its_bounds_of_the_exact_distance(case):
+    """Never below the exact distance by more than 2**-50 * ref, which the
+    far-anchor cull's pad covers, and never above it by more than
+    1e-8 * ref, with ref the largest absolute coordinate."""
+    q, vertices = case
+    d, exact_sq = F(dist_to_polytope(q, vertices)), exact_sq_dist_to_polytope(q, vertices)
+    ref = F(max(abs(c) for p in [q, *vertices] for c in p))
+    assert (d + ref / 2**50) ** 2 >= exact_sq
+    assert d - ref / 10**8 <= 0 or (d - ref / 10**8) ** 2 <= exact_sq
+
+
+class TestAffineMinNorm:
+    @pytest.mark.parametrize("pts", [
+        [(3.0, 1.0)],
+        [(3.0, 1.0), (1.0, 4.0)],
+        [(1.0, 2.0, 3.0), (-2.0, 1.0, 0.5), (0.5, -1.0, 2.0)],
+        [(1.0, 2.0, 3.0), (-2.0, 1.0, 0.5), (0.5, -1.0, 2.0), (4.0, 4.0, -3.0)],
+        [(1e-6, 2e-6), (3e-6, -1e-6)],
+        [(5e5, -1.0), (5e5, 1.0)],
+    ])
+    def test_weights_sum_to_one_and_give_the_min_norm_point(self, pts):
+        w = selection._affine_min_norm(pts)
+        exact = _exact_affine_weights([tuple(map(F, p)) for p in pts])
+        assert _fold_sum(w) == pytest.approx(1, abs=1e-15)
+        assert w == pytest.approx([float(e) for e in exact], rel=1e-12, abs=1e-12)
+        scale = max(abs(c) for p in pts for c in p)
+        for d in range(len(pts[0])):
+            x = sum(e * F(p[d]) for e, p in zip(exact, pts))
+            assert _fold_sum(wi * p[d] for wi, p in zip(w, pts)) == pytest.approx(
+                float(x), abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("pts", [
+        [(1.0, 2.0), (1.0, 2.0)],
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)],
+        [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (2.0, 0.0, 1.0)],
+    ])
+    def test_a_repeated_or_collinear_point_gives_none(self, pts):
+        assert selection._affine_min_norm(pts) is None
+
+
 class TestPolytopeDegenerate:
     def test_duplicate_vertices(self):
         verts = [(0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (0, 1)]
@@ -380,6 +439,22 @@ class TestEpsilonSelection:
         for eps in (0.5, 0.0):
             with pytest.raises(InputError, match=msg):
                 epsilon_selection(target, eps, [(0.0, 0.0), (0.1, 0.1, 5.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_number_is_an_input_error(self, bad):
+        for kind, spec in [("point", {"p": (0.0, bad)}),
+                           ("segment", {"a": (0.0, 0.0), "b": (bad, 0.0)}),
+                           ("box", {"lo": (bad, 0.0), "hi": (1.0, 1.0)}),
+                           ("polytope", {"vertices": [(0.0, 0.0), (0.0, bad)]})]:
+            with pytest.raises(InputError, match=f"coordinates of the set at 'x' .* got {bad}"):
+                ConvexTarget(2, {"x": {"kind": kind, **spec}})
+        target = self.segment_target()
+        with pytest.raises(InputError, match=f"anchor coordinates .* got {bad}"):
+            epsilon_selection(target, 0.3, [(0.0, 0.0), (bad, 0.0)])
+        with pytest.raises(InputError, match=f"epsilon .* got {bad}"):
+            epsilon_selection(target, bad, [(0.0, 0.0)])
+        with pytest.raises(InputError, match="has 3 coordinates"):
+            epsilon_selection(target, bad, [(0.0, bad, 0.0)])
 
     def test_violated_certificate_travels_with_the_error(self, monkeypatch):
         anchors = [(0.0, 1.0), (1.0, 1.0)]
