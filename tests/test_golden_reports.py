@@ -4,9 +4,11 @@ Each of the nine commands runs on each ``data/`` file in both modes with
 ``--seed 7``, in process, from the repository root with a relative input
 path (reports embed it); ``nerve-build`` and ``canonical-check`` run again
 at ``--max-dim`` 0, 1 and -1, which truncate the dump of
-``deep_ball_cover.json`` or reject the bound.  ``golden_reports.json`` pins
-the SHA-256 of ``[stdout, stderr, exit code]`` as JSON for each of the 270
-runs.  Run as a
+``deep_ball_cover.json`` or reject the bound.  ``strip_ball_cover.json``,
+a ball cover of dimension 2 that is also a ``canonical-check`` input and a
+``verify-all`` bundle, pins the square-root bumps.  ``golden_reports.json``
+pins the SHA-256 of ``[stdout, stderr, exit code]`` as JSON for each of the
+300 runs.  Run as a
 script, it compares the digests, names each run that differs and exits 1
 if any does; it does not import pytest, so any supported Python can run it::
 
@@ -60,7 +62,7 @@ def pytest_generate_tests(metafunc):
 
 
 def test_every_run_is_pinned():
-    assert len(RUNS) == 270
+    assert len(RUNS) == 300
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(" ".join(r) for r in RUNS)
 
 
