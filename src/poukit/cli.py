@@ -26,13 +26,20 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 
 
+_DECODER = json.JSONDecoder(parse_float=str)  # a decimal is read as its text
+
+
 def _load(path):
     """The SHA-256 digest and the JSON document of the file at ``path``,
-    read once."""
+    read once: ``json.loads(text, parse_float=str)``, with one decoder for
+    every call."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        return hashlib.sha256(raw).hexdigest(), json.loads(raw.decode(), parse_float=str)
+        text = raw.decode()
+        if text.startswith("\ufeff"):  # as json.loads rejects it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return hashlib.sha256(raw).hexdigest(), _DECODER.decode(text)
     # no file, bad JSON, bad UTF-8, a 5000-digit integer, nesting deeper than the stack
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -259,11 +266,12 @@ def cmd_verify_all(doc, args, report, mode):
             None if can.canonical else can.to_dict(),
         )
         gamma, _ = mather_compose(pou)
+        # gamma's rows are in ground_points() order, as mather_compose builds them
         escape = next(
             (
                 x
-                for x in pou.ground_points()
-                if not gamma.carrier_at(x) <= pou.carrier_at(x)
+                for x, r in gamma.rows.items()
+                if not r.entries.keys() <= pou.carrier_at(x)
             ),
             None,
         )

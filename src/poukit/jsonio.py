@@ -4,7 +4,9 @@ Scalars travel as strings: either decimals ("0.25") or rationals ("1/4").
 A JSON number with a fraction or an exponent is read as its text, so exact
 mode reads 0.3 as 3/10.  In exact mode scalars parse to Fractions, in float
 mode to floats.  Ground points of a metric sample space are addressed by
-their sample position ("0", "1", ...) wherever JSON needs a string key.
+their sample position ("0", "1", ...) wherever JSON needs a string key; any
+other point or index, such as the integer 1, by its ``str`` ("1"), so two
+of them with the same ``str`` cannot be told apart and are an InputError.
 """
 
 import json
@@ -60,12 +62,14 @@ def require_fields(obj, what, *keys):
 
 def _scalars(obj, what, mode):
     """A JSON list of scalars as a tuple."""
-    return tuple(mode.parse(c) for c in expect(obj, what, "scalars"))
+    return tuple(map(mode.parse, expect(obj, what, "scalars")))
 
 
 def _points(obj, what, mode):
     """A JSON list of coordinate lists as a list of tuples."""
-    return [_scalars(p, f"each of {what}", mode) for p in expect(obj, what, "coordinate lists")]
+    each, parse = f"each of {what}", mode.parse
+    return [tuple(map(parse, expect(p, each, "scalars")))
+            for p in expect(obj, what, "coordinate lists")]
 
 
 def _point_set(items, what):
@@ -90,14 +94,38 @@ def _point_sets(obj, what):
     return {p: _point_set(v, f"{what}[{p!r}]") for p, v in expect(obj, what).items()}
 
 
+def _by_str(points, what):
+    """``{str(p): p}`` over ``points``: a JSON object keys each point by its
+    ``str``.  Two points with the same ``str``, such as ``1`` and ``"1"``,
+    are an InputError."""
+    by_str = {}
+    for p in sorted(points, key=repr):
+        if by_str.setdefault(str(p), p) is not p:
+            raise InputError(f"{what} {by_str[str(p)]!r} and {p!r} are both keyed {str(p)!r}")
+    return by_str
+
+
+def _keyed_by_points(sets, points, what):
+    """``sets``, read from a JSON object, with each key that names no point
+    read as the point whose ``str`` it is; a document whose keys are its
+    points, as every one with string points, is taken as it is."""
+    if sets.keys() == points:
+        return sets
+    point_of = _by_str(points, what)
+    return {point_of.get(k, k): v for k, v in sets.items()}
+
+
 def load_finite_space(obj, loaded=None):
     """The space ``obj`` encodes.  ``loaded``, when given, is a run's memo:
     a document equal (``==``) to one loaded before, key order aside, gets
     that space back and is not loaded again.  The memo holds the documents
     in buckets by their tuple of points, so a document is compared only
-    with those that list the same points.  A valid space has only string
-    points, so ``==`` cannot take a document of another space for it; one
-    too deep to compare is loaded without the memo."""
+    with those that list the same points.  Equal JSON values are the same
+    point (a JSON decimal is read as its text, and no valid space has a
+    true or false point), so ``==`` cannot take a document of another space
+    for it; one too deep to compare is loaded without the memo.  A point
+    that is not a string, such as ``1``, has its minimal open under the key
+    ``"1"``."""
     bucket = None if loaded is None else _memo_bucket(loaded, obj)
     if bucket is not None:
         try:
@@ -107,7 +135,9 @@ def load_finite_space(obj, loaded=None):
         except RecursionError:
             bucket = None
     points, min_open = require_fields(obj, "a finite space", "points", "min_open")
-    space = FiniteSpace(_point_set(points, "points"), _point_sets(min_open, "min_open"))
+    points = _point_set(points, "points")
+    min_open = _keyed_by_points(_point_sets(min_open, "min_open"), points, "points")
+    space = FiniteSpace(points, min_open)
     if bucket is not None:
         bucket.append((obj, space))
     return space
@@ -171,7 +201,7 @@ def load_set_valued_map(obj, loaded=None):
         obj, "a set-valued map", "domain", "codomain", "values"
     )
     domain = load_finite_space(domain, loaded)
-    values = _point_sets(values, "values")
+    values = _keyed_by_points(_point_sets(values, "values"), domain.points, "domain points")
     if codomain == "discrete":  # the indices the values name
         codomain = FiniteSpace.discrete(set().union(*values.values()))
     elif isinstance(codomain, list):  # the index set, which values may not leave
@@ -190,11 +220,8 @@ def load_pou(obj, mode=EXACT):
     if isinstance(ground, MetricSampleSpace):  # exactly the keys dump_pou writes
         points = {str(i): x for i, x in enumerate(ground.samples)}
     else:
-        points = {p: p for p in ground.points}
-    index_of = {}  # an entry is keyed by its index's str, as dump_pou writes it
-    for a in sorted(indices, key=repr):
-        if index_of.setdefault(str(a), a) != a:
-            raise InputError(f"indices {index_of[str(a)]!r} and {a!r} are both keyed {str(a)!r}")
+        points = _by_str(ground.points, "ground points")
+    index_of = _by_str(indices, "indices")  # an entry is keyed by its index's str
     loaded = {}
     for k, row in expect(rows, "rows").items():
         if k not in points:
@@ -279,7 +306,8 @@ def report_text(doc):
     string goes through the C string encoder, and the simplices of
     :func:`dump_complex`, the bulk of a nerve dump, are one chunk written
     from the texts they carry, with one ``join`` per simplex and one for
-    the list; other scalars are written by ``json.dumps`` itself.
+    the list.  ``null``, ``true``, ``false`` and ints are written here as
+    ``json.dumps`` writes them, and other scalars by ``json.dumps`` itself.
     """
     chunks = []
     _write(doc, "\n", chunks.append)
@@ -321,5 +349,13 @@ def _write(obj, nl, put):
             _write(v, inner, put)
             sep = comma
         put(nl + "}")
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif type(obj) is int:
+        put(int.__repr__(obj))
     else:
         put(json.dumps(obj))

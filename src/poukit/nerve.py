@@ -176,22 +176,26 @@ def canonical_map_check(pou, cover):
 
     A row lies in the realization of the nerve iff its carrier is a simplex
     of it.  A carrier inside ``cover(x)`` is one, so membership is tested,
-    and the nerve built, only at points with a star violation.
+    and the nerve built, only at points with a star violation.  Each point's
+    row and cover value are read once: as many ground points as the cover's
+    domain has, each with a cover value, are that domain.
     """
     if cover.codomain.points != pou.index_set:
         raise InputError("cover and partition use different index sets")
-    if cover.domain.points != frozenset(pou.ground_points()):
+    points, rows, values = pou.ground_points(), pou.rows, cover.values
+    if len(points) != len(cover.domain.points):
         raise InputError("cover and partition use different ground points")
     nerve = None
     membership_violations = []
     star_violations = []
-    for x in pou.ground_points():
-        car = pou.carrier_at(x)
-        stray = [(a, x) for a in car if a not in cover.values[x]]
-        if stray:
+    for x in points:
+        car, value = rows[x].entries.keys(), values.get(x)
+        if value is None:
+            raise InputError("cover and partition use different ground points")
+        if not car <= value:
             if nerve is None:
                 nerve = nerve_from_cover(cover)
             if car not in nerve:
                 membership_violations.append(x)
-            star_violations += stray
+            star_violations += [(a, x) for a in car if a not in value]
     return CanonicalReport(membership_violations, star_violations)

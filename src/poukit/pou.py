@@ -46,9 +46,10 @@ class PartitionOfUnity:
         if unknown:
             raise InputError(f"rows at unknown points {sorted(unknown, key=repr)}")
         for x in points:
-            if x not in rows:
-                raise InputError(f"no row at ground point {x!r}")
-            r = rows[x]
+            try:
+                r = rows[x]
+            except KeyError:
+                raise InputError(f"no row at ground point {x!r}") from None
             if not isinstance(r, SparseVec) or not is_unit_simplex_point(r):
                 raise RowNotSimplex(x, f"{r!r}")
             if not r.entries.keys() <= index_set:
@@ -100,8 +101,18 @@ def pou_from_incidence(incidence):
         totals.append(total)
     # l1 Lipschitz bound for the normalized family: each bump is 1-Lipschitz
     # in the ground metric, and on samples the total is at least min(totals).
-    lip = _float_ratio_bound(2 * len(balls), min(totals))
+    # float is monotone, so a total of least float has the float of the least
+    lip = _float_ratio_bound(2 * len(balls), min(totals, key=_float_key))
     return PartitionOfUnity(space, set(balls), rows, l1_lipschitz=lip)
+
+
+def _float_key(total):
+    """``float(total)``, or past the float range ``math.inf``: the totals
+    past it all give the same bound."""
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
 
 
 def _float_ratio_bound(num, total):

@@ -40,17 +40,17 @@ class Mode:
         InputError for anything else, such as ``"abc"``, ``"1/0"``, a list, a
         boolean, ``NaN``, ``"1e1001"`` or, in float mode, ``"1e400"``.
 
-        A ``[-]digits[/digits]`` string with a nonzero denominator is read
+        A plain ``str`` of the form ``[-]digits[/digits]`` with a nonzero
+        denominator, what JSON inputs mostly hold, is tried first and read
         with ``int``: ``Fraction(n, d)``, or the correctly rounded ``n / d``,
         which is ``float(Fraction(text))``; its value and its errors are
-        those of the general path."""
-        if isinstance(text, bool) or not isinstance(text, (int, float, str, Fraction)):
-            raise InputError(f"cannot parse scalar from {text!r}")
+        those of the general path, which reads everything else."""
         try:
-            if isinstance(text, str) and (m := _RATIO.fullmatch(text)):
-                n, d = int(m[1]), int(m[2] or 1)
-                if d:
-                    return Fraction(n, d) if self.exact else n / d
+            if type(text) is str and (m := _RATIO.fullmatch(text)) and (d := int(m[2] or 1)):
+                n = int(m[1])
+                return Fraction(n, d) if self.exact else n / d
+            if isinstance(text, bool) or not isinstance(text, (int, float, str, Fraction)):
+                raise InputError(f"cannot parse scalar from {text!r}")
             if isinstance(text, str) and (e := _EXPONENT.search(text)) and abs(int(e[1])) > 1000:
                 raise ValueError("decimal exponent beyond 1000")
             value = Fraction(text)  # Fraction accepts both "3/4" and "0.75"

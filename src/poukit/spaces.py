@@ -252,7 +252,7 @@ class Ball:
     radius: object
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(self.center))
+        object.__setattr__(self, "center", _coordinates(self.center, "ball centre"))
         _check_numbers(self.center + (self.radius,), "ball centre and radius")
         if self.radius <= 0:
             raise InputError(f"ball radius must be positive, got {self.radius}")
@@ -274,7 +274,7 @@ class MetricSampleSpace:
     samples: list
 
     def __init__(self, samples, dim=None):
-        samples = [_Sample(p) for p in samples]
+        samples = [_coordinates(p, "sample") for p in samples]
         if not samples:
             raise InputError("need at least one sample")
         if dim is None:
@@ -283,7 +283,9 @@ class MetricSampleSpace:
             raise InputError(f"dim must be an integer, got {dim!r}")
         if any(len(p) != dim for p in samples):
             raise InputError("inconsistent sample dimension")
-        _check_numbers(chain.from_iterable(samples), "sample coordinates")
+        for p in samples:  # before a sample is hashed
+            _check_numbers(p, "sample coordinates", p)
+        samples = list(map(_Sample, samples))
         seen = set()
         for p in samples:
             if p in seen:
@@ -312,6 +314,8 @@ class MetricSampleSpace:
         keys = [keys[i] for i in order]
         rows = [{} for _ in samples]
         for a, b in balls.items():
+            if not isinstance(b, Ball):
+                raise InputError(f"ball {a!r} must be a Ball, got {b!r}")
             if len(b.center) != dim:
                 raise InputError(
                     f"ball centre {[str(c) for c in b.center]} has {len(b.center)} "
@@ -328,11 +332,22 @@ class MetricSampleSpace:
         return BallIncidence(self, dict(balls), tuple(rows), exact)
 
 
-def _check_numbers(values, what):
-    """InputError unless every value is an int, a Fraction or a finite float."""
+def _coordinates(p, what):
+    """The tuple of the coordinates of the point ``p``; InputError naming
+    ``p`` when it is no iterable."""
+    try:
+        return tuple(p)
+    except TypeError:
+        raise InputError(f"{what} {p!r} is not a list of coordinates") from None
+
+
+def _check_numbers(values, what, point=None):
+    """InputError unless every value is an int, a Fraction or a finite
+    float; it names ``point`` when one is given."""
     for v in values:
         if not isinstance(v, _NUMBERS) or isinstance(v, float) and not math.isfinite(v):
-            raise InputError(f"{what} must be ints, Fractions or finite floats, got {v!r}")
+            at = "" if point is None else f" in {point!r}"
+            raise InputError(f"{what} must be ints, Fractions or finite floats, got {v!r}{at}")
 
 
 def _measure(sx, sb):
@@ -435,8 +450,9 @@ class BallIncidence:
         x, line, bumps = self.space.samples[i], self.space.dim == 1, {}
         for a, (s, scale) in self.rows[i].items():
             b = self.balls[a]
-            try:
-                gap = b.radius - (abs(x[0] - b.center[0]) if line else _root(s, scale))
+            try:  # radius - float is float(radius) - float, for a Fraction radius too
+                gap = (b.radius - abs(x[0] - b.center[0]) if line
+                       else float(b.radius) - _root(s, scale))
             except OverflowError as exc:
                 raise InputError(f"bump of a ball of radius {b.radius} at "
                                  f"{[str(c) for c in x]} is out of float range") from exc

@@ -88,6 +88,33 @@ class TestCommands:
         code, out = run_main(tmp_path, capsys, "canonical-check", doc)
         assert (code, error and json.loads(out.err)["error"]) == (2 if error else 0, error)
 
+    def test_space_validate_over_integer_points(self, tmp_path, capsys):
+        """A ``min_open`` key is read as the point whose str it is."""
+        doc = {"points": [1, 2], "min_open": {"1": [1], "2": [2]}}
+        code, out = run_main(tmp_path, capsys, "space-validate", doc)
+        assert code == 0 and json.loads(out.out)["payload"]["space"] == doc
+
+    def test_finite_space_and_pou_round_trip_over_integer_points(self):
+        space = FiniteSpace({1, 2, "c"}, {1: {1, 2}, 2: {2}, "c": {"c"}})
+        back = jsonio.load_finite_space(json.loads(json.dumps(dump_finite_space(space))))
+        assert back == space
+        pou = PartitionOfUnity(space, {"a", 7}, {
+            1: SparseVec({7: F(1)}), 2: SparseVec({7: F(1)}),
+            "c": SparseVec({"a": F(1, 4), 7: F(3, 4)})})
+        back = jsonio.load_pou(json.loads(json.dumps(jsonio.dump_pou(pou))))
+        assert back.ground == space and back.index_set == {"a", 7} and back.rows == pou.rows
+
+    def test_map_values_over_integer_points(self):
+        domain = {"points": [1, 2], "min_open": {"1": [1, 2], "2": [2]}}
+        phi = load_set_valued_map({"domain": domain, "codomain": "discrete",
+                                   "values": {"1": ["a"], "2": ["a", "b"]}})
+        assert phi.values == {1: {"a"}, 2: {"a", "b"}}
+
+    def test_points_with_the_same_str_are_rejected(self, tmp_path, capsys):
+        doc = {"points": [1, "1"], "min_open": {"1": [1, "1"]}}
+        code, out = run_main(tmp_path, capsys, "space-validate", doc)
+        assert (code, json.loads(out.err)["error"]) == (2, "points '1' and 1 are both keyed '1'")
+
     def test_mather(self):
         proc = run_cli("mather", str(DATA / "unit_vector.json"))
         assert proc.returncode == 0

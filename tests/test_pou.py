@@ -3,11 +3,12 @@ import functools
 import json
 import math
 import operator
+import pathlib
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poukit import (
     Ball,
@@ -24,7 +25,7 @@ from poukit import (
 )
 from poukit import pou as pou_module
 from poukit.cli import main
-from poukit import sparse
+from poukit import spaces, sparse
 from poukit.errors import InputError, RowNotSimplex
 from poukit.spaces import BallIncidence
 from poukit.sparse import SparseVec
@@ -495,6 +496,44 @@ def test_l1_lipschitz_bounds_bump_totals_past_the_float_range(radius):
     space = MetricSampleSpace([(F(0),), (radius / 2,)])
     pou = pou_from_incidence(space.incidence({"U": Ball((F(0),), radius)}))
     assert 0 < pou.l1_lipschitz and pou.l1_lipschitz >= 2 / (radius / 2)
+
+
+# the first sample's total 1/2 + 10**-30 and the second's 1/2 have one
+# float; both totals 10**400 and 10**400 / 2 are past the float range
+TIED_TOTALS = (MetricSampleSpace([(F(-1, 2) - F(1, 10**30),), (F(1, 2),)]),
+               {"U": Ball((F(0),), F(1))})
+HUGE_TOTALS = (MetricSampleSpace([(F(0),), (F(10**400, 2),)]),
+               {"U": Ball((F(0),), F(10**400))})
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(covered_samples())
+@example(TIED_TOTALS)
+@example(HUGE_TOTALS)
+def test_l1_lipschitz_is_the_ratio_bound_of_the_least_total(cover):
+    """The least total is found by its float, which is the float of the
+    exact least total; the bound is that of the exact least total."""
+    space, balls = cover
+    incidence = space.incidence(balls)
+    totals = [incidence.normalized(i)[1] for i in range(len(space.samples))]
+    pou = pou_from_incidence(incidence)
+    assert pou.l1_lipschitz == pou_module._float_ratio_bound(2 * len(balls), min(totals))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_all_hashes_each_sample_at_most_18_times(tmp_path, capsys, monkeypatch, mode):
+    """A check reads each row and cover value once per sample; 23.2 hash
+    calls per sample here when the checks looked a row up per index."""
+    calls = []
+    sample_hash = spaces._Sample.__hash__
+    monkeypatch.setattr(spaces._Sample, "__hash__", lambda x: calls.append(1) or sample_hash(x))
+    doc = json.loads(pathlib.Path(__file__).parent.joinpath(
+        "..", "data", "strip_ball_cover.json").read_text())
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"metric_covers": [{"space": doc["space"], "balls": doc["balls"]}]}))
+    assert main(["verify-all", str(path), "--mode", mode]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+    assert len(calls) <= 18 * len(doc["space"]["samples"])
 
 
 @st.composite

@@ -60,6 +60,22 @@ def test_hostile_strings_parse_as_before(mode, text):
     assert parsed(mode, text) == oracle_parse(mode, text)
 
 
+class Text(str):
+    """A ``str`` subclass, which skips the plain-``str`` fast path."""
+
+
+@pytest.mark.parametrize("mode", MODES, ids=["exact", "float"])
+@pytest.mark.parametrize("text", HOSTILE + ["3/4", "-7", "0.75"], ids=repr)
+def test_a_str_subclass_parses_as_before(mode, text):
+    assert parsed(mode, Text(text)) == parsed(mode, text) == oracle_parse(mode, text)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=["exact", "float"])
+@pytest.mark.parametrize("value", [True, False])
+def test_a_boolean_is_no_scalar(mode, value):
+    assert parsed(mode, value) == ("error", f"cannot parse scalar from {value!r}")
+
+
 def test_float_overflow_is_an_input_error():
     """Inside ``parse``'s ``try``, an int/int overflow is the parse error it
     always was, not a bare OverflowError."""

@@ -303,6 +303,17 @@ class TestBallMembershipKernel:
         with pytest.raises(InputError, match="got None"):
             Ball((0,), None)
 
+    def test_malformed_points_are_input_errors_naming_the_point(self):
+        """Points are checked before a sample is hashed or a ball read."""
+        with pytest.raises(InputError, match="sample 5 is not a list of coordinates"):
+            MetricSampleSpace([5])
+        with pytest.raises(InputError, match="ball centre 5 is not a list of coordinates"):
+            Ball(5, 1)
+        with pytest.raises(InputError, match=r"got \[1\] in \(\[1\],\)"):
+            MetricSampleSpace([([1],)])
+        with pytest.raises(InputError, match="ball 'V' must be a Ball, got 5"):
+            MetricSampleSpace([(0,)]).incidence({"V": 5})
+
 
 # coprime denominators near 10**12 and 2**61, where one lcm over a whole
 # cover would grow with the number of balls
