@@ -356,6 +356,6 @@ def _write(obj, nl, put):
     elif obj is False:
         put("false")
     elif type(obj) is int:
-        put(int.__repr__(obj))
+        put(repr(obj))
     else:
         put(json.dumps(obj))

@@ -101,7 +101,7 @@ def pou_from_incidence(incidence):
         totals.append(total)
     # l1 Lipschitz bound for the normalized family: each bump is 1-Lipschitz
     # in the ground metric, and on samples the total is at least min(totals).
-    # float is monotone, so a total of least float has the float of the least
+    # float is monotone: the total of least float has the float of the least total
     lip = _float_ratio_bound(2 * len(balls), min(totals, key=_float_key))
     return PartitionOfUnity(space, set(balls), rows, l1_lipschitz=lip)
 

@@ -1271,6 +1271,14 @@ class TestFiles:
         assert (code, out) == (2, "")
         assert "cannot read" in error and "absent.json" in error
 
+    def test_byte_order_mark_as_json_loads_names_it(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / "unit_vector.json").read_bytes())
+        code, out, error = self.run(capsys, "mather", str(path))
+        assert (code, out) == (2, "")
+        assert error == f"cannot read {path}: Unexpected UTF-8 BOM (decode using utf-8-sig): " \
+            "line 1 column 1 (char 0)"
+
     def test_directory_as_input(self, tmp_path, capsys):
         code, out, error = self.run(capsys, "verify-all", str(tmp_path))
         assert (code, out) == (2, "")

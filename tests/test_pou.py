@@ -500,7 +500,7 @@ def test_l1_lipschitz_bounds_bump_totals_past_the_float_range(radius):
 
 # the first sample's total 1/2 + 10**-30 and the second's 1/2 have one
 # float; both totals 10**400 and 10**400 / 2 are past the float range
-TIED_TOTALS = (MetricSampleSpace([(F(-1, 2) - F(1, 10**30),), (F(1, 2),)]),
+TIED_TOTALS = (MetricSampleSpace([(F(-1, 2) + F(1, 10**30),), (F(1, 2),)]),
                {"U": Ball((F(0),), F(1))})
 HUGE_TOTALS = (MetricSampleSpace([(F(0),), (F(10**400, 2),)]),
                {"U": Ball((F(0),), F(10**400))})
@@ -527,8 +527,8 @@ def test_verify_all_hashes_each_sample_at_most_18_times(tmp_path, capsys, monkey
     calls = []
     sample_hash = spaces._Sample.__hash__
     monkeypatch.setattr(spaces._Sample, "__hash__", lambda x: calls.append(1) or sample_hash(x))
-    doc = json.loads(pathlib.Path(__file__).parent.joinpath(
-        "..", "data", "strip_ball_cover.json").read_text())
+    data = pathlib.Path(__file__).resolve().parent.parent / "data"
+    doc = json.loads((data / "strip_ball_cover.json").read_text())
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps({"metric_covers": [{"space": doc["space"], "balls": doc["balls"]}]}))
     assert main(["verify-all", str(path), "--mode", mode]) == 0
