@@ -46,7 +46,7 @@ class SetValuedMap:
         unknown = values.keys() - domain.points
         if unknown:
             raise InputError(f"values for unknown points {sorted(unknown, key=repr)}")
-        vals = {p: frozenset(values[p]) for p in domain.points if p in values}
+        vals = {p: frozenset(v) for p, v in values.items()}  # each p a domain point
         cod = codomain.points
         if len(vals) < len(domain.points) or not all(v and v <= cod for v in vals.values()):
             for p in sorted(domain.points, key=repr):

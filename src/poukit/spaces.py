@@ -22,11 +22,13 @@ decided by one comparison on integers, which is exact and cannot overflow.
 The samples are sorted once by their first coordinate, and each ball
 decides only the samples whose coordinate lies in its padded interval
 there, so the work follows the pairs the cover holds.  Each sample is
-hashed once, and equals and hashes like its plain tuple.
+cleared of denominators once, when the space is built; its hash is computed
+then, from those integers, and it equals and hashes like its plain tuple.
 """
 
 import bisect
 import math
+import sys
 from dataclasses import field
 from fractions import Fraction
 from functools import reduce
@@ -40,18 +42,38 @@ from .sparse import SparseVec, _normalized
 
 _NUMBERS = (int, float, Fraction)  # Fraction last: isinstance against it is slow for a float
 _ONE = Fraction(1)
+_MODULUS = sys.hash_info.modulus
 
 
 class _Sample(tuple):
-    """A tuple that hashes once: a tuple hashes its Fractions on every lookup."""
+    """A sample point, its coordinates already checked to be numbers: a
+    tuple that equals its plain tuple and hashes like it, with ``_over =
+    (nums, D)``, the coordinates over their lcm, for
+    :meth:`MetricSampleSpace.incidence`.
 
-    def __new__(cls, coords):
+    The hash is computed once, from ``_over``: Python hashes a rational n / D,
+    int, float or Fraction alike, as it hashes the int n * (D^-1 mod P) for
+    P = ``sys.hash_info.modulus``, so no coordinate is hashed as a Fraction.
+    ``inverses``, local to one space's construction, keeps D^-1 for each D,
+    or 0 where P divides D and the tuple hashes its coordinates itself."""
+
+    def __new__(cls, coords, inverses):
         self = tuple.__new__(cls, coords)
-        self._hash = tuple.__hash__(self)
+        self._over = nums, d = _over_lcm(self, _NUMBERS)
+        inv = inverses.get(d)
+        if inv is None:
+            inv = inverses[d] = pow(d, -1, _MODULUS) if d % _MODULUS else 0
+        self._hash = _hash_over(nums, inv) if inv else tuple.__hash__(self)
         return self
 
     def __hash__(self):
         return self._hash
+
+
+def _hash_over(nums, inv):
+    """The hash of the tuple of the rationals n / D over ``nums``, given
+    ``inv``, the inverse of D modulo ``sys.hash_info.modulus``."""
+    return hash(tuple([n * inv for n in nums]))
 
 
 @immutable
@@ -285,7 +307,8 @@ class MetricSampleSpace:
             raise InputError("inconsistent sample dimension")
         for p in samples:  # before a sample is hashed
             _check_numbers(p, "sample coordinates", p)
-        samples = list(map(_Sample, samples))
+        inverses = {}
+        samples = [_Sample(p, inverses) for p in samples]
         seen = set()
         for p in samples:
             if p in seen:
@@ -298,17 +321,17 @@ class MetricSampleSpace:
         """The balls of the cover ``balls`` (index -> Ball) that contain each
         sample, as a :class:`BallIncidence`.
 
-        Each sample and each ball is cleared of denominators once, floats
-        included (a float is a dyadic rational), and :func:`_measure`
-        decides a pair on those integers.  A ball can contain only samples
-        whose first coordinate lies within its radius of the centre's.  So
-        the samples are sorted once by a float key of that coordinate, and
-        each ball, in ``balls`` order, bisects its interval, padded past
-        every rounding of those keys, and decides the samples there.  A
-        centre or radius past the float range, or a space of dimension 0,
-        widens the interval to every sample."""
+        Each ball is cleared of denominators once, floats included (a float
+        is a dyadic rational), as each sample was when the space was built,
+        and :func:`_measure` decides a pair on those integers.  A ball can
+        contain only samples whose first coordinate lies within its radius
+        of the centre's.  So the samples are sorted once by a float key of
+        that coordinate, and each ball, in ``balls`` order, bisects its
+        interval, padded past every rounding of those keys, and decides the
+        samples there.  A centre or radius past the float range, or a space
+        of dimension 0, widens the interval to every sample."""
         samples, dim = self.samples, self.dim
-        over = [_over_lcm(x, _NUMBERS) for x in samples]
+        over = [x._over for x in samples]
         keys = [_axis_key(sx) if dim else 0.0 for sx in over]
         order = sorted(range(len(samples)), key=keys.__getitem__)
         keys = [keys[i] for i in order]
@@ -404,12 +427,15 @@ class BallIncidence:
     s / scale**2, on integers.  ``exact`` says that every sample and ball is
     rational (no float).  Only the pairs inside a ball's interval on the
     first axis were decided (:meth:`MetricSampleSpace.incidence`); the rows
-    are those of a dense pass over all pairs."""
+    are those of a dense pass over all pairs.  The bumps convert each
+    member's radius once, on first use, into ``_radii``: to an integer ratio
+    on an exact line row, else to a float."""
 
     space: MetricSampleSpace
     balls: dict
     rows: tuple
     exact: bool
+    _radii: dict = field(default_factory=dict, init=False, repr=False)
 
     def bumps(self, i):
         """``{index: max(radius - d(x, centre), 0)}`` over the members at
@@ -447,12 +473,17 @@ class BallIncidence:
         """The bumps at x_i as floats: r - |x0 - c0| in dimension 1, else r
         - :func:`_root` (s, scale).  A member's d is below its radius, so
         only a radius past the float range raises, as InputError."""
-        x, line, bumps = self.space.samples[i], self.space.dim == 1, {}
+        x, line, bumps, radii = self.space.samples[i], self.space.dim == 1, {}, self._radii
         for a, (s, scale) in self.rows[i].items():
             b = self.balls[a]
             try:  # radius - float is float(radius) - float, for a Fraction radius too
-                gap = (b.radius - abs(x[0] - b.center[0]) if line
-                       else float(b.radius) - _root(s, scale))
+                if line:
+                    gap = b.radius - abs(x[0] - b.center[0])
+                else:
+                    r = radii.get(a)
+                    if r is None:
+                        r = radii[a] = float(b.radius)
+                    gap = r - _root(s, scale)
             except OverflowError as exc:
                 raise InputError(f"bump of a ball of radius {b.radius} at "
                                  f"{[str(c) for c in x]} is out of float range") from exc
@@ -467,10 +498,12 @@ class BallIncidence:
         of the row's scales."""
         if self.space.dim != 1 or not self.exact:
             return None
-        row, balls = self.rows[i], self.balls
+        row, radii = self.rows[i], self._radii
         d = math.lcm(*[scale for _, scale in row.values()])
         gaps = {}
         for a, (s, scale) in row.items():
-            r = balls[a].radius
-            gaps[a] = (r.numerator * (scale // r.denominator) - math.isqrt(s)) * (d // scale)
+            r = radii.get(a)
+            if r is None:
+                r = radii[a] = self.balls[a].radius.as_integer_ratio()
+            gaps[a] = (r[0] * (scale // r[1]) - math.isqrt(s)) * (d // scale)
         return gaps, d

@@ -14,12 +14,15 @@ points with carriers contained in the original carrier.
 
 Vectors of ``Fraction`` entries are summed, checked and shrunk on integers
 over the lcm of their denominators, and a vector whose entries are nonzero
-by construction is not tested for zeros again.  The rows of a
-``PartitionOfUnity``, checked when it was built, are not checked again when
-they are shrunk.
+by construction is not tested for zeros again.  A vector builds that
+integer form once, from its own entries, on the first call that needs it,
+and its unit-simplex check, l1 norm and shrink share it; no constructor
+supplies it.  The rows of a ``PartitionOfUnity``, checked when it was
+built, are not checked again when they are shrunk.
 """
 
 from collections.abc import Mapping
+from dataclasses import field
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -34,6 +37,7 @@ class SparseVec:
     from a mapping or a SparseVec, else TypeError; ``entries`` is read-only."""
 
     entries: MappingProxyType
+    _ov: object = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, entries=MappingProxyType({})):
         if isinstance(entries, SparseVec):
@@ -42,13 +46,24 @@ class SparseVec:
             raise TypeError(f"SparseVec takes a mapping, not {type(entries).__name__}")
         object.__setattr__(self, "entries", MappingProxyType(
             {k: v for k, v in entries.items() if v != 0}))
+        object.__setattr__(self, "_ov", None)
 
     @classmethod
     def _of_nonzero(cls, data):
         """The vector ``data``, a dict whose values are known to be nonzero."""
         v = object.__new__(cls)
         object.__setattr__(v, "entries", MappingProxyType(data))
+        object.__setattr__(v, "_ov", None)
         return v
+
+    def _over(self):
+        """``(nums, d)``, the entries over their lcm d, when every entry is a
+        ``Fraction``, else False; read from ``entries`` on the first call
+        and kept."""
+        if self._ov is None:
+            ov = bool(self.entries) and _over_lcm(self.entries.values(), Fraction) or False
+            object.__setattr__(self, "_ov", ov)
+        return self._ov
 
     def __getitem__(self, key):
         return self.entries.get(key, 0)
@@ -71,7 +86,7 @@ class SparseVec:
         return frozenset(self.entries)
 
     def norm1(self):
-        over = self.entries and _over_lcm(self.entries.values(), Fraction)  # empty: int 0
+        over = self._over()  # empty: int 0
         if over:
             return Fraction(sum(map(abs, over[0])), over[1])
         return _fold_sum(map(abs, self.entries.values()))
@@ -87,11 +102,11 @@ def is_unit_simplex_point(v):
     and sum(n) == d."""
     if _is_vertex(v):
         return True
-    values = v.entries.values()
-    over = values and _over_lcm(values, Fraction)
+    over = v._over()
     if over:
         nums, d = over
         return all(n > 0 for n in nums) and sum(nums) == d
+    values = v.entries.values()
     if not values or any(x <= 0 for x in values):
         return False
     return is_one(v.norm1())
@@ -183,8 +198,7 @@ def mather_eta(y):
     over their lcm d and M = max n, the clip is (2 n_a - M) / 2d, so
     eta(a) = (2 n_a - M) / sum(2 n - M) over 2 n > M."""
     y = _as_extended(y)
-    entries = y.explicit.entries
-    over = entries and _over_lcm(entries.values(), Fraction)
+    entries, over = y.explicit.entries, y.explicit._over()
     if not over:  # mather_lambda, its l1 norm and its scaling, on one dict
         half = _half_sup(y)
         lam = {k: w for k, v in entries.items() if v > half and (w := v - half) != 0}

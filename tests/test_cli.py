@@ -562,8 +562,9 @@ class TestMetricCover:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_each_sample_coordinate_is_hashed_once(self, tmp_path, capsys, monkeypatch, dim):
-        """Samples key rows and cover values; a Fraction coordinate is hashed
-        when its sample is built, never again."""
+        """Samples key rows and cover values; a sample is hashed when it is
+        built, each coordinate once, from its integer over the sample's
+        common denominator, and never as a Fraction."""
         rng = random.Random(dim)
         samples = {tuple(F(rng.randrange(-40, 41), 40) for _ in range(dim)) for _ in range(30)}
         grid = [(F(i, 2),) for i in range(-2, 3)]
@@ -573,17 +574,20 @@ class TestMetricCover:
             "balls": {f"U{i}": {"center": [str(c) for c in p], "radius": "2/5"}
                       for i, p in enumerate(centers)},
         }
-        calls = []
-        fraction_hash = F.__hash__
+        calls, coordinates = [], []
+        fraction_hash, hash_over = F.__hash__, spaces._hash_over
 
         def counted(self):
             calls.append(self)
             return fraction_hash(self)
 
         monkeypatch.setattr(F, "__hash__", counted)
+        monkeypatch.setattr(spaces, "_hash_over",
+                            lambda nums, inv: coordinates.extend(nums) or hash_over(nums, inv))
         code, out = run_main(tmp_path, capsys, "verify-all", {"metric_covers": [cover]})
         assert code == 0, out.err
-        assert 0 < len(calls) <= len(samples) * dim
+        assert calls == []
+        assert 0 < len(coordinates) <= len(samples) * dim
 
     def test_float_rows_in_dimension_2(self, tmp_path, capsys):
         """The double -0.7 lies 0.99999999999999994... from the double 0.3,

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import json
@@ -25,7 +26,7 @@ from poukit import (
 )
 from poukit import pou as pou_module
 from poukit.cli import main
-from poukit import spaces, sparse
+from poukit import jsonio, scalars, spaces, sparse
 from poukit.errors import InputError, RowNotSimplex
 from poukit.spaces import BallIncidence
 from poukit.sparse import SparseVec
@@ -521,9 +522,11 @@ def test_l1_lipschitz_is_the_ratio_bound_of_the_least_total(cover):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_verify_all_hashes_each_sample_at_most_18_times(tmp_path, capsys, monkeypatch, mode):
-    """A check reads each row and cover value once per sample; 23.2 hash
-    calls per sample here when the checks looked a row up per index."""
+def test_verify_all_hashes_each_sample_at_most_16_times(tmp_path, capsys, monkeypatch, mode):
+    """A check reads each row and cover value once per sample, and the
+    indexed cover reads each value once; 23.2 hash calls per sample here
+    when the checks looked a row up per index, 18 when the cover tested
+    ``in`` before reading a value."""
     calls = []
     sample_hash = spaces._Sample.__hash__
     monkeypatch.setattr(spaces._Sample, "__hash__", lambda x: calls.append(1) or sample_hash(x))
@@ -533,7 +536,63 @@ def test_verify_all_hashes_each_sample_at_most_18_times(tmp_path, capsys, monkey
     path.write_text(json.dumps({"metric_covers": [{"space": doc["space"], "balls": doc["balls"]}]}))
     assert main(["verify-all", str(path), "--mode", mode]) == 0
     assert json.loads(capsys.readouterr().out)["overall"] == "pass"
-    assert len(calls) <= 18 * len(doc["space"]["samples"])
+    assert len(calls) <= 16 * len(doc["space"]["samples"])
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", ["line_ball_cover.json", "strip_ball_cover.json"])
+def test_verify_all_clears_denominators_once(tmp_path, capsys, monkeypatch, name, mode):
+    """``_over_lcm`` runs once per sample, once per ball and once per row
+    that is not a vertex: the row's unit-simplex check and its shrink share
+    that call.  Past the incidence, the bumps convert each radius at most
+    once, to an integer ratio or to a float."""
+    data = pathlib.Path(__file__).resolve().parent.parent / "data"
+    doc = json.loads((data / name).read_text())
+    cover = {"space": doc["space"], "balls": doc["balls"]}
+    incidence = jsonio.load_metric_cover(cover, scalars.EXACT if mode == "exact" else scalars.FLOAT)
+    bound = len(incidence.space.samples) + len(incidence.balls)
+    bound += sum(len(row) > 1 for row in incidence.rows)
+    lcm_calls, conversions, armed = [], [], []
+    over_lcm = scalars._over_lcm
+
+    def counted(values, kinds):
+        lcm_calls.append(values)
+        return over_lcm(values, kinds)
+
+    class Radius(F if mode == "exact" else float):
+        def as_integer_ratio(self):
+            if armed:
+                conversions.append(id(self))
+            return super().as_integer_ratio()
+
+        def __float__(self):
+            if armed:
+                conversions.append(id(self))
+            return super().__float__()
+
+    load_ball, incidence_of = jsonio.load_ball, spaces.MetricSampleSpace.incidence
+
+    def counted_ball(obj, mode):
+        b = load_ball(obj, mode)
+        return spaces.Ball(b.center, Radius(b.radius))
+
+    def armed_incidence(space, balls):
+        incidence = incidence_of(space, balls)
+        armed.append(True)
+        return incidence
+
+    monkeypatch.setattr(jsonio, "load_ball", counted_ball)
+    monkeypatch.setattr(spaces.MetricSampleSpace, "incidence", armed_incidence)
+    monkeypatch.setattr(spaces, "_over_lcm", counted)
+    monkeypatch.setattr(sparse, "_over_lcm", counted)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"metric_covers": [cover]}))
+    assert main(["verify-all", str(path), "--mode", mode]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+    assert 0 < len(lcm_calls) <= bound
+    # a dimension-1 float bump subtracts the radius as it is
+    assert bool(conversions) == (mode == "exact" or incidence.space.dim > 1)
+    assert max(collections.Counter(conversions).values(), default=0) <= 1
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from poukit import (
     NotReflexive,
     NotTransitive,
     finite_interval_model,
+    pou_from_incidence,
 )
 from poukit import spaces
 from poukit.errors import InputError
@@ -549,6 +551,34 @@ class TestIncidence:
         rows = space.incidence(balls).rows
         assert len(calls) <= 3 * n
         assert all(rows)
+
+
+P = sys.hash_info.modulus
+ANY_COORDINATE = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, P, -2 * P, F(P, 3), F(-5 * P, 7),
+                     F(1, P), F(-3, 2 * P), F(2, P * P), 2.0**-61]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 3).flatmap(
+    lambda dim: st.lists(st.tuples(*[ANY_COORDINATE] * dim), min_size=1, max_size=6)))
+def test_samples_hash_like_plain_tuples_of_any_numbers(points):
+    """A sample equals and hashes like its plain tuple, with ints, Fractions
+    and floats mixed, and numerators or common denominators that are
+    multiples of the hash modulus; its partition row is found by the plain
+    tuple."""
+    points = list(dict.fromkeys(points))  # equal values hash alike: 0, 0.0 and -0.0 are one
+    space = MetricSampleSpace(points)
+    for sample, p in zip(space.samples, points):
+        assert (sample == p, hash(sample)) == (True, hash(p))
+    balls = {i: Ball(p, 1) for i, p in enumerate(points)}
+    pou = pou_from_incidence(space.incidence(balls))
+    for p, x in zip(points, space.samples):
+        assert pou.rows[p] is pou.rows[x]
 
 
 def test_duplicate_sample_found_in_one_pass():
