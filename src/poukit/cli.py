@@ -315,11 +315,10 @@ def _kuratowski_witness(space):
     """``repr`` of the first point p, by ``repr``, with p outside cl{p} or
     cl(cl{p}) != cl{p}, else None.  ``closure`` is additive and maps the
     empty set to itself, so singletons decide all four axioms.  The sets are
-    masks over the space's ``repr`` order, each closed as one OR of the
-    closures of its points."""
+    masks over the space's ``repr`` order: cl{p} is read as ``down[p]``, and
+    cl(cl{p}) is one OR of the closures of its points."""
     ix = space._index()
-    for p, b in zip(ix.order, ix.bits):
-        c = ix.closure(b)
+    for p, b, c in zip(ix.order, ix.bits, ix.down):
         if not c & b or ix.closure(c) != c:
             return repr(p)
     return None

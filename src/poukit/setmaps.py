@@ -22,7 +22,7 @@ from operator import and_, or_
 
 from ._immutable import immutable
 from .errors import InputError, NotACover, SelfCheckFailed
-from .spaces import FiniteSpace, _first, _select, _transpose
+from .spaces import FiniteSpace, _first, _select
 
 
 @immutable(init=False)
@@ -213,12 +213,13 @@ def classify(phi):
 def closure_cover(omega):
     """Cover whose fibers are the closures of the original fibers.
 
-    Each fiber is closed once; the values are then re-derived pointwise from
-    the defining neighborhood-image intersection, which is the image of the
-    minimal open U_p, as p in U_q implies U_p <= U_q.  On an indexed cover (a
-    discrete codomain) the two must agree: that is the closed-cover
+    A fiber's closure is the union of the closures cl{y} of its points y, so
+    values(y) is scattered over cl{y}; the values are then re-derived
+    pointwise from the defining neighborhood-image intersection, the image
+    of the minimal open U_p, as p in U_q implies U_p <= U_q.  On an indexed
+    cover (a discrete codomain) the two must agree: that is the closed-cover
     identity, and a disagreement at the first point by repr raises
-    SelfCheckFailed.  Fibers and values are masks until the result is built.
+    SelfCheckFailed.  Values are masks until the result is built.
     """
     ix, iy = omega.domain._index(), omega.codomain._index()
     values = dict(zip(ix.order, map(iy.points, _closed_value_masks(omega))))
@@ -226,10 +227,15 @@ def closure_cover(omega):
 
 
 def _closed_value_masks(omega):
-    """``closure_cover``'s value masks in domain order, after its cross-check."""
+    """``closure_cover``'s value masks in domain order, scattered over the
+    ``down`` masks, after their cross-check with the images of the ``up`` masks."""
     ix, iy = omega.domain._index(), omega.codomain._index()
-    fibers = _transpose(omega._value_masks(), len(iy.order))
-    closed = _transpose([ix.closure(f) for f in fibers], len(ix.order))
+    closed = [0] * len(ix.order)
+    for v, d in zip(omega._value_masks(), ix.down):
+        while d:
+            low = d & -d
+            closed[low.bit_length() - 1] |= v
+            d ^= low
     for p, u, cv in zip(ix.order, ix.up, closed):
         acc = omega._image_mask(u)
         if acc != cv:

@@ -7,11 +7,11 @@ exact set computations.  They run on Python ints used as bitmasks over one
 point order, the ``repr`` order that witnesses use: the space's
 :class:`_Index` holds, for each point x, the mask ``up`` of U_x and the mask
 ``down`` of its closure cl{x}.  A closure is the OR of ``down`` over a set,
-and a set is open when the OR of ``up`` over it is the set itself.
-Validation builds the index, testing transitivity with one OR of ``up``
-masks per pair y in U_x; a discrete space, which needs no validation, sorts
-nothing and builds no masks until a query asks for them.  The queries still
-take and return ``frozenset``s.
+and a set is open when the OR of ``up`` over it is the set itself.  One pass
+over the pairs y in U_x builds both; validation then tests transitivity with
+one OR of ``up`` masks per pair; a discrete space, which needs no
+validation, sorts nothing and builds no masks until a query asks for them.
+The queries still take and return ``frozenset``s.
 
 A metric sample space is a finite list of coordinate points with the
 Euclidean metric; it is the desk-scale ground for ball covers and bump
@@ -190,32 +190,26 @@ def _first(seq, m):
     return seq[(m & -m).bit_length() - 1]
 
 
-def _transpose(masks, n):
-    """Bit j of ``masks[i]`` as bit i of the j-th result, for j < n, moving
-    the set bits one by one."""
-    cols = [0] * n
-    for i, m in enumerate(masks):
-        b = 1 << i
-        for j in _select(range(n), m):
-            cols[j] |= b
-    return cols
-
-
 class _Index:
     """A finite space's points in ``repr`` order as int masks: bit i stands
     for ``order[i]``, ``bit`` maps each point to the mask of it alone, and
     ``bits[i]``, ``up[i]`` and ``down[i]`` are the masks of ``order[i]``
-    alone, of its minimal open U_x and of its closure cl{x} = {y : x in U_y}."""
+    alone, of its minimal open U_x and of its closure cl{x} = {y : x in U_y};
+    each pair y in U_x sets bit y of ``up[x]`` and bit x of ``down[y]``."""
 
     __slots__ = ("order", "bit", "bits", "up", "down")
 
     def __init__(self, order, min_open):
-        n = len(order)
         self.order = order
-        self.bits = [1 << i for i in range(n)]
-        self.bit = dict(zip(order, self.bits))
-        self.up = self.masks(map(min_open.__getitem__, order))
-        self.down = _transpose(self.up, n)
+        self.bits = bits = [1 << i for i in range(len(order))]
+        self.bit = bit = dict(zip(order, bits))
+        self.up, self.down = up, down = [], [0] * len(order)
+        for x, b in zip(order, bits):
+            u = 0
+            for c in map(bit.__getitem__, min_open[x]):
+                u |= c
+                down[c.bit_length() - 1] |= b
+            up.append(u)
 
     def masks(self, sets):
         """The mask of each set of points of the space in ``sets``."""

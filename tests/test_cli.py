@@ -1078,7 +1078,8 @@ def _bundle_sections(*names):
 class TestExactFiniteChecks:
     """The spaces and covers sections decide every verdict exactly, once."""
 
-    def test_kuratowski_closes_at_most_twice_per_point(self, tmp_path, capsys, monkeypatch):
+    def test_kuratowski_closes_once_per_point(self, tmp_path, capsys, monkeypatch):
+        """cl{p} is read as ``down[p]``; only cl(cl{p}) is closed."""
         space = finite_interval_model(8)
         calls = _count_closures(monkeypatch)
         code, out = run_main(
@@ -1086,15 +1087,37 @@ class TestExactFiniteChecks:
         )
         assert code == 0
         assert json.loads(out.out)["checks"][0]["status"] == "pass"
-        assert 0 < len(calls) <= 2 * len(space.points)
+        assert len(calls) == len(space.points)
 
-    def test_closure_formulas_close_each_fiber_once(self, tmp_path, capsys, monkeypatch):
-        bundle = _bundle_sections("covers")
-        indices = sum(len(load_set_valued_map(c).codomain.points) for c in bundle["covers"])
+    def test_closure_formulas_close_no_mask(self, tmp_path, capsys, monkeypatch):
+        """The fiberwise side scatters each value over a point closure read
+        from ``down``, so the cross-check calls no closure."""
         calls = _count_closures(monkeypatch)
-        code, out = run_main(tmp_path, capsys, "verify-all", bundle)
+        code, out = run_main(tmp_path, capsys, "verify-all", _bundle_sections("covers"))
         assert code == 0
-        assert 0 < len(calls) <= indices
+        assert json.loads(out.out)["overall"] == "pass"
+        assert calls == []
+
+    # the example cover's domain: U_a = {a, b}, U_b = {b}, so cl{b} = {a, b};
+    # dropping p from cl{b} drops values(b) = {0, 1} from the scattered value
+    # at p alone, while the image of U_p still holds it
+    @pytest.mark.parametrize("dropped", ["a", "b"])
+    def test_closure_formulas_fail_at_a_flipped_down_bit(
+        self, tmp_path, capsys, monkeypatch, dropped
+    ):
+        build = spaces._Index.__init__
+
+        def flipped(self, order, min_open):
+            build(self, order, min_open)
+            if order == ["a", "b"]:
+                self.down[1] ^= self.bit[dropped]
+
+        monkeypatch.setattr(spaces._Index, "__init__", flipped)
+        code, out = run_main(tmp_path, capsys, "verify-all", _bundle_sections("covers"))
+        assert code == 1
+        (check,) = json.loads(out.out)["checks"]
+        assert (check["name"], check["status"]) == ("cover[0]:closure-formulas", "fail")
+        assert check["witness"].startswith(f"closure-cover formulas disagree at {dropped!r}: ")
 
     # closures of masks over the points a, b, c: bit 0 is a, bit 2 is c
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The finite-space queries and checks, which run on int masks, against the
-frozenset definitions and code they replaced; the witnesses of hostile
-inputs under two string-hash seeds; and a count guard on a chain."""
+frozenset definitions and code they replaced; the up and down masks of an
+index against the pairs y in U_x; the witnesses of hostile inputs under two
+string-hash seeds; and count guards on a chain."""
 
 import json
 import os
@@ -17,6 +18,7 @@ from poukit import (
     classify,
     closure_cover,
     conv_fiber_open,
+    finite_interval_model,
     jsonio,
     spaces,
 )
@@ -139,6 +141,35 @@ def _space(min_open):
     return {"points": sorted(min_open), "min_open": min_open}
 
 
+def _chain(n):
+    """The chain c000 < c001 < ...: U_{c_i} = {c_j : j >= i}, as a document."""
+    points = [f"c{i:03}" for i in range(n)]
+    return _space({p: points[i:] for i, p in enumerate(points)})
+
+
+INDEXED_SPACES = st.one_of(
+    SEEDS.map(lambda seed: random_space(make_rng(seed))),
+    st.lists(st.one_of(st.integers(-9, 9), st.text("ab", max_size=2)), max_size=8).map(
+        FiniteSpace.discrete),
+    st.integers(1, 6).map(finite_interval_model),
+    st.integers(1, 12).map(lambda n: jsonio.load_finite_space(_chain(n))),
+)
+
+
+class TestIndexPairs:
+    @derandomized(200)
+    @given(INDEXED_SPACES)
+    def test_up_and_down_are_transposes(self, space):
+        """Bit y of ``up[x]`` and bit x of ``down[y]`` are each set iff
+        y in U_x, with bit i standing for the i-th point by repr."""
+        ix = space._index()
+        assert ix.order == sorted(space.points, key=repr)
+        for i, x in enumerate(ix.order):
+            for j, y in enumerate(ix.order):
+                inside = y in space.min_open[x]
+                assert (ix.up[i] >> j & 1, ix.down[j] >> i & 1) == (inside, inside)
+
+
 _ABCD = _space({p: [p] for p in "abcd"})
 
 # each names its offenders twice or more; the first in repr order is 'a' or 'b'
@@ -198,8 +229,8 @@ class TestChainCounts:
         with one OR of up masks per pair y in U_x: |X|(|X| + 1)/2 in all.
         Counted as the items each fold in ``spaces`` takes during validation."""
         n = 400
-        points = [f"c{i:03}" for i in range(n)]
-        chain = _space({p: points[i:] for i, p in enumerate(points)})
+        chain = _chain(n)
+        points = chain["points"]
         bundle = {
             "spaces": [chain],
             "maps": [{"domain": chain, "codomain": chain, "values": {p: [p] for p in points}}],
@@ -227,6 +258,38 @@ class TestChainCounts:
         assert main(["verify-all", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
         assert len(folded) == n and sum(folded) == n * (n + 1) // 2
+
+    def test_verify_all_closes_at_most_once_per_point(self, tmp_path, capsys, monkeypatch):
+        """A bundle with the 400-point chain and one indexed cover of it
+        builds the chain's index once and closes at most |X| masks in all:
+        the Kuratowski check reads cl{p} as ``down[p]`` and closes only
+        cl(cl{p}), and the closure formulas close nothing."""
+        n = 400
+        chain = _chain(n)
+        values = {p: ["odd"] if i % 2 else ["even", "odd"] for i, p in enumerate(chain["points"])}
+        bundle = {
+            "spaces": [chain],
+            "covers": [{"domain": chain, "codomain": ["even", "odd"], "values": values}],
+        }
+        built, closed = [], []
+        build, close = spaces._Index.__init__, spaces._Index.closure
+
+        def counted_build(self, order, min_open):
+            built.append(order)
+            build(self, order, min_open)
+
+        def counted_close(self, m):
+            closed.append(m)
+            return close(self, m)
+
+        monkeypatch.setattr(spaces._Index, "__init__", counted_build)
+        monkeypatch.setattr(spaces._Index, "closure", counted_close)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["verify-all", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+        assert built.count(chain["points"]) == 1
+        assert len(closed) <= n
 
 
 class TestLazyIndex:
