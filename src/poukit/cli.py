@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import jsonio, scalars
-from .errors import InputError, PoukitError, SelfCheckFailed, TailTooLarge
+from .errors import CoverGap, InputError, PoukitError, SelfCheckFailed, TailTooLarge
 from .nerve import MAX_DIMENSION, canonical_map_check, nerve_from_cover
 from .pou import mather_compose, pou_from_incidence, subordination_check
 from .selection import epsilon_selection
@@ -286,7 +286,7 @@ def cmd_verify_all(doc, args, report, mode):
         try:
             epsilon_selection(target, eps, anchors)
             report.check(f"target[{i}]:epsilon-bound", True)
-        except SelfCheckFailed as exc:
+        except (CoverGap, SelfCheckFailed) as exc:
             report.check(f"target[{i}]:epsilon-bound", False, _violation(exc, eps))
 
 
@@ -296,8 +296,12 @@ def _section(bundle, name):
 
 
 def _violation(exc, eps):
-    """A violated selection certificate as ``["certificate violated", point,
-    distance, epsilon, active anchors]``; any other self-check as its text."""
+    """A target point with no anchor within epsilon as ``["no anchor within
+    epsilon", point, epsilon]``; a violated selection certificate as
+    ``["certificate violated", point, distance, epsilon, active anchors]``;
+    any other self-check as its text."""
+    if isinstance(exc, CoverGap):
+        return ["no anchor within epsilon", str(exc.point), repr(float(eps))]
     c = exc.certificate
     return str(exc) if c is None else [
         "certificate violated", str(c.point), repr(float(c.distance_bound)),

@@ -90,7 +90,7 @@ def pou_from_incidence(incidence):
     line row the bumps are integers over one denominator, normalized as
     such.  Rows are checked as ``scalars.is_one`` decides it.  A sample
     outside every ball raises NotACover; one whose bumps all round to 0.0,
-    InputError.
+    InputError.  The least bump total is found on the floats of the totals.
     """
     space, balls = incidence.space, incidence.balls
     rows, totals = {}, []
@@ -101,29 +101,18 @@ def pou_from_incidence(incidence):
         totals.append(total)
     # l1 Lipschitz bound for the normalized family: each bump is 1-Lipschitz
     # in the ground metric, and on samples the total is at least min(totals).
-    # float is monotone: the total of least float has the float of the least total
-    lip = _float_ratio_bound(2 * len(balls), min(totals, key=_float_key))
+    # float is monotone: the least float is the float of the least total
+    lip = _float_ratio_bound(2 * len(balls), min(totals))
     return PartitionOfUnity(space, set(balls), rows, l1_lipschitz=lip)
 
 
-def _float_key(total):
-    """``float(total)``, or past the float range ``math.inf``: the totals
-    past it all give the same bound."""
-    try:
-        return float(total)
-    except OverflowError:
-        return math.inf
-
-
 def _float_ratio_bound(num, total):
-    """``num / float(total)`` for a positive ``total``, or, where that float
-    does not exist, a float upper bound of the quotient."""
-    try:
-        return num / float(total)  # math.inf when the quotient overflows
-    except ZeroDivisionError:  # total rounds to 0.0, so the quotient overflows
-        return math.inf
-    except OverflowError:  # total exceeds the largest float, so this bounds it
+    """``num / total`` for the float ``total`` of a positive sum, or, where
+    that float is 0.0 or ``math.inf``, a float upper bound of the exact
+    quotient."""
+    if total == math.inf:  # the sum exceeds the largest float, so this bounds it
         return math.nextafter(num / sys.float_info.max, math.inf)
+    return num / total if total else math.inf  # math.inf when the quotient overflows
 
 
 def subordination_check(pou, omega):

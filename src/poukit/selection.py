@@ -113,13 +113,6 @@ def _floats(p):
     return [float(c) for c in p]
 
 
-def _segment_floats(a, b):
-    """A segment as its start a, direction d = b - a and d.d."""
-    a = _floats(a)
-    d = [float(c) - ac for c, ac in zip(b, a)]
-    return a, d, _dot(d, d)
-
-
 def _measure_segment(q, a, d, dd):
     along = _dot(map(sub, q, a), d)
     if not (math.isfinite(dd) and math.isfinite(along)):
@@ -131,18 +124,6 @@ def _measure_segment(q, a, d, dd):
 
 def _measure_box(q, lo, hi):
     return math.hypot(*[max(l - c, 0.0, c - h) for c, l, h in zip(q, lo, hi)])
-
-
-def dist_to_point(q, p):
-    return math.dist(_floats(q), _floats(p))
-
-
-def dist_to_segment(q, a, b):
-    return _measure_segment(_floats(q), *_segment_floats(a, b))
-
-
-def dist_to_box(q, lo, hi):
-    return _measure_box(_floats(q), _floats(lo), _floats(hi))
 
 
 def _affine_min_norm(pts):
@@ -256,8 +237,10 @@ def _prepare(spec):
     kind = spec["kind"]
     if kind == "point":
         return (_floats(spec["p"]),)
-    if kind == "segment":
-        return _segment_floats(spec["a"], spec["b"])
+    if kind == "segment":  # its start a, direction d = b - a and d.d
+        a = _floats(spec["a"])
+        d = [float(c) - ac for c, ac in zip(spec["b"], a)]
+        return a, d, _dot(d, d)
     if kind == "box":
         return _floats(spec["lo"]), _floats(spec["hi"])
     vertices = [tuple(map(float, v)) for v in spec["vertices"]]

@@ -228,7 +228,8 @@ def closure_cover(omega):
 
 def _closed_value_masks(omega):
     """``closure_cover``'s value masks in domain order, scattered over the
-    ``down`` masks, after their cross-check with the images of the ``up`` masks."""
+    ``down`` masks, after their cross-check with the images of the ``up``
+    masks; a disagreement lists both sides' points in ``repr`` order."""
     ix, iy = omega.domain._index(), omega.codomain._index()
     closed = [0] * len(ix.order)
     for v, d in zip(omega._value_masks(), ix.down):
@@ -241,6 +242,6 @@ def _closed_value_masks(omega):
         if acc != cv:
             raise SelfCheckFailed(
                 f"closure-cover formulas disagree at {p!r}: "
-                f"{set(iy.points(acc))} vs {iy.points(cv)}"
+                f"{_select(iy.order, acc)} vs {_select(iy.order, cv)}"
             )
     return closed

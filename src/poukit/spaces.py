@@ -18,7 +18,9 @@ Euclidean metric; it is the desk-scale ground for ball covers and bump
 constructions.  Its ``incidence`` decides which balls contain each sample;
 covers and bumps all read it.  Every coordinate and radius, float or
 rational, is read as an integer ratio, so each (sample, ball) pair is
-decided by one comparison on integers, which is exact and cannot overflow.
+decided by one comparison on integers, which is exact and cannot overflow;
+a member pair keeps the integers of its squared distance and its radius
+over one scale, and the bumps are read off them.
 The samples are sorted once by their first coordinate, and each ball
 decides only the samples whose coordinate lies in its padded interval
 there, so the work follows the pairs the cover holds.  Each sample is
@@ -284,7 +286,7 @@ class MetricSampleSpace:
     membership (d < r) is decided exactly, on integers, so cover
     combinatorics stay exact even when distances are irrational.
     :meth:`incidence` is the one place a (sample, ball) pair is decided;
-    :meth:`BallIncidence.bumps` reads the bumps off its rows."""
+    :meth:`BallIncidence.normalized` reads the bumps off its rows."""
 
     dim: int
     samples: list
@@ -326,7 +328,7 @@ class MetricSampleSpace:
         of dimension 0, widens the interval to every sample."""
         samples, dim = self.samples, self.dim
         over = [x._over for x in samples]
-        keys = [_axis_key(sx) if dim else 0.0 for sx in over]
+        keys = [_to_float(sx[0][0], sx[1]) if dim else 0.0 for sx in over]
         order = sorted(range(len(samples)), key=keys.__getitem__)
         keys = [keys[i] for i in order]
         rows = [{} for _ in samples]
@@ -341,9 +343,8 @@ class MetricSampleSpace:
             sb = _over_lcm(b.center + (b.radius,), _NUMBERS)
             lo, hi = _window(sb) if dim else (-math.inf, math.inf)
             for i in order[bisect.bisect_left(keys, lo):bisect.bisect_right(keys, hi)]:
-                inside, s, scale = _measure(over[i], sb)
-                if inside:
-                    rows[i][a] = s, scale
+                if pair := _measure(over[i], sb):
+                    rows[i][a] = pair
         values = chain(*samples, *(b.center + (b.radius,) for b in balls.values()))
         exact = not any(issubclass(kind, float) for kind in set(map(type, values)))
         return BallIncidence(self, dict(balls), tuple(rows), exact)
@@ -368,25 +369,25 @@ def _check_numbers(values, what, point=None):
 
 
 def _measure(sx, sb):
-    """``(d(x, centre) < radius, s, scale)`` for a sample x = X / D_x and a
+    """The member pair ``(s, scale, r)`` of a sample x = X / D_x inside a
     ball with centre C / D_b and radius R / D_b (their ``_over_lcm``
-    forms): d**2 = s / scale**2 with s = sum((X D_b - C D_x)**2) and scale
-    = D_x D_b, and x is inside iff s < (R D_x)**2, all on integers."""
+    forms), else None: d(x, centre)**2 = s / scale**2 with s = sum((X D_b -
+    C D_x)**2) and scale = D_x D_b, the radius is r / scale with r = R D_x,
+    and x is inside iff s < r**2, all on integers."""
     (xs, dx), (bs, db) = sx, sb
     s = 0
     for p, c in zip(xs, bs):  # bs ends with R, past the last coordinate
         d = p * db - c * dx
         s += d * d
     r = bs[-1] * dx
-    return s < r * r, s, dx * db
+    return (s, dx * db, r) if s < r * r else None
 
 
-def _axis_key(over, i=0):
-    """``over[0][i] / over[1]`` as a float (int / int rounds correctly), or
-    past the float range an infinity of its sign."""
-    num = over[0][i]
+def _to_float(num, den):
+    """``num / den`` for a positive int ``den``, as a float (int / int rounds
+    correctly), or past the float range an infinity of its sign."""
     try:
-        return num / over[1]
+        return num / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
 
@@ -398,7 +399,8 @@ def _window(over):
     pad, 2**-40 of |c0| + r plus 2**-1000 for subnormals, exceeds the few
     roundings of the keys and of this sum; an infinite key widens the
     window to everything."""
-    c, r = _axis_key(over), _axis_key(over, -1)
+    nums, den = over
+    c, r = _to_float(nums[0], den), _to_float(nums[-1], den)
     pad = (abs(c) + r) * 2.0**-40 + 2.0**-1000
     lo, hi = c - r - pad, c + r + pad
     return (lo, hi) if lo <= hi else (-math.inf, math.inf)  # inf - inf is NaN
@@ -417,37 +419,26 @@ def _root(s, scale):
 @immutable(eq=False)
 class BallIncidence:
     """``rows[i]`` maps each ball containing ``space.samples[i]``, in
-    ``balls`` order, to ``(s, scale)``: the squared distance to its centre is
-    s / scale**2, on integers.  ``exact`` says that every sample and ball is
-    rational (no float).  Only the pairs inside a ball's interval on the
-    first axis were decided (:meth:`MetricSampleSpace.incidence`); the rows
-    are those of a dense pass over all pairs.  The bumps convert each
-    member's radius once, on first use, into ``_radii``: to an integer ratio
-    on an exact line row, else to a float."""
+    ``balls`` order, to ``(s, scale, r)``: the squared distance to its
+    centre is s / scale**2 and its radius is r / scale, on integers, as
+    :func:`_measure` decided the pair.  ``exact`` says that every sample and
+    ball is rational (no float).  Only the pairs inside a ball's interval on
+    the first axis were decided (:meth:`MetricSampleSpace.incidence`); the
+    rows are those of a dense pass over all pairs."""
 
     space: MetricSampleSpace
     balls: dict
     rows: tuple
     exact: bool
-    _radii: dict = field(default_factory=dict, init=False, repr=False)
-
-    def bumps(self, i):
-        """``{index: max(radius - d(x, centre), 0)}`` over the members at
-        x_i: ``Fraction`` gaps from :meth:`_line_row` on an exact line row,
-        else floats."""
-        line = self._line_row(i)
-        if line is None:
-            return self._float_bumps(i)
-        gaps, d = line
-        return {a: Fraction(g, d) for a, g in gaps.items()}
 
     def normalized(self, i):
-        """``(row, total)``: the bumps at x_i over their sum, as a
-        ``SparseVec``, and that sum; an exact line row is normalized on its
-        integer gaps.  A sample inside one ball a gets the vertex row
-        ``{a: 1}`` (``Fraction(1)`` on an exact line row, else ``1.0``) with
-        no division, and its total is that bump.  InputError when every bump
-        rounds to 0.0."""
+        """``(row, total)``: the bumps max(radius - d(x, centre), 0) at x_i
+        over their sum, as a ``SparseVec``, and the float of that sum,
+        ``math.inf`` past the float range; an exact line row is normalized
+        on its integer gaps, with ``Fraction`` entries.  A sample inside one
+        ball a gets the vertex row ``{a: 1}`` (``Fraction(1)`` on an exact
+        line row, else ``1.0``) with no division.  InputError when every
+        bump rounds to 0.0."""
         line = self._line_row(i)
         if line is None:
             bumps = self._float_bumps(i)
@@ -460,26 +451,25 @@ class BallIncidence:
         gaps, d = line  # positive integer gaps g_a over d: g_a / sum(g)
         n = sum(gaps.values())
         if len(gaps) == 1:
-            return SparseVec._of_nonzero(dict.fromkeys(gaps, _ONE)), Fraction(n, d)
-        return SparseVec._of_nonzero({a: Fraction(g, n) for a, g in gaps.items()}), Fraction(n, d)
+            return SparseVec._of_nonzero(dict.fromkeys(gaps, _ONE)), _to_float(n, d)
+        return SparseVec._of_nonzero({a: Fraction(g, n) for a, g in gaps.items()}), _to_float(n, d)
 
     def _float_bumps(self, i):
-        """The bumps at x_i as floats: r - |x0 - c0| in dimension 1, else r
-        - :func:`_root` (s, scale).  A member's d is below its radius, so
-        only a radius past the float range raises, as InputError."""
-        x, line, bumps, radii = self.space.samples[i], self.space.dim == 1, {}, self._radii
-        for a, (s, scale) in self.rows[i].items():
-            b = self.balls[a]
+        """The bumps at x_i as floats: r - |x0 - c0| in dimension 1, else
+        r / scale - :func:`_root` (s, scale), where r / scale is the float
+        of the radius (int / int rounds correctly).  A member's d is below
+        its radius, so only a radius past the float range raises, as
+        InputError."""
+        x, line, bumps = self.space.samples[i], self.space.dim == 1, {}
+        for a, (s, scale, r) in self.rows[i].items():
             try:  # radius - float is float(radius) - float, for a Fraction radius too
                 if line:
+                    b = self.balls[a]
                     gap = b.radius - abs(x[0] - b.center[0])
                 else:
-                    r = radii.get(a)
-                    if r is None:
-                        r = radii[a] = float(b.radius)
-                    gap = r - _root(s, scale)
+                    gap = r / scale - _root(s, scale)
             except OverflowError as exc:
-                raise InputError(f"bump of a ball of radius {b.radius} at "
+                raise InputError(f"bump of a ball of radius {self.balls[a].radius} at "
                                  f"{[str(c) for c in x]} is out of float range") from exc
             bumps[a] = gap if gap > 0 else 0.0
         return bumps
@@ -487,17 +477,10 @@ class BallIncidence:
     def _line_row(self, i):
         """``(gaps, d)`` with bump ``gaps[a] / d`` at x_i for each member a,
         on integers, when the space has dimension 1 and the incidence is
-        exact; else None.  A pair's gap is R (scale / D_r) - isqrt(s) over
-        ``scale``, for the radius R / D_r in lowest terms, and d is the lcm
-        of the row's scales."""
+        exact; else None.  A pair's gap is r - isqrt(s) over ``scale``, and
+        d is the lcm of the row's scales."""
         if self.space.dim != 1 or not self.exact:
             return None
-        row, radii = self.rows[i], self._radii
-        d = math.lcm(*[scale for _, scale in row.values()])
-        gaps = {}
-        for a, (s, scale) in row.items():
-            r = radii.get(a)
-            if r is None:
-                r = radii[a] = self.balls[a].radius.as_integer_ratio()
-            gaps[a] = (r[0] * (scale // r[1]) - math.isqrt(s)) * (d // scale)
-        return gaps, d
+        row = self.rows[i]
+        d = math.lcm(*[scale for _, scale, _ in row.values()])
+        return {a: (r - math.isqrt(s)) * (d // scale) for a, (s, scale, r) in row.items()}, d

@@ -7,6 +7,7 @@ reproducible from a single seed.  Draws run over points in ``repr`` order,
 never in set order, which follows the per-process string hash.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -153,3 +154,35 @@ def graph_closure(phi):
                 acc &= y.closure(phi.image(u))
         values[p] = frozenset(acc)
     return SetValuedMap(x, y, values)
+
+
+def oracle_bump(x, ball):
+    """max(radius - d(x, centre), 0): through Fraction in dimension 1, else
+    the root of the correctly rounded Fraction d**2, or where that leaves
+    the float range 2**512 times the root of d**2 / 2**1024."""
+    if len(x) == 1:
+        gap = Fraction(ball.radius) - abs(Fraction(x[0]) - Fraction(ball.center[0]))
+    else:
+        d_sq = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, ball.center))
+        try:
+            d = math.sqrt(float(d_sq))
+        except OverflowError:
+            d = math.sqrt(float(d_sq / 2**1024)) * 2.0**512
+        gap = float(ball.radius) - d
+    return max(gap, 0)
+
+
+def float_bump(x, ball):
+    """The bump of a float pair: r - |x0 - c0| in floats in dimension 1,
+    else as ``oracle_bump``."""
+    if len(x) == 1:
+        return max(ball.radius - abs(x[0] - ball.center[0]), 0)
+    return oracle_bump(x, ball)
+
+
+def float_of(total):
+    """``float(total)``, or past the float range ``math.inf``."""
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf

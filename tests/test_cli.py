@@ -263,8 +263,12 @@ class TestSelectionInput:
         code, out = run_main(tmp_path, capsys, "select-eps", selection_problem())
         assert code == 0 and json.loads(out.out)["overall"] == "pass"
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED_SELECTIONS))
-    @pytest.mark.parametrize("command", ["select-eps", "verify-all"])
+    # verify-all reports a cover gap as a failed check (TestSelfChecks)
+    MALFORMED = [(command, case) for command in ["select-eps", "verify-all"]
+                 for case in sorted(MALFORMED_SELECTIONS)
+                 if (command, case) != ("verify-all", "cover-gap")]
+
+    @pytest.mark.parametrize("command, case", MALFORMED, ids=[f"{c}-{k}" for c, k in MALFORMED])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, case):
         obj = selection_problem()
         MALFORMED_SELECTIONS[case](obj)
@@ -474,6 +478,24 @@ class TestSelfChecks:
         _, out = run_main(tmp_path, capsys, "verify-all", bundle)
         (check,) = json.loads(out.out)["checks"]
         assert check["witness"] == ["certificate violated", "x", "1.0", "0.3", ["a0", "a1"]]
+
+    def test_target_with_no_anchor_within_epsilon_is_a_failed_check(self, tmp_path, capsys):
+        """A target point farther than epsilon from every anchor fails its
+        epsilon-bound check with exit 1, and every other check of the
+        bundle keeps its verdict."""
+        bundle = json.loads((DATA / "example_bundle.json").read_text())
+        code, out = run_main(tmp_path, capsys, "verify-all", bundle)
+        assert code == 0
+        checks = json.loads(out.out)["checks"]
+        far = {"ambient_dim": 2, "sets": {"far": {"kind": "point", "p": ["10", "10"]}}}
+        bundle["targets"].append({**bundle["targets"][0], "target": far})
+        code, out = run_main(tmp_path, capsys, "verify-all", bundle)
+        assert code == 1
+        report = json.loads(out.out)
+        assert report["overall"] == "fail"
+        assert report["checks"] == checks + [{
+            "name": "target[1]:epsilon-bound", "status": "fail",
+            "witness": ["no anchor within epsilon", "far", "0.3"]}]
 
     def test_disagreeing_closure_formulas_are_a_failed_check(
         self, tmp_path, capsys, monkeypatch
@@ -1100,10 +1122,12 @@ class TestExactFiniteChecks:
 
     # the example cover's domain: U_a = {a, b}, U_b = {b}, so cl{b} = {a, b};
     # dropping p from cl{b} drops values(b) = {0, 1} from the scattered value
-    # at p alone, while the image of U_p still holds it
-    @pytest.mark.parametrize("dropped", ["a", "b"])
+    # at p alone, while the image of U_p still holds it.  Both sides are
+    # listed in repr order, so the witness does not follow the string hash
+    @pytest.mark.parametrize("dropped, sides", [("a", "['0', '1'] vs ['0']"),
+                                                ("b", "['0', '1'] vs []")], ids=["a", "b"])
     def test_closure_formulas_fail_at_a_flipped_down_bit(
-        self, tmp_path, capsys, monkeypatch, dropped
+        self, tmp_path, capsys, monkeypatch, dropped, sides
     ):
         build = spaces._Index.__init__
 
@@ -1117,7 +1141,7 @@ class TestExactFiniteChecks:
         assert code == 1
         (check,) = json.loads(out.out)["checks"]
         assert (check["name"], check["status"]) == ("cover[0]:closure-formulas", "fail")
-        assert check["witness"].startswith(f"closure-cover formulas disagree at {dropped!r}: ")
+        assert check["witness"] == f"closure-cover formulas disagree at {dropped!r}: {sides}"
 
     # closures of masks over the points a, b, c: bit 0 is a, bit 2 is c
     @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import functools
 import json
@@ -31,7 +30,8 @@ from poukit.errors import InputError, RowNotSimplex
 from poukit.spaces import BallIncidence
 from poukit.sparse import SparseVec
 
-from generators import dirac, open_star, random_cover, random_space, uniform
+from generators import (dirac, float_bump, float_of, open_star, oracle_bump, random_cover,
+                        random_space, uniform)
 
 
 def line_space():
@@ -466,15 +466,16 @@ def covered_samples(draw):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(covered_samples())
 def test_rows_and_shrunk_rows_equal_the_fraction_formulas(cover):
-    """Rows are bumps over their left-to-right sum; shrunk rows are the
-    clip at half the sup over its sum.  Exact rows stay Fractions."""
+    """Rows are the bumps of ``oracle_bump`` over their left-to-right sum;
+    shrunk rows are the clip at half the sup over its sum.  Exact rows stay
+    Fractions."""
     space, balls = cover
     pou = pou_from_incidence(space.incidence(balls))
     gamma, _ = mather_compose(pou)
     incidence = space.incidence(balls)
     totals = []
     for i, x in enumerate(space.samples):
-        bumps = incidence.bumps(i)
+        bumps = {a: oracle_bump(x, balls[a]) for a in incidence.rows[i]}
         total = functools.reduce(operator.add, bumps.values(), 0)
         totals.append(total)
         row = {a: g / total for a, g in bumps.items()}
@@ -507,18 +508,37 @@ HUGE_TOTALS = (MetricSampleSpace([(F(0),), (F(10**400, 2),)]),
                {"U": Ball((F(0),), F(10**400))})
 
 
+def oracle_totals(incidence, bump):
+    """The bump total at each sample, ``bump(x, ball)`` summed left to right
+    over its members: a Fraction on an exact line, else a float."""
+    balls = incidence.balls
+    return [functools.reduce(operator.add, [bump(x, balls[a]) for a in row], 0)
+            for x, row in zip(incidence.space.samples, incidence.rows)]
+
+
+def assert_l1_lipschitz(lip, k, least):
+    """``lip`` is 2 k / float(least), for the least exact bump total, when
+    that float is finite and nonzero; else a float at least the exact
+    quotient."""
+    f = float_of(least)
+    if 0 < f < math.inf:
+        assert lip == 2 * k / f
+    else:
+        assert type(lip) is float and lip >= F(2 * k) / F(least)
+
+
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(covered_samples())
 @example(TIED_TOTALS)
 @example(HUGE_TOTALS)
 def test_l1_lipschitz_is_the_ratio_bound_of_the_least_total(cover):
     """The least total is found by its float, which is the float of the
-    exact least total; the bound is that of the exact least total."""
+    exact least total; the bound is 2 k over that float, or where it is
+    infinite or 0.0 a float at least the exact quotient."""
     space, balls = cover
     incidence = space.incidence(balls)
-    totals = [incidence.normalized(i)[1] for i in range(len(space.samples))]
     pou = pou_from_incidence(incidence)
-    assert pou.l1_lipschitz == pou_module._float_ratio_bound(2 * len(balls), min(totals))
+    assert_l1_lipschitz(pou.l1_lipschitz, len(balls), min(oracle_totals(incidence, oracle_bump)))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -544,8 +564,8 @@ def test_verify_all_hashes_each_sample_at_most_16_times(tmp_path, capsys, monkey
 def test_verify_all_clears_denominators_once(tmp_path, capsys, monkeypatch, name, mode):
     """``_over_lcm`` runs once per sample, once per ball and once per row
     that is not a vertex: the row's unit-simplex check and its shrink share
-    that call.  Past the incidence, the bumps convert each radius at most
-    once, to an integer ratio or to a float."""
+    that call.  Past the incidence no radius is converted: each member pair
+    holds its radius term."""
     data = pathlib.Path(__file__).resolve().parent.parent / "data"
     doc = json.loads((data / name).read_text())
     cover = {"space": doc["space"], "balls": doc["balls"]}
@@ -590,9 +610,7 @@ def test_verify_all_clears_denominators_once(tmp_path, capsys, monkeypatch, name
     assert main(["verify-all", str(path), "--mode", mode]) == 0
     assert json.loads(capsys.readouterr().out)["overall"] == "pass"
     assert 0 < len(lcm_calls) <= bound
-    # a dimension-1 float bump subtracts the radius as it is
-    assert bool(conversions) == (mode == "exact" or incidence.space.dim > 1)
-    assert max(collections.Counter(conversions).values(), default=0) <= 1
+    assert conversions == []
 
 
 @st.composite
@@ -622,23 +640,24 @@ def _typed(row):
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(data=st.data())
 def test_vertex_rows_equal_the_general_path(num, data):
-    """Rows, their totals and value types, ``l1_lipschitz`` and the shrunk
-    rows equal those of ``_normalized`` and ``mather_eta`` run on every row,
-    vertex rows e_a included."""
+    """Rows and their value types, and the shrunk rows, equal those of
+    ``_normalized`` and ``mather_eta`` run on the oracle bumps of every row,
+    vertex rows e_a included; totals are the floats of the oracle sums, and
+    ``l1_lipschitz`` is the bound of the least."""
     space, balls = data.draw(vertex_row_covers(num))
     incidence = space.incidence(balls)
     pou = pou_from_incidence(incidence)
     gamma, _ = mather_compose(pou)
-    totals = []
-    for i, x in enumerate(space.samples):
-        want, total = sparse._normalized(incidence.bumps(i))
+    bump = oracle_bump if num is F else float_bump
+    totals = oracle_totals(incidence, bump)
+    for i, (x, total) in enumerate(zip(space.samples, totals)):
+        want, _ = sparse._normalized({a: bump(x, balls[a]) for a in incidence.rows[i]})
         row, got_total = incidence.normalized(i)
-        assert (type(got_total), got_total) == (type(total), total)
-        totals.append(total)
+        assert (type(got_total), got_total) == (float, float_of(total))
         assert _typed(pou.rows[x].entries) == _typed(row.entries) == _typed(want.entries)
         eta = sparse.mather_eta(sparse.ExtendedUnitVec._of_checked(want))
         assert _typed(gamma.rows[x].entries) == _typed(eta.entries)
-    assert pou.l1_lipschitz == pou_module._float_ratio_bound(2 * len(balls), min(totals))
+    assert_l1_lipschitz(pou.l1_lipschitz, len(balls), min(totals))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -23,13 +23,7 @@ from poukit import (
     selection,
 )
 from poukit.scalars import _fold_sum
-from poukit.selection import (
-    SelectionCertificate,
-    dist_to_box,
-    dist_to_point,
-    dist_to_polytope,
-    dist_to_segment,
-)
+from poukit.selection import SelectionCertificate, dist_to_polytope
 from poukit.sparse import SparseVec, _normalized
 
 from generators import dirac, make_rng, random_open_cover, random_simplex_point, uniform
@@ -171,18 +165,27 @@ class TestBarycentricSelection:
             assert u >= 0 and v >= 0 and u + v <= 1  # inside the triangle
 
 
+def distance_to(spec, q):
+    """d(q, spec) as a ``ConvexTarget`` with one set measures it."""
+    return ConvexTarget(len(q), {"x": spec}).distance("x", q)
+
+
 class TestDistanceOracles:
     def test_segment_interior(self):
-        assert dist_to_segment((0.5, 0.2), (0, 0), (1, 0)) == pytest.approx(0.2)
+        segment = {"kind": "segment", "a": (0, 0), "b": (1, 0)}
+        assert distance_to(segment, (0.5, 0.2)) == pytest.approx(0.2)
 
     def test_segment_endpoint(self):
-        assert dist_to_segment((2, 0), (0, 0), (1, 0)) == pytest.approx(1.0)
+        segment = {"kind": "segment", "a": (0, 0), "b": (1, 0)}
+        assert distance_to(segment, (2, 0)) == pytest.approx(1.0)
 
     def test_box(self):
-        assert dist_to_box((2, 3), (0, 0), (1, 1)) == pytest.approx(5**0.5)
+        box = {"kind": "box", "lo": (0, 0), "hi": (1, 1)}
+        assert distance_to(box, (2, 3)) == pytest.approx(5**0.5)
 
     def test_box_inside(self):
-        assert dist_to_box((0.5, 0.5), (0, 0), (1, 1)) == 0
+        box = {"kind": "box", "lo": (0, 0), "hi": (1, 1)}
+        assert distance_to(box, (0.5, 0.5)) == 0
 
     def test_polytope_vertex(self):
         assert dist_to_polytope((2, 0), [(0, 0), (1, 0), (0, 1)]) == pytest.approx(1.0)
@@ -351,7 +354,7 @@ class TestPolytopeDegenerate:
 
     def test_single_vertex_is_point_distance(self):
         for q, v in [((3, 4), (0, 0)), ((0.1, 0.2, 0.3), (1.5, -2, 7)), ((1,), (1,))]:
-            assert dist_to_polytope(q, [v]) == dist_to_point(q, v)
+            assert dist_to_polytope(q, [v]) == math.dist(q, v)
 
 
 class TestConvexTargetValidation:

@@ -16,8 +16,9 @@ from poukit import (
 )
 from poukit import spaces
 from poukit.errors import InputError
+from poukit.sparse import SparseVec, _normalized
 
-from generators import make_rng, product_space, random_space
+from generators import float_bump, float_of, make_rng, oracle_bump, product_space, random_space
 
 
 @st.composite
@@ -197,18 +198,17 @@ class TestMetricGround:
     def test_ball_membership(self):
         incidence = self.m.incidence({"U": Ball((F(0),), F(7, 10))})
         assert "U" in incidence.rows[1]  # the sample 1/2
-        assert incidence.bumps(1) == {"U": F(1, 5)}
+        assert incidence.normalized(1) == (SparseVec({"U": F(1)}), 0.2)  # bump 1/5
 
     def test_center_membership(self):
         b = Ball((F(0),), F(7, 10))
         incidence = self.m.incidence({"U": b})
         assert "U" in incidence.rows[0]  # the sample 0
-        assert incidence.bumps(0) == {"U": b.radius}
+        assert incidence.normalized(0) == (SparseVec({"U": F(1)}), 0.7)  # bump the radius
 
     def test_boundary_excluded(self):
         incidence = self.m.incidence({"U": Ball((F(0),), F(1, 2))})
-        assert "U" not in incidence.rows[1]  # the sample 1/2
-        assert incidence.bumps(1) == {}
+        assert incidence.rows[1] == {}  # the sample 1/2
 
     def test_duplicate_samples_rejected(self):
         with pytest.raises(InputError, match="duplicate sample"):
@@ -372,39 +372,41 @@ def test_samples_read_as_plain_tuples(points):
     assert repr(space.samples) == repr(points)
 
 
-def oracle_bump(x, ball):
-    """max(radius - d(x, centre), 0): through Fraction in dimension 1, else
-    the root of the correctly rounded Fraction d**2, or where that leaves
-    the float range 2**512 times the root of d**2 / 2**1024."""
-    if len(x) == 1:
-        gap = F(ball.radius) - abs(F(x[0]) - F(ball.center[0]))
-    else:
-        d_sq = sum((F(a) - F(b)) ** 2 for a, b in zip(x, ball.center))
-        try:
-            d = math.sqrt(float(d_sq))
-        except OverflowError:
-            d = math.sqrt(float(d_sq / 2**1024)) * 2.0**512
-        gap = float(ball.radius) - d
-    return max(gap, 0)
+def held_bumps(incidence, i):
+    """The bumps at x_i as the incidence computes them: ``Fraction`` gaps
+    from ``_line_row`` on an exact line row, else ``_float_bumps``."""
+    line = incidence._line_row(i)
+    if line is None:
+        return incidence._float_bumps(i)
+    gaps, d = line
+    return {a: F(g, d) for a, g in gaps.items()}
+
+
+def _typed(entries):
+    return {a: (type(v), v) for a, v in entries.items()}
 
 
 def assert_incidence(space, balls, inside, bump):
-    """The incidence rows and their bumps agree with the oracles
-    ``inside(x, ball)`` and ``bump(x, ball)``, and every pair is decided."""
+    """The incidence rows agree with the oracle ``inside(x, ball)``, and
+    every pair is decided.  Each row's bumps are ``bump(x, ball)``, and it
+    normalizes them as ``_normalized`` does, values and types alike, with
+    the float of their sum, or InputError when every bump is 0."""
     incidence = space.incidence(balls)
     assert len(incidence.rows) == len(space.samples)
     for i, x in enumerate(space.samples):
         members = [a for a, b in balls.items() if inside(x, b)]
         assert list(incidence.rows[i]) == members
-        assert incidence.bumps(i) == {a: bump(x, balls[a]) for a in members}
-
-
-def float_bump(x, ball):
-    """The bump of a float pair: r - |x0 - c0| in floats in dimension 1,
-    else as ``oracle_bump``."""
-    if len(x) == 1:
-        return max(ball.radius - abs(x[0] - ball.center[0]), 0)
-    return oracle_bump(x, ball)
+        bumps = {a: bump(x, balls[a]) for a in members}
+        assert held_bumps(incidence, i) == bumps
+        if not any(bumps.values()):
+            if members:
+                with pytest.raises(InputError, match="rounds to 0.0"):
+                    incidence.normalized(i)
+            continue
+        want, total = _normalized(bumps)
+        row, got_total = incidence.normalized(i)
+        assert (_typed(row.entries), type(got_total)) == (_typed(want.entries), float)
+        assert got_total == float_of(total)
 
 
 def exact_inside(x, ball):
@@ -519,7 +521,7 @@ class TestIncidence:
         space = MetricSampleSpace([()])
         balls = {"U": Ball((), num(1)), "V": Ball((), num(1) / 2)}
         assert list(space.incidence(balls).rows[0]) == ["U", "V"]
-        assert_incidence(space, balls, lambda x, b: True, lambda x, b: b.radius)
+        assert_incidence(space, balls, lambda x, b: True, lambda x, b: float(b.radius))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_float_radii_past_the_root_of_the_float_limit(self, dim):
@@ -533,7 +535,8 @@ class TestIncidence:
         assert [list(row) for row in incidence.rows] == [
             ["U", "V"], ["V", "W"], ["V"], ["V", "W"], [], ["W"]]
         assert_float_incidence(space, balls)
-        assert incidence.bumps(3)["V"] == 1e300 and incidence.bumps(5) == {"W": 1e308}
+        assert incidence._float_bumps(3)["V"] == 1e300
+        assert incidence._float_bumps(5) == {"W": 1e308}
 
     def test_a_line_cover_decides_a_few_pairs_per_sample(self, monkeypatch):
         """2,000 samples, 400 balls: at most 3 n of the 800,000 pairs."""

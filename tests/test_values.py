@@ -19,6 +19,7 @@ from poukit import (
     mather_compose,
 )
 from poukit.nerve import CanonicalReport
+from poukit.spaces import BallIncidence
 
 
 def _cover():
@@ -30,11 +31,16 @@ def _pou():
     return PartitionOfUnity(g, {"a"}, {"x": SparseVec({"a": F(1)})})
 
 
+def _incidence():
+    return MetricSampleSpace([(F(0),), (F(1),)]).incidence({"U": Ball((F(0),), F(2))})
+
+
 # name -> (a fresh instance, equal by value, hashable)
 VALUES = {
     "FiniteSpace": (FiniteSpace.sierpinski, True, True),
     "Ball": (lambda: Ball((F(0),), F(1)), False, True),
     "MetricSampleSpace": (lambda: MetricSampleSpace([(F(0),), (F(1),)]), False, True),
+    "BallIncidence": (_incidence, False, True),
     "SparseVec": (lambda: SparseVec({"a": F(1, 2), "b": F(1, 2)}), True, True),
     "ExtendedUnitVec": (lambda: ExtendedUnitVec({"a": F(3, 4)}, F(1, 4), F(1, 8)), False, True),
     "SetValuedMap": (_cover, True, False),
@@ -89,3 +95,10 @@ def test_hashability(name):
         assert len({obj, twin}) == 1
     else:
         assert len({obj, twin}) == 2
+
+
+def test_ball_incidence_fields():
+    """A member pair holds its radius term, so the incidence keeps no cache
+    beside its rows."""
+    assert [f.name for f in dataclasses.fields(BallIncidence)] == [
+        "space", "balls", "rows", "exact"]
