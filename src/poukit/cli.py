@@ -149,9 +149,8 @@ def _load_cover_input(obj, mode):
 
 def cmd_nerve_build(doc, args, report, mode):
     _, cover = _load_cover_input(doc, mode)
-    cx = nerve_from_cover(cover)
+    report.payload["complex"] = jsonio.complex_payload(nerve_from_cover(cover), args.max_dim)
     report.check("nerve-built", True)
-    report.payload["complex"] = jsonio.dump_complex(cx, args.max_dim)
 
 
 def cmd_canonical_check(doc, args, report, mode):
@@ -164,7 +163,7 @@ def cmd_canonical_check(doc, args, report, mode):
         pou = jsonio.load_pou(pou, mode)
     cx_report = canonical_map_check(pou, cover)
     report.check("canonical", cx_report.canonical, cx_report.to_dict())
-    report.payload["nerve"] = jsonio.dump_complex(nerve_from_cover(cover), args.max_dim)
+    report.payload["nerve"] = jsonio.complex_payload(nerve_from_cover(cover), args.max_dim)
 
 
 def _load_selection_input(obj):
@@ -179,8 +178,12 @@ def _load_selection_input(obj):
 
 def cmd_select_eps(doc, args, report, mode):
     target, eps, anchors = _load_selection_input(doc)
-    values, certs = epsilon_selection(target, eps, anchors)
-    report.check("epsilon-bound", True)  # a violated certificate raises
+    try:
+        values, certs = epsilon_selection(target, eps, anchors)
+    except (CoverGap, SelfCheckFailed) as exc:
+        report.check("epsilon-bound", False, _violation(exc, eps))
+        return
+    report.check("epsilon-bound", True)
     report.payload["selection"] = {
         str(x): {
             "value": [repr(float(c)) for c in v],

@@ -13,6 +13,7 @@ import json
 import reprlib
 
 from .errors import InputError
+from .nerve import _dump_bound
 from .pou import PartitionOfUnity
 from .scalars import EXACT, format_scalar
 from .selection import ConvexTarget
@@ -250,33 +251,37 @@ def dump_pou(pou):
     }
 
 
-class _Faces(list):
-    """A dump's simplices, equal to the plain list of lists; ``texts`` holds
-    the JSON texts of each simplex's vertices for :func:`report_text`."""
-
-    __slots__ = ("texts",)
-
-
 def dump_complex(cx, max_dimension=None):
     """The vertices of ``cx`` and its simplices, up to ``max_dimension`` when
-    a bound is given, as :meth:`~poukit.nerve.SimplicialComplex.faces_by_size`
-    lists them: by size, each in ``repr`` order, then in the list order
-    ``nerve`` defines, strings first.  Each vertex name is encoded once and
-    the simplices carry the texts, unless a name is a tuple: a JSON array,
-    whose text depends on its indentation."""
-    names = {v: _quote(v) if type(v) is str else json.dumps(v) for v in cx.vertices}
-    simplices = _Faces()
-    simplices.texts = []
-    for faces, texts in cx.faces_by_size(names.__getitem__, max_dimension):
-        simplices += map(list, faces)
-        simplices.texts += texts
+    a bound is given, as plain lists in the order
+    :meth:`~poukit.nerve.SimplicialComplex.faces_by_size` lists them."""
+    levels = cx.faces_by_size(max_dimension=max_dimension)
+    return _complex_doc(cx, [list(s) for level in levels for s in level])
+
+
+def complex_payload(cx, max_dimension=None):
+    """:func:`dump_complex` as :func:`report_text` writes it, with each name
+    quoted once here and the faces left to the writer; a tuple name is a
+    JSON array, whose text depends on its indentation, so it gets lists."""
     if any(isinstance(v, tuple) for v in cx.vertices):
-        simplices = list(simplices)
-    return {
-        "vertices": sorted(cx.vertices, key=repr),
-        "simplices": simplices,
-        "witnessed": cx.witnessed,
-    }
+        return dump_complex(cx, max_dimension)
+    names = {v: _quote(v) if type(v) is str else json.dumps(v) for v in cx.vertices}
+    return _complex_doc(cx, _FaceBlock(cx, names, _dump_bound(max_dimension)))
+
+
+def _complex_doc(cx, simplices):
+    return {"vertices": sorted(cx.vertices, key=repr), "simplices": simplices,
+            "witnessed": cx.witnessed}
+
+
+class _FaceBlock:
+    """The simplices of ``complex`` up to ``max_dimension``, unexpanded.  A
+    plain class: a dataclass would add about 0.5 ms to every import."""
+
+    __slots__ = ("complex", "names", "max_dimension")
+
+    def __init__(self, cx, names, max_dimension):
+        self.complex, self.names, self.max_dimension = cx, names, max_dimension
 
 
 def load_convex_target(obj, mode=EXACT):
@@ -298,16 +303,17 @@ _quote = json.encoder.encode_basestring_ascii
 
 def report_text(doc):
     """``json.dumps(doc, sort_keys=True, indent=2)`` and a final newline,
-    byte for byte, for a document whose object keys are strings.
+    byte for byte, for a document whose object keys are strings, with the
+    simplices of :func:`complex_payload` as :func:`dump_complex` lists them.
 
     ``indent`` makes ``json.dumps`` use its pure-Python encoder.  Here the
     text, final newline included, is written as chunks to one list and
     joined once, so no container's text is copied into its parent's.  Each
-    string goes through the C string encoder, and the simplices of
-    :func:`dump_complex`, the bulk of a nerve dump, are one chunk written
-    from the texts they carry, with one ``join`` per simplex and one for
-    the list.  ``null``, ``true``, ``false`` and ints are written here as
-    ``json.dumps`` writes them, and other scalars by ``json.dumps`` itself.
+    string goes through the C string encoder.  A :func:`complex_payload`'s
+    faces are expanded only here, one chunk per level of ``faces_by_size``
+    joined from each face's text, the only object made per face.  ``null``,
+    ``true``, ``false`` and ints are written as ``json.dumps`` writes them,
+    and other scalars by ``json.dumps`` itself.
     """
     chunks = []
     _write(doc, "\n", chunks.append)
@@ -325,13 +331,6 @@ def _write(obj, nl, put):
             put("[]")
             return
         inner = nl + "  "
-        if isinstance(obj, _Faces):
-            deeper = inner + "  "
-            between = inner + "]," + inner + "[" + deeper
-            put("[" + inner + "[" + deeper)
-            put(between.join(map(("," + deeper).join, obj.texts)))
-            put(inner + "]" + nl + "]")
-            return
         sep, comma = "[" + inner, "," + inner
         for x in obj:
             put(sep)
@@ -357,5 +356,14 @@ def _write(obj, nl, put):
         put("false")
     elif type(obj) is int:
         put(repr(obj))
+    elif isinstance(obj, _FaceBlock):
+        inner = nl + "  "
+        deeper = inner + "  "
+        sep, between = "[" + inner + "[" + deeper, inner + "]," + inner + "[" + deeper
+        for labels in obj.complex.faces_by_size(obj.names.__getitem__, obj.max_dimension):
+            put(sep)
+            put(between.join(map(("," + deeper).join, labels)))
+            sep = between
+        put(inner + "]" + nl + "]" if sep is between else "[]")
     else:
         put(json.dumps(obj))

@@ -12,12 +12,12 @@ Maria (Algorithmica, 2014): membership of a simplex is a subset test
 against the facets, and the face set is enumerated only when a caller
 reads ``simplices`` or a dump lists the faces.  Both go through one
 generator, :meth:`SimplicialComplex.faces_by_size`, which also owns the
-order a dump lists them in (strings first).  Each facet is held in
-``repr`` order, and the faces of each size come from the facets'
-combinations: a size that one facet alone reaches needs no dedup, nor a
-sort where list and ``repr`` order agree on it.  A dimension bound such as
-``--max-dim`` bounds only what a dump lists; membership, dimension and
-canonical verdicts are never truncated.
+order a dump lists them in (strings first), from the facets'
+combinations.  The command line writes a nerve's faces from combinations
+of the facets' vertex texts only when it writes the report, and keeps no
+object per face but its text.  A dimension bound such as ``--max-dim``
+bounds only what a dump lists; membership, dimension and canonical
+verdicts are never truncated.
 
 The hull map x -> conv{e_a : a in cover(x)}, which sends each point to a
 simplex of the nerve, is :func:`poukit.selection.conv_membership` with
@@ -80,53 +80,49 @@ class SimplicialComplex:
     def faces_by_size(self, label=None, max_dimension=None):
         """The simplices with 1, 2, ... vertices, up to ``max_dimension + 1``
         when a bound is given: one iterable per size of the tuples of their
-        vertices in ``repr`` order, listed as the lists of their vertices'
-        :func:`_list_key` compare.  With ``label``, a level is the pair of
-        that iterable and one of the tuples of their labels ``label(v)``.
-        A level sorts on its vertex tuples when all names are strings, and
-        else on the tuples of the vertices' ranks in that list order.  A
-        level that one facet alone reaches is that facet's combinations,
-        each face once and, when the facet's sort keys ascend in ``repr``
-        order, already in order; any other level keeps each face once in a
-        dict keyed by what it sorts on, and sorts the keys.  A negative
-        bound would leave the vertices without simplices and is an
+        vertices in ``repr`` order, or with ``label`` of their labels
+        ``label(v)``, listed as the lists of their vertices' :func:`_list_key`
+        compare.  A level sorts on its vertex tuples when all names are
+        strings, and else on the tuples of the vertices' ranks in that list
+        order.  A level that one facet alone reaches is that facet's
+        combinations, each face once and, when the facet's sort keys ascend
+        in ``repr`` order, already in order; any other level keeps each face
+        once in a dict keyed by what it sorts on, and sorts the keys.  A
+        negative bound would leave the vertices without simplices and is an
         InputError."""
         top = self.dimension()
-        if max_dimension is not None:
-            if max_dimension < 0:
-                raise InputError(f"max_dimension must be at least 0, got {max_dimension}")
+        if _dump_bound(max_dimension) is not None:
             top = min(top, max_dimension)
         rank = None  # None when all names are strings, whose list order is str order
         if not all(type(v) is str for v in self.vertices):
             rank = {v: r for r, v in enumerate(sorted(self.vertices, key=_list_key))}
         repr_rank = {v: r for r, v in enumerate(sorted(self.vertices, key=repr))}
-        facets = []  # each facet's columns in repr order: [ranks,] vertices, labels
+        facets = []  # each facet's sort keys and what it lists, in repr order
         for f in sorted(self.facets, key=len, reverse=True):
             f = sorted(f, key=repr_rank.__getitem__)
-            columns = [f, f if label is None else list(map(label, f))]
-            facets.append(columns if rank is None else [list(map(rank.__getitem__, f))] + columns)
+            facets.append((f if rank is None else list(map(rank.__getitem__, f)),
+                           f if label is None else list(map(label, f))))
         ascends = bool(facets) and facets[0][0] == sorted(facets[0][0])
 
         def levels():
             for k in range(1, top + 2):
                 reach = [f for f in facets if len(f[0]) >= k]
                 if len(reach) == 1 and ascends:
-                    faces, labels = (combinations(col, k) for col in reach[0][-2:])
+                    yield combinations(reach[0][1], k)
                 else:  # each face once, keyed by the tuple it sorts on
                     rows = {}
-                    for f in reach:
-                        keys, values = combinations(f[0], k), combinations(f[1], k)
-                        if rank is not None:
-                            values = zip(values, combinations(f[2], k))
-                        rows.update(zip(keys, values))
-                    keys = sorted(rows)
-                    if rank is None:
-                        faces, labels = keys, list(map(rows.__getitem__, keys))
-                    else:
-                        faces, labels = zip(*map(rows.__getitem__, keys))
-                yield faces if label is None else (faces, labels)
+                    for keys, values in reach:
+                        rows.update(zip(combinations(keys, k), combinations(values, k)))
+                    yield list(map(rows.__getitem__, sorted(rows)))
 
         return levels()
+
+
+def _dump_bound(max_dimension):
+    """``max_dimension``, or None; a negative dump bound is an InputError."""
+    if max_dimension is not None and max_dimension < 0:
+        raise InputError(f"max_dimension must be at least 0, got {max_dimension}")
+    return max_dimension
 
 
 def _list_key(v):

@@ -21,8 +21,9 @@ from poukit import (
 )
 from poukit import cli, jsonio, sparse, spaces
 from poukit.cli import COMMANDS, build_parser, main
-from poukit.jsonio import _Faces, dump_finite_space, load_set_valued_map, report_text
-from poukit.nerve import CanonicalReport
+from poukit.jsonio import (
+    complex_payload, dump_complex, dump_finite_space, load_set_valued_map, report_text)
+from poukit.nerve import CanonicalReport, SimplicialComplex
 
 from generators import uniform
 
@@ -247,7 +248,6 @@ MALFORMED_SELECTIONS = {
     "missing-epsilon": lambda obj: obj.pop("epsilon"),
     "missing-anchors": lambda obj: obj.pop("anchors"),
     "zero-epsilon": lambda obj: obj.update(epsilon="0"),
-    "cover-gap": lambda obj: obj.update(anchors=[["10", "10"]]),
     "epsilon-abc": lambda obj: obj.update(epsilon="abc"),
     "epsilon-1/0": lambda obj: obj.update(epsilon="1/0"),
     "anchor-abc": lambda obj: obj["anchors"].append(["abc", "0"]),
@@ -263,10 +263,8 @@ class TestSelectionInput:
         code, out = run_main(tmp_path, capsys, "select-eps", selection_problem())
         assert code == 0 and json.loads(out.out)["overall"] == "pass"
 
-    # verify-all reports a cover gap as a failed check (TestSelfChecks)
     MALFORMED = [(command, case) for command in ["select-eps", "verify-all"]
-                 for case in sorted(MALFORMED_SELECTIONS)
-                 if (command, case) != ("verify-all", "cover-gap")]
+                 for case in sorted(MALFORMED_SELECTIONS)]
 
     @pytest.mark.parametrize("command, case", MALFORMED, ids=[f"{c}-{k}" for c, k in MALFORMED])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, case):
@@ -463,13 +461,30 @@ class TestSelfChecks:
         assert check["status"] == "fail"
         assert "certificate violated" in check["witness"]
 
-    def test_violated_certificate_exits_1_with_json_error(
+    def test_violated_certificate_is_a_failed_select_eps_check(
         self, tmp_path, capsys, monkeypatch
     ):
         problem = self.break_certificate(monkeypatch)
         code, out = run_main(tmp_path, capsys, "select-eps", problem)
-        assert code == 1
-        assert "certificate violated" in json.loads(out.err)["error"]
+        assert code == 1 and out.err == ""
+        report = json.loads(out.out)
+        assert report["overall"] == "fail" and report["payload"] == {}
+        assert report["checks"] == [{
+            "name": "epsilon-bound", "status": "fail",
+            "witness": ["certificate violated", "x", "1.0", "0.3", ["a0", "a1"]]}]
+
+    def test_target_with_no_anchor_within_epsilon_fails_select_eps(self, tmp_path, capsys):
+        """The anchor (0, 0) lies on x, y and z but 0.71 from w: select-eps
+        writes a report whose epsilon-bound check fails with w, and exits 1."""
+        problem = selection_problem()
+        problem["anchors"] = [["0", "0"]]
+        code, out = run_main(tmp_path, capsys, "select-eps", problem)
+        assert code == 1 and out.err == ""
+        report = json.loads(out.out)
+        assert report["overall"] == "fail" and report["payload"] == {}
+        assert report["checks"] == [{
+            "name": "epsilon-bound", "status": "fail",
+            "witness": ["no anchor within epsilon", "w", "0.3"]}]
 
     def test_violated_certificate_witness_names_point_distance_and_anchors(
         self, tmp_path, capsys, monkeypatch
@@ -1215,20 +1230,32 @@ class TestMatherInvariants:
         }
 
 
-def _faces(simplices):
-    """Simplices as ``dump_complex`` writes them: a list of lists that
-    carries the JSON text of each vertex."""
-    faces = _Faces(simplices)
-    faces.texts = [tuple(map(json.dumps, s)) for s in simplices]
-    return faces
+def _faces(members, max_dimension=None):
+    """The simplices ``complex_payload`` gives the complex that ``members``
+    generate: a face block, or plain lists when a name is a tuple."""
+    return complex_payload(SimplicialComplex(members), max_dimension)["simplices"]
 
 
+def _plain(doc):
+    """``doc`` with each face block replaced by ``dump_complex``'s lists."""
+    if isinstance(doc, jsonio._FaceBlock):
+        return dump_complex(doc.complex, doc.max_dimension)["simplices"]
+    if isinstance(doc, dict):
+        return {k: _plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(_plain, doc))
+    return doc
+
+
+_string_names = st.text(max_size=3)
+_mixed_names = _string_names | st.integers(-3, 12)
+_tuple_names = _mixed_names | st.tuples(st.text(max_size=2), st.integers(0, 3))
+_members = st.one_of(*(st.lists(st.frozensets(names, min_size=1, max_size=5), max_size=4)
+                       for names in (_string_names, _mixed_names, _tuple_names)))
 _json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-_face_lists = st.lists(
-    st.lists(st.text() | st.integers(), min_size=1, max_size=3), max_size=4
-).map(_faces)
+_face_blocks = st.builds(_faces, _members, st.none() | st.integers(0, 5))
 _report_docs = st.recursive(
-    _json_scalars | _face_lists,
+    _json_scalars | _face_blocks,
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=4).map(tuple)
@@ -1291,10 +1318,14 @@ class TestInputEdges:
 
 
 class TestReportText:
-    """``json.dumps`` writes a ``_Faces`` value as the plain list of lists
-    it equals, so it is the oracle for the texts the faces carry."""
+    """The oracle is ``json.dumps`` of the same document with each face
+    block replaced by ``dump_complex``'s plain lists."""
 
     FACES = [["U0"], ["U1"], ["U0", "U1"], [0, "\u00e9", 'a"']]
+
+    @staticmethod
+    def assert_written_as_json(doc):
+        assert report_text(doc) == json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n"
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_report_docs)
@@ -1306,7 +1337,74 @@ class TestReportText:
     @example([_faces([]), {"faces": _faces([])}, _faces([])])
     @example(_faces(FACES))
     def test_equals_json_dumps_with_sorted_keys_and_indent_2(self, doc):
-        assert report_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        self.assert_written_as_json(doc)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_members, st.integers(0, 3))
+    @example([["U0", "U1"], [0, "\u00e9", 'a"']], 2)
+    @example([[("a", 1), 2]], 1)
+    @example([], 0)
+    def test_every_dump_bound_at_several_depths(self, members, depth):
+        """Each bound from 0 to one past the dimension, and none, with the
+        payload nested ``depth`` levels down in objects and lists; names
+        without a tuple among them get a face block."""
+        cx = SimplicialComplex(members)
+        for max_dimension in [None, *range(cx.dimension() + 2)]:
+            doc = complex_payload(cx, max_dimension)
+            block = isinstance(doc["simplices"], jsonio._FaceBlock)
+            assert block != any(isinstance(v, tuple) for v in cx.vertices)
+            for level in range(depth):
+                doc = {"payload": doc} if level % 2 else [1, doc]
+            self.assert_written_as_json(doc)
+
+
+class TestNerveDumpFromFacets:
+    """A ball cover whose one sample lies in 14 balls: its nerve is one
+    facet with 16,383 faces, all of them dumped at ``--max-dim 13``."""
+
+    COVER = {
+        "space": {"dim": 1, "samples": [["0"]]},
+        "balls": {f"U{i}": {"center": ["0"], "radius": "1"} for i in range(14)},
+    }
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("nerve-build", COVER, "complex"),
+        ("canonical-check", {"cover": COVER}, "nerve"),
+    ], ids=["nerve-build", "canonical-check"])
+    def test_faces_are_written_from_one_enumeration(
+        self, tmp_path, capsys, monkeypatch, command, doc, key
+    ):
+        """The dump enumerates the faces once, never builds
+        ``dump_complex``'s lists, and quotes each name twice: once in
+        ``vertices`` and once for the 8,192 faces it is in."""
+        enumerations, dumps, quoted = [], [], []
+        faces_by_size, quote = SimplicialComplex.faces_by_size, jsonio._quote
+        monkeypatch.setattr(SimplicialComplex, "faces_by_size",
+                            lambda *a, **k: enumerations.append(a) or faces_by_size(*a, **k))
+        monkeypatch.setattr(jsonio, "dump_complex", lambda *a: dumps.append(a))
+        monkeypatch.setattr(jsonio, "_quote", lambda s: quoted.append(s) or quote(s))
+        code, out = run_main(tmp_path, capsys, command, doc, "--max-dim", "13")
+        assert code == 0
+        assert len(enumerations) == 1 and dumps == []
+        names = sorted(self.COVER["balls"])
+        assert sorted(n for n in quoted if n in self.COVER["balls"]) == sorted(names * 2)
+        nerve = json.loads(out.out)["payload"][key]
+        assert nerve["vertices"] == names and len(nerve["simplices"]) == 2**14 - 1
+        assert nerve["simplices"][-1] == names
+
+    @pytest.mark.parametrize("command, doc", [
+        ("nerve-build", COVER), ("canonical-check", {"cover": COVER}),
+    ], ids=["nerve-build", "canonical-check"])
+    def test_a_negative_bound_fails_before_the_report_is_written(
+        self, tmp_path, capsys, monkeypatch, command, doc
+    ):
+        written = []
+        monkeypatch.setattr(jsonio, "report_text", lambda doc: written.append(doc))
+        out_file = tmp_path / "report.json"
+        code, out = run_main(tmp_path, capsys, command, doc, "--max-dim=-1", "--out", str(out_file))
+        assert (code, out.out, written) == (2, "", [])
+        assert json.loads(out.err) == {"error": "max_dimension must be at least 0, got -1"}
+        assert not out_file.exists()
 
 
 class TestFiles:

@@ -23,7 +23,7 @@ from poukit import (
 from poukit import jsonio
 from poukit.cli import main
 from poukit.errors import InputError
-from poukit.jsonio import dump_complex, report_text
+from poukit.jsonio import complex_payload, dump_complex, report_text
 from poukit.sparse import SparseVec
 
 from generators import dirac, make_rng, random_cover, random_simplex_point
@@ -140,11 +140,11 @@ def random_named_cover(rng, pool=INDEX_NAMES):
     return indexed_cover(domain, {a for v in values.values() for a in v}, values)
 
 
-def assert_written_as_json(dump):
-    """A report holding ``dump`` is written as ``json.dumps`` writes the
-    same data with the simplices as a plain list of lists."""
-    doc = {"payload": {"complex": dump}}
-    plain = {"payload": {"complex": {**dump, "simplices": list(map(list, dump["simplices"]))}}}
+def assert_written_as_json(cx, max_dimension):
+    """A report holding ``complex_payload`` of ``cx`` is written as
+    ``json.dumps`` writes the same report holding ``dump_complex``."""
+    doc = {"payload": {"complex": complex_payload(cx, max_dimension)}}
+    plain = {"payload": {"complex": dump_complex(cx, max_dimension)}}
     assert report_text(doc) == json.dumps(plain, sort_keys=True, indent=2) + "\n"
 
 
@@ -194,6 +194,8 @@ class TestComplexInvariants:
             cx.faces_by_size(max_dimension=-1)
         with pytest.raises(InputError, match="max_dimension"):
             dump_complex(cx, -1)
+        with pytest.raises(InputError, match="max_dimension must be at least 0, got -1"):
+            complex_payload(cx, -1)
         assert faces(cx, 0) == {frozenset({"a"}), frozenset({"b"})}
 
     def test_equality_compares_facets(self):
@@ -271,27 +273,34 @@ class TestNerveFromCover:
             assert dump == global_sort_dump(cover, max_dimension)
             handed_in = SimplicialComplex(cx.simplices, witnessed=True)
             assert dump_complex(handed_in, max_dimension) == dump
-            assert_written_as_json(dump)
+            assert json.loads(json.dumps(dump)) == dump
+            assert_written_as_json(cx, max_dimension)
         rng = make_rng(31 + max_dimension)
         for _ in range(60):
             cover = random_named_cover(rng, MIXED_NAMES)
-            assert_written_as_json(dump_complex(nerve_from_cover(cover), max_dimension))
-        assert_written_as_json(dump_complex(SimplicialComplex([]), max_dimension))
+            assert_written_as_json(nerve_from_cover(cover), max_dimension)
+        assert_written_as_json(SimplicialComplex([]), max_dimension)
         tuple_named = SimplicialComplex([{("a", 1)}, {2}, {("a", 1), 2}])
-        assert_written_as_json(dump_complex(tuple_named, max_dimension))
+        assert_written_as_json(tuple_named, max_dimension)
 
     def test_each_name_is_quoted_once(self, monkeypatch):
         """One 14-vertex facet has 16,383 faces and 114,688 vertex
-        appearances; the dump quotes each of the 14 names once."""
+        appearances; the payload the command line dumps quotes each of the
+        14 names once, and writing it quotes none."""
         members = {f"U{i}" for i in range(14)}
         cover = indexed_cover(FiniteSpace.discrete({"x"}), members, {"x": members})
         calls = []
         quote = jsonio._quote
         monkeypatch.setattr(jsonio, "_quote", lambda s: calls.append(s) or quote(s))
-        simplices = dump_complex(nerve_from_cover(cover))["simplices"]
+        cx = nerve_from_cover(cover)
+        simplices = complex_payload(cx, 13)["simplices"]
+        assert sorted(calls) == sorted(members)
         text = report_text(simplices)
-        assert len(simplices) == 2**14 - 1 and len(calls) <= 14
-        assert text == json.dumps(simplices, indent=2) + "\n"
+        assert len(calls) == 14
+        monkeypatch.setattr(jsonio, "_quote", quote)
+        plain = dump_complex(cx)["simplices"]
+        assert len(plain) == 2**14 - 1
+        assert text == json.dumps(plain, indent=2) + "\n"
 
     def test_membership_is_decided_on_facets(self):
         """One witness in 40 members: the nerve has 2^40 - 1 simplices, so
@@ -352,6 +361,8 @@ class TestFaceOrder:
                 cx.faces_by_size(max_dimension=-1)
             with pytest.raises(InputError, match="max_dimension must be at least 0"):
                 dump_complex(cx, -1)
+            with pytest.raises(InputError, match="max_dimension must be at least 0"):
+                complex_payload(cx, -1)
 
     def test_a_one_facet_level_comes_straight_from_combinations(self):
         """Where list and ``repr`` order agree, each level above size 3 of
@@ -362,8 +373,9 @@ class TestFaceOrder:
             cx = SimplicialComplex(one_large_facet(rng, PLAIN_NAMES))
             levels = list(cx.faces_by_size(str.upper))
             assert len(levels) >= 7
-            for faces, labels in levels[3:]:
-                assert isinstance(faces, combinations) and isinstance(labels, combinations)
+            for labels, faces in zip(levels[3:], list(cx.faces_by_size())[3:]):
+                assert isinstance(labels, combinations) and isinstance(faces, combinations)
+                assert list(labels) == [tuple(map(str.upper, s)) for s in faces]
 
 
 class TestRealizationMembership:
