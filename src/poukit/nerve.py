@@ -170,18 +170,17 @@ def canonical_map_check(pou, cover):
     """Check that a partition of unity is a canonical map for the indexed
     cover, given as for :func:`nerve_from_cover`.
 
-    A row lies in the realization of the nerve iff its carrier is a simplex
-    of it.  A carrier inside ``cover(x)`` is one, so membership is tested,
-    and the nerve built, only at points with a star violation.  Each point's
-    row and cover value are read once: as many ground points as the cover's
-    domain has, each with a cover value, are that domain.
+    A row lies in the realization of the nerve iff its carrier lies inside
+    some point's cover value, so no complex is built; it is tested only at
+    points with a star violation.  Each point's row and cover value are read
+    once: as many ground points as the cover's domain has, each with a cover
+    value, are that domain.
     """
     if cover.codomain.points != pou.index_set:
         raise InputError("cover and partition use different index sets")
     points, rows, values = pou.ground_points(), pou.rows, cover.values
     if len(points) != len(cover.domain.points):
         raise InputError("cover and partition use different ground points")
-    nerve = None
     membership_violations = []
     star_violations = []
     for x in points:
@@ -189,9 +188,7 @@ def canonical_map_check(pou, cover):
         if value is None:
             raise InputError("cover and partition use different ground points")
         if not car <= value:
-            if nerve is None:
-                nerve = nerve_from_cover(cover)
-            if car not in nerve:
+            if not any(car <= v for v in values.values()):
                 membership_violations.append(x)
             star_violations += [(a, x) for a in car if a not in value]
     return CanonicalReport(membership_violations, star_violations)

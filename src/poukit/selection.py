@@ -8,22 +8,22 @@ indices form a basis, so barycentric coordinates are unique).
 
 For coordinate ambient spaces, convex targets are points, segments, axis
 boxes, or V-polytopes with distance oracles in plain floats.  A target
-prepares each set's floats on the set's first measurement: a point, a
-segment's start, direction and squared length, a box's corners, a polytope's
-vertices and their axis box.  Points, segments and boxes project in closed
-form; a polytope runs Wolfe's min-norm-point method, a few small active-set
-steps instead of one projection per vertex subset, with the dot products of
-a major step taken column by column and each affine step a QR solve
-(modified Gram-Schmidt) on the corral's vertex differences.  The
-epsilon-selection pipeline turns a distance oracle plus a finite
-anchor set into a certified approximate selection: bump weights over the
-anchors, locally-finite shrinking, then a barycentric sum of the anchors.
-An anchor q farther than eps * (1 + 2**-20) from the axis box of a polytope's
-vertices gets weight 0 without running Wolfe.  On an axis where q lies below
-the box, every coordinate fl(v - q) Wolfe reads is at least fl(lo - q), as
-rounding is monotone, and above it likewise; Wolfe's point weighs these
-vertices positively, summing to 1 up to a few roundings of 2**-53 each, so
-its norm is at least the box distance up to an error the pad far exceeds.
+prepares each set's floats on its first measurement (a point, a segment's
+start, direction and squared length, a box's corners, a polytope's vertices
+and their axis box) and measures a set against a list of points in one
+pass.  Points, segments and boxes project in closed form; a polytope runs
+Wolfe's min-norm-point method (:func:`dist_to_polytope`), a few small
+active-set steps instead of one projection per vertex subset.  The
+epsilon-selection pipeline takes the anchors to floats once, measures each
+set against them in one pass, and certifies the barycentric sum of the
+shrunk bump weights at each point, reusing an anchor's distance when the
+value is that anchor.  An anchor q farther than eps * (1 + 2**-20) from the
+axis box of a polytope's vertices gets weight 0 without running Wolfe.  On
+an axis where q lies below the box, every coordinate fl(v - q) Wolfe reads
+is at least fl(lo - q), as rounding is monotone, and above it likewise;
+Wolfe's point weighs these vertices positively, summing to 1 up to a few
+roundings of 2**-53 each, so its norm is at least the box distance up to an
+error the pad far exceeds.
 """
 
 import math
@@ -89,12 +89,13 @@ def barycentric_selection(gamma, anchors):
     """
     values = {}
     certs = {}
+    keys = set(anchors)
+    dim = len(next(iter(anchors.values()), ()))
     for x in gamma.ground_points():
         row = gamma.rows[x]
-        missing = row.carrier() - set(anchors)
+        missing = row.carrier() - keys
         if missing:
             raise InputError(f"missing anchors {sorted(missing, key=repr)}")
-        dim = len(next(iter(anchors.values())))
         acc = (0,) * dim
         for a in row:
             acc = tuple(map(add, acc, map(mul, repeat(row[a]), anchors[a])))
@@ -113,17 +114,24 @@ def _floats(p):
     return [float(c) for c in p]
 
 
-def _measure_segment(q, a, d, dd):
-    along = _dot(map(sub, q, a), d)
-    if not (math.isfinite(dd) and math.isfinite(along)):
-        raise OverflowError("segment projection out of float range")
-    t = 0.0 if dd == 0 else along / dd
-    t = min(1.0, max(0.0, t))
-    return math.dist(q, list(map(add, a, map(mul, repeat(t), d))))
+def _measure_segment(qs, a, d, dd):
+    # t = (q - a).d / d.d, folded as _dot folds, clamped to [0, 1]
+    finite, out = math.isfinite(dd), []
+    for q in qs:
+        along = 0
+        for c, ac, dc in zip(q, a, d):
+            along += (c - ac) * dc
+        if not (finite and math.isfinite(along)):
+            raise OverflowError("segment projection out of float range")
+        t = 0.0 if dd == 0 else along / dd
+        t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0
+        out.append(math.dist(q, [ac + t * dc for ac, dc in zip(a, d)]))
+    return out
 
 
-def _measure_box(q, lo, hi):
-    return math.hypot(*[max(l - c, 0.0, c - h) for c, l, h in zip(q, lo, hi)])
+def _measure_box(qs, lo, hi):  # on each axis the gap below lo or above hi, else 0
+    return [math.hypot(*[l - c if c < l else c - h if c > h else 0.0
+                         for c, l, h in zip(q, lo, hi)]) for q in qs]
 
 
 def _affine_min_norm(pts):
@@ -249,11 +257,11 @@ def _prepare(spec):
 
 
 _MEASURES = {
-    "point": math.dist,
+    "point": lambda qs, p: [math.dist(q, p) for q in qs],
     "segment": _measure_segment,
     "box": _measure_box,
     # the module attribute, looked up at each call
-    "polytope": lambda q, vertices, lo, hi: dist_to_polytope(q, vertices),
+    "polytope": lambda qs, vertices, lo, hi: [dist_to_polytope(q, vertices) for q in qs],
 }
 
 
@@ -266,7 +274,8 @@ class ConvexTarget:
     must have that many coordinates, each an int, a Fraction or a finite
     float, and a box has ``lo <= hi`` on each axis.  A set's floats are
     prepared on its first measurement, not here, so a number past the float
-    range is reported by the measurement."""
+    range is reported by the measurement; :meth:`distances` measures a set
+    against a whole list of points in one pass."""
 
     KINDS = {
         "point": ("p",),
@@ -315,39 +324,51 @@ class ConvexTarget:
             args = self._prep[x] = _prepare(self.sets[x])
         return args
 
-    def distance(self, x, q):
-        """d(q, set at x); InputError when it leaves the float range."""
+    def distances(self, x, points):
+        """[d(q, set at x) for q in points], in one pass over the set's
+        prepared floats; InputError when a point has not ``ambient_dim``
+        coordinates or a distance leaves the float range."""
+        for q in points:
+            if len(q) != self.ambient_dim:
+                raise InputError(f"point {list(q)!r} has {len(q)} coordinates, "
+                                 f"ambient_dim is {self.ambient_dim!r}")
         kind = self.sets[x]["kind"]
         try:
-            return _MEASURES[kind](_floats(q), *self._prepared(x))
+            return _MEASURES[kind](points, *self._prepared(x))
         except OverflowError as exc:
             raise InputError(f"distance to the {kind} at {x!r} is out of float range") from exc
 
+    def distance(self, x, q):
+        """d(q, set at x): :meth:`distances` of the one point ``q``."""
+        return self.distances(x, [q])[0]
 
-def _far_anchors(target, x, anchors, eps):
-    """The ids of the anchors farther than eps * (1 + 2**-20) from the vertex
-    box of the polytope at ``x``; none for other kinds, which cost no more
-    than the box, or when a number leaves the float range, which the
-    distance reports."""
-    if target.sets[x]["kind"] != "polytope":
-        return set()
-    try:
-        _, lo, hi = target._prepared(x)
-        bound = eps * (1 + 2**-20)
-        return {aid for aid, a in anchors.items() if _measure_box(_floats(a), lo, hi) > bound}
-    except OverflowError:
-        return set()
+
+def _near(target, x, points, eps):
+    """The indices of the ``points`` not farther than eps * (1 + 2**-20)
+    from the vertex box of the polytope at ``x``; all for other kinds, which
+    cost no more than the box, or when a number leaves the float range,
+    which the distance reports."""
+    if target.sets[x]["kind"] == "polytope":
+        try:
+            _, lo, hi = target._prepared(x)
+            bound = eps * (1 + 2**-20)
+            return [i for i, d in enumerate(_measure_box(points, lo, hi)) if d <= bound]
+        except OverflowError:
+            pass
+    return range(len(points))
 
 
 def epsilon_selection(target, eps, anchors):
     """Certified approximate selection for a convex target.
 
     Anchor weights are bumps of the distance oracle, max(eps - d(a, set), 0),
-    normalized into a partition row, shrunk with the locally-finite transform,
-    and summed barycentrically.  Every active anchor is strictly eps-close to
-    the target set and the value is a convex combination of active anchors,
-    so its distance to the (convex) set stays below eps; a certificate that
-    says otherwise raises SelfCheckFailed carrying it.  Rows are checked
+    each set measured against all its anchors in one pass, normalized into a
+    partition row, shrunk with the locally-finite transform, and summed
+    barycentrically.  Every active anchor is strictly eps-close to the target
+    set and the value is a convex combination of active anchors, so its
+    distance to the (convex) set stays below eps.  The certificate reuses an
+    anchor's distance when the value is that anchor; one that says otherwise
+    raises SelfCheckFailed carrying it.  Rows are checked
     as ``scalars.is_one`` decides it; an anchor outside the target's ambient
     dimension raises InputError before the epsilon is checked.
     """
@@ -361,25 +382,31 @@ def epsilon_selection(target, eps, anchors):
     if eps <= 0:
         raise NonPositiveEpsilon(eps)
     anchor_ids = {f"a{i}": a for i, a in enumerate(anchors)}
-    ground = FiniteSpace.discrete(target.ground_points())
-    rows = {}
-    for x in target.ground_points():
+    xs = target.ground_points()
+    try:
+        points = [tuple(map(float, a)) for a in anchors]
+    except OverflowError:  # the first set's distances report it
+        points = anchors
+    rows, measured = {}, {}
+    for x in xs:
+        near = _near(target, x, points, eps)
+        known = measured[x] = {}  # float point -> its distance to the set at x
         weights = {}
-        far = _far_anchors(target, x, anchor_ids, eps)
-        for aid, apt in anchor_ids.items():
-            gap = 0 if aid in far else eps - target.distance(x, apt)
+        for i, d in zip(near, target.distances(x, [points[i] for i in near])):
+            known[points[i]] = d
+            gap = eps - d
             if gap > 0:
-                weights[aid] = gap
+                weights[f"a{i}"] = gap
         if not weights:
             raise CoverGap(x)
         rows[x], _ = _normalized(weights)
-    pou = PartitionOfUnity(ground, set(anchor_ids), rows)
+    pou = PartitionOfUnity(FiniteSpace.discrete(xs), set(anchor_ids), rows)
     gamma, _cert = mather_compose(pou)
     values, certs = barycentric_selection(gamma, anchor_ids)
     for x, v in values.items():
+        d = measured[x].get(tuple(map(float, v)))  # an anchor's, when v is one
         cert = certs[x] = SelectionCertificate(
-            x, v, target.distance(x, v), certs[x].active_anchors
-        )
+            x, v, target.distance(x, v) if d is None else d, certs[x].active_anchors)
         if not cert.distance_bound < eps:
             raise SelfCheckFailed(
                 f"certificate violated at {x!r}: distance {cert.distance_bound} >= eps {eps}",

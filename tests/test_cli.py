@@ -439,10 +439,10 @@ class TestSelfChecks:
     def break_certificate(self, monkeypatch):
         anchors = {(0.0, 0.0), (1.0, 0.0)}
 
-        def distance(self, x, q):
-            return 0.0 if tuple(q) in anchors else 1.0
+        def distances(self, x, qs):
+            return [0.0 if tuple(q) in anchors else 1.0 for q in qs]
 
-        monkeypatch.setattr(ConvexTarget, "distance", distance)
+        monkeypatch.setattr(ConvexTarget, "distances", distances)
         return {
             "target": {
                 "ambient_dim": 2,

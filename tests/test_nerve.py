@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poukit import (
     Ball,
@@ -491,7 +492,7 @@ class TestCanonicalMapCheckOracle:
         assert canonical_map_check(pou, cover).canonical
         assert built == []
 
-    def test_star_violation_builds_one_complex(self, monkeypatch):
+    def test_star_violation_builds_no_complex(self, monkeypatch):
         m = MetricSampleSpace([(F(0),), (F(1),)])
         balls = {"U0": Ball((F(0),), F(1, 2)), "U1": Ball((F(1),), F(1, 2))}
         pou = PartitionOfUnity(m, set(balls), {x: dirac("U0") for x in m.samples})
@@ -499,7 +500,36 @@ class TestCanonicalMapCheckOracle:
         built = count_complexes(monkeypatch)
         rep = canonical_map_check(pou, cover)
         assert rep.star_violations == [("U0", (F(1),))] and rep.membership_violations == []
+        assert built == []
+
+    def test_canonical_check_with_a_star_violation_builds_only_the_dumped_nerve(
+            self, monkeypatch, tmp_path):
+        space = {"points": ["x", "y"], "min_open": {"x": ["x"], "y": ["y"]}}
+        doc = {"cover": {"domain": space, "codomain": ["0", "1"],
+                         "values": {"x": ["0"], "y": ["1"]}},
+               "pou": {"ground": space, "indices": ["0", "1"],
+                       "rows": {"x": {"0": "1"}, "y": {"0": "1"}}}}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        built = count_complexes(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["canonical-check", str(path)]) == 1
+        witness = json.loads(out.getvalue())["checks"][0]["witness"]
+        assert witness["star_violations"] and not witness["membership_violations"]
         assert len(built) == 1
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_membership_verdicts_equal_membership_in_the_nerve(self, seed, n):
+        rng = make_rng(seed)
+        cover = random_cover(rng, domain=FiniteSpace.discrete({f"x{i}" for i in range(n)}))
+        indices = sorted(cover.codomain.points)
+        rows = {x: random_simplex_point(rng, rng.sample(indices, rng.randint(1, len(indices))))
+                for x in sorted(cover.domain.points)}
+        pou = PartitionOfUnity(cover.domain, set(indices), rows)
+        nerve = nerve_from_cover(cover)
+        outside = [x for x in pou.ground_points() if pou.carrier_at(x) not in nerve]
+        assert canonical_map_check(pou, cover).membership_violations == outside
 
     @pytest.mark.parametrize("command, path, complexes", [
         ("verify-all", "data/example_bundle.json", 0),

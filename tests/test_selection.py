@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction as F
+from operator import mul, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -357,6 +358,85 @@ class TestPolytopeDegenerate:
             assert dist_to_polytope(q, [v]) == math.dist(q, v)
 
 
+KIND_SPECS = [
+    ("point", {"p": (0.0, 0.0)}),
+    ("segment", {"a": (0.0, 0.0), "b": (1.0, 0.0)}),
+    ("box", {"lo": (0.0, 0.0), "hi": (1.0, 1.0)}),
+    ("polytope", {"vertices": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]}),
+]
+
+
+@st.composite
+def measured_sets(draw):
+    """A set of each kind in dimension 1-3 and points to measure, with -0.0
+    coordinates, zero-length segments, boxes flat on an axis and repeated
+    polytope vertices among them."""
+    dim = draw(st.integers(1, 3))
+    coord = st.one_of(st.sampled_from([0.0, -0.0]), quarter.map(float),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    point = st.tuples(*[coord] * dim)
+    a, b, c = draw(point), draw(point), draw(point)
+    vertices = draw(st.lists(point, min_size=1, max_size=6))
+    specs = {
+        "point": {"kind": "point", "p": a},
+        "segment": {"kind": "segment", "a": a, "b": draw(st.sampled_from([a, b]))},
+        "zero segment": {"kind": "segment", "a": b, "b": b},
+        "box": {"kind": "box", "lo": tuple(map(min, b, c)), "hi": tuple(map(max, b, c))},
+        "flat box": {"kind": "box", "lo": (*a[:-1], min(b[-1], c[-1])),
+                     "hi": (*a[:-1], max(b[-1], c[-1]))},
+        "polytope": {"kind": "polytope",
+                     "vertices": vertices + draw(st.lists(st.sampled_from(vertices), max_size=3))},
+    }
+    points = draw(st.lists(st.one_of(point, st.sampled_from([a, b, c, *vertices])), max_size=8))
+    return ConvexTarget(dim, specs), points
+
+
+def flip_zeros(q):
+    return tuple(-c if c == 0 else c for c in q)
+
+
+def reference_distance(spec, q):
+    """d(q, spec) by the per-point formulas, each point taken to floats."""
+    q, kind = [float(c) for c in q], spec["kind"]
+    if kind == "point":
+        return math.dist(q, [float(c) for c in spec["p"]])
+    if kind == "segment":
+        a = [float(c) for c in spec["a"]]
+        d = [float(c) - ac for c, ac in zip(spec["b"], a)]
+        dd, along = _fold_sum(map(mul, d, d)), _fold_sum(map(mul, map(sub, q, a), d))
+        t = min(1.0, max(0.0, 0.0 if dd == 0 else along / dd))
+        return math.dist(q, [ac + t * dc for ac, dc in zip(a, d)])
+    if kind == "box":
+        return math.hypot(*[max(float(l) - c, 0.0, c - float(h))
+                            for c, l, h in zip(q, spec["lo"], spec["hi"])])
+    return dist_to_polytope(q, spec["vertices"])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(measured_sets())
+def test_distances_are_the_distances_of_each_point(case):
+    """Bit for bit the per-point formulas, also for a zero of the other sign
+    and for the point's coordinates as Fractions."""
+    target, points = case
+    for x, spec in target.sets.items():
+        each = [reference_distance(spec, q) for q in points]
+        assert target.distances(x, points) == each
+        assert [target.distance(x, q) for q in points] == each
+        assert target.distances(x, [flip_zeros(q) for q in points]) == each
+        assert [target.distance(x, tuple(map(F, q))) for q in points] == each
+
+
+@pytest.mark.parametrize("kind, spec", KIND_SPECS)
+@pytest.mark.parametrize("q", [(5,), (0.5, 0.5, 0.5)])
+def test_a_point_of_another_dimension_is_an_input_error(kind, spec, q):
+    target = ConvexTarget(2, {"x": {"kind": kind, **spec}})
+    msg = rf"point \[{', '.join(map(repr, q))}\] has {len(q)} coordinates, ambient_dim is 2"
+    with pytest.raises(InputError, match=msg):
+        target.distance("x", q)
+    with pytest.raises(InputError, match=msg):
+        target.distances("x", [(0.5, 0.5), q])
+
+
 class TestConvexTargetValidation:
     @pytest.mark.parametrize(
         "spec",
@@ -430,12 +510,7 @@ class TestEpsilonSelection:
         _, certs = epsilon_selection(target, 1.0, anchors)
         assert certs["x"].distance_bound < 1.0
 
-    @pytest.mark.parametrize("kind, spec", [
-        ("point", {"p": (0.0, 0.0)}),
-        ("segment", {"a": (0.0, 0.0), "b": (1.0, 0.0)}),
-        ("box", {"lo": (0.0, 0.0), "hi": (1.0, 1.0)}),
-        ("polytope", {"vertices": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]}),
-    ])
+    @pytest.mark.parametrize("kind, spec", KIND_SPECS)
     def test_anchor_dimension_is_checked_before_epsilon(self, kind, spec):
         target = ConvexTarget(2, {"x": {"kind": kind, **spec}})
         msg = r"anchor \[0\.1, 0\.1, 5\.0\] has 3 coordinates, ambient_dim is 2"
@@ -461,8 +536,8 @@ class TestEpsilonSelection:
 
     def test_violated_certificate_travels_with_the_error(self, monkeypatch):
         anchors = [(0.0, 1.0), (1.0, 1.0)]
-        monkeypatch.setattr(
-            ConvexTarget, "distance", lambda self, x, q: 0.0 if tuple(q) in anchors else 1.0)
+        monkeypatch.setattr(ConvexTarget, "distances", lambda self, x, qs: [
+            0.0 if tuple(q) in anchors else 1.0 for q in qs])
         target = ConvexTarget(2, {"x": {"kind": "point", "p": (0, 0)}})
         with pytest.raises(SelfCheckFailed, match="certificate violated") as info:
             epsilon_selection(target, 0.5, anchors)
@@ -567,14 +642,65 @@ class TestFarAnchorCull:
                                         "vertices": [(0, 0), (1, 0), (0, 1), (1, 1)]}})
         far = [(2 + i, -3 - i) for i in range(20)] + [(-1.5, 0.5), (0.5, 2.01)]
         epsilon_selection(target, 1.0, [*far[:10], (0.5, 0.5), *far[10:]])
-        assert len(calls) == 1 + 1  # the near anchor and the certificate
+        # the near anchor; the certificate is that anchor and reuses its distance
+        assert calls == [(0.5, 0.5)]
 
     def test_an_anchor_outside_the_float_range_is_still_reported(self):
         target = ConvexTarget(2, {"x": {"kind": "polytope", "vertices": [(0, 0), (1, 0)]}})
         with pytest.raises(InputError, match="polytope at 'x' is out of float range"):
             epsilon_selection(target, 1.0, [(0, 0), (10**400, 0)])
 
+    @pytest.mark.parametrize("kind, spec", KIND_SPECS)
+    def test_an_anchor_outside_the_float_range_is_reported_by_the_first_set(self, kind, spec):
+        target = ConvexTarget(2, {"x": {"kind": kind, **spec}, "y": {"kind": "point", "p": (0, 0)}})
+        for big in (10**400, F(10**400, 3)):
+            with pytest.raises(InputError, match=f"{kind} at 'x' is out of float range"):
+                epsilon_selection(target, 1.0, [(0, 0), (0, big)])
+            with pytest.raises(InputError, match=f"{kind} at 'x' is out of float range"):
+                target.distance("x", (big, 0))
+
     def test_a_vertex_outside_the_float_range_is_still_reported(self):
         target = ConvexTarget(1, {"x": {"kind": "polytope", "vertices": [(0,), (10**400,)]}})
         with pytest.raises(InputError, match="polytope at 'x' is out of float range"):
             epsilon_selection(target, 1.0, [(5,)])
+
+
+class TestMeasuredOnce:
+    """The target of ``data/polytope_selection.json``: x0 and x1 shrink to a
+    vertex row, x2 has one anchor, x3's value lies between two anchors, and
+    four anchors lie outside x3's padded vertex box."""
+
+    def problem(self):
+        target = ConvexTarget(2, {
+            "x0": {"kind": "point", "p": (0, 0)},
+            "x1": {"kind": "segment", "a": (2, 0), "b": (3, F(1, 2))},
+            "x2": {"kind": "box", "lo": (0, 2), "hi": (1, F(5, 2))},
+            "x3": {"kind": "polytope", "vertices": [(3, 3), (4, 3), (3, 4), (F(7, 2), F(7, 2))]},
+        })
+        anchors = [(0.05, 0.0), (-0.2, 0.1), (2.5, 0.2), (2.6, 0.1), (0.5, 2.1), (3.5, 2.9),
+                   (3.6, 2.9), (5.0, 5.0), (3.1, -0.2), (4.5, 4.0), (3.9, 3.9)]
+        return target, 0.3, anchors
+
+    def test_each_pair_is_measured_once_and_a_vertex_row_certificate_runs_no_oracle(
+            self, monkeypatch):
+        calls, wolfe = [], []
+        distances, polytope = ConvexTarget.distances, selection.dist_to_polytope
+
+        def counted(self, x, points):
+            calls.append((x, [tuple(q) for q in points]))
+            return distances(self, x, points)
+
+        monkeypatch.setattr(ConvexTarget, "distances", counted)
+        monkeypatch.setattr(selection, "dist_to_polytope",
+                            lambda q, vertices: wolfe.append(q) or polytope(q, vertices))
+        target, eps, anchors = self.problem()
+        values, certs = epsilon_selection(target, eps, anchors)
+        assert [x for x, _ in calls] == ["x0", "x1", "x2", "x3", "x3"]
+        for x, points in calls[:4]:  # one pass over the anchors
+            assert len(set(points)) == len(points)
+        assert calls[3][1] == [(3.5, 2.9), (3.6, 2.9), (3.9, 3.9)]  # the rest are culled
+        assert calls[4][1] == [values["x3"]]  # the only certificate between anchors
+        assert [len(certs[x].active_anchors) for x in ("x0", "x1", "x2", "x3")] == [1, 1, 1, 2]
+        assert len(wolfe) == 4
+        assert selection_or_gap(epsilon_selection, target, eps, anchors) == selection_or_gap(
+            ref_epsilon_selection, target, eps, anchors)
