@@ -1,17 +1,24 @@
 """Command-line front end: load JSON artifacts, run constructions and
 verifications, emit machine-readable reports with CI-friendly exit codes.
 
+Usage: ``poukit COMMAND INPUT [--mode exact|float] [--seed INT] [--out PATH]
+[--max-dim INT]``.  :func:`parse_argv` reads argv in one pass against the
+table ``FLAGS``: a flag takes its value as ``--flag value`` or
+``--flag=value``, before, between or after the positionals, and the last
+one given counts.  Flags are not abbreviated, and ``--`` is no separator.
+
 Exit codes: 0 all checks passed (or pure construction succeeded), 1 at least
-one check failed, 2 malformed input.  Reports are deterministic for a fixed
+one check failed, 2 malformed input or a bad command line; ``-h`` prints the
+help and exits 0.  Reports are deterministic for a fixed
 input and flags: they embed the config (``--seed`` is recorded only, it
 seeds nothing) and content digests of the inputs, and carry no timestamps.
 """
 
-import argparse
-import functools
 import hashlib
 import json
+import re
 import sys
+import types
 
 from . import jsonio, scalars
 from .errors import CoverGap, InputError, PoukitError, SelfCheckFailed, TailTooLarge
@@ -161,8 +168,9 @@ def cmd_canonical_check(doc, args, report, mode):
     else:
         (pou,) = jsonio.require_fields(doc, "a canonical-check input", "pou")
         pou = jsonio.load_pou(pou, mode)
-    cx_report = canonical_map_check(pou, cover)
-    report.check("canonical", cx_report.canonical, cx_report.to_dict())
+    can = canonical_map_check(pou, cover)
+    key = str if incidence is None else _sample_key(incidence)
+    report.check("canonical", can.canonical, _canonical_witness(can, key))
     report.payload["nerve"] = jsonio.complex_payload(nerve_from_cover(cover), args.max_dim)
 
 
@@ -266,7 +274,7 @@ def cmd_verify_all(doc, args, report, mode):
         report.check(
             f"metric_cover[{i}]:canonical",
             can.canonical,
-            None if can.canonical else can.to_dict(),
+            None if can.canonical else _canonical_witness(can, _sample_key(incidence)),
         )
         gamma, _ = mather_compose(pou)
         # gamma's rows are in ground_points() order, as mather_compose builds them
@@ -312,10 +320,27 @@ def _violation(exc, eps):
 
 
 def _sample_witness(incidence, witness):
-    """A ``(kind, sample)`` witness, the sample written as its position in
-    ``incidence.space``: the key ``jsonio`` uses for metric ground points."""
+    """A ``(kind, sample)`` witness, the sample written by its key."""
     kind, x = witness
-    return [kind, str(incidence.space.samples.index(x))]
+    return [kind, _sample_key(incidence)(x)]
+
+
+def _sample_key(incidence):
+    """The key of a sample of ``incidence.space``, its position as a string:
+    the key ``jsonio`` uses for metric ground points."""
+    samples = incidence.space.samples
+    return lambda x: str(samples.index(x))
+
+
+def _canonical_witness(can, key):
+    """The outcome of a canonical check, each point written as ``key(point)``
+    and each star violation as ``[index, key(point)]``, in the order of
+    ``can``'s lists."""
+    return {
+        "canonical": can.canonical,
+        "membership_violations": [key(x) for x in can.membership_violations],
+        "star_violations": [[str(a), key(x)] for a, x in can.star_violations],
+    }
 
 
 def _kuratowski_witness(space):
@@ -344,26 +369,99 @@ COMMANDS = {
 }
 
 
-@functools.cache
-def build_parser():
-    """The command-line parser, built on the first call and shared by every
-    later one in the process: callers must not mutate it.  ``parse_args``
-    leaves it unchanged, so no flag value reaches the next call."""
-    parser = argparse.ArgumentParser(
-        prog="poukit",
-        description="verify partitions of unity, covers, nerves, and selections",
+def _mode_name(text):
+    """``text`` if it names a mode, else ValueError."""
+    if text in ("exact", "float"):
+        return text
+    raise ValueError(text)
+
+
+# flag: (field of args, default, parser of its text, what it takes, what it does)
+FLAGS = {
+    "--mode": ("mode", "exact", _mode_name, "exact|float", "how scalars are read"),
+    "--seed": ("seed", 0, int, "INT", "recorded in the report; it seeds nothing"),
+    "--out": ("out", None, str, "PATH", "write the report here, not to stdout"),
+    "--max-dim": ("max_dim", MAX_DIMENSION, int, "INT",
+                  "the largest simplex dimension a nerve dump lists"),
+}
+_DEFAULTS = {field: default for field, default, *_ in FLAGS.values()}
+_USAGE = "usage: poukit COMMAND INPUT [-h] " + " ".join(
+    f"[{flag} {takes}]" for flag, (_, _, _, takes, _) in FLAGS.items()) + "\n"
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")  # argparse's negative numbers
+
+
+def _is_value(token):
+    """Whether an argv token that is no flag is a value, as argparse reads
+    it: it does not start with ``-``, or it is ``-``, a negative number or
+    a token with a space."""
+    return token[:1] != "-" or token == "-" or " " in token or _NEGATIVE.match(token) is not None
+
+
+def parse_argv(argv):
+    """The namespace ``main`` runs: ``command``, ``input`` and one field per
+    entry of ``FLAGS``, read in one pass over ``argv``.  A flag takes its
+    value as ``--flag value`` or ``--flag=value`` anywhere, and the last
+    one given counts.  ``-h`` or ``--help`` prints the help and raises
+    ``SystemExit(0)``.  An unknown command, a bad or missing value, a
+    missing positional, a third one or an unknown flag writes the usage and
+    ``poukit: error: ...`` to stderr and raises ``SystemExit(2)``; unknown
+    flags and extra positionals are reported together at the end."""
+    args = types.SimpleNamespace(**_DEFAULTS)
+    positionals, extras = [], []
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        spec = FLAGS.get(name)
+        if spec is not None:
+            field, _, parse, takes, _ = spec
+            if not eq:
+                value = next(tokens, None)
+                if value is None or not _is_value(value):
+                    _argv_error(f"{name} needs a value")
+            try:
+                setattr(args, field, parse(value))
+            except ValueError:
+                _argv_error(f"{name} takes {takes}, not {value!r}")
+        elif name in ("-h", "--help"):
+            if eq:
+                _argv_error(f"{name} takes no value")
+            sys.stdout.write(_help())
+            raise SystemExit(EXIT_OK)
+        elif not _is_value(token) or len(positionals) == 2:
+            extras.append(token)
+        elif positionals or token in COMMANDS:
+            positionals.append(token)
+        else:
+            _argv_error(f"unknown command {token!r}; the commands are {', '.join(sorted(COMMANDS))}")
+    if len(positionals) < 2:
+        _argv_error("a command and an input file are required")
+    if extras:
+        _argv_error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command, args.input = positionals
+    return args
+
+
+def _argv_error(message):
+    sys.stderr.write(f"{_USAGE}poukit: error: {message}\n")
+    raise SystemExit(EXIT_PARSE_ERROR)
+
+
+def _help():
+    flags = [("-h, --help", "print this help and exit")] + [
+        (f"{flag} {takes}", does if default is None else f"{does} (default: {default})")
+        for flag, (_, default, _, takes, does) in FLAGS.items()]
+    return (
+        f"{_USAGE}\nverify partitions of unity, covers, nerves, and selections\n\n"
+        f"COMMAND is one of: {', '.join(sorted(COMMANDS))}\n"
+        "INPUT is the JSON input file.\n\n"
+        "A flag takes its value as --flag VALUE or --flag=VALUE, before, between\n"
+        "or after COMMAND and INPUT; the last one given counts.\n"
+        + "".join(f"  {left:<22}{right}\n" for left, right in flags)
     )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("input", help="JSON input file")
-    parser.add_argument("--mode", choices=["exact", "float"], default="exact")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, help="write the report here")
-    parser.add_argument("--max-dim", type=int, default=MAX_DIMENSION)
-    return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_argv(sys.argv[1:] if argv is None else argv)
     config = {
         "mode": args.mode,
         "seed": args.seed,

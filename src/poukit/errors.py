@@ -47,9 +47,14 @@ class NotTransitive(InputError):
 
 
 class RowNotSimplex(InputError):
-    def __init__(self, point, reason):
+    """The row at ``point`` is not a unit-simplex point over the index set.
+    The message names the row by ``name``, by default ``at`` and the
+    point's ``repr``."""
+
+    def __init__(self, point, reason, name=None):
         self.point = point
-        super().__init__(f"row at {point!r} is not a unit-simplex point: {reason}")
+        name = f"at {point!r}" if name is None else name
+        super().__init__(f"row {name} is not a unit-simplex point: {reason}")
 
 
 class DiscontinuousAt(InputError):

@@ -10,9 +10,10 @@ of them with the same ``str`` cannot be told apart and are an InputError.
 """
 
 import json
+import math
 import reprlib
 
-from .errors import InputError
+from .errors import InputError, RowNotSimplex
 from .nerve import _dump_bound
 from .pou import PartitionOfUnity
 from .scalars import EXACT, format_scalar
@@ -229,7 +230,12 @@ def load_pou(obj, mode=EXACT):
             raise InputError(f"no ground point keyed {k!r}")
         entries = {index_of.get(a, a): v for a, v in expect(row, "entries").items()}
         loaded[points[k]] = load_sparse_vec({"entries": entries}, mode)
-    return PartitionOfUnity(ground, indices, loaded)
+    try:
+        return PartitionOfUnity(ground, indices, loaded)
+    except RowNotSimplex as exc:  # named by its key, its entries as a report writes them
+        k = next(k for k in rows if points[k] == exc.point)
+        text = {str(a): format_scalar(v) for a, v in loaded[exc.point].entries.items()}
+        raise RowNotSimplex(exc.point, json.dumps(text, sort_keys=True), json.dumps(k)) from None
 
 
 def dump_pou(pou):
@@ -312,8 +318,9 @@ def report_text(doc):
     string goes through the C string encoder.  A :func:`complex_payload`'s
     faces are expanded only here, one chunk per level of ``faces_by_size``
     joined from each face's text, the only object made per face.  ``null``,
-    ``true``, ``false`` and ints are written as ``json.dumps`` writes them,
-    and other scalars by ``json.dumps`` itself.
+    ``true``, ``false``, ints and finite floats (by ``repr``) are written as
+    ``json.dumps`` writes them; other scalars, such as ``inf``, ``nan`` or
+    a float subclass, by ``json.dumps`` itself.
     """
     chunks = []
     _write(doc, "\n", chunks.append)
@@ -354,7 +361,7 @@ def _write(obj, nl, put):
         put("true")
     elif obj is False:
         put("false")
-    elif type(obj) is int:
+    elif type(obj) is int or type(obj) is float and math.isfinite(obj):
         put(repr(obj))
     elif isinstance(obj, _FaceBlock):
         inner = nl + "  "

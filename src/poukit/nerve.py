@@ -158,13 +158,6 @@ class CanonicalReport:
     def canonical(self):
         return not self.membership_violations and not self.star_violations
 
-    def to_dict(self):
-        return {
-            "canonical": self.canonical,
-            "membership_violations": [repr(x) for x in self.membership_violations],
-            "star_violations": [repr(x) for x in self.star_violations],
-        }
-
 
 def canonical_map_check(pou, cover):
     """Check that a partition of unity is a canonical map for the indexed

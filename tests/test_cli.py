@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import pathlib
 import random
@@ -20,10 +23,10 @@ from poukit import (
     finite_interval_model,
 )
 from poukit import cli, jsonio, sparse, spaces
-from poukit.cli import COMMANDS, build_parser, main
+from poukit.cli import COMMANDS, main, parse_argv
 from poukit.jsonio import (
     complex_payload, dump_complex, dump_finite_space, load_set_valued_map, report_text)
-from poukit.nerve import CanonicalReport, SimplicialComplex
+from poukit.nerve import MAX_DIMENSION, CanonicalReport, SimplicialComplex
 
 from generators import uniform
 
@@ -67,6 +70,23 @@ class TestCommands:
         proc = run_cli("pou-verify", str(pou_file))
         assert proc.returncode == 0
 
+    def test_a_row_off_the_simplex_is_named_by_its_key(self, tmp_path, capsys):
+        built = report_of(run_cli("pou-build", str(DATA / "line_ball_cover.json")))
+        pou = built["payload"]["pou"]
+        pou["rows"]["0"]["U0"] = "7/3"
+        code, out = run_main(tmp_path, capsys, "pou-verify", pou)
+        assert code == 2
+        assert json.loads(out.err)["error"] == \
+            'row "0" is not a unit-simplex point: {"U0": "7/3"}'
+        pou = jsonio.dump_pou(PartitionOfUnity(
+            FiniteSpace.discrete({"x", "y"}), {1, "b"}, {"x": SparseVec({1: F(1)}),
+                                                         "y": SparseVec({"b": F(1)})}))
+        pou["rows"]["y"] = {"b": "1/3", "1": "1/2"}
+        code, out = run_main(tmp_path, capsys, "pou-verify", pou)
+        assert code == 2
+        assert json.loads(out.err)["error"] == \
+            'row "y" is not a unit-simplex point: {"1": "1/2", "b": "1/3"}'
+
     def test_pou_round_trip_over_integer_indices(self):
         pou = PartitionOfUnity(FiniteSpace.discrete({"x", "y", "z"}), {1, 2, "b"}, {
             "x": SparseVec({1: F(1, 3), 2: F(2, 3)}), "y": SparseVec({"b": F(1)}),
@@ -88,6 +108,18 @@ class TestCommands:
         }
         code, out = run_main(tmp_path, capsys, "canonical-check", doc)
         assert (code, error and json.loads(out.err)["error"]) == (2 if error else 0, error)
+
+    def test_canonical_witness_names_points_and_indices_by_their_keys(self, tmp_path, capsys):
+        space = {"points": [1, "y"], "min_open": {"1": [1], "y": ["y"]}}
+        doc = {
+            "cover": {"domain": space, "codomain": [0, "b"], "values": {"1": [0], "y": ["b"]}},
+            "pou": {"ground": space, "indices": [0, "b"],
+                    "rows": {"1": {"0": "1"}, "y": {"0": "1/2", "b": "1/2"}}},
+        }
+        code, out = run_main(tmp_path, capsys, "canonical-check", doc)
+        assert code == 1
+        assert json.loads(out.out)["checks"][0]["witness"] == {
+            "canonical": False, "membership_violations": ["y"], "star_violations": [["0", "y"]]}
 
     def test_space_validate_over_integer_points(self, tmp_path, capsys):
         """A ``min_open`` key is read as the point whose str it is."""
@@ -194,6 +226,14 @@ class TestContract:
     def test_cli_imports_no_numpy(self):
         proc = subprocess.run(
             [sys.executable, "-c", "import poukit.cli, sys; assert 'numpy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_imports_no_argparse(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import poukit.cli, sys; assert 'argparse' not in sys.modules"],
             capture_output=True,
             text=True,
         )
@@ -344,10 +384,8 @@ class TestFiniteInput:
 
 
 def test_one_parser_per_process(tmp_path, capsys):
-    """Built on the first call and shared, and no flag value of one call
-    reaches the next: a default run after a ``--max-dim 0`` run reports as
-    the one before it."""
-    assert build_parser() is build_parser()
+    """No flag value of one call reaches the next: a default run after a
+    ``--max-dim 0`` run reports as the one before it."""
     reports = []
     for flags in ([], ["--max-dim", "0"], []):
         code, out = run_main(tmp_path, capsys, "nerve-build", line_cover(), *flags)
@@ -355,6 +393,127 @@ def test_one_parser_per_process(tmp_path, capsys):
         reports.append(json.loads(out.out))
     assert reports[0] == reports[2] != reports[1]
     assert reports[2]["config"]["max_dim"] == 8 and reports[1]["config"]["max_dim"] == 0
+
+
+def _argparse_reference():
+    """The argparse parser the command line used before its flag table."""
+    parser = argparse.ArgumentParser(
+        prog="poukit",
+        description="verify partitions of unity, covers, nerves, and selections",
+    )
+    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("input", help="JSON input file")
+    parser.add_argument("--mode", choices=["exact", "float"], default="exact")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", default=None, help="write the report here")
+    parser.add_argument("--max-dim", type=int, default=MAX_DIMENSION)
+    return parser
+
+
+def _outcome(parse, argv):
+    """The fields ``parse(argv)`` fills, or the code it exits with; what it
+    writes is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+_INTS = ["0", "7", "-1", "-12", "-0", " 3", "\u0663"]
+_GOOD = {"--mode": ["exact", "float"], "--seed": _INTS, "--max-dim": _INTS,
+         "--out": ["out.json", "-x y", "", "-", "-5"]}
+_VALUES = sorted({v for values in _GOOD.values() for v in values} | {"EXACT", "1.5", "-1.5", "x"})
+_FLAG_PIECES = st.sampled_from(sorted(_GOOD)).flatmap(lambda flag: st.tuples(
+    st.just(flag), st.sampled_from(_GOOD[flag]) | st.sampled_from(_VALUES),
+    st.sampled_from([0, 0, 1, 1, 2]),
+)).map(
+    # as --flag value, as --flag=value, or without its value
+    lambda f: [[f[0], f[1]], [f"{f[0]}={f[1]}"], [f[0]]][f[2]])
+_ODD_WORDS = ["extra", "--tol-sum", "0.01", "-x", "--bogus", "--bogus=1", "--seeds",
+              "-h", "--help", "-h=x", "--help="]
+_POSITIONALS = st.tuples(st.sampled_from(["map-classify", "verify-all", "mather", "bogus"]),
+                         st.sampled_from(["in.json", "-5", "-x y", "-", "", "mather"]))
+
+
+def _argv(positionals, placed):
+    """``positionals`` in order, each piece of ``placed`` put before the
+    positional its slot names, or after the last."""
+    argv = []
+    for slot in range(len(positionals) + 1):
+        argv += [token for at, piece in placed if at == slot for token in piece]
+        argv += positionals[slot:slot + 1]
+    return argv
+
+
+# zero to three positionals, mostly a command and an input, with flags and
+# now and then an odd word before, between or after them
+_ARGVS = st.builds(
+    _argv,
+    _POSITIONALS | _POSITIONALS | st.lists(st.sampled_from(_ODD_WORDS + ["mather", "in.json"]), max_size=3),
+    st.lists(st.tuples(st.integers(0, 3), _FLAG_PIECES), max_size=4)
+    | st.lists(st.tuples(st.integers(0, 3), _FLAG_PIECES | st.sampled_from(_ODD_WORDS).map(
+        lambda word: [word])), max_size=4),
+)
+
+
+class TestArgv:
+    """``parse_argv`` against the argparse parser it replaced: the same
+    fields where argparse accepts, the same exit code where it exits.  Only
+    abbreviations and ``--``, which it no longer reads, exit 2 instead."""
+
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(_ARGVS)
+    @example(["mather", "in", "--max-dim", "-1"])
+    @example(["--seed=-3", "verify-all", "--out", "-x y", "in", "--mode", "float", "--seed", "2"])
+    @example(["mather", "in", "--tol-sum", "0.01", "-h"])
+    @example(["bogus", "-h"])
+    @example(["-h", "bogus"])
+    @example(["mather", "in", "--out"])
+    @example(["mather", "--bogus", "0.01", "in"])
+    def test_as_argparse(self, argv):
+        assert _outcome(parse_argv, argv) == _outcome(_argparse_reference().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["mather", "in", "--max", "3"],
+        ["mather", "in", "--max=3"],
+        ["mather", "in", "--se", "3"],
+        ["mather", "in", "--he"],
+        ["mather", "--", "in"],
+        ["--", "mather", "in"],
+    ])
+    def test_abbreviations_and_the_separator_exit_2(self, argv):
+        assert _outcome(_argparse_reference().parse_args, argv) != 2
+        assert _outcome(parse_argv, argv) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus", "in"], "unknown command 'bogus'; the commands are canonical-check, "
+         "map-classify, mather, nerve-build, pou-build, pou-verify, select-eps, "
+         "space-validate, verify-all"),
+        (["mather", "in", "--seed", "x"], "--seed takes INT, not 'x'"),
+        (["mather", "in", "--out"], "--out needs a value"),
+    ])
+    def test_messages(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert out.err == ("usage: poukit COMMAND INPUT [-h] [--mode exact|float] [--seed INT] "
+                           f"[--out PATH] [--max-dim INT]\npoukit: error: {message}\n")
+
+    def test_help_goes_to_stdout(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.err) == (0, "")
+        assert out.out.startswith("usage: poukit COMMAND INPUT")
+        assert all(flag in out.out for flag in cli.FLAGS)
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["poukit", "mather", str(DATA / "unit_vector.json"),
+                                          "--seed=5"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 5
 
 
 class TestComputedFloatsMissingOneByAnUlp:
@@ -798,8 +957,8 @@ class TestMetricCoverWitnesses:
         assert checks["index-subordinated"]["witness"] == ["carrier", "1"]
         assert checks["canonical"]["witness"] == {
             "canonical": False,
-            "membership_violations": ["(Fraction(1, 1),)"],
-            "star_violations": ["('U0', (Fraction(1, 1),))"],
+            "membership_violations": ["2"],
+            "star_violations": [["U0", "2"]],
         }
         assert checks["carrier-shrinks"]["witness"] == ["carrier escapes", "0"]
 
@@ -1252,7 +1411,15 @@ _mixed_names = _string_names | st.integers(-3, 12)
 _tuple_names = _mixed_names | st.tuples(st.text(max_size=2), st.integers(0, 3))
 _members = st.one_of(*(st.lists(st.frozensets(names, min_size=1, max_size=5), max_size=4)
                        for names in (_string_names, _mixed_names, _tuple_names)))
-_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+class _Float(float):
+    """A float subclass, which the writer leaves to ``json.dumps``."""
+
+    def __repr__(self):
+        return "not its JSON text"
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.floats().map(_Float) | st.text())
 _face_blocks = st.builds(_faces, _members, st.none() | st.integers(0, 5))
 _report_docs = st.recursive(
     _json_scalars | _face_blocks,
@@ -1336,6 +1503,8 @@ class TestReportText:
     @example({"payload": {"complex": {"simplices": [[_faces(FACES)], ()]}}})
     @example([_faces([]), {"faces": _faces([])}, _faces([])])
     @example(_faces(FACES))
+    @example({"tol_sum": 1e-9, "x": [0.1, -0.0, 1e300, 5e-324, 2.0 ** 60]})
+    @example([float("inf"), float("-inf"), float("nan"), _Float(0.5), _Float("nan")])
     def test_equals_json_dumps_with_sorted_keys_and_indent_2(self, doc):
         self.assert_written_as_json(doc)
 
